@@ -72,15 +72,30 @@ class LevelReport:
     codistance: Distance
 
 
+_UNCHECKED = object()
+
+
+def _frozen(b) -> np.ndarray:
+    """A read-only copy, so no caller can change a map behind the memos."""
+    m = gf2.as_bin(b).copy()
+    m.setflags(write=False)
+    return m
+
+
 class ChainComplex:
-    """Boundary maps d_{j_min} .. d_{j_max-1} with the qubit level at 0."""
+    """Boundary maps d_{j_min} .. d_{j_max-1} with the qubit level at 0.
+
+    The maps are read-only copies of the input, so the memoised ranks and
+    validation result always describe them.
+    """
 
     def __init__(self, boundaries, j_min: int = 0) -> None:
         if not boundaries:
             raise ValueError("a complex needs at least one boundary map")
-        self.boundaries = [gf2.as_bin(b) for b in boundaries]
+        self.boundaries = [_frozen(b) for b in boundaries]
         self.j_min = j_min
         self._rank_cache: dict[int, int] = {}
+        self._fault = _UNCHECKED
 
     @property
     def j_max(self) -> int:
@@ -133,7 +148,16 @@ class ChainComplex:
 
 
 def validate(complex_: ChainComplex) -> Optional[str]:
-    """None when the complex is valid, else a message naming the first fault."""
+    """None when the complex is valid, else a message naming the first fault.
+
+    Computed once per complex and memoised.
+    """
+    if complex_._fault is _UNCHECKED:
+        complex_._fault = _first_fault(complex_)
+    return complex_._fault
+
+
+def _first_fault(complex_: ChainComplex) -> Optional[str]:
     for j in range(complex_.j_min, complex_.j_max - 1):
         lower = complex_.delta(j)
         upper = complex_.delta(j + 1)

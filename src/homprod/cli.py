@@ -16,7 +16,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -48,16 +47,7 @@ class RunConfig:
     max_weight: int = chain.DEFAULT_DISTANCE_BUDGET
     json_path: Optional[str] = None
     quiet: bool = False
-    threads: int = 1
     extra: dict = field(default_factory=dict)
-
-
-def worker_count() -> int:
-    raw = os.environ.get("HOMPROD_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def emit(cfg: RunConfig, payload: dict, text: str) -> None:
@@ -138,23 +128,21 @@ def checked_d_q(
 def run_table1_row(name: str, max_weight: int) -> dict:
     h = TABLE1_INPUTS[name]
     base, tilde, breve = build_stages(h)
-    report = css.code_report(breve, max_weight=1, distance_search=False)
+    report = css.code_report(breve, max_weight=max_weight, distance_search=False)
+    # a full d_q search is out of reach at these sizes; weight 2 gives a floor
+    floor = css.combine_distances(
+        chain.homological_distance(breve, 0, 2),
+        chain.cohomological_distance(breve, -1, 2),
+    )
     d = classical_distance(h)
-    if chain.betti_number(breve, 1) == 0 and chain.betti_number(breve, -1) == 0:
-        d_ss = Distance(math.inf, "exact")
-    else:
-        d_ss = css.combine_distances(
-            chain.homological_distance(breve, 1, max_weight),
-            chain.cohomological_distance(breve, -2, max_weight),
-        )
     witness = product.double_distance_witness(tilde, breve, max_weight=int(d.value))
-    d_q = checked_d_q(base, report.d_q, witness)
+    d_q = checked_d_q(base, floor, witness)
     computed = {
         "n_q": report.n,
         "k_q": report.k,
         "d_q": d_q.to_json(),
         "d_q_witness_upper": None if witness is None else gf2.weight(witness),
-        "d_ss": "inf" if math.isinf(d_ss.value) else int(d_ss.value),
+        "d_ss": report.d_ss.to_json()["value"],
         "max_check_weight": report.max_check_weight,
         "mean_check_weight": float(report.mean_check_weight),
         "mean_check_weight_exact": str(report.mean_check_weight),
@@ -191,13 +179,7 @@ def _matches_rounded(value: Fraction, expected_str: str, tol: float = 1e-5) -> b
 
 
 def cmd_table1(cfg: RunConfig, args) -> int:
-    names = list(TABLE1_INPUTS)
-    threads = cfg.threads
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lambda n: run_table1_row(n, cfg.max_weight), names))
-    else:
-        rows = [run_table1_row(n, cfg.max_weight) for n in names]
+    rows = [run_table1_row(n, cfg.max_weight) for n in TABLE1_INPUTS]
     all_match = all(
         all(r["matches"].values()) or ("note" in r and _only_redundancy_off(r))
         for r in rows
@@ -359,22 +341,22 @@ def _infer_threshold(args, dirpath: str) -> Distance:
     )
 
 
+def _command_budget(
+    cfg: RunConfig, args, complex_: ChainComplex, t: Distance
+) -> decoder.SingleShotBudget:
+    """Budget from one code report; --dq replaces (and skips) the d_q search."""
+    report = css.code_report(
+        complex_, max_weight=cfg.max_weight, distance_search=args.dq is None
+    )
+    d_q = report.d_q if args.dq is None else Distance(float(args.dq), "external")
+    return decoder.single_shot_budget(report.d_ss, t, d_q, bounds.from_name(args.f))
+
+
 def cmd_sweep(cfg: RunConfig, args) -> int:
     complex_ = _load_complex(args.complex)
     code = css.from_complex(complex_)
     t = _infer_threshold(args, args.complex)
-    if args.dq is not None:
-        d_q = Distance(float(args.dq), "external")
-    else:
-        d_q = css.code_report(complex_, max_weight=cfg.max_weight).d_q
-    if complex_.length == 4:
-        if chain.betti_number(complex_, 1) == 0 and chain.betti_number(complex_, -1) == 0:
-            d_ss = Distance(math.inf, "exact")
-        else:
-            d_ss = css.code_report(complex_, max_weight=cfg.max_weight).d_ss
-    else:
-        d_ss = Distance(math.inf, "exact")
-    budget = decoder.single_shot_budget(d_ss, t, d_q, bounds.from_name(args.f))
+    budget = _command_budget(cfg, args, complex_, t)
     limits = decoder.SweepLimits(
         u_max=args.umax, e_max=args.emax, samples=args.samples, seed=cfg.seed
     )
@@ -416,13 +398,7 @@ def cmd_rounds(cfg: RunConfig, args) -> int:
         schedule.append(schedule[len(schedule) % len(raw)])
     schedule = schedule[: args.rounds]
     t = _infer_threshold(args, args.complex)
-    d_q = (
-        Distance(float(args.dq), "external")
-        if args.dq is not None
-        else css.code_report(complex_, max_weight=cfg.max_weight).d_q
-    )
-    d_ss = css.code_report(complex_, max_weight=cfg.max_weight).d_ss
-    budget = decoder.single_shot_budget(d_ss, t, d_q, bounds.from_name(args.f))
+    budget = _command_budget(cfg, args, complex_, t)
     records = decoder.simulate_rounds(
         code, budget, schedule, max_weight=cfg.max_weight
     )
@@ -600,9 +576,7 @@ def cmd_pipeline(cfg: RunConfig, args) -> int:
             file=sys.stderr,
         )
         return EXIT_INPUT
-    base = ChainComplex([h], j_min=0)
-    tilde = product.single_product(base)
-    breve = product.double_product(tilde)
+    base, tilde, breve = build_stages(h)
     os.makedirs(args.out, exist_ok=True)
     chain.save_complex(os.path.join(args.out, "stage1"), tilde)
     chain.save_complex(args.out, breve)
@@ -615,11 +589,7 @@ def cmd_pipeline(cfg: RunConfig, args) -> int:
     cert_x = soundness.certify_map(breve.delta(-1).T, d.value, cube)
     witness = product.double_distance_witness(tilde, breve, max_weight=int(d.value))
     d_q = checked_d_q(base, report.d_q, witness)
-    if chain.betti_number(breve, 1) == 0 and chain.betti_number(breve, -1) == 0:
-        d_ss = Distance(math.inf, "exact")
-    else:
-        d_ss = report.d_ss
-    budget = decoder.single_shot_budget(d_ss, d, d_q, cube)
+    budget = decoder.single_shot_budget(report.d_ss, d, d_q, cube)
     summary = {
         "classical": {"n": h.shape[1], "checks": h.shape[0], "distance": int(d.value)},
         "code": report.to_json(),
@@ -775,7 +745,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         max_weight=args.max_weight,
         json_path=args.json_path,
         quiet=args.quiet,
-        threads=worker_count(),
     )
     try:
         return args.func(cfg, args)

@@ -350,7 +350,9 @@ def adversarial_sweep(
                     continue
                 pairs += 1
                 repairs_ok &= _check_pair(code, budget, error, u, max_weight, violations)
-    else:
+    elif budget.admits(0, 0):
+        # admits only shrinks as the weights grow: a budget that refuses the
+        # empty pair refuses every pair, and rejection sampling would spin
         rng = np.random.default_rng(limits.seed)
         type_choices = {"x": (0,), "z": (1,), "both": (0, 1, 2)}[limits.error_sides]
         while pairs < limits.samples:

@@ -85,8 +85,6 @@ def single_product(
         b = a
     if a.length != 1 or b.length != 1:
         raise ValueError("single_product expects length-1 complexes")
-    require_valid(a)
-    require_valid(b)
     da, db = a.delta(a.j_min), b.delta(b.j_min)
     na0, na1 = da.shape[1], da.shape[0]
     nb0, nb1 = db.shape[1], db.shape[0]
@@ -108,15 +106,17 @@ def single_product(
 def double_product(
     a: ChainComplex, b: Optional[ChainComplex] = None
 ) -> ChainComplex:
-    """Homological product of two length-2 complexes (default: a with itself)."""
+    """Homological product of two length-2 complexes (default: a with itself).
+
+    Only the product is validated: a factor with d.d != 0 gives the
+    product a nonzero composition too.
+    """
     if b is None:
         b = a
     if a.length != 2 or b.length != 2:
         raise ValueError("double_product expects length-2 complexes")
     if a.j_min != -1 or b.j_min != -1:
         raise ValueError("double_product expects levels -1..1")
-    require_valid(a)
-    require_valid(b)
     a_low, a_high = a.delta(-1), a.delta(0)
     b_low, b_high = b.delta(-1), b.delta(0)
     na = {j: a.size(j) for j in (-1, 0, 1)}
@@ -165,7 +165,11 @@ def double_product(
             np.kron(_eye(na[1]), b_low.T),
         ]
     )
-    return require_valid(ChainComplex([d_m2, d_m1, d_0, d_1], j_min=-2))
+    complex_ = ChainComplex([d_m2, d_m1, d_0, d_1], j_min=-2)
+    # the complex holds read-only copies; free the originals before the
+    # validation products reach peak memory
+    del d_m2, d_m1, d_0, d_1
+    return require_valid(complex_)
 
 
 @dataclass

@@ -38,6 +38,44 @@ class TestValidate:
         assert fault is not None and "nonzero" in fault
 
 
+class TestValidateOnce:
+    def test_maps_reject_writes(self):
+        h = REP3.copy()
+        c = ChainComplex([h], j_min=0)
+        with pytest.raises(ValueError):
+            c.delta(0)[0, 0] ^= 1
+        # the caller's array stays writable and no longer aliases the map
+        h[0, 0] ^= 1
+        assert (c.delta(0) == REP3).all()
+
+    def test_each_pair_multiplied_once_per_complex(self, monkeypatch):
+        built = product.double_product(product.single_product(rep3_minimal()))
+        fresh = ChainComplex(built.boundaries, j_min=built.j_min)
+        products = []
+        real = gf2.mat_mul
+
+        def counting(a, b):
+            products.append((a.shape, b.shape))
+            return real(a, b)
+
+        monkeypatch.setattr(gf2, "mat_mul", counting)
+        for _ in range(3):
+            assert chain.validate(fresh) is None
+            assert chain.require_valid(fresh) is fresh
+        assert len(products) == fresh.length - 1
+        # the product was validated when it was built
+        assert chain.validate(built) is None
+        assert len(products) == fresh.length - 1
+
+    def test_fault_is_memoised(self, monkeypatch):
+        bad = ChainComplex([gf2.identity(2), gf2.identity(2)], j_min=0)
+        fault = chain.validate(bad)
+        monkeypatch.setattr(gf2, "mat_mul", None)
+        assert chain.validate(bad) == fault
+        with pytest.raises(chain.ValidationError, match="nonzero"):
+            chain.require_valid(bad)
+
+
 class TestBetti:
     def test_rep3_minimal(self):
         c = rep3_minimal()

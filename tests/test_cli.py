@@ -145,6 +145,74 @@ class TestSweepAndRounds:
         assert len(payload["rounds"]) == 10
         assert payload["in_contract_violations"] == 0
 
+    def test_sampled_sweep_with_zero_threshold(self, tmp_path, rep2_build, deadline):
+        # t = 0 admits no (E, u) pair; sampling must stop, not spin
+        out = tmp_path / "sweep.json"
+        with deadline(30):
+            assert run(
+                "sweep", "--complex", rep2_build, "--t", "0", "--samples", "4",
+                "--json", str(out), "--quiet",
+            ) == 0
+        assert json.loads(out.read_text())["pairs_tested"] == 0
+
+    def test_dq_skips_distance_search(self, tmp_path, rep2_build, monkeypatch):
+        real_hom, real_cohom = css.homological_distance, css.cohomological_distance
+
+        def hom(complex_, j, *rest):
+            assert j != 0, "level-0 distance search ran despite --dq"
+            return real_hom(complex_, j, *rest)
+
+        def cohom(complex_, j, *rest):
+            assert j != -1, "level-0 distance search ran despite --dq"
+            return real_cohom(complex_, j, *rest)
+
+        monkeypatch.setattr(css, "homological_distance", hom)
+        monkeypatch.setattr(css, "cohomological_distance", cohom)
+        sched = tmp_path / "sched.json"
+        sched.write_text(json.dumps([{"e_support": [3]}]))
+        assert run(
+            "sweep", "--complex", rep2_build, "--samples", "5", "--dq", "4", "--quiet"
+        ) == 0
+        assert run(
+            "rounds", "--complex", rep2_build, "--schedule", str(sched),
+            "-n", "2", "--dq", "4", "--quiet",
+        ) == 0
+
+
+class TestOneCodeReport:
+    @pytest.fixture()
+    def reports(self, monkeypatch):
+        calls = []
+        real = css.code_report
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("distance_search", True))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(css, "code_report", counting)
+        return calls
+
+    @pytest.mark.parametrize("dq", [[], ["--dq", "4"]])
+    def test_sweep_and_rounds(self, tmp_path, rep2_build, reports, dq):
+        sched = tmp_path / "sched.json"
+        sched.write_text(json.dumps([{"e_support": [3]}]))
+        assert run("sweep", "--complex", rep2_build, "--samples", "5", *dq, "--quiet") == 0
+        assert run(
+            "rounds", "--complex", rep2_build, "--schedule", str(sched), "-n", "2",
+            *dq, "--quiet",
+        ) == 0
+        assert reports == [not dq, not dq]
+
+    def test_pipeline(self, tmp_path, rep2_pcm, reports):
+        assert run(
+            "pipeline", "--classical", rep2_pcm, "--out", str(tmp_path / "p"), "--quiet"
+        ) == 0
+        assert reports == [True]
+
+    def test_table1_row(self, reports):
+        cli.run_table1_row("row1", max_weight=3)
+        assert reports == [False]
+
 
 class TestSoundnessCommands:
     def test_profile(self, tmp_path, rep2_build):
@@ -250,6 +318,16 @@ class TestTable1:
             c = rows[name]["computed"]
             assert c["d_q"] == {"value": d_q, "status": "exact"}
             assert c["d_q_witness_upper"] == d_q
+
+    def test_closed_form_below_floor_exits_4(self, monkeypatch, capsys):
+        # each row enumerates d_q to weight 2, so the floor is 3
+        def fake(base, stages=2):
+            return {"d_0": chain.Distance(2, "exact"),
+                    "d_-1^T": chain.Distance(2, "exact")}
+
+        monkeypatch.setattr(product, "product_distances", fake)
+        assert run("table1", "--quiet") == 4
+        assert "contract violation" in capsys.readouterr().err
 
     def test_deterministic_json(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -66,6 +66,23 @@ class TestFromComplex:
         with pytest.raises(ValueError):
             css.from_complex(ChainComplex([gf2.as_bin(REP3)], j_min=0))
 
+    def test_computes_no_products(self, monkeypatch):
+        # the complex was validated when built; its d.d = 0 is the proof
+        # that the checks commute and the metachecks annihilate them
+        complex_ = double(REP2)
+
+        def refuse(a, b):
+            raise AssertionError("from_complex multiplied matrices")
+
+        monkeypatch.setattr(gf2, "mat_mul", refuse)
+        code = css.from_complex(complex_)
+        assert code.n == 33 and code.has_metachecks
+
+    def test_rejects_invalid_complex(self):
+        bad = ChainComplex([gf2.identity(2), gf2.identity(2)], j_min=-1)
+        with pytest.raises(chain.ValidationError):
+            css.from_complex(bad)
+
 
 class TestSyndrome:
     def test_identity_zero(self, code13):

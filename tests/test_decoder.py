@@ -238,6 +238,15 @@ class TestAdversarialSweep:
         assert report.ok
         assert report.sampled and report.seed == 7
 
+    def test_sampled_budget_admitting_nothing(self, code33, deadline):
+        # rejection sampling used to spin forever when no pair is in contract
+        budget = decoder.SingleShotBudget(0, 0, bounds.CUBIC_OVER_4)
+        limits = SweepLimits(u_max=1, e_max=1, samples=3, seed=1)
+        with deadline(10):
+            report = decoder.adversarial_sweep(code33, budget, limits)
+        assert report.pairs_tested == 0 and report.ok
+        assert report.sampled and report.seed == 1
+
     def test_sampled_deterministic(self, code241):
         kw = dict(max_weight=6)
         lim = SweepLimits(u_max=1, e_max=2, samples=50, seed=3)

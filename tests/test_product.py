@@ -154,6 +154,12 @@ class TestDoubleProduct:
         with pytest.raises(ValueError):
             product.double_product(complex_of(REP3))
 
+    def test_rejects_invalid_factor(self):
+        # only the product is validated; the factor's d.d != 0 carries over
+        bad = ChainComplex([gf2.identity(2), gf2.identity(2)], j_min=-1)
+        with pytest.raises(chain.ValidationError):
+            product.double_product(bad)
+
 
 class TestPredictions:
     @pytest.mark.parametrize("name", sorted(KUNNETH_CODES))
