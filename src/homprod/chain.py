@@ -85,8 +85,9 @@ def _frozen(b) -> np.ndarray:
 class ChainComplex:
     """Boundary maps d_{j_min} .. d_{j_max-1} with the qubit level at 0.
 
-    The maps are read-only copies of the input, so the memoised ranks and
-    validation result always describe them.
+    The maps are read-only copies of the input, so the validation result
+    memoised here and the ranks memoised on each map (gf2.memo) always
+    describe them.
     """
 
     def __init__(self, boundaries, j_min: int = 0) -> None:
@@ -94,7 +95,6 @@ class ChainComplex:
             raise ValueError("a complex needs at least one boundary map")
         self.boundaries = [_frozen(b) for b in boundaries]
         self.j_min = j_min
-        self._rank_cache: dict[int, int] = {}
         self._fault = _UNCHECKED
 
     @property
@@ -129,12 +129,10 @@ class ChainComplex:
         raise ValueError(f"no level {j} in complex spanning {self.j_min}..{self.j_max}")
 
     def rank(self, j: int) -> int:
-        """Rank of delta(j), cached."""
+        """Rank of delta(j), memoised on the map."""
         if j < self.j_min or j >= self.j_max:
             return 0
-        if j not in self._rank_cache:
-            self._rank_cache[j] = gf2.rank(self.delta(j))
-        return self._rank_cache[j]
+        return gf2.memo(self.delta(j), "rank", gf2.rank)
 
     def _check_level(self, j: int) -> None:
         if not self.has_level(j):

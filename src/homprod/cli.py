@@ -472,7 +472,9 @@ def cmd_witness(cfg: RunConfig, args) -> int:
             side = {"xt": "from_redundancy", "zt": "from_checks"}.get(args.map)
             if side is None:
                 raise InputError("single-product witnesses need --map zt or xt")
-            witness = soundness.single_product_preimage(h, s, side, threshold)
+            witness = soundness.single_product_preimage(
+                h, s, side, threshold, tilde=complex_
+            )
             r, flag = witness.r, witness.bound_guaranteed
         elif complex_.length == 4:
             stage1 = os.path.join(args.complex, "stage1")

@@ -116,8 +116,6 @@ class CssCode:
         metachecks = complex_.length == 4
         self.z_metachecks = complex_.delta(1) if metachecks else None
         self.x_metachecks = complex_.delta(-2).T if metachecks else None
-        self._solvers: dict[str, gf2.Gf2Solver] = {}
-        self._caches: dict[str, np.ndarray] = {}
 
     @property
     def has_metachecks(self) -> bool:
@@ -130,20 +128,6 @@ class CssCode:
     @property
     def num_x_checks(self) -> int:
         return self.x_checks.shape[0]
-
-    def solver(self, which: str) -> gf2.Gf2Solver:
-        """Cached elimination for one of the code's matrices."""
-        if which not in self._solvers:
-            matrix = {
-                "z_checks": self.z_checks,
-                "x_checks": self.x_checks,
-                "z_metachecks": self.z_metachecks,
-                "x_metachecks": self.x_metachecks,
-            }[which]
-            if matrix is None:
-                raise ValueError(f"code has no {which}")
-            self._solvers[which] = gf2.Gf2Solver(matrix)
-        return self._solvers[which]
 
     def syndrome(self, error: PauliError) -> Syndrome:
         if error.e.shape[0] != self.n or error.f.shape[0] != self.n:
@@ -166,25 +150,19 @@ class CssCode:
 
     def in_syndrome_image(self, s: Syndrome) -> bool:
         """Is s = syndrome(E) for some Pauli E?"""
-        return self.solver("z_checks").in_image(s.z_part) and self.solver(
-            "x_checks"
-        ).in_image(s.x_part)
+        z_ok = gf2.get_solver(self.z_checks).in_image(s.z_part)
+        return z_ok and gf2.get_solver(self.x_checks).in_image(s.x_part)
 
     def coset_annihilator(self, side: str) -> np.ndarray:
-        """Matrix B whose kernel is exactly the stabiliser span on one side.
+        """Read-only matrix B whose kernel is the stabiliser span on one side.
 
         side "x": X-error vectors are stabiliser-equivalent iff they have
         the same image under B (the span of X-type stabilisers is the
         column space of x_checks^T, i.e. ker B).  side "z" mirrors.
+        Memoised on the check matrix.
         """
-        key = f"ann_{side}"
-        cached = self._caches.get(key)
-        if cached is None:
-            span = self.x_checks if side == "x" else self.z_checks
-            basis = gf2.kernel_basis(span)
-            cached = np.array(basis, dtype=np.uint8).reshape(len(basis), self.n)
-            self._caches[key] = cached
-        return cached
+        span = self.x_checks if side == "x" else self.z_checks
+        return gf2.memo(span, "annihilator", gf2.annihilator)
 
 
 def from_complex(complex_: ChainComplex) -> CssCode:

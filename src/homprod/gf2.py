@@ -13,7 +13,8 @@ deterministic.  Support sets are reported 1-based.
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, Optional
+import weakref
+from typing import Callable, Iterator, Optional, TypeVar
 
 import numpy as np
 
@@ -25,8 +26,11 @@ __all__ = [
     "mat_vec",
     "rank",
     "kernel_basis",
+    "annihilator",
     "solve",
     "Gf2Solver",
+    "get_solver",
+    "memo",
     "min_weight_solution",
     "all_solutions_up_to_weight",
     "kernel_vectors_by_weight",
@@ -89,6 +93,53 @@ def mat_vec(m, v) -> np.ndarray:
     if m.shape[1] == 0:
         return np.zeros(m.shape[0], dtype=np.uint8)
     return ((m.astype(np.int64) @ v.astype(np.int64)) & 1).astype(np.uint8)
+
+
+# -- memo of facts about read-only matrices ----------------------------------
+
+_T = TypeVar("_T")
+
+# id(owner) -> (weak reference to owner, {(view, key): value})
+_MEMO: dict[int, tuple[weakref.ref, dict[tuple[str, str], object]]] = {}
+
+
+def memo(m: np.ndarray, key: str, build: Callable[[np.ndarray], _T]) -> _T:
+    """build(m), memoised for as long as m's memory lives and cannot change.
+
+    The rule: m is memoised only when m and the array that owns its
+    memory are both read-only, and m is that owner or its full transpose.
+    Any other input, a writable array or a read-only view of one
+    included, is rebuilt on every call, so no answer goes stale.  Entries
+    hang off a weak reference to the owner, keyed by "" or "T" plus key:
+    transposes made on different calls share one entry, and every entry
+    dies with its array.  A value must not reference m, or the array
+    could never die.
+    """
+    owner = m.base
+    if owner is None:
+        owner, view = m, ""
+    elif (
+        type(owner) is np.ndarray
+        and owner.base is None
+        and owner.dtype == m.dtype
+        and m.strides == owner.strides[::-1]
+        and m.shape == owner.shape[::-1]
+    ):
+        view = "T"
+    else:
+        return build(m)
+    # a read-only owner makes every view of it read-only too
+    if owner.flags.writeable:
+        return build(m)
+    oid = id(owner)
+    entry = _MEMO.get(oid)
+    if entry is None or entry[0]() is not owner:
+        entry = _MEMO[oid] = (weakref.ref(owner, lambda _: _MEMO.pop(oid, None)), {})
+    values = entry[1]
+    slot = (view, key)
+    if slot not in values:
+        values[slot] = build(m)
+    return values[slot]
 
 
 # -- bit-packed elimination kernels -----------------------------------------
@@ -166,31 +217,42 @@ def kernel_basis(m) -> list[np.ndarray]:
     return basis
 
 
+def annihilator(m) -> np.ndarray:
+    """Read-only matrix B with ker(B) = row space of m: rows span ker(m).
+
+    B owns its memory, so facts memoised on it (see memo) are kept.
+    """
+    m = as_bin(m)
+    basis = kernel_basis(m)
+    ann = np.array(basis, dtype=np.uint8).reshape(len(basis), m.shape[1]).copy()
+    ann.setflags(write=False)
+    return ann
+
+
 class Gf2Solver:
     """Reusable solver for Mx = b: one elimination, many right-hand sides.
 
     Row-reduces the augmented system [M | I] once.  solve(b) then costs a
-    packed matrix-vector product plus back-substitution bookkeeping.
+    packed matrix-vector product plus back-substitution bookkeeping.  The
+    solver keeps only M's shape, so it can be memoised on M.
     """
 
     def __init__(self, m) -> None:
         m = as_bin(m)
-        self.m = m
+        self.shape = m.shape
         rows, cols = m.shape
         aug = np.hstack([m, identity(rows)]) if rows else zeros(0, cols)
         packed = _pack(aug) if aug.size else _pack(np.zeros((0, 1), dtype=np.uint8))
         self.pivots = _echelon_packed(packed, cols, reduced=True) if rows else []
         if rows:
             full = _unpack(packed, cols + rows)
-            self.reduced = full[:, :cols]
             self.transform = np.packbits(full[:, cols:], axis=1)
         else:
-            self.reduced = zeros(0, cols)
             self.transform = np.zeros((0, 0), dtype=np.uint8)
         self.rank = len(self.pivots)
 
     def _apply_transform(self, b: np.ndarray) -> np.ndarray:
-        if self.m.shape[0] == 0:
+        if self.shape[0] == 0:
             return np.zeros(0, dtype=np.uint8)
         packed_b = np.packbits(b)
         acc = np.bitwise_and(self.transform, packed_b[np.newaxis, :])
@@ -202,13 +264,13 @@ class Gf2Solver:
     def solve(self, b) -> Optional[np.ndarray]:
         """Solution with all free variables zero, or None if inconsistent."""
         b = as_bin(b).reshape(-1)
-        if b.shape[0] != self.m.shape[0]:
+        if b.shape[0] != self.shape[0]:
             raise ValueError(
-                f"dimension mismatch: matrix has {self.m.shape[0]} rows, "
+                f"dimension mismatch: matrix has {self.shape[0]} rows, "
                 f"vector has {b.shape[0]}"
             )
         t = self._apply_transform(b)
-        x = np.zeros(self.m.shape[1], dtype=np.uint8)
+        x = np.zeros(self.shape[1], dtype=np.uint8)
         for row_idx, p in enumerate(self.pivots):
             x[p] = t[row_idx]
         if t[self.rank :].any():
@@ -216,20 +278,9 @@ class Gf2Solver:
         return x
 
 
-_SOLVER_CACHE: dict[int, tuple[np.ndarray, Gf2Solver]] = {}
-
-
-def get_solver(m: np.ndarray) -> Gf2Solver:
-    """Gf2Solver for m, memoised on object identity."""
-    key = id(m)
-    hit = _SOLVER_CACHE.get(key)
-    if hit is not None and hit[0] is m:
-        return hit[1]
-    solver = Gf2Solver(m)
-    if len(_SOLVER_CACHE) > 64:
-        _SOLVER_CACHE.clear()
-    _SOLVER_CACHE[key] = (m, solver)
-    return solver
+def get_solver(m) -> Gf2Solver:
+    """Gf2Solver for m, memoised on m while m is read-only (see memo)."""
+    return memo(as_bin(m), "solver", Gf2Solver)
 
 
 def solve(m, b) -> Optional[np.ndarray]:
@@ -307,19 +358,8 @@ class _WeightSearch:
         return out
 
 
-_SEARCH_CACHE: dict[int, tuple[np.ndarray, _WeightSearch]] = {}
-
-
 def _searcher(m: np.ndarray) -> _WeightSearch:
-    key = id(m)
-    hit = _SEARCH_CACHE.get(key)
-    if hit is not None and hit[0] is m:
-        return hit[1]
-    searcher = _WeightSearch(m)
-    if len(_SEARCH_CACHE) > 64:
-        _SEARCH_CACHE.clear()
-    _SEARCH_CACHE[key] = (m, searcher)
-    return searcher
+    return memo(m, "search", _WeightSearch)
 
 
 def _target_int(v: np.ndarray) -> int:

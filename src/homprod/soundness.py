@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import gf2
+from . import gf2, product
 from .bounds import PolyBound, QUADRATIC_OVER_4, CUBIC_OVER_4
 from .chain import ChainComplex
 
@@ -104,12 +104,6 @@ class SoundnessProfile:
         return out
 
 
-def _image_annihilator(delta: np.ndarray) -> np.ndarray:
-    """Matrix whose kernel is exactly im(delta)."""
-    basis = gf2.kernel_basis(delta.T)
-    return np.array(basis, dtype=np.uint8).reshape(len(basis), delta.shape[0])
-
-
 def profile_map(
     delta,
     x_max: int,
@@ -121,7 +115,7 @@ def profile_map(
     from this profile is a certificate, not a sample.
     """
     delta = gf2.as_bin(delta)
-    ann = _image_annihilator(delta)
+    ann = gf2.annihilator(delta.T)  # ker(ann) = im(delta)
     worst: dict[int, int] = {0: 0}
     for s in gf2.kernel_vectors_by_weight(ann, x_max):
         x = gf2.weight(s)
@@ -233,7 +227,7 @@ def certify_map(
 
 
 def _worst_syndrome(delta: np.ndarray, x: int, budget: int) -> np.ndarray:
-    ann = _image_annihilator(delta)
+    ann = gf2.annihilator(delta.T)
     worst_s = None
     worst_w = -1
     for s in gf2.kernel_vectors_by_weight(ann, x):
@@ -243,7 +237,8 @@ def _worst_syndrome(delta: np.ndarray, x: int, budget: int) -> np.ndarray:
         w = found[1] if found is not None else budget + 1
         if w > worst_w:
             worst_w, worst_s = w, s
-    assert worst_s is not None
+    if worst_s is None:
+        raise AssertionError(f"no image syndrome of weight {x} to witness")
     return worst_s
 
 
@@ -312,37 +307,19 @@ class SingleWitness:
     reductions: int
 
 
-_SINGLE_MAP_CACHE: dict[tuple[int, str], tuple] = {}
+def _single_map_pieces(h: np.ndarray, tilde: ChainComplex, map_side: str):
+    """The selected middle-level map of tilde, reshape dims, and kernel tests.
 
-
-def _single_map_pieces(h: np.ndarray, map_side: str):
-    """The selected middle-level map, reshape dims, and kernel tests.
-
-    "from_checks": domain C_1 (x) C_0 (reshaped checks x bits); transforms
-    add outer products of ker(h^T) columns with ker(h) rows.
-    "from_redundancy": domain C_0 (x) C_1; the mirror.
+    "from_checks": d_0^T, domain C_1 (x) C_0 (reshaped checks x bits);
+    transforms add outer products of ker(h^T) columns with ker(h) rows.
+    "from_redundancy": d_{-1}, domain C_0 (x) C_1; the mirror.
     """
-    if map_side not in ("from_checks", "from_redundancy"):
-        raise ValueError("map_side must be 'from_checks' or 'from_redundancy'")
-    key = (id(h), map_side)
-    hit = _SINGLE_MAP_CACHE.get(key)
-    if hit is not None and hit[0] is h:
-        return hit[1:]
     n1, n0 = h.shape
     if map_side == "from_checks":
-        the_map = np.vstack(
-            [np.kron(h.T, gf2.identity(n0)), np.kron(gf2.identity(n1), h)]
-        )
-        pieces = (the_map, (n1, n0), h.T, h)
-    else:
-        the_map = np.vstack(
-            [np.kron(gf2.identity(n0), h.T), np.kron(h, gf2.identity(n1))]
-        )
-        pieces = (the_map, (n0, n1), h, h.T)
-    if len(_SINGLE_MAP_CACHE) > 64:
-        _SINGLE_MAP_CACHE.clear()
-    _SINGLE_MAP_CACHE[key] = (h,) + pieces
-    return pieces
+        return tilde.delta(0).T, (n1, n0), h.T, h
+    if map_side == "from_redundancy":
+        return tilde.delta(-1), (n0, n1), h, h.T
+    raise ValueError("map_side must be 'from_checks' or 'from_redundancy'")
 
 
 def _reduce_reshaped(
@@ -386,6 +363,8 @@ def single_product_preimage(
     s,
     map_side: str,
     threshold: Optional[int] = None,
+    *,
+    tilde: Optional[ChainComplex] = None,
 ) -> SingleWitness:
     """Constructive bounded preimage for one of a single product's two
     middle-level maps.
@@ -396,13 +375,21 @@ def single_product_preimage(
     (selected map) r = s exactly, with |r| <= |s|^2 / 4 whenever
     |s| < min(d_0, d_0^T); heavier syndromes still get a witness but the
     bound flag is dropped.
+
+    tilde is the single product of h, built here when not given; pass it
+    to reuse the solvers memoised on its maps.
     """
     h = gf2.as_bin(h)
     n1, n0 = h.shape
     s = gf2.as_bin(s).reshape(-1)
     if s.shape[0] != n0 * n0 + n1 * n1:
         raise ValueError("syndrome length does not match the product's middle level")
-    the_map, shape, col_test, row_test = _single_map_pieces(h, map_side)
+    sizes = [n0 * n1, n0 * n0 + n1 * n1, n1 * n0]
+    if tilde is None:
+        tilde = product.single_product(ChainComplex([h], j_min=0))
+    elif tilde.j_min != -1 or [tilde.size(j) for j in tilde.levels()] != sizes:
+        raise ValueError(f"{tilde!r} is not the single product of a {n1}x{n0} matrix")
+    the_map, shape, col_test, row_test = _single_map_pieces(h, tilde, map_side)
     r0 = gf2.get_solver(the_map).solve(s)
     if r0 is None:
         raise PreimageError("syndrome is not in the image of the selected map")
@@ -410,13 +397,12 @@ def single_product_preimage(
         gf2.reshape_vector(r0, *shape), col_test, row_test
     )
     r = gf2.flatten_matrix(r_mat)
-    assert (gf2.mat_vec(the_map, r) == s).all()
+    if not (gf2.mat_vec(the_map, r) == s).all():
+        raise AssertionError("reduced witness no longer solves the selected map")
     x = gf2.weight(s)
     guaranteed = threshold is not None and x < threshold
-    if guaranteed:
-        assert Fraction(gf2.weight(r)) <= QUADRATIC_OVER_4(x), (
-            "area bound violated inside the guaranteed range"
-        )
+    if guaranteed and Fraction(gf2.weight(r)) > QUADRATIC_OVER_4(x):
+        raise AssertionError("area bound violated inside the guaranteed range")
     return SingleWitness(r, guaranteed, steps)
 
 
@@ -627,7 +613,9 @@ def double_product_preimage(
     assemble.  The cubic bound |r| <= |s|^3 / 4 is guaranteed for
     |s| < threshold; outside that range the remainder pieces can fall
     outside the single product's image, in which case the plain solver
-    supplies a correct (unbounded) witness unless strict is set.
+    supplies a correct (unbounded) witness unless strict is set.  Every
+    solver is memoised on a map of tilde or breve, so repeated calls on
+    one pair of complexes eliminate each map once.
     """
     h = gf2.as_bin(h)
     s = gf2.as_bin(s).reshape(-1)
@@ -647,18 +635,13 @@ def double_product_preimage(
     x = gf2.weight(s)
     guaranteed = threshold is not None and x < threshold
 
-    mid_map_key = "mid_map"
-    cache = getattr(tilde, "_preimage_cache", None)
-    if cache is None:
-        cache = {}
-        setattr(tilde, "_preimage_cache", cache)
-    mid_map = cache.get(mid_map_key)
-    if mid_map is None:
-        mid_map = np.kron(d_high, d_low.T)
-        cache[mid_map_key] = mid_map
+    mid_solver = gf2.memo(
+        d_high, "mid_map_solver", lambda d: gf2.Gf2Solver(np.kron(d, d_low.T))
+    )
     m_mat = gf2.mat_mul(d_high, s_l_mat)
-    r_b0 = gf2.get_solver(mid_map).solve(gf2.flatten_matrix(m_mat))
-    assert r_b0 is not None, "middle-block equation must be solvable for image syndromes"
+    r_b0 = mid_solver.solve(gf2.flatten_matrix(m_mat))
+    if r_b0 is None:
+        raise AssertionError("middle-block equation must be solvable for image syndromes")
     state = partial_decode(
         gf2.reshape_vector(r_b0, n_0, n_0), s_l_mat, s_r_mat, d_high, d_low,
         check_every_step=False,
@@ -681,11 +664,13 @@ def double_product_preimage(
             # guaranteed range, below the product distance, so it has a
             # bounded preimage under the lowest map
             witness = single_product_preimage(
-                h, term.vector, "from_redundancy", threshold
+                h, term.vector, "from_redundancy", threshold, tilde=tilde
             )
             r_a_mat[:, term.index] = witness.r
         for term in right_terms:
-            witness = single_product_preimage(h, term.vector, "from_checks", threshold)
+            witness = single_product_preimage(
+                h, term.vector, "from_checks", threshold, tilde=tilde
+            )
             r_c_mat[term.index, :] = witness.r
     except PreimageError:
         if strict or guaranteed:
@@ -700,11 +685,10 @@ def double_product_preimage(
             gf2.flatten_matrix(r_c_mat),
         ]
     )
-    assert (gf2.mat_vec(breve.delta(0), r) == s).all()
-    if guaranteed:
-        assert Fraction(gf2.weight(r)) <= CUBIC_OVER_4(x), (
-            "cubic bound violated inside the guaranteed range"
-        )
+    if not (gf2.mat_vec(breve.delta(0), r) == s).all():
+        raise AssertionError("assembled witness does not solve the qubit map")
+    if guaranteed and Fraction(gf2.weight(r)) > CUBIC_OVER_4(x):
+        raise AssertionError("cubic bound violated inside the guaranteed range")
     return DoubleWitness(
         r,
         gf2.flatten_matrix(r_a_mat),

@@ -218,7 +218,8 @@ def diagonalize(checks: SymplecticChecks) -> DiagonalizedChecks:
             apply_local(i, "swap_xz")
         elif (x_bit, z_bit) == (1, 1):
             apply_local(i, "swap_xy")
-        assert g[i, i] == 1 and g[i, n + i] == 0
+        if not (g[i, i] == 1 and g[i, n + i] == 0):
+            raise AssertionError(f"pivot {i} is not a pure X after the local swap")
         hits = np.flatnonzero(g[:, i])
         for other in hits:
             if other != i:
@@ -229,8 +230,10 @@ def diagonalize(checks: SymplecticChecks) -> DiagonalizedChecks:
         if g[i, n + i]:
             apply_local(i, "swap_xy")
     for i in range(r):
-        assert g[i, i] == 1 and g[i, n + i] == 0
-        assert not any(g[j, i] for j in range(r) if j != i)
+        if not (g[i, i] == 1 and g[i, n + i] == 0):
+            raise AssertionError(f"pivot {i} is not a pure X in the final frame")
+        if any(g[j, i] for j in range(r) if j != i):
+            raise AssertionError(f"pivot column {i} is not cleared in the final frame")
     return DiagonalizedChecks(g, n, perm, local, checks)
 
 
@@ -273,13 +276,15 @@ def low_weight_logical(diag: DiagonalizedChecks, degree_cap: Optional[int] = Non
     probe[n + probe_qubit] = 1  # Z probe
     s = diag.syndrome(probe)
     f = pure_error_preimage(diag, s) ^ probe
-    assert not diag.syndrome(f).any()
+    if diag.syndrome(f).any():
+        raise AssertionError("logical witness has a nonzero syndrome")
     w = pauli_vector_weight(f)
     if w > cap + 1:
         raise AssertionError("logical witness exceeded the degree bound")
     # outside the generator span: appending it must raise the rank
     stacked = np.vstack([diag.generators, f])
-    assert gf2.rank(stacked) == r + 1, "witness landed in the stabiliser span"
+    if gf2.rank(stacked) != r + 1:
+        raise AssertionError("witness landed in the stabiliser span")
     return LogicalWitness(f, w, probe_qubit)
 
 
@@ -380,7 +385,6 @@ def energy_barrier(
         span = span.reshape(-1, n)
         detect = detect.reshape(-1, n)
         reduce = _canonical_reducer(span)
-        det_solver = gf2.get_solver(detect)
         letter = "X" if sector == "x" else "Z"
 
         def neighbours(e):

@@ -1,9 +1,11 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
-from homprod import chain, gf2, product
+from homprod import chain, css, gf2, product, soundness
 from homprod.chain import ChainComplex
 
 REP3 = gf2.as_bin([[1, 1, 0], [0, 1, 1]])
@@ -74,6 +76,28 @@ class TestValidateOnce:
         assert chain.validate(bad) == fault
         with pytest.raises(chain.ValidationError, match="nonzero"):
             chain.require_valid(bad)
+
+
+class TestMemo:
+    def test_memo_dies_with_the_complex(self):
+        tilde = product.single_product(rep3_minimal())
+        breve = product.double_product(tilde)
+        code = css.from_complex(breve)
+        chain.betti_number(breve, 0)
+        error = css.PauliError.x_only(np.eye(breve.size(0), dtype=np.uint8)[0])
+        assert code.in_syndrome_image(code.syndrome(error))
+        assert css.pauli_min_weight(code, error, 2) == 1
+        s = gf2.mat_vec(breve.delta(0), error.e)
+        soundness.double_product_preimage(REP3, tilde, breve, s, threshold=3)
+        maps = tilde.boundaries + breve.boundaries
+        memoised = {id(m) for m in maps} & set(gf2._MEMO)
+        assert len(memoised) >= 4
+        alive = [weakref.ref(m) for m in maps]
+        del tilde, breve, code, maps
+        gc.collect()
+        assert not memoised & set(gf2._MEMO)
+        # no memoised value kept its matrix alive
+        assert all(ref() is None for ref in alive)
 
 
 class TestBetti:

@@ -84,6 +84,18 @@ class TestFromComplex:
             css.from_complex(bad)
 
 
+class TestMemo:
+    def test_coset_annihilator_is_memoised_read_only_owner(self, code33):
+        for side in ("x", "z"):
+            ann = code33.coset_annihilator(side)
+            # an owner, not a reshape view, so searches on it are memoised
+            assert ann.base is None and not ann.flags.writeable
+            assert code33.coset_annihilator(side) is ann
+            span = code33.x_checks if side == "x" else code33.z_checks
+            assert not gf2.mat_mul(ann, span.T).any()
+            assert gf2.rank(ann) + gf2.rank(span) == code33.n
+
+
 class TestSyndrome:
     def test_identity_zero(self, code13):
         s = code13.syndrome(PauliError.identity(13))

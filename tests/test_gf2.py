@@ -216,3 +216,62 @@ class TestPcmFormat:
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
             gf2.parse_pcm("2 2\n10\n2x\n")
+
+
+class TestMemo:
+    """Facts about a matrix are memoised only while the matrix cannot change."""
+
+    @pytest.mark.parametrize("read_only_view", [False, True])
+    def test_mutation_between_calls_gives_fresh_answers(self, read_only_view):
+        rows = [[1, 0, 0], [0, 1, 0]]
+        if read_only_view:
+            # the full transpose of a writable owner, itself read-only
+            owner = bits(rows).T.copy()
+            m = owner.T
+            m.setflags(write=False)
+            writer = owner.T
+        else:
+            m = writer = bits(rows)
+        b = bits([1, 0])
+
+        def answers():
+            return (
+                gf2.min_weight_solution(m, b, 3)[0].tolist(),
+                [v.tolist() for v in gf2.all_solutions_up_to_weight(m, b, 1)],
+                gf2.get_solver(m).solve(b).tolist(),
+            )
+
+        assert answers() == ([1, 0, 0], [[1, 0, 0]], [1, 0, 0])
+        writer[0] = [0, 0, 1]
+        assert answers() == ([0, 0, 1], [[0, 0, 1]], [0, 0, 1])
+
+    def test_read_only_matrix_and_transpose_build_once(self, monkeypatch):
+        m = bits([[1, 1, 0], [0, 1, 1]])
+        m.setflags(write=False)
+        builds = {"solver": 0, "search": 0}
+        for name, cls in (("solver", gf2.Gf2Solver), ("search", gf2._WeightSearch)):
+            def counting(self, a, _name=name, _real=cls.__init__):
+                builds[_name] += 1
+                _real(self, a)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        for _ in range(5):
+            # a fresh transpose view on every call shares the one "T" entry
+            for mat, b in ((m, bits([1, 0])), (m.T, bits([1, 0, 1]))):
+                gf2.get_solver(mat).solve(b)
+                gf2.min_weight_solution(mat, b, 3)
+                gf2.all_solutions_up_to_weight(mat, b, 3)
+                list(gf2.kernel_vectors_by_weight(mat, 3))
+        assert builds == {"solver": 2, "search": 2}
+        # any other view is rebuilt on every call
+        gf2.get_solver(m[:, :2])
+        gf2.get_solver(m[:, :2])
+        assert builds["solver"] == 4
+
+    def test_memo_keys_on_the_owner(self):
+        m = bits([[1, 1, 0], [0, 1, 1]])
+        m.setflags(write=False)
+        assert gf2.memo(m, "probe", gf2.rank) == 2
+        assert gf2.memo(m.T, "probe", lambda a: a.shape) == (3, 2)
+        assert gf2.memo(m, "probe", lambda a: None) == 2
+        assert gf2.memo(m.T, "probe", lambda a: None) == (3, 2)

@@ -1,5 +1,8 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -135,6 +138,67 @@ class TestSingleProductPreimage:
         s[0] = 1  # weight-1 vectors are never image syndromes here
         with pytest.raises(soundness.PreimageError):
             soundness.single_product_preimage(REP3, s, "from_checks", 3)
+
+
+    def test_tilde_keyword_gives_identical_witnesses(self, tilde_rep3):
+        for side, delta in (
+            ("from_checks", tilde_rep3.delta(0).T),
+            ("from_redundancy", tilde_rep3.delta(-1)),
+        ):
+            for code in range(2 ** delta.shape[1]):
+                r0 = gf2.as_bin([(code >> i) & 1 for i in range(delta.shape[1])])
+                s = gf2.mat_vec(delta, r0)
+                built = soundness.single_product_preimage(REP3, s, side, 3)
+                given = soundness.single_product_preimage(
+                    REP3, s, side, 3, tilde=tilde_rep3
+                )
+                assert (built.r == given.r).all()
+                assert (built.bound_guaranteed, built.reductions) == (
+                    given.bound_guaranteed,
+                    given.reductions,
+                )
+
+    def test_rejects_mismatched_tilde(self, tilde_rep2, tilde_rep3):
+        zero = np.zeros(13, dtype=np.uint8)
+        for wrong in (tilde_rep2, product.double_product(tilde_rep2)):
+            with pytest.raises(ValueError, match="single product"):
+                soundness.single_product_preimage(
+                    REP3, zero, "from_checks", 3, tilde=wrong
+                )
+
+    def test_check_survives_optimize_flag(self):
+        # a wrong reduction and a violated area bound are each caught by an
+        # explicit raise, not an assert that -O strips
+        code = (
+            "import numpy as np\n"
+            "from homprod import soundness\n"
+            "h = np.array([[1, 1, 0], [0, 1, 1]], dtype=np.uint8)\n"
+            "s = np.zeros(13, dtype=np.uint8)\n"
+            "raised = 0\n"
+            "real = soundness._reduce_reshaped\n"
+            "def wrong(r_mat, col_test, row_test):\n"
+            "    r_mat = r_mat.copy()\n"
+            "    r_mat[0, 0] ^= 1\n"
+            "    return r_mat, 0\n"
+            "soundness._reduce_reshaped = wrong\n"
+            "try:\n"
+            "    soundness.single_product_preimage(h, s, 'from_checks')\n"
+            "except AssertionError:\n"
+            "    raised += 1\n"
+            "soundness._reduce_reshaped = real\n"
+            "soundness.QUADRATIC_OVER_4 = lambda x: -1\n"
+            "try:\n"
+            "    soundness.single_product_preimage(h, s, 'from_checks', 3)\n"
+            "except AssertionError:\n"
+            "    raised += 1\n"
+            "raise SystemExit(7 if raised == 2 else 1)\n"
+        )
+        src = os.path.dirname(os.path.dirname(soundness.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p
+        )}
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env)
+        assert proc.returncode == 7
 
 
 def make_error_state(tilde, rng, weight):
@@ -318,6 +382,33 @@ class TestDoubleProductPreimage:
             soundness.double_product_preimage(
                 cyclic(3), tilde, breve, s, threshold=3
             )
+
+
+    def test_each_map_eliminated_once(self, monkeypatch):
+        # breve's qubit map, the middle-block map and tilde's two
+        # middle-level maps: one elimination each, however many syndromes
+        tilde = single(REP3)
+        breve = product.double_product(tilde)
+        builds = []
+        real = gf2.Gf2Solver.__init__
+
+        def counting(self, m):
+            builds.append(m.shape)
+            real(self, m)
+
+        monkeypatch.setattr(gf2.Gf2Solver, "__init__", counting)
+        rng = np.random.default_rng(5)
+        fallbacks = 0
+        for _ in range(60):
+            r0 = np.zeros(241, dtype=np.uint8)
+            r0[rng.choice(241, size=int(rng.integers(1, 3)), replace=False)] = 1
+            s = gf2.mat_vec(breve.delta(0), r0)
+            out = soundness.double_product_preimage(
+                REP3, tilde, breve, s, threshold=3
+            )
+            fallbacks += out.used_fallback
+        assert fallbacks < 60
+        assert sorted(builds) == sorted([(156, 241), (36, 169), (13, 6), (13, 6)])
 
 
 class TestCertifyChecks:
