@@ -371,6 +371,22 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
     return EXIT_OK if report.ok else EXIT_COUNTEREXAMPLE
 
 
+def _support_vector(entry: dict, key: str, length: int, k: int) -> np.ndarray:
+    """0/1 vector of a schedule round's 1-based support list under key."""
+    support = entry.get(key, [])
+    if not isinstance(support, list):
+        raise InputError(f"schedule round {k}: {key} is not a list")
+    v = np.zeros(length, dtype=np.uint8)
+    for i in support:
+        if type(i) is not int or not 1 <= i <= length:
+            raise InputError(
+                f"schedule round {k}: {key} index {i!r} is not an integer "
+                f"in 1..{length}"
+            )
+        v[i - 1] = 1
+    return v
+
+
 def cmd_rounds(cfg: RunConfig, args) -> int:
     complex_ = _load_complex(args.complex)
     code = css.from_complex(complex_)
@@ -379,18 +395,16 @@ def cmd_rounds(cfg: RunConfig, args) -> int:
             raw = json.load(fh)
     except (OSError, ValueError) as exc:
         raise InputError(f"cannot read schedule {args.schedule!r}: {exc}") from exc
+    if not isinstance(raw, list):
+        raise InputError("schedule must be a JSON array of rounds")
     schedule = []
     m = code.num_z_checks + code.num_x_checks
-    for entry in raw:
-        e = np.zeros(code.n, dtype=np.uint8)
-        f = np.zeros(code.n, dtype=np.uint8)
-        u = np.zeros(m, dtype=np.uint8)
-        for i in entry.get("e_support", []):
-            e[i - 1] = 1
-        for i in entry.get("f_support", []):
-            f[i - 1] = 1
-        for i in entry.get("u_support", []):
-            u[i - 1] = 1
+    for k, entry in enumerate(raw, 1):
+        if not isinstance(entry, dict):
+            raise InputError(f"schedule round {k} is not an object")
+        e = _support_vector(entry, "e_support", code.n, k)
+        f = _support_vector(entry, "f_support", code.n, k)
+        u = _support_vector(entry, "u_support", m, k)
         schedule.append((css.PauliError(e, f), u))
     if not schedule:
         raise InputError("schedule is empty")

@@ -156,13 +156,19 @@ def qubit_decode(
     """
     if not code.in_syndrome_image(repaired):
         raise ValueError("repaired syndrome has no Pauli explanation")
+    return _min_weight_pauli(code, repaired, max_weight), True
+
+
+def _min_weight_pauli(code: CssCode, repaired: Syndrome, max_weight: int) -> PauliError:
+    """The two per-side searches of qubit_decode, for a syndrome already
+    known to lie in the image."""
     found_e = gf2.min_weight_solution(code.z_checks, repaired.z_part, max_weight)
     if found_e is None:
         raise BudgetExhausted(f"no X-part recovery within weight {max_weight}")
     found_f = gf2.min_weight_solution(code.x_checks, repaired.x_part, max_weight)
     if found_f is None:
         raise BudgetExhausted(f"no Z-part recovery within weight {max_weight}")
-    return PauliError(found_e[0], found_f[0]), True
+    return PauliError(found_e[0], found_f[0])
 
 
 def single_shot_decode(
@@ -179,13 +185,15 @@ def single_shot_decode(
         return DecodeResult(
             outcome.s_rec, PauliError.identity(code.n), True, None, False
         )
-    e_rec, certified = qubit_decode(code, s.compose(outcome.s_rec), max_weight)
+    # repair_syndrome has already checked that the repaired syndrome lies
+    # in the image, so only qubit_decode's searches remain
+    e_rec = _min_weight_pauli(code, s.compose(outcome.s_rec), max_weight)
     residual_wt: Optional[int] = None
     if true_error is not None:
         residual = true_error.compose(e_rec)
         budget = residual_budget if residual_budget is not None else max_weight
         residual_wt = pauli_min_weight(code, residual, budget)
-    return DecodeResult(outcome.s_rec, e_rec, False, residual_wt, certified)
+    return DecodeResult(outcome.s_rec, e_rec, False, residual_wt, True)
 
 
 # -- adversarial sweeps --------------------------------------------------------

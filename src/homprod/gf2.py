@@ -232,9 +232,10 @@ def annihilator(m) -> np.ndarray:
 class Gf2Solver:
     """Reusable solver for Mx = b: one elimination, many right-hand sides.
 
-    Row-reduces the augmented system [M | I] once.  solve(b) then costs a
-    packed matrix-vector product plus back-substitution bookkeeping.  The
-    solver keeps only M's shape, so it can be memoised on M.
+    Row-reduces the augmented system [M | I] once.  in_image(b) then costs
+    one packed matrix-vector product; solve(b) adds one scatter of the
+    pivot entries.  The solver keeps only M's shape, so it can be memoised
+    on M.
     """
 
     def __init__(self, m) -> None:
@@ -243,15 +244,24 @@ class Gf2Solver:
         rows, cols = m.shape
         aug = np.hstack([m, identity(rows)]) if rows else zeros(0, cols)
         packed = _pack(aug) if aug.size else _pack(np.zeros((0, 1), dtype=np.uint8))
-        self.pivots = _echelon_packed(packed, cols, reduced=True) if rows else []
+        pivots = _echelon_packed(packed, cols, reduced=True) if rows else []
         if rows:
             full = _unpack(packed, cols + rows)
             self.transform = np.packbits(full[:, cols:], axis=1)
         else:
             self.transform = np.zeros((0, 0), dtype=np.uint8)
-        self.rank = len(self.pivots)
+        self.pivot_index = np.array(pivots, dtype=np.intp)
+        self.rank = len(pivots)
 
-    def _apply_transform(self, b: np.ndarray) -> np.ndarray:
+    def _transformed(self, b) -> np.ndarray:
+        """T b, where T is the row reduction: Mx = b is consistent iff
+        (T b)[rank:] is zero, and then x[pivots] = (T b)[:rank]."""
+        b = as_bin(b).reshape(-1)
+        if b.shape[0] != self.shape[0]:
+            raise ValueError(
+                f"dimension mismatch: matrix has {self.shape[0]} rows, "
+                f"vector has {b.shape[0]}"
+            )
         if self.shape[0] == 0:
             return np.zeros(0, dtype=np.uint8)
         packed_b = np.packbits(b)
@@ -259,22 +269,16 @@ class Gf2Solver:
         return (np.bitwise_count(acc).sum(axis=1) & 1).astype(np.uint8)
 
     def in_image(self, b) -> bool:
-        return self.solve(b) is not None
+        """Is Mx = b consistent?  Builds no solution vector."""
+        return not self._transformed(b)[self.rank :].any()
 
     def solve(self, b) -> Optional[np.ndarray]:
         """Solution with all free variables zero, or None if inconsistent."""
-        b = as_bin(b).reshape(-1)
-        if b.shape[0] != self.shape[0]:
-            raise ValueError(
-                f"dimension mismatch: matrix has {self.shape[0]} rows, "
-                f"vector has {b.shape[0]}"
-            )
-        t = self._apply_transform(b)
-        x = np.zeros(self.shape[1], dtype=np.uint8)
-        for row_idx, p in enumerate(self.pivots):
-            x[p] = t[row_idx]
+        t = self._transformed(b)
         if t[self.rank :].any():
             return None
+        x = np.zeros(self.shape[1], dtype=np.uint8)
+        x[self.pivot_index] = t[: self.rank]
         return x
 
 

@@ -145,6 +145,43 @@ class TestSweepAndRounds:
         assert len(payload["rounds"]) == 10
         assert payload["in_contract_violations"] == 0
 
+    @pytest.mark.parametrize(
+        "schedule, message",
+        [
+            ([{"e_support": [0]}], "e_support index 0"),
+            ([{"e_support": [34]}], "e_support index 34"),
+            ([5], "round 1 is not an object"),
+            ([{"f_support": [True]}], "f_support index True"),
+            ([{"u_support": [1]}, {"u_support": [41]}], "round 2: u_support index 41"),
+            ([{"e_support": 3}], "e_support is not a list"),
+            ({"e_support": [3]}, "JSON array"),
+        ],
+    )
+    def test_rounds_rejects_bad_schedule(
+        self, tmp_path, rep2_build, capsys, schedule, message
+    ):
+        sched = tmp_path / "sched.json"
+        sched.write_text(json.dumps(schedule))
+        capsys.readouterr()
+        assert run(
+            "rounds", "--complex", rep2_build, "--schedule", str(sched),
+            "-n", "1", "--dq", "4", "--quiet",
+        ) == 2
+        err = capsys.readouterr().err
+        assert "input error" in err and message in err
+        assert "Traceback" not in err
+
+    def test_rounds_accepts_last_indices(self, tmp_path, rep2_build):
+        # 33 qubits, 40 stacked syndrome bits: both ends are in range
+        sched = tmp_path / "sched.json"
+        sched.write_text(json.dumps([{"e_support": [1, 33], "u_support": [40]}]))
+        out = tmp_path / "rounds.json"
+        assert run(
+            "rounds", "--complex", rep2_build, "--schedule", str(sched),
+            "-n", "1", "--dq", "4", "--json", str(out), "--quiet",
+        ) == 0
+        assert len(json.loads(out.read_text())["rounds"]) == 1
+
     def test_sampled_sweep_with_zero_threshold(self, tmp_path, rep2_build, deadline):
         # t = 0 admits no (E, u) pair; sampling must stop, not spin
         out = tmp_path / "sweep.json"

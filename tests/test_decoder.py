@@ -143,6 +143,24 @@ class TestQubitDecode:
 
 
 class TestSingleShotDecode:
+    def test_one_membership_check_per_decode(self, code33, monkeypatch):
+        calls = []
+        real = css.CssCode.in_syndrome_image
+
+        def counted(self, s):
+            calls.append(1)
+            return real(self, s)
+
+        monkeypatch.setattr(css.CssCode, "in_syndrome_image", counted)
+        m = code33.num_z_checks + code33.num_x_checks
+        cases = [(single_x(33, q), unit_u(m, i)) for q, i in [(0, 0), (7, 3), (32, m - 1)]]
+        cases.append((PauliError.identity(33), np.zeros(m, dtype=np.uint8)))
+        for err, u in cases:
+            s = code33.syndrome(err).compose(decoder.split_measurement_error(code33, u))
+            calls.clear()
+            decoder.single_shot_decode(code33, s, 3, true_error=err)
+            assert len(calls) == 1
+
     def test_zero_syndrome(self, code33):
         res = decoder.single_shot_decode(
             code33,

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from homprod import gf2
@@ -85,6 +85,71 @@ class TestSolve:
         x = gf2.solve(m, b)
         assert x is not None
         assert (gf2.mat_vec(m, x) == b).all()
+
+
+@st.composite
+def bin_system(draw):
+    """(M, b) with M possibly empty, zero or rank deficient, and b a random
+    vector or an image of M (so both verdicts of in_image are drawn)."""
+    rows = draw(st.integers(0, 7))
+    cols = draw(st.integers(0, 7))
+    flat = draw(st.lists(st.integers(0, 1), min_size=rows * cols, max_size=rows * cols))
+    m = np.array(flat, dtype=np.uint8).reshape(rows, cols)
+    if draw(st.booleans()):
+        x = bits(draw(st.lists(st.integers(0, 1), min_size=cols, max_size=cols)))
+        b = gf2.mat_vec(m, x) if rows else np.zeros(0, dtype=np.uint8)
+    else:
+        b = bits(draw(st.lists(st.integers(0, 1), min_size=rows, max_size=rows)))
+    return m, b.reshape(-1)
+
+
+def reference_solution(m, b):
+    """Solution of Mx = b with free variables zero, by RREF of [M | b]."""
+    rows, cols = m.shape
+    red, pivots = gf2._rref(np.hstack([m, b.reshape(rows, 1)]))
+    if cols in pivots:
+        return None
+    x = np.zeros(cols, dtype=np.uint8)
+    for i, p in enumerate(pivots):
+        x[p] = red[i, cols]
+    return x
+
+
+class TestSolverMembership:
+    @given(bin_system())
+    def test_in_image_agrees_with_solve(self, system):
+        m, b = system
+        solver = gf2.Gf2Solver(m)
+        x = solver.solve(b)
+        assert solver.in_image(b) == (x is not None)
+        expected = reference_solution(m, b)
+        if expected is None:
+            assert x is None
+        else:
+            assert x.dtype == np.uint8 and x.tolist() == expected.tolist()
+
+    @given(bin_system(), st.sampled_from([-1, 1]))
+    def test_wrong_length_rejected_by_both(self, system, delta):
+        m, _ = system
+        solver = gf2.Gf2Solver(m)
+        length = m.shape[0] + delta
+        assume(length >= 0)
+        b = np.zeros(length, dtype=np.uint8)
+        with pytest.raises(ValueError):
+            solver.in_image(b)
+        with pytest.raises(ValueError):
+            solver.solve(b)
+
+    def test_in_image_builds_no_solution(self, monkeypatch):
+        m = bits([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+        solver = gf2.Gf2Solver(m)
+
+        def refuse(self, b):
+            raise AssertionError("in_image called solve")
+
+        monkeypatch.setattr(gf2.Gf2Solver, "solve", refuse)
+        assert solver.in_image(bits([1, 1, 0]))
+        assert not solver.in_image(bits([1, 0, 0]))
 
 
 class TestMinWeightSolution:
