@@ -76,8 +76,12 @@ _UNCHECKED = object()
 
 
 def _frozen(b) -> np.ndarray:
-    """A read-only copy, so no caller can change a map behind the memos."""
-    m = gf2.as_bin(b).copy()
+    """A read-only 0/1 copy, so no caller can change a map behind the memos.
+
+    Reduced mod 2 whatever the dtype (as_bin passes uint8 through as it
+    is), so every product, rank and solver reads the same map.
+    """
+    m = np.bitwise_and(gf2.as_bin(b), 1, order="C")
     m.setflags(write=False)
     return m
 
@@ -85,7 +89,7 @@ def _frozen(b) -> np.ndarray:
 class ChainComplex:
     """Boundary maps d_{j_min} .. d_{j_max-1} with the qubit level at 0.
 
-    The maps are read-only copies of the input, so the validation result
+    The maps are read-only 0/1 copies of the input, so the validation result
     memoised here and the ranks memoised on each map (gf2.memo) always
     describe them.
     """
@@ -148,7 +152,9 @@ class ChainComplex:
 def validate(complex_: ChainComplex) -> Optional[str]:
     """None when the complex is valid, else a message naming the first fault.
 
-    Computed once per complex and memoised.
+    Checks that adjacent maps have matching dimensions and compose to
+    zero, asking gf2.product_is_zero of each pair (the products are never
+    formed).  Computed once per complex and memoised.
     """
     if complex_._fault is _UNCHECKED:
         complex_._fault = _first_fault(complex_)
@@ -164,7 +170,7 @@ def _first_fault(complex_: ChainComplex) -> Optional[str]:
                 f"dimension mismatch between levels {j} and {j + 1}: "
                 f"d_{j} has {lower.shape[0]} rows, d_{j + 1} has {upper.shape[1]} columns"
             )
-        if gf2.mat_mul(upper, lower).any():
+        if not gf2.product_is_zero(upper, lower):
             return f"composition d_{j + 1} d_{j} is nonzero"
     return None
 
@@ -200,7 +206,7 @@ def _distance_search(
         raise AssertionError("negative homology dimension; complex is invalid")
     if homology_dim == 0:
         return Distance(math.inf, "exact")
-    image_solver = gf2.Gf2Solver(image_map)
+    image_solver = gf2.get_solver(image_map)
     for c in gf2.kernel_vectors_by_weight(kernel_map, max_weight):
         if not image_solver.in_image(c):
             return Distance(float(gf2.weight(c)), "exact", c)

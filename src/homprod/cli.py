@@ -219,8 +219,19 @@ def _load_classical(path: str) -> np.ndarray:
         raise InputError(f"cannot read check matrix {path!r}: {exc}") from exc
 
 
+def _load_code(path: str) -> np.ndarray:
+    """A classical check matrix to build products from: rank at least 1."""
+    h = _load_classical(path)
+    if gf2.rank(h) == 0:
+        raise InputError(
+            f"check matrix {path!r} ({h.shape[0]}x{h.shape[1]}) has no "
+            "independent checks"
+        )
+    return h
+
+
 def cmd_build(cfg: RunConfig, args) -> int:
-    h = _load_classical(args.classical)
+    h = _load_code(args.classical)
     if args.allow_redundant:
         base = ChainComplex([h], j_min=0)
     else:
@@ -584,7 +595,7 @@ def cmd_barrier(cfg: RunConfig, args) -> int:
 
 
 def cmd_pipeline(cfg: RunConfig, args) -> int:
-    h = _load_classical(args.classical)
+    h = _load_code(args.classical)
     if not args.allow_redundant and gf2.rank(h) != h.shape[0]:
         print(
             f"not minimal: {h.shape[0]} checks, rank {gf2.rank(h)} "

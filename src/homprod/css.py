@@ -89,12 +89,22 @@ class Syndrome:
         return not (self.z_part.any() or self.x_part.any())
 
 
+def _transposed(m: np.ndarray) -> np.ndarray:
+    """m.T as a read-only array that owns its memory: gf2.memo finds facts
+    about an owner about twice as fast as about a transposed view."""
+    t = m.T.copy()
+    t.setflags(write=False)
+    return t
+
+
 class CssCode:
     """Checks and metachecks of a CSS code read off a chain complex.
 
     Built only from a complex, which is validated (once, memoised): its
     d.d = 0 is what makes the checks commute and the metachecks
-    annihilate them, so the code repeats none of those products.
+    annihilate them, so the code repeats none of those products.  The
+    X-side matrices are transposes of the complex's maps, held as their
+    own read-only copies (see _transposed).
     """
 
     def __init__(self, complex_: ChainComplex) -> None:
@@ -111,11 +121,11 @@ class CssCode:
                 f"{expected_min}..{expected_min + complex_.length}"
             )
         self.z_checks = complex_.delta(0)
-        self.x_checks = complex_.delta(-1).T
+        self.x_checks = _transposed(complex_.delta(-1))
         self.n = self.z_checks.shape[1]
         metachecks = complex_.length == 4
         self.z_metachecks = complex_.delta(1) if metachecks else None
-        self.x_metachecks = complex_.delta(-2).T if metachecks else None
+        self.x_metachecks = _transposed(complex_.delta(-2)) if metachecks else None
 
     @property
     def has_metachecks(self) -> bool:

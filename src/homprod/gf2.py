@@ -1,9 +1,11 @@
-"""Dense GF(2) linear algebra on numpy uint8 arrays.
+"""GF(2) linear algebra on numpy uint8 arrays.
 
 Matrices are row-major uint8 arrays with entries in {0, 1}.  The
-elimination kernels pack rows into bit-packed buffers (8 columns per
-byte) so that row operations run as vectorised byte XORs; unpacked
-arrays remain the interchange format at every API boundary.
+elimination kernels and the zero-product test (product_is_zero) pack
+rows into bit-packed buffers (8 columns per byte) so that row
+operations run as vectorised byte XORs; unpacked arrays remain the
+interchange format at every API boundary.  mat_mul forms products
+through float64 BLAS, which is faster for the small dense ones.
 
 Pivoting is always left-to-right over columns and tie-breaks are
 lexicographic (smallest support indices first), so every routine is
@@ -23,6 +25,7 @@ __all__ = [
     "zeros",
     "identity",
     "mat_mul",
+    "product_is_zero",
     "mat_vec",
     "rank",
     "kernel_basis",
@@ -47,7 +50,9 @@ __all__ = [
 
 
 def as_bin(a) -> np.ndarray:
-    """Coerce array-like input to a canonical uint8 array reduced mod 2."""
+    """Array-like input as uint8: other dtypes are reduced mod 2, uint8 is
+    returned as it is, assumed 0/1 (no copy, no check: this runs on
+    every decode).  ChainComplex reduces its maps once on the way in."""
     out = np.asarray(a)
     if out.dtype != np.uint8:
         out = (out % 2).astype(np.uint8)
@@ -81,6 +86,29 @@ def mat_mul(a, b) -> np.ndarray:
         return zeros(a.shape[0], b.shape[1])
     prod = a.astype(np.float64) @ b.astype(np.float64)
     return (prod.astype(np.int64) & 1).astype(np.uint8)
+
+
+def product_is_zero(a, b) -> bool:
+    """Is a @ b = 0 mod 2?  Answers without forming the product.
+
+    Row i of a @ b is the XOR of the rows of b that row i of a picks.  So
+    b's rows are packed once (8 columns per byte), a's support is read
+    with one nonzero scan, and one reduceat XORs each row's picks
+    together.  The XOR work and its buffer scale with the ones in a, not
+    with a's size, which suits sparse boundary maps; small dense products
+    are faster through mat_mul.
+    """
+    a = as_bin(a)
+    b = as_bin(b)
+    if a.shape[1] != b.shape[0]:
+        raise ValueError(f"dimension mismatch: {a.shape} @ {b.shape}")
+    rows, cols = np.nonzero(a)
+    if rows.size == 0 or b.shape[1] == 0:
+        return True
+    picked = np.packbits(b, axis=1)[cols]
+    # rows come sorted, so each row of a is one run of picks
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    return not np.bitwise_xor.reduceat(picked, starts, axis=0).any()
 
 
 def mat_vec(m, v) -> np.ndarray:

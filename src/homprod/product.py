@@ -409,6 +409,6 @@ def double_distance_witness(
     )
     if gf2.mat_vec(breve.delta(0), r).any():
         return None
-    if gf2.solve(breve.delta(-1), r) is not None:
+    if gf2.get_solver(breve.delta(-1)).in_image(r):
         return None  # landed in the trivial class
     return r

@@ -65,12 +65,14 @@ class SymplecticChecks:
     """A set of commuting Pauli checks, rows of an m x 2n binary matrix."""
 
     def __init__(self, matrix) -> None:
-        self.matrix = gf2.as_bin(matrix)
+        # reduced mod 2 whatever the dtype, as_bin leaves uint8 as it is
+        self.matrix = gf2.as_bin(matrix) & 1
         if self.matrix.ndim != 2 or self.matrix.shape[1] % 2:
             raise ValueError("check matrix must be m x 2n")
         self.n = self.matrix.shape[1] // 2
         x, z = self.matrix[:, : self.n], self.matrix[:, self.n :]
-        if (gf2.mat_mul(x, z.T) ^ gf2.mat_mul(z, x.T)).any():
+        # M [z|x]^T = x z^T + z x^T holds every pair's symplectic product
+        if not gf2.product_is_zero(self.matrix, np.hstack([z, x]).T):
             raise ValueError("check rows do not commute")
 
     @property

@@ -54,13 +54,13 @@ class TestValidateOnce:
         built = product.double_product(product.single_product(rep3_minimal()))
         fresh = ChainComplex(built.boundaries, j_min=built.j_min)
         products = []
-        real = gf2.mat_mul
+        real = gf2.product_is_zero
 
         def counting(a, b):
             products.append((a.shape, b.shape))
             return real(a, b)
 
-        monkeypatch.setattr(gf2, "mat_mul", counting)
+        monkeypatch.setattr(gf2, "product_is_zero", counting)
         for _ in range(3):
             assert chain.validate(fresh) is None
             assert chain.require_valid(fresh) is fresh
@@ -72,10 +72,47 @@ class TestValidateOnce:
     def test_fault_is_memoised(self, monkeypatch):
         bad = ChainComplex([gf2.identity(2), gf2.identity(2)], j_min=0)
         fault = chain.validate(bad)
-        monkeypatch.setattr(gf2, "mat_mul", None)
+        monkeypatch.setattr(gf2, "product_is_zero", None)
         assert chain.validate(bad) == fault
         with pytest.raises(chain.ValidationError, match="nonzero"):
             chain.require_valid(bad)
+
+
+class TestCanonicalMaps:
+    """Maps are stored reduced mod 2, whatever dtype they came in."""
+
+    @pytest.mark.parametrize(
+        "maps, valid",
+        [
+            # 2 is 0 mod 2, so d_1 d_0 = [[1]]: invalid
+            ([[[1], [1]], [[2, 1]]], False),
+            ([[[1], [1]], [[3, 1]]], True),
+            ([[[3, 0], [1, 2]], [[1, 0], [0, 1]]], False),
+            ([[[1, 1, 0], [0, 1, 1]], [[2, 4], [3, 1]]], False),
+            ([[[1, 1, 0], [0, 1, 1]], [[2, 4]]], True),
+        ],
+    )
+    def test_uint8_and_int64_twins_agree(self, maps, valid):
+        twins = [
+            ChainComplex([np.array(m, dtype=dtype) for m in maps], j_min=0)
+            for dtype in (np.uint8, np.int64)
+        ]
+        for c in twins:
+            for stored, given_ in zip(c.boundaries, maps):
+                assert stored.dtype == np.uint8
+                assert stored.tolist() == (np.array(given_) % 2).tolist()
+            assert (chain.validate(c) is None) == valid
+        u8, i64 = twins
+        assert chain.validate(u8) == chain.validate(i64)
+        assert [chain.betti_number(u8, j) for j in u8.levels()] == [
+            chain.betti_number(i64, j) for j in i64.levels()
+        ]
+
+    def test_transposed_input_stored_as_contiguous_owner(self):
+        c = ChainComplex([REP3.T.T, np.asarray(REP3.T)], j_min=0)
+        for m in c.boundaries:
+            assert m.base is None and m.flags.c_contiguous
+            assert not m.flags.writeable
 
 
 class TestMemo:

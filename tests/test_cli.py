@@ -1,3 +1,4 @@
+import collections
 import json
 import os
 import subprocess
@@ -61,6 +62,30 @@ class TestBuild:
 
     def test_missing_input(self, tmp_path):
         assert run("build", "--classical", str(tmp_path / "nope.pcm"), "--out", "x") == 2
+
+
+@pytest.mark.parametrize(
+    "pcm", ["0 0\n", "0 3\n", "2 0\n\n\n", "1 3\n000\n"],
+    ids=["0x0", "no_rows", "no_columns", "all_zero"],
+)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build", "--stages", "1", "--allow-redundant"],
+        ["build", "--stages", "2"],
+        ["pipeline", "--allow-redundant"],
+    ],
+    ids=["build1_redundant", "build2", "pipeline_redundant"],
+)
+def test_rank_zero_input_is_an_input_error(tmp_path, capsys, pcm, argv):
+    p = tmp_path / "h.pcm"
+    p.write_text(pcm)
+    capsys.readouterr()
+    code = run(*argv, "--classical", str(p), "--out", str(tmp_path / "out"), "--quiet")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "input error" in err and "no independent checks" in err
+    assert "Traceback" not in err
 
 
 class TestReport:
@@ -365,6 +390,46 @@ class TestTable1:
         monkeypatch.setattr(product, "product_distances", fake)
         assert run("table1", "--quiet") == 4
         assert "contract violation" in capsys.readouterr().err
+
+    def test_row1_eliminates_each_map_once(self, monkeypatch):
+        built = collections.Counter()
+        real = gf2.Gf2Solver.__init__
+
+        def counting(self, m):
+            m = gf2.as_bin(m)
+            # an empty map beyond a complex's end has nothing to eliminate
+            if m.size:
+                built[(m.shape, m.tobytes())] += 1
+            real(self, m)
+
+        monkeypatch.setattr(gf2.Gf2Solver, "__init__", counting)
+        cli.run_table1_row("row1", chain.DEFAULT_DISTANCE_BUDGET)
+        assert len(built) >= 4
+        assert max(built.values()) == 1
+
+    def test_witness_reuses_the_memoised_solver(self, monkeypatch):
+        tilde = product.single_product(ChainComplex([REP3], j_min=0))
+        breve = product.double_product(tilde)
+        d_low = breve.delta(-1)
+        chain.homological_distance(breve, 0, 2)
+        solver = gf2.get_solver(d_low)
+        builds, asked = [], []
+        real_init, real_in_image = gf2.Gf2Solver.__init__, gf2.Gf2Solver.in_image
+
+        def counting(self, m):
+            builds.append(np.shares_memory(gf2.as_bin(m), d_low))
+            real_init(self, m)
+
+        def asking(self, b):
+            asked.append(self)
+            return real_in_image(self, b)
+
+        monkeypatch.setattr(gf2.Gf2Solver, "__init__", counting)
+        monkeypatch.setattr(gf2.Gf2Solver, "in_image", asking)
+        witness = product.double_distance_witness(tilde, breve, max_weight=3)
+        assert witness is not None and gf2.weight(witness) == 9
+        assert not any(builds)
+        assert asked[-1] is solver
 
     def test_deterministic_json(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

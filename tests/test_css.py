@@ -95,6 +95,16 @@ class TestMemo:
             assert not gf2.mat_mul(ann, span.T).any()
             assert gf2.rank(ann) + gf2.rank(span) == code33.n
 
+    def test_transposed_checks_are_read_only_owners(self, complex241, code241):
+        pairs = [
+            (code241.x_checks, complex241.delta(-1)),
+            (code241.x_metachecks, complex241.delta(-2)),
+        ]
+        for held, source in pairs:
+            assert held.base is None and held.flags.c_contiguous
+            assert not held.flags.writeable
+            assert (held == source.T).all()
+
 
 class TestSyndrome:
     def test_identity_zero(self, code13):

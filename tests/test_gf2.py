@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from homprod import gf2
 
@@ -60,6 +61,70 @@ class TestKernel:
     def test_members_annihilate(self, m):
         for v in gf2.kernel_basis(m):
             assert not gf2.mat_vec(m, v).any()
+
+
+@st.composite
+def product_pair(draw):
+    """(a, b, kind) with 0-20 rows and columns each.
+
+    a gets some rows with no ones.  kind "random" draws b freely, so a @ b
+    is almost always nonzero; "zero" builds b's columns from ker(a), so
+    a @ b = 0; "last_column" then flips one bit of b's last column under
+    a nonzero column of a, so a @ b is nonzero in its last column only.
+    """
+    r, k, c = (draw(st.integers(0, 20)) for _ in range(3))
+    a = draw(arrays(np.uint8, (r, k), elements=st.integers(0, 1)))
+    a[draw(arrays(np.bool_, r))] = 0
+    kind = draw(st.sampled_from(["random", "zero", "last_column"]))
+    if kind == "random":
+        return a, draw(arrays(np.uint8, (k, c), elements=st.integers(0, 1))), kind
+    kernel = gf2.kernel_basis(a)
+    basis = np.array(kernel, dtype=np.uint8).reshape(len(kernel), k)
+    coeffs = draw(arrays(np.uint8, (basis.shape[0], c), elements=st.integers(0, 1)))
+    b = np.ascontiguousarray(gf2.mat_mul(basis.T, coeffs))
+    if kind == "last_column" and c and a.any():
+        b[np.flatnonzero(a.any(axis=0))[0], -1] ^= 1
+    return a, b, kind
+
+
+class TestProductIsZero:
+    @given(product_pair())
+    @settings(max_examples=300)
+    def test_agrees_with_mat_mul(self, pair):
+        a, b, kind = pair
+        product = gf2.mat_mul(a, b)
+        assert gf2.product_is_zero(a, b) == (not product.any())
+        if kind == "zero":
+            assert gf2.product_is_zero(a, b)
+        if kind == "last_column" and b.shape[1] and a.any():
+            assert not gf2.product_is_zero(a, b)
+            assert not product[:, :-1].any()
+
+    @pytest.mark.parametrize("cols", [1, 7, 8, 9, 15, 17])
+    def test_nonzero_only_in_last_column(self, cols):
+        # a = [1 1], b's rows agree except in the last column
+        b = np.zeros((2, cols), dtype=np.uint8)
+        b[:, : cols - 1] = 1
+        b[0, -1] = 1
+        a = bits([[0, 0], [1, 1]])
+        assert not gf2.product_is_zero(a, b)
+        b[1, -1] = 1
+        assert gf2.product_is_zero(a, b)
+        # transposed views are read the same way
+        assert gf2.product_is_zero(a.T.copy().T, b.T.copy().T)
+
+    def test_empty_and_zero(self):
+        assert gf2.product_is_zero(gf2.zeros(0, 3), gf2.zeros(3, 4))
+        assert gf2.product_is_zero(gf2.zeros(2, 0), gf2.zeros(0, 4))
+        assert gf2.product_is_zero(gf2.identity(3), gf2.zeros(3, 0))
+        assert gf2.product_is_zero(gf2.zeros(2, 3), bits([[1], [1], [1]]))
+        assert not gf2.product_is_zero(gf2.identity(3), gf2.identity(3))
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            gf2.product_is_zero(gf2.zeros(2, 3), gf2.zeros(2, 3))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            gf2.product_is_zero(gf2.zeros(0, 1), gf2.zeros(0, 1))
 
 
 class TestSolve:

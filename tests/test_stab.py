@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homprod import bounds, chain, css, gf2, product, stab
 from homprod.chain import ChainComplex
@@ -55,6 +57,42 @@ class TestSymplecticChecks:
     def test_rejects_noncommuting(self):
         with pytest.raises(ValueError, match="commute"):
             stab.SymplecticChecks(pauli_rows(["XII", "ZII"]))
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            ["YII", "XII"],
+            # one pair anticommutes, on the ninth qubit
+            ["XXXXXXXXX", "ZZIIIIIII", "IIZZIIIII", "IIIIIIIIY"],
+            ["ZZIIIIIII", "IIIIIIIIX", "IIIIIIIIZ"],
+        ],
+    )
+    def test_rejects_noncommuting_sets(self, rows):
+        with pytest.raises(ValueError, match="commute"):
+            stab.SymplecticChecks(pauli_rows(rows))
+
+    def test_entries_read_mod_2_for_every_dtype(self):
+        # x_0 = 2 is 0 mod 2, so the two rows commute
+        rows = [[2, 0, 0, 1], [0, 0, 1, 0]]
+        for dtype in (np.uint8, np.int64):
+            checks = stab.SymplecticChecks(np.array(rows, dtype=dtype))
+            assert checks.matrix.tolist() == [[0, 0, 0, 1], [0, 0, 1, 0]]
+
+    @given(st.integers(1, 6), st.integers(1, 10), st.data())
+    @settings(max_examples=100)
+    def test_accepts_exactly_the_commuting_sets(self, m, n, data):
+        rows = [
+            "".join(data.draw(st.lists(st.sampled_from("IXYZ"), min_size=n, max_size=n)))
+            for _ in range(m)
+        ]
+        matrix = pauli_rows(rows)
+        x, z = matrix[:, :n].astype(int), matrix[:, n:].astype(int)
+        commute = not ((x @ z.T + z @ x.T) % 2).any()
+        if commute:
+            assert stab.SymplecticChecks(matrix).num_checks == m
+        else:
+            with pytest.raises(ValueError, match="commute"):
+                stab.SymplecticChecks(matrix)
 
     def test_counts(self):
         checks = stab.SymplecticChecks(FIVE_QUBIT)
