@@ -99,6 +99,10 @@ class ChainComplex:
             raise ValueError("a complex needs at least one boundary map")
         self.boundaries = [_frozen(b) for b in boundaries]
         self.j_min = j_min
+        # the zero maps out of the end levels, held like the others so each
+        # call returns the same read-only array and the memos on it hold
+        self._below = _frozen(gf2.zeros(self.size(j_min), 0))
+        self._above = _frozen(gf2.zeros(0, self.size(self.j_max)))
         self._fault = _UNCHECKED
 
     @property
@@ -127,9 +131,9 @@ class ChainComplex:
         if self.j_min <= j < self.j_max:
             return self.boundaries[j - self.j_min]
         if j == self.j_max:
-            return gf2.zeros(0, self.size(j))
+            return self._above
         if j == self.j_min - 1:
-            return gf2.zeros(self.size(self.j_min), 0)
+            return self._below
         raise ValueError(f"no level {j} in complex spanning {self.j_min}..{self.j_max}")
 
     def rank(self, j: int) -> int:
@@ -206,9 +210,11 @@ def _distance_search(
         raise AssertionError("negative homology dimension; complex is invalid")
     if homology_dim == 0:
         return Distance(math.inf, "exact")
-    image_solver = gf2.get_solver(image_map)
+    # a map with no columns (out of an end level) has image {0}, so every
+    # nonzero cycle is nontrivial and there is nothing to eliminate
+    image_solver = gf2.get_solver(image_map) if image_map.size else None
     for c in gf2.kernel_vectors_by_weight(kernel_map, max_weight):
-        if not image_solver.in_image(c):
+        if image_solver is None or not image_solver.in_image(c):
             return Distance(float(gf2.weight(c)), "exact", c)
     return Distance(float(max_weight + 1), "lower_bound")
 

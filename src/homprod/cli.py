@@ -89,9 +89,9 @@ TABLE1_EXPECTED = {
 }
 
 
-def classical_distance(h: np.ndarray, max_weight: Optional[int] = None) -> Distance:
-    c = ChainComplex([h], j_min=0)
-    return chain.homological_distance(c, 0, max_weight or h.shape[1])
+def classical_distance(base: ChainComplex) -> Distance:
+    """Exact distance of the classical code of a length-1 complex."""
+    return chain.homological_distance(base, 0, base.size(0))
 
 
 def build_stages(h: np.ndarray) -> tuple[ChainComplex, ChainComplex, ChainComplex]:
@@ -110,7 +110,7 @@ def checked_d_q(
     floor (or differs from it, when floor is exact) or above the weight of
     a verified logical witness.
     """
-    closed = product.product_distances(base)
+    closed = product.product_params(base).distances
     d_q = css.combine_distances(closed["d_0"], closed["d_-1^T"])
     shown = d_q.to_json()["value"]
     if d_q.value < floor.value or (floor.is_exact() and d_q.value != floor.value):
@@ -134,7 +134,7 @@ def run_table1_row(name: str, max_weight: int) -> dict:
         chain.homological_distance(breve, 0, 2),
         chain.cohomological_distance(breve, -1, 2),
     )
-    d = classical_distance(h)
+    d = classical_distance(base)
     witness = product.double_distance_witness(tilde, breve, max_weight=int(d.value))
     d_q = checked_d_q(base, floor, witness)
     computed = {
@@ -162,7 +162,7 @@ def run_table1_row(name: str, max_weight: int) -> dict:
     }
     row = {"input": name, "computed": computed, "expected": expected, "matches": matches}
     if not matches["redundancy"]:
-        closed_form = product.predict_double(tilde).level_sizes
+        closed_form = product.product_params(base).level_sizes
         row["note"] = (
             f"computed redundancy {computed['redundancy_exact']} = "
             f"{computed['redundancy']:.5f} differs from the tabulated "
@@ -240,14 +240,11 @@ def cmd_build(cfg: RunConfig, args) -> int:
         except ValueError as exc:
             raise InputError(str(exc)) from exc
     tilde = product.single_product(base)
-    prediction = product.predict_single(base, cfg.max_weight)
     if args.stages == 2:
         final = product.double_product(tilde)
-        prediction2 = product.predict_double(tilde, cfg.max_weight)
         chain.save_complex(os.path.join(args.out, "stage1"), tilde)
     else:
         final = tilde
-        prediction2 = None
     chain.save_complex(args.out, final)
     gf2.write_pcm(os.path.join(args.out, "classical.pcm"), h)
     computed = {
@@ -257,13 +254,10 @@ def cmd_build(cfg: RunConfig, args) -> int:
         },
         "redundancy": str(product.redundancy(final)),
     }
-    payload = {
-        "stages": args.stages,
-        "computed": computed,
-        "predicted_stage1": prediction.to_json(),
-    }
-    if prediction2 is not None:
-        payload["predicted_stage2"] = prediction2.to_json()
+    payload = {"stages": args.stages, "computed": computed}
+    for stages in range(1, args.stages + 1):
+        params = product.product_params(base, stages)
+        payload[f"predicted_stage{stages}"] = params.to_json()
     with open(os.path.join(args.out, "params.json"), "w", encoding="utf-8") as fh:
         json.dump({**payload, "seed": cfg.seed}, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -341,12 +335,11 @@ def _infer_threshold(args, dirpath: str) -> Distance:
         return Distance(float(args.t), "exact")
     classical = os.path.join(dirpath, "classical.pcm")
     if os.path.exists(classical):
-        h = gf2.read_pcm(classical)
-        d0 = classical_distance(h)
-        cod0 = chain.cohomological_distance(ChainComplex([h], j_min=0), 0, h.shape[1])
-        value = min(d0.value, cod0.value)
-        status = d0.status if d0.value <= cod0.value else cod0.status
-        return Distance(value, status)
+        base = ChainComplex([_load_classical(classical)], j_min=0)
+        return css.combine_distances(
+            classical_distance(base),
+            chain.cohomological_distance(base, 0, base.size(0)),
+        )
     raise InputError(
         "no soundness threshold: pass --t or keep classical.pcm beside the complex"
     )
@@ -488,7 +481,7 @@ def cmd_witness(cfg: RunConfig, args) -> int:
     classical = os.path.join(args.complex, "classical.pcm")
     if not os.path.exists(classical):
         raise InputError("witness generation needs classical.pcm beside the complex")
-    h = gf2.read_pcm(classical)
+    h = _load_classical(classical)
     s = gf2.flatten_matrix(_load_classical(args.syndrome))
     t = _infer_threshold(args, args.complex)
     threshold = None if math.isinf(t.value) else int(t.value)
@@ -609,7 +602,7 @@ def cmd_pipeline(cfg: RunConfig, args) -> int:
     chain.save_complex(args.out, breve)
     gf2.write_pcm(os.path.join(args.out, "classical.pcm"), h)
 
-    d = classical_distance(h)
+    d = classical_distance(base)
     report = css.code_report(breve, max_weight=min(cfg.max_weight, 3))
     cube = bounds.CUBIC_OVER_4
     cert_z = soundness.certify_map(breve.delta(0), d.value, cube)
@@ -775,7 +768,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     )
     try:
         return args.func(cfg, args)
-    except InputError as exc:
+    except (InputError, css.NotACssComplex) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except decoder.BudgetExhausted as exc:

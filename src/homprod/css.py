@@ -27,6 +27,7 @@ from .chain import (
 
 __all__ = [
     "CssCode",
+    "NotACssComplex",
     "PauliError",
     "Syndrome",
     "CodeReport",
@@ -89,6 +90,10 @@ class Syndrome:
         return not (self.z_part.any() or self.x_part.any())
 
 
+class NotACssComplex(ValueError):
+    """A complex whose length or levels give no CSS code."""
+
+
 def _transposed(m: np.ndarray) -> np.ndarray:
     """m.T as a read-only array that owns its memory: gf2.memo finds facts
     about an owner about twice as fast as about a transposed view."""
@@ -110,13 +115,13 @@ class CssCode:
     def __init__(self, complex_: ChainComplex) -> None:
         require_valid(complex_)
         if complex_.length not in (2, 4):
-            raise ValueError(
+            raise NotACssComplex(
                 f"need a length-2 or length-4 complex with qubits at level 0, "
                 f"got length {complex_.length}"
             )
         expected_min = -1 if complex_.length == 2 else -2
         if complex_.j_min != expected_min:
-            raise ValueError(
+            raise NotACssComplex(
                 f"length-{complex_.length} complex must span levels "
                 f"{expected_min}..{expected_min + complex_.length}"
             )

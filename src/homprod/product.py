@@ -22,14 +22,14 @@ Conventions that pin the constructions down bit-exactly:
 Applied twice to the minimal complex of an [n, k, d] classical code
 with k >= 1 this yields a quantum code on n^4 + 4 n^2 (n-k)^2 + (n-k)^4
 qubits with k^4 logical qubits, distance exactly d^2, infinite
-single-shot distance, and check redundancy below 2.  product_distances
-gives every distance of either product exactly, for any input.
+single-shot distance, and check redundancy below 2.  product_params
+gives every parameter of either product exactly, for any input.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -49,17 +49,10 @@ __all__ = [
     "minimal_complex",
     "single_product",
     "double_product",
-    "ProductPrediction",
-    "predict_single",
-    "predict_double",
-    "predict_params",
-    "product_distances",
+    "ProductParams",
+    "product_params",
     "redundancy",
 ]
-
-
-def _eye(n: int) -> np.ndarray:
-    return gf2.identity(n)
 
 
 def minimal_complex(h) -> ChainComplex:
@@ -90,14 +83,14 @@ def single_product(
     nb0, nb1 = db.shape[1], db.shape[0]
     d_low = np.vstack(
         [
-            np.kron(_eye(na0), db.T),
-            np.kron(da, _eye(nb1)),
+            np.kron(gf2.identity(na0), db.T),
+            np.kron(da, gf2.identity(nb1)),
         ]
     )
     d_high = np.hstack(
         [
-            np.kron(da, _eye(nb0)),
-            np.kron(_eye(na1), db.T),
+            np.kron(da, gf2.identity(nb0)),
+            np.kron(gf2.identity(na1), db.T),
         ]
     )
     return require_valid(ChainComplex([d_low, d_high], j_min=-1))
@@ -124,20 +117,29 @@ def double_product(
 
     d_m2 = np.vstack(
         [
-            np.kron(_eye(na[-1]), b_high.T),
-            np.kron(a_low, _eye(nb[1])),
+            np.kron(gf2.identity(na[-1]), b_high.T),
+            np.kron(a_low, gf2.identity(nb[1])),
         ]
     )
     d_m1 = np.vstack(
         [
             np.hstack(
-                [np.kron(_eye(na[-1]), b_low.T), gf2.zeros(na[-1] * nb[-1], na[0] * nb[1])]
+                [
+                    np.kron(gf2.identity(na[-1]), b_low.T),
+                    gf2.zeros(na[-1] * nb[-1], na[0] * nb[1]),
+                ]
             ),
             np.hstack(
-                [np.kron(a_low, _eye(nb[0])), np.kron(_eye(na[0]), b_high.T)]
+                [
+                    np.kron(a_low, gf2.identity(nb[0])),
+                    np.kron(gf2.identity(na[0]), b_high.T),
+                ]
             ),
             np.hstack(
-                [gf2.zeros(na[1] * nb[1], na[-1] * nb[0]), np.kron(a_high, _eye(nb[1]))]
+                [
+                    gf2.zeros(na[1] * nb[1], na[-1] * nb[0]),
+                    np.kron(a_high, gf2.identity(nb[1])),
+                ]
             ),
         ]
     )
@@ -145,24 +147,24 @@ def double_product(
         [
             np.hstack(
                 [
-                    np.kron(a_low, _eye(nb[-1])),
-                    np.kron(_eye(na[0]), b_low.T),
+                    np.kron(a_low, gf2.identity(nb[-1])),
+                    np.kron(gf2.identity(na[0]), b_low.T),
                     gf2.zeros(na[0] * nb[-1], na[1] * nb[1]),
                 ]
             ),
             np.hstack(
                 [
                     gf2.zeros(na[1] * nb[0], na[-1] * nb[-1]),
-                    np.kron(a_high, _eye(nb[0])),
-                    np.kron(_eye(na[1]), b_high.T),
+                    np.kron(a_high, gf2.identity(nb[0])),
+                    np.kron(gf2.identity(na[1]), b_high.T),
                 ]
             ),
         ]
     )
     d_1 = np.hstack(
         [
-            np.kron(a_high, _eye(nb[-1])),
-            np.kron(_eye(na[1]), b_low.T),
+            np.kron(a_high, gf2.identity(nb[-1])),
+            np.kron(gf2.identity(na[1]), b_low.T),
         ]
     )
     complex_ = ChainComplex([d_m2, d_m1, d_0, d_1], j_min=-2)
@@ -172,161 +174,44 @@ def double_product(
     return require_valid(complex_)
 
 
-@dataclass
-class ProductPrediction:
-    """Closed-form parameter predictions for a product, kept separate from
-    (and cross-checked against) whatever the chain module measures."""
+@dataclass(frozen=True)
+class ProductParams:
+    """Every parameter of a single or double product, each one exact."""
 
     level_sizes: dict[int, int]
     level_bettis: dict[int, int]
-    distance_bounds: dict[str, "DistanceBound"]
-    redundancy_bound: Fraction
-    redundancy_is_exact: bool
-    notes: list[str] = field(default_factory=list)
+    distances: dict[str, Distance]
+    redundancy: Fraction
 
     def to_json(self) -> dict:
         return {
             "level_sizes": {str(j): n for j, n in sorted(self.level_sizes.items())},
             "level_bettis": {str(j): k for j, k in sorted(self.level_bettis.items())},
-            "distance_bounds": {
-                name: bound.to_json()
-                for name, bound in sorted(self.distance_bounds.items())
+            "distances": {
+                name: d.to_json() for name, d in sorted(self.distances.items())
             },
-            "redundancy_bound": str(self.redundancy_bound),
-            "redundancy_is_exact": self.redundancy_is_exact,
-            "notes": self.notes,
+            "redundancy": str(self.redundancy),
         }
 
 
-@dataclass(frozen=True)
-class DistanceBound:
-    """Either an identity (kind == "equals") or a lower bound on a distance."""
-
-    kind: str
-    value: float
-    status: str
-
-    def to_json(self) -> dict:
-        v = "inf" if math.isinf(self.value) else int(self.value)
-        return {"kind": self.kind, "value": v, "status": self.status}
-
-
-def _distance_product(x: Distance, y: Distance) -> DistanceBound:
-    if math.isinf(x.value) or math.isinf(y.value):
-        return DistanceBound("equals", math.inf, "exact")
-    status = "exact" if x.is_exact() and y.is_exact() else "lower_bound"
-    return DistanceBound("equals", x.value * y.value, status)
-
-
-def _distance_min(x: Distance, y: Distance) -> tuple[float, str]:
-    value = min(x.value, y.value)
-    chosen = x if x.value <= y.value else y
-    return value, chosen.status
-
-
-def predict_single(
-    c: ChainComplex, max_weight: int = 6
-) -> ProductPrediction:
-    """Predicted parameters of single_product(c, c) from c's own invariants."""
-    if c.length != 1:
-        raise ValueError("predict_single expects a length-1 complex")
-    n0, n1 = c.size(0), c.size(1)
-    k0, k1 = betti_number(c, 0), betti_number(c, 1)
-    d0 = homological_distance(c, 0, max_weight)
-    d0t = cohomological_distance(c, 0, max_weight)
-    sizes = {-1: n0 * n1, 0: n0 * n0 + n1 * n1, 1: n1 * n0}
-    bettis = {-1: k0 * k1, 0: k0 * k0 + k1 * k1, 1: k1 * k0}
-    min_val, min_status = _distance_min(d0, d0t)
-    bounds = {
-        "d_-1": _distance_product(d0, d0t),
-        "d_0^T": _distance_product(d0, d0t),
-        "d_0": DistanceBound("at_least", min_val, min_status),
-        "d_-1^T": DistanceBound("at_least", min_val, min_status),
-    }
-    # Check redundancy of the product in closed form: with input
-    # redundancy u = n1/(n0-k0), the product has u*n0/(u*(n0-k0)+k0),
-    # which is exactly 1 whenever u is 1.
-    if n0 == k0:
-        raise ValueError("input code has no checks to speak of (n = k)")
-    u = Fraction(n1, n0 - k0)
-    u_new = u * Fraction(n0, 1) / (u * (n0 - k0) + k0)
-    notes = []
-    if u == 1:
-        notes.append("input has no check redundancy, so neither does the product")
-    return ProductPrediction(sizes, bettis, bounds, u_new, True, notes)
-
-
-def predict_double(
-    c: ChainComplex, max_weight: int = 6
-) -> ProductPrediction:
-    """Predicted parameters of double_product(c, c) from c's own invariants."""
-    if c.length != 2 or c.j_min != -1:
-        raise ValueError("predict_double expects a length-2 complex at levels -1..1")
-    n = {j: c.size(j) for j in (-1, 0, 1)}
-    k = {j: betti_number(c, j) for j in (-1, 0, 1)}
-    sizes = {
-        -2: n[-1] * n[1],
-        -1: n[-1] * n[0] + n[0] * n[1],
-        0: n[-1] * n[-1] + n[0] * n[0] + n[1] * n[1],
-        1: n[0] * n[-1] + n[1] * n[0],
-        2: n[1] * n[-1],
-    }
-    bettis = {
-        -2: k[-1] * k[1],
-        -1: k[-1] * k[0] + k[0] * k[1],
-        0: k[-1] * k[-1] + k[0] * k[0] + k[1] * k[1],
-        1: k[0] * k[-1] + k[1] * k[0],
-        2: k[1] * k[-1],
-    }
-    d0 = homological_distance(c, 0, max_weight)
-    dm1 = homological_distance(c, -1, max_weight)
-    d0t = cohomological_distance(c, 0, max_weight)
-    dm1t = cohomological_distance(c, -1, max_weight)
-    inner = max(d0.value, dm1t.value)
-    qubit_level_bound = min(dm1.value, inner, d0t.value)
-    meta_level_bound = min(d0.value, dm1t.value)
-    statuses = [d0.status, dm1.status, d0t.status, dm1t.status]
-    status = "exact" if all(s == "exact" for s in statuses) else "lower_bound"
-    bounds = {
-        "d_0": DistanceBound("at_least", qubit_level_bound, status),
-        "d_-1^T": DistanceBound("at_least", qubit_level_bound, status),
-        "d_1": DistanceBound("at_least", meta_level_bound, status),
-        "d_-2^T": DistanceBound("at_least", meta_level_bound, status),
-    }
-    u_in = redundancy(c)
-    return ProductPrediction(
-        sizes,
-        bettis,
-        bounds,
-        2 * u_in,
-        False,
-        ["redundancy bound is strict: the product stays below twice the input's"],
-    )
-
-
-def predict_params(c: ChainComplex, max_weight: int = 6) -> ProductPrediction:
-    """Dispatch on complex length: predict the next product stage."""
-    if c.length == 1:
-        return predict_single(c, max_weight)
-    if c.length == 2:
-        return predict_double(c, max_weight)
-    raise ValueError(f"no product prediction for a length-{c.length} complex")
-
-
-def product_distances(a: ChainComplex, stages: int = 2) -> dict[str, Distance]:
-    """Exact distances of single_product(a) (stages=1) or of
+def product_params(a: ChainComplex, stages: int = 2) -> ProductParams:
+    """Parameters of single_product(a) (stages=1) or of
     double_product(single_product(a)) (stages=2), all levels, in closed form.
 
-    Keys follow the chain-module calls: "d_j" is homological_distance(p, j)
-    and "d_j^T" is cohomological_distance(p, j), whose vectors sit at
-    level j+1.  So the qubit-level distances are "d_0" and "d_-1^T", and
-    the metacheck-level ones (the single-shot distance) "d_1" and "d_-2^T".
+    Distance keys follow the chain-module calls: "d_j" is
+    homological_distance(p, j) and "d_j^T" is cohomological_distance(p, j),
+    whose vectors sit at level j+1.  So the qubit-level distances are "d_0"
+    and "d_-1^T", and the metacheck-level ones (the single-shot distance)
+    "d_1" and "d_-2^T".
 
-    Derivation.  single_product(x, y) is x (x) y*, where y* is y with its
-    levels negated and its maps transposed: level m holds x_i (x) y_j over
-    i - j = m.  Homology of y* at level -j is cohomology of y at level j.
-    When one factor is a two-term complex (a single map), the distances
-    of a tensor product are exact products (Zeng and Pryadko,
+    Derivation.  single_product(x, y) and double_product(x, y) are both
+    x (x) y*, where y* is y with its levels negated and its maps
+    transposed: level m holds x_i (x) y_j over i - j = m.  So level m has
+    size sum n_i(x) n_j(y) and, by the Kunneth formula over a field, Betti
+    number sum k_i(x) k_j(y) over i - j = m, since the homology of y* at
+    level -j is the cohomology of y at level j, of the same dimension.
+    When one factor is a two-term complex (a single map), the distances of
+    a tensor product are exact products too (Zeng and Pryadko,
     arXiv:2007.12152; see also arXiv:1810.01519):
 
         d_m(x (x) y*)   = min over i - j = m of d_i(x) * d^j(y)
@@ -339,47 +224,60 @@ def product_distances(a: ChainComplex, stages: int = 2) -> dict[str, Distance]:
     vectors, which keeps weights; each step of that iterated product has
     a two-term right factor, so the rule is exact at every step.  Products
     distribute over min, so the four-fold min of products equals the rule
-    applied once more to s's own distances, which is what the loop below
-    does.  The only enumeration is over a's two levels: ker H, C1 minus
-    im H, ker H^T and C0 minus row(H), each searched to full weight, so
-    every result is exact.  A full-rank [n, k, d] input with k >= 1 gets
-    d^2 at the qubit level of the double product and an infinite
-    single-shot distance.
+    applied once more to s's own distances.  The loop below applies the
+    three rules once per stage.  The only enumeration is over a's two
+    levels: ker H, C1 minus im H, ker H^T and C0 minus row(H), each
+    searched to full weight, so every result is exact.  A full-rank
+    [n, k, d] input with k >= 1 gets d^2 at the qubit level of the double
+    product and an infinite single-shot distance.  The redundancy follows
+    from the sizes and the level-0 Betti number.
     """
     if a.length != 1:
-        raise ValueError("product_distances expects a length-1 complex")
+        raise ValueError("product_params expects a length-1 complex")
     if stages not in (1, 2):
         raise ValueError("stages must be 1 (single product) or 2 (double product)")
-    hom = {
-        j: homological_distance(a, j, max(a.size(j), 1)).value for j in a.levels()
-    }
-    cohom = {
-        j: cohomological_distance(a, j - 1, max(a.size(j), 1)).value
+    # per level: size, Betti number, homological and cohomological distance
+    levels = {
+        j: (
+            a.size(j),
+            betti_number(a, j),
+            homological_distance(a, j, max(a.size(j), 1)).value,
+            cohomological_distance(a, j - 1, max(a.size(j), 1)).value,
+        )
         for j in a.levels()
     }
     for _ in range(stages):
-        new_hom: dict[int, float] = {}
-        new_cohom: dict[int, float] = {}
-        for i in hom:
-            for j in hom:
-                m = i - j
-                new_hom[m] = min(new_hom.get(m, math.inf), hom[i] * cohom[j])
-                new_cohom[m] = min(new_cohom.get(m, math.inf), cohom[i] * hom[j])
-        hom, cohom = new_hom, new_cohom
-    out = {f"d_{m}": Distance(v, "exact") for m, v in sorted(hom.items())}
-    out.update({f"d_{m - 1}^T": Distance(v, "exact") for m, v in sorted(cohom.items())})
-    return out
+        new: dict[int, tuple[int, int, float, float]] = {}
+        for i, (n_i, k_i, hom_i, cohom_i) in levels.items():
+            for j, (n_j, k_j, hom_j, cohom_j) in levels.items():
+                n, k, hom, cohom = new.get(i - j, (0, 0, math.inf, math.inf))
+                new[i - j] = (
+                    n + n_i * n_j,
+                    k + k_i * k_j,
+                    min(hom, hom_i * cohom_j),
+                    min(cohom, cohom_i * hom_j),
+                )
+        levels = new
+    ordered = sorted(levels.items())
+    sizes = {m: v[0] for m, v in ordered}
+    bettis = {m: v[1] for m, v in ordered}
+    distances = {f"d_{m}": Distance(v[2], "exact") for m, v in ordered}
+    distances.update({f"d_{m - 1}^T": Distance(v[3], "exact") for m, v in ordered})
+    return ProductParams(sizes, bettis, distances, _redundancy(sizes, bettis[0]))
 
 
 def redundancy(c: ChainComplex) -> Fraction:
     """(n_1 + n_{-1}) / (n_0 - k_0) from actual dimensions and ranks."""
     if not (c.has_level(-1) and c.has_level(1)):
         raise ValueError("redundancy needs check levels on both sides of level 0")
-    n0 = c.size(0)
-    k0 = betti_number(c, 0)
-    if n0 == k0:
+    return _redundancy({j: c.size(j) for j in (-1, 0, 1)}, betti_number(c, 0))
+
+
+def _redundancy(sizes: dict[int, int], k0: int) -> Fraction:
+    """(n_1 + n_{-1}) / (n_0 - k_0) from level sizes and the level-0 Betti number."""
+    if sizes[0] == k0:
         raise ValueError("redundancy undefined: no independent checks (n_0 = k_0)")
-    return Fraction(c.size(1) + c.size(-1), n0 - k0)
+    return Fraction(sizes[1] + sizes[-1], sizes[0] - k0)
 
 
 def double_distance_witness(

@@ -163,63 +163,65 @@ def test_criterion_03_kunneth_duality():
     for h in KUNNETH_CODES:
         assert h.shape[1] <= 8
         base = complex_of(h)
-        pred = product.predict_single(base)
+        pred = product.product_params(base, stages=1)
         tilde = product.single_product(base)
         for j in tilde.levels():
             assert tilde.size(j) == pred.level_sizes[j]
             assert chain.betti_number(tilde, j) == pred.level_bettis[j]
             assert chain.betti_number(tilde, j) == chain.cobetti_number(tilde, j)
+        assert pred.redundancy == product.redundancy(tilde)
     for idx in SMALL_DOUBLE_INDICES:
-        tilde = product.single_product(complex_of(KUNNETH_CODES[idx]))
-        pred = product.predict_double(tilde)
-        breve = product.double_product(tilde)
+        base = complex_of(KUNNETH_CODES[idx])
+        pred = product.product_params(base, stages=2)
+        breve = product.double_product(product.single_product(base))
         for j in breve.levels():
             assert breve.size(j) == pred.level_sizes[j]
             assert chain.betti_number(breve, j) == pred.level_bettis[j]
             assert chain.betti_number(breve, j) == chain.cobetti_number(breve, j)
+        assert pred.redundancy == product.redundancy(breve)
     ok(3, "Kunneth and duality")
 
 
 def test_criterion_04_distance_identities(tilde_rep2, tilde_rep3, breve_rep2):
     tilde_cyc = product.single_product(complex_of(CYC3))
     cases = [
-        (tilde_rep2, 2.0, math.inf),
-        (tilde_rep3, 3.0, math.inf),
-        (tilde_cyc, 3.0, 3.0),
+        (REP2, tilde_rep2, 2.0, math.inf),
+        (REP3, tilde_rep3, 3.0, math.inf),
+        (CYC3, tilde_cyc, 3.0, 3.0),
     ]
-    for tilde, d0, d0t in cases:
+    for h, tilde, d0, d0t in cases:
+        closed = product.product_params(complex_of(h), stages=1).distances
         product_value = d0 * d0t if not math.isinf(d0t) else math.inf
         dm1 = chain.homological_distance(tilde, -1, 9)
         d0t_level = chain.cohomological_distance(tilde, 0, 9)
-        assert dm1.is_exact() and dm1.value == product_value
-        assert d0t_level.is_exact() and d0t_level.value == product_value
-        floor = min(d0, d0t)
+        assert dm1.is_exact() and dm1.value == product_value == closed["d_-1"].value
+        assert d0t_level.is_exact() and d0t_level.value == closed["d_0^T"].value
+        assert d0t_level.value == product_value
         d_mid = chain.homological_distance(tilde, 0, 6)
         dm1t = chain.cohomological_distance(tilde, -1, 6)
-        assert d_mid.is_exact() and d_mid.value >= floor
-        assert dm1t.is_exact() and dm1t.value >= floor
+        assert d_mid.is_exact() and d_mid.value == closed["d_0"].value == min(d0, d0t)
+        assert dm1t.is_exact() and dm1t.value == closed["d_-1^T"].value == min(d0, d0t)
     # the cyclic case hits the product identity at 9 = 3 * 3
     assert chain.homological_distance(tilde_cyc, -1, 9).value == 9
 
-    # every exact distance found on double products respects the
-    # level-wise lower bounds derived from the input complex
-    for tilde, breve, w in [
-        (tilde_rep2, breve_rep2, 4),
-        (tilde_cyc, product.double_product(tilde_cyc), 3),
+    # every distance enumerated on double products equals the closed form
+    # where the search is exact, and lies at or below it where it is a floor
+    for h, breve, w in [
+        (REP2, breve_rep2, 4),
+        (CYC3, product.double_product(tilde_cyc), 3),
     ]:
-        pred = product.predict_double(tilde)
-        d0 = chain.homological_distance(breve, 0, w)
-        if d0.is_exact():
-            assert d0.value >= pred.distance_bounds["d_0"].value
-        dm1t = chain.cohomological_distance(breve, -1, w)
-        if dm1t.is_exact():
-            assert dm1t.value >= pred.distance_bounds["d_-1^T"].value
-        d1 = chain.homological_distance(breve, 1, w)
-        if d1.is_exact():
-            assert d1.value >= pred.distance_bounds["d_1"].value
-        dm2t = chain.cohomological_distance(breve, -2, w)
-        if dm2t.is_exact():
-            assert dm2t.value >= pred.distance_bounds["d_-2^T"].value
+        closed = product.product_params(complex_of(h)).distances
+        found = {
+            "d_0": chain.homological_distance(breve, 0, w),
+            "d_-1^T": chain.cohomological_distance(breve, -1, w),
+            "d_1": chain.homological_distance(breve, 1, w),
+            "d_-2^T": chain.cohomological_distance(breve, -2, w),
+        }
+        for key, got in found.items():
+            if got.is_exact():
+                assert got.value == closed[key].value, key
+            else:
+                assert got.value <= closed[key].value, key
     ok(4, "distance identities")
 
 

@@ -137,6 +137,16 @@ class TestMemo:
         assert all(ref() is None for ref in alive)
 
 
+    def test_end_maps_are_memoised_owners(self):
+        c = cyc3_complex()
+        for j, shape in ((c.j_min - 1, (3, 0)), (c.j_max, (0, 3))):
+            m = c.delta(j)
+            assert m is c.delta(j) and m.shape == shape
+            assert m.base is None and not m.flags.writeable
+            assert gf2.get_solver(m) is gf2.get_solver(c.delta(j))
+            assert gf2.get_solver(m.T) is gf2.get_solver(c.delta(j).T)
+
+
 class TestBetti:
     def test_rep3_minimal(self):
         c = rep3_minimal()

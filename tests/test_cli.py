@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import json
 import os
 import subprocess
@@ -17,6 +18,19 @@ CYC3 = gf2.as_bin([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
 
 def run(*argv):
     return cli.main(list(argv))
+
+
+def closed_form_with_d_q(d_q):
+    """product.product_params with both qubit-level distances set to d_q."""
+    real = product.product_params
+
+    def fake(base, stages=2):
+        params = real(base, stages)
+        wrong = chain.Distance(d_q, "exact")
+        distances = {**params.distances, "d_0": wrong, "d_-1^T": wrong}
+        return dataclasses.replace(params, distances=distances)
+
+    return fake
 
 
 @pytest.fixture()
@@ -44,6 +58,44 @@ class TestBuild:
         params = json.loads(open(rep2_build + "/params.json").read())
         assert params["computed"]["level_sizes"]["0"] == 33
         assert params["predicted_stage2"]["level_sizes"]["0"] == 33
+
+    @pytest.mark.parametrize(
+        "h, flags",
+        [
+            (REP2, ["--stages", "2"]),
+            (CYC3, ["--stages", "1", "--allow-redundant"]),
+            (CYC3, ["--stages", "2", "--allow-redundant"]),
+        ],
+        ids=["rep2_stage2", "cyc3_stage1", "cyc3_stage2"],
+    )
+    def test_predictions_are_exact(self, tmp_path, h, flags):
+        pcm, out = tmp_path / "h.pcm", tmp_path / "out"
+        gf2.write_pcm(pcm, h)
+        assert run("build", "--classical", str(pcm), "--out", str(out), *flags) == 0
+        params = json.loads((out / "params.json").read_text())
+        stages = params["stages"]
+        assert sorted(k for k in params if k.startswith("predicted")) == [
+            f"predicted_stage{i}" for i in range(1, stages + 1)
+        ]
+        final = params[f"predicted_stage{stages}"]
+        for key in ("level_sizes", "level_bettis", "redundancy"):
+            assert final[key] == params["computed"][key], key
+        for i in range(1, stages + 1):
+            distances = params[f"predicted_stage{i}"]["distances"]
+            assert len(distances) == 2 * (2 * i + 1)  # d_j and d_j^T, every level
+            assert all(d["status"] == "exact" for d in distances.values())
+        if h is CYC3 and stages == 2:
+            assert final["distances"]["d_1"]["value"] == 3
+            assert final["distances"]["d_-2^T"]["value"] == 3
+
+    def test_byte_identical_reruns(self, tmp_path, rep2_pcm):
+        a, b = tmp_path / "a", tmp_path / "b"
+        for out in (a, b):
+            assert run(
+                "build", "--classical", rep2_pcm, "--stages", "2", "--out", str(out),
+                "--quiet",
+            ) == 0
+        assert (a / "params.json").read_bytes() == (b / "params.json").read_bytes()
 
     def test_rejects_redundant_without_flag(self, tmp_path):
         p = tmp_path / "cyc3.pcm"
@@ -85,6 +137,27 @@ def test_rank_zero_input_is_an_input_error(tmp_path, capsys, pcm, argv):
     err = capsys.readouterr().err
     assert code == 2
     assert "input error" in err and "no independent checks" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["report"],
+        ["decode", "--syndrome", "s.pcm"],
+        ["sweep"],
+        ["rounds", "--schedule", "schedule.json"],
+    ],
+    ids=["report", "decode", "sweep", "rounds"],
+)
+def test_non_css_complex_is_an_input_error(tmp_path, capsys, argv):
+    # a stored length-1 complex: valid, but it gives no CSS code
+    complex_dir = tmp_path / "rep3"
+    chain.save_complex(complex_dir, ChainComplex([REP3], j_min=0))
+    capsys.readouterr()
+    assert run(*argv, "--complex", str(complex_dir), "--quiet") == 2
+    err = capsys.readouterr().err
+    assert "input error" in err and "length-2 or length-4" in err
     assert "Traceback" not in err
 
 
@@ -277,6 +350,19 @@ class TestOneCodeReport:
 
 
 class TestSoundnessCommands:
+    @pytest.mark.parametrize(
+        "argv", [["certify", "--map", "z"], ["witness", "--syndrome", "s.pcm"]],
+        ids=["certify", "witness"],
+    )
+    def test_malformed_classical_is_an_input_error(self, rep2_build, capsys, argv):
+        with open(os.path.join(rep2_build, "classical.pcm"), "w") as fh:
+            fh.write("garbage\n")
+        capsys.readouterr()
+        assert run(*argv, "--complex", rep2_build, "--quiet") == 2
+        err = capsys.readouterr().err
+        assert "input error" in err and "classical.pcm" in err
+        assert "Traceback" not in err
+
     def test_profile(self, tmp_path, rep2_build):
         out = tmp_path / "profile.json"
         assert run(
@@ -383,28 +469,26 @@ class TestTable1:
 
     def test_closed_form_below_floor_exits_4(self, monkeypatch, capsys):
         # each row enumerates d_q to weight 2, so the floor is 3
-        def fake(base, stages=2):
-            return {"d_0": chain.Distance(2, "exact"),
-                    "d_-1^T": chain.Distance(2, "exact")}
-
-        monkeypatch.setattr(product, "product_distances", fake)
+        monkeypatch.setattr(product, "product_params", closed_form_with_d_q(2))
         assert run("table1", "--quiet") == 4
         assert "contract violation" in capsys.readouterr().err
 
-    def test_row1_eliminates_each_map_once(self, monkeypatch):
+    @pytest.mark.parametrize("name", sorted(cli.TABLE1_INPUTS))
+    def test_eliminates_each_map_once(self, monkeypatch, name):
+        # keyed by content, so a fresh copy of a map counts as the same map;
+        # the empty maps out of the end levels are never eliminated at all
         built = collections.Counter()
         real = gf2.Gf2Solver.__init__
 
         def counting(self, m):
             m = gf2.as_bin(m)
-            # an empty map beyond a complex's end has nothing to eliminate
-            if m.size:
-                built[(m.shape, m.tobytes())] += 1
+            built[(m.shape, m.tobytes())] += 1
             real(self, m)
 
         monkeypatch.setattr(gf2.Gf2Solver, "__init__", counting)
-        cli.run_table1_row("row1", chain.DEFAULT_DISTANCE_BUDGET)
+        cli.run_table1_row(name, chain.DEFAULT_DISTANCE_BUDGET)
         assert len(built) >= 4
+        assert all(shape[0] and shape[1] for shape, _ in built)
         assert max(built.values()) == 1
 
     def test_witness_reuses_the_memoised_solver(self, monkeypatch):
@@ -476,11 +560,7 @@ class TestPipeline:
     ):
         # 3 lies below the enumeration floor (no logical up to weight 3),
         # 5 above the weight-4 witness
-        def fake(base, stages=2):
-            return {"d_0": chain.Distance(wrong, "exact"),
-                    "d_-1^T": chain.Distance(wrong, "exact")}
-
-        monkeypatch.setattr(product, "product_distances", fake)
+        monkeypatch.setattr(product, "product_params", closed_form_with_d_q(wrong))
         assert run(
             "pipeline", "--classical", rep2_pcm, "--out", str(tmp_path / "pipe"), "--quiet"
         ) == 4

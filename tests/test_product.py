@@ -165,69 +165,78 @@ class TestPredictions:
     @pytest.mark.parametrize("name", sorted(KUNNETH_CODES))
     def test_single_product_kunneth(self, name):
         c = complex_of(KUNNETH_CODES[name])
-        pred = product.predict_single(c)
+        pred = product.product_params(c, stages=1)
         s = product.single_product(c)
         for j in s.levels():
             assert s.size(j) == pred.level_sizes[j]
             assert chain.betti_number(s, j) == pred.level_bettis[j]
             assert chain.betti_number(s, j) == chain.cobetti_number(s, j)
+        assert pred.redundancy == product.redundancy(s)
 
     @pytest.mark.parametrize("name", SMALL_DOUBLE)
     def test_double_product_kunneth(self, name):
-        s = product.single_product(complex_of(KUNNETH_CODES[name]))
-        pred = product.predict_double(s)
-        d = product.double_product(s)
+        c = complex_of(KUNNETH_CODES[name])
+        pred = product.product_params(c)
+        d = product.double_product(product.single_product(c))
         for j in d.levels():
             assert d.size(j) == pred.level_sizes[j]
             assert chain.betti_number(d, j) == pred.level_bettis[j]
             assert chain.betti_number(d, j) == chain.cobetti_number(d, j)
+        assert pred.redundancy == product.redundancy(d)
 
     def test_rep3_double_closed_form(self):
-        pred = product.predict_double(product.single_product(complex_of(REP3)))
+        c = complex_of(REP3)
+        pred = product.product_params(c)
         assert pred.level_sizes[0] == 3**4 + 4 * 3**2 * 2**2 + 2**4 == 241
         assert pred.level_bettis[0] == 1
         assert pred.level_bettis[1] == pred.level_bettis[-1] == 0
-        assert pred.distance_bounds["d_0"].value == 3
-        assert pred.distance_bounds["d_-1^T"].value == 3
-        assert pred.redundancy_bound == 2  # strict upper bound for minimal input
+        assert pred.distances["d_0"] == chain.Distance(9, "exact")
+        assert pred.distances["d_-1^T"] == chain.Distance(9, "exact")
+        assert math.isinf(pred.distances["d_1"].value)
+        assert math.isinf(pred.distances["d_-2^T"].value)
+        d = product.double_product(product.single_product(c))
+        assert pred.redundancy == product.redundancy(d) == Fraction(13, 10)
 
     def test_six_two_closed_form(self):
         c = complex_of(SIX_TWO)
-        s = product.single_product(c)
-        pred = product.predict_double(s)
+        pred = product.product_params(c)
         assert pred.level_sizes[0] == 3856
         assert pred.level_bettis[0] == 16
-        d = product.double_product(s)
+        d = product.double_product(product.single_product(c))
         assert product.redundancy(d) == Fraction(4992, 3840) == Fraction(13, 10)
+        assert pred.redundancy == product.redundancy(d)
 
     def test_redundancy_preserved_when_minimal(self):
-        pred = product.predict_single(product.minimal_complex(REP3))
-        assert pred.redundancy_bound == 1
+        c = product.minimal_complex(REP3)
+        pred = product.product_params(c, stages=1)
+        assert pred.redundancy == product.redundancy(product.single_product(c)) == 1
 
     def test_single_redundancy_closed_form(self):
         # direct cyclic input carries redundancy 3/2; the product's follows
         # the update rule u*n/(u*(n-k)+k)
         c = complex_of(CYC3)
-        pred = product.predict_single(c)
+        pred = product.product_params(c, stages=1)
         u = Fraction(3, 2)
         expected = u * 3 / (u * 2 + 1)
-        assert pred.redundancy_bound == expected
+        assert pred.redundancy == expected
         s = product.single_product(c)
         assert product.redundancy(s) == expected
 
     def test_double_redundancy_bound_strict(self):
         for name in SMALL_DOUBLE:
-            s = product.single_product(complex_of(KUNNETH_CODES[name]))
+            c = complex_of(KUNNETH_CODES[name])
+            s = product.single_product(c)
             d = product.double_product(s)
             assert product.redundancy(d) < 2 * product.redundancy(s)
+            assert product.product_params(c).redundancy == product.redundancy(d)
 
-    def test_predict_params_dispatch(self):
+    def test_product_params_stages(self):
         c = complex_of(REP3)
-        assert product.predict_params(c).level_sizes[0] == 13
-        s = product.single_product(c)
-        assert product.predict_params(s).level_sizes[0] == 241
+        assert product.product_params(c, stages=1).level_sizes[0] == 13
+        assert product.product_params(c, stages=2).level_sizes[0] == 241
+        assert product.product_params(c).level_sizes[0] == 241
         with pytest.raises(ValueError):
-            product.predict_params(product.double_product(s))
+            product.product_params(product.single_product(c))
 
 
 class TestDistanceIdentities:
@@ -256,27 +265,27 @@ class TestDistanceIdentities:
             assert chain.cohomological_distance(s, -1, 6).value == d
 
     def test_double_product_bounds_respected(self):
-        # exact small-instance distances never dip below the predicted bounds
-        s = product.single_product(complex_of(REP2))
-        pred = product.predict_double(s)
-        d = product.double_product(s)
+        # exact small-instance distances equal the closed form
+        c = complex_of(REP2)
+        closed = product.product_params(c).distances
+        d = product.double_product(product.single_product(c))
         d0 = chain.homological_distance(d, 0, 4)
         assert d0.is_exact() and d0.value == 4
-        assert d0.value >= pred.distance_bounds["d_0"].value
+        assert d0.value == closed["d_0"].value
         dm1t = chain.cohomological_distance(d, -1, 4)
         assert dm1t.is_exact() and dm1t.value == 4
-        assert dm1t.value >= pred.distance_bounds["d_-1^T"].value
+        assert dm1t.value == closed["d_-1^T"].value
 
     def test_cyclic_double_meta_bounds(self):
-        s = product.single_product(complex_of(CYC3))
-        pred = product.predict_double(s)
-        d = product.double_product(s)
+        c = complex_of(CYC3)
+        closed = product.product_params(c).distances
+        d = product.double_product(product.single_product(c))
         d1 = chain.homological_distance(d, 1, 3)
         assert d1.is_exact() and d1.value == 3
-        assert d1.value >= pred.distance_bounds["d_1"].value
+        assert d1.value == closed["d_1"].value
         dm2t = chain.cohomological_distance(d, -2, 3)
         assert dm2t.is_exact() and dm2t.value == 3
-        assert dm2t.value >= pred.distance_bounds["d_-2^T"].value
+        assert dm2t.value == closed["d_-2^T"].value
 
 
 def _enumerated(complex_, key, value):
@@ -292,7 +301,7 @@ class TestProductDistances:
     @pytest.mark.parametrize("name", sorted(KUNNETH_CODES))
     def test_single_product_matches_enumeration(self, name):
         c = complex_of(KUNNETH_CODES[name])
-        closed = product.product_distances(c, stages=1)
+        closed = product.product_params(c, stages=1).distances
         s = product.single_product(c)
         assert len(closed) == 6  # d_j for j = -1..1, d_j^T for j = -2..0
         for key, dist in closed.items():
@@ -302,7 +311,7 @@ class TestProductDistances:
 
     def test_rep2_double_product_every_level(self):
         c = complex_of(REP2)
-        closed = product.product_distances(c)
+        closed = product.product_params(c).distances
         d = product.double_product(product.single_product(c))
         assert closed["d_0"].value == closed["d_-1^T"].value == 4
         for key, dist in closed.items():
@@ -312,7 +321,7 @@ class TestProductDistances:
     @pytest.mark.parametrize("name, d_ss", [("cyc3", 3), ("five_two", 2)])
     def test_double_product_single_shot_distance(self, name, d_ss):
         c = complex_of(KUNNETH_CODES[name])
-        closed = product.product_distances(c)
+        closed = product.product_params(c).distances
         d = product.double_product(product.single_product(c))
         for key in ("d_1", "d_-2^T"):
             assert closed[key].value == d_ss
@@ -325,13 +334,13 @@ class TestProductDistances:
          ("parity4", 4), ("hamming74", 9), ("six_two", 16), ("five_two", 4)],
     )
     def test_double_product_qubit_distance(self, name, d_q):
-        closed = product.product_distances(complex_of(KUNNETH_CODES[name]))
+        closed = product.product_params(complex_of(KUNNETH_CODES[name])).distances
         assert closed["d_0"] == closed["d_-1^T"] == chain.Distance(d_q, "exact")
 
     def test_full_rank_input_gives_d_squared(self):
         for h in (REP3, REP4, KUNNETH_CODES["hamming74"], SIX_TWO):
-            d = cli.classical_distance(h).value
-            closed = product.product_distances(complex_of(h))
+            d = cli.classical_distance(complex_of(h)).value
+            closed = product.product_params(complex_of(h)).distances
             assert closed["d_0"].value == closed["d_-1^T"].value == d * d
             assert math.isinf(closed["d_1"].value) and math.isinf(closed["d_-2^T"].value)
 
@@ -339,18 +348,18 @@ class TestProductDistances:
     def test_equals_table1_witness(self, name):
         h = cli.TABLE1_INPUTS[name]
         base, tilde, breve = cli.build_stages(h)
-        d = cli.classical_distance(h)
+        d = cli.classical_distance(base)
         witness = product.double_distance_witness(tilde, breve, max_weight=int(d.value))
         assert witness is not None
-        closed = product.product_distances(base)
+        closed = product.product_params(base).distances
         assert closed["d_0"].value == closed["d_-1^T"].value == gf2.weight(witness)
 
     def test_rejects_wrong_input(self):
         s = product.single_product(complex_of(REP3))
         with pytest.raises(ValueError):
-            product.product_distances(s)
+            product.product_params(s)
         with pytest.raises(ValueError):
-            product.product_distances(complex_of(REP3), stages=3)
+            product.product_params(complex_of(REP3), stages=3)
 
 
 class TestRedundancy:
