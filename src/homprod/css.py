@@ -32,7 +32,6 @@ __all__ = [
     "Syndrome",
     "CodeReport",
     "from_complex",
-    "pauli_weight",
     "pauli_min_weight",
     "code_report",
 ]
@@ -67,10 +66,6 @@ class PauliError:
 
     def is_identity(self) -> bool:
         return not (self.e.any() or self.f.any())
-
-
-def pauli_weight(p: PauliError) -> int:
-    return p.weight()
 
 
 @dataclass(frozen=True)
@@ -270,6 +265,11 @@ def code_report(
     code = from_complex(complex_)
     n = complex_.size(0)
     k = betti_number(complex_, 0)
+    if k == n:
+        raise NotACssComplex(
+            f"no independent checks: all {n} qubits are logical, "
+            "so the redundancy is undefined"
+        )
     if distance_search:
         d_q = combine_distances(
             homological_distance(complex_, 0, max_weight),

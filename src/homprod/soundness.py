@@ -70,7 +70,9 @@ class SoundnessProfile:
 
     worst[x] is the largest "minimum |r| with d r = s" over all syndromes
     s in the image with |s| = x; entries equal to budget+1 mean the
-    minimum exceeded the preimage search budget.
+    minimum exceeded the preimage search budget.  worst_syndrome[x] is
+    the first such s in (weight, lex) order that reaches worst[x] (kept
+    by the image-first profile only, and not part of to_json).
     """
 
     worst: dict[int, int]
@@ -80,6 +82,7 @@ class SoundnessProfile:
     threshold: Optional[float] = None
     bound: Optional[PolyBound] = None
     verdict: Optional[Verdict] = None
+    worst_syndrome: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
 
     def to_json(self) -> dict:
         out = {
@@ -117,14 +120,20 @@ def profile_map(
     delta = gf2.as_bin(delta)
     ann = gf2.annihilator(delta.T)  # ker(ann) = im(delta)
     worst: dict[int, int] = {0: 0}
+    worst_syndrome: dict[int, np.ndarray] = {}
     for s in gf2.kernel_vectors_by_weight(ann, x_max):
         x = gf2.weight(s)
         found = gf2.min_weight_solution(delta, s, preimage_budget)
         w = found[1] if found is not None else preimage_budget + 1
         if w > worst.get(x, 0):
             worst[x] = w
+            worst_syndrome[x] = s
     return SoundnessProfile(
-        worst, preimage_budget, x_max, domain=f"all image syndromes of weight <= {x_max}"
+        worst,
+        preimage_budget,
+        x_max,
+        domain=f"all image syndromes of weight <= {x_max}",
+        worst_syndrome=worst_syndrome,
     )
 
 
@@ -214,8 +223,7 @@ def certify_map(
                     f"syndrome weight {x}: preimage search stopped at {preimage_budget}",
                 )
                 break
-            witness_s = _worst_syndrome(delta, x, preimage_budget)
-            r = gf2.solve(delta, witness_s)
+            r = gf2.solve(delta, profile.worst_syndrome[x])
             verdict = Verdict(
                 "counterexample",
                 f"syndrome weight {x} needs preimage weight {w} > {bound.name}({x})",
@@ -224,22 +232,6 @@ def certify_map(
             break
     profile.verdict = verdict
     return profile
-
-
-def _worst_syndrome(delta: np.ndarray, x: int, budget: int) -> np.ndarray:
-    ann = gf2.annihilator(delta.T)
-    worst_s = None
-    worst_w = -1
-    for s in gf2.kernel_vectors_by_weight(ann, x):
-        if gf2.weight(s) != x:
-            continue
-        found = gf2.min_weight_solution(delta, s, budget)
-        w = found[1] if found is not None else budget + 1
-        if w > worst_w:
-            worst_w, worst_s = w, s
-    if worst_s is None:
-        raise AssertionError(f"no image syndrome of weight {x} to witness")
-    return worst_s
 
 
 # -- Pauli-space soundness (general stabiliser checks) --------------------------
@@ -422,21 +414,62 @@ class PartialDecodeState:
 
     def support_conditions(self, d_high: np.ndarray, d_low: np.ndarray) -> list[bool]:
         """The six terminal support conditions, in pseudocode order."""
-        rb_low = gf2.mat_mul(self.r_b, d_low)
-        high_rb = gf2.mat_mul(d_high, self.r_b)
-        return [
-            gf2.row_support(rb_low) <= gf2.row_support(self.s_l),
-            gf2.col_support(rb_low) <= gf2.col_support(self.s_l),
-            gf2.row_support(rb_low) == gf2.row_support(self.r_b),
-            gf2.col_support(high_rb) <= gf2.col_support(self.s_r),
-            gf2.row_support(high_rb) <= gf2.row_support(self.s_r),
-            gf2.col_support(high_rb) == gf2.col_support(self.r_b),
-        ]
+        return _side_conditions(self.r_b, d_low, self.s_l) + _side_conditions(
+            self.r_b.T, d_high.T, self.s_r.T
+        )
+
+
+def _side_conditions(r: np.ndarray, d: np.ndarray, s: np.ndarray) -> list[bool]:
+    """Conditions 1-3 for (R_b, d_low, S_L); 4-6 for the transposes."""
+    rd = gf2.mat_mul(r, d)
+    return [
+        gf2.row_support(rd) <= gf2.row_support(s),
+        gf2.col_support(rd) <= gf2.col_support(s),
+        gf2.row_support(rd) == gf2.row_support(r),
+    ]
 
 
 def _assert_m_preserved(state: PartialDecodeState, d_high, d_low) -> None:
     if not (gf2.mat_mul(gf2.mat_mul(d_high, state.r_b), d_low) == state.m).all():
         raise AssertionError("middle-block transform failed to preserve M")
+
+
+def _shrink_side(r, d, s, step) -> None:
+    """Loops 1-3 of partial_decode: r is R_b, d is d_low, s is S_L.
+
+    Each transform XORs a rank-one matrix into r in place, so on a view
+    (R_b^T for loops 4-6) it lands in R_b.  step(k) is called after every
+    transform of loop k + 1 of the three.
+    """
+    s_rows = s.any(axis=1)
+    s_cols = s.any(axis=0)
+    # loop 1: push rows of r @ d into the rows of s
+    while True:
+        rd = gf2.mat_mul(r, d)
+        extra = np.flatnonzero(rd.any(axis=1) & ~s_rows)
+        if not extra.size:
+            break
+        i = extra[0]
+        j = np.flatnonzero(rd[i])[0]
+        r ^= np.outer(rd[:, j] ^ s[:, j], r[i])
+        step(0)
+    # loop 2: push columns of r @ d into the columns of s
+    while True:
+        rd = gf2.mat_mul(r, d)
+        extra = np.flatnonzero(rd.any(axis=0) & ~s_cols)
+        if not extra.size:
+            break
+        c = rd[:, extra[0]]
+        k = np.flatnonzero(c & r.any(axis=1))[0]
+        r ^= np.outer(c, r[k])
+        step(1)
+    # loop 3: drop rows of r invisible to d
+    while True:
+        extra = np.flatnonzero(r.any(axis=1) & ~gf2.mat_mul(r, d).any(axis=1))
+        if not extra.size:
+            break
+        r[extra[0]] = 0
+        step(2)
 
 
 def partial_decode(
@@ -451,8 +484,11 @@ def partial_decode(
 
     Runs the six while loops (smallest admissible index everywhere) and
     repeats the pass until none of them fires, which pins down all six
-    terminal support conditions.  M = d_high @ r_b @ d_low is asserted
-    after every single transform when check_every_step is set.
+    terminal support conditions.  Loops 4-6 are loops 1-3 on the
+    transposed problem: d_high @ R_b = (R_b^T @ d_high^T)^T, so
+    (R_b^T, d_high^T, S_R^T) takes the place of (R_b, d_low, S_L).
+    M = d_high @ r_b @ d_low is asserted after every single transform
+    when check_every_step is set.
     """
     d_high = gf2.as_bin(d_high)
     d_low = gf2.as_bin(d_low)
@@ -467,109 +503,23 @@ def partial_decode(
     if not (m_from_sl == m_from_rb).all():
         raise ValueError("precondition failed: d_high @ R_b @ d_low != d_high @ S_L")
     state = PartialDecodeState(r_b, s_l, s_r, m_from_sl)
+    counters = state.loop_counters
+    guard = 4 * (r_b.shape[0] + r_b.shape[1] + 2) ** 2
 
-    def checked():
+    def step(loop: int) -> None:
+        counters[loop] += 1
         if check_every_step:
             _assert_m_preserved(state, d_high, d_low)
-
-    sl_rows = gf2.row_support(state.s_l)
-    sl_cols = gf2.col_support(state.s_l)
-    sr_rows = gf2.row_support(state.s_r)
-    sr_cols = gf2.col_support(state.s_r)
-    guard = 4 * (state.r_b.shape[0] + state.r_b.shape[1] + 2) ** 2
+        # loops 3 and 6 only delete rows or columns, so they always stop
+        if loop % 3 < 2 and counters[loop] > guard:
+            raise AssertionError(f"loop {loop + 1} failed to terminate")
 
     while True:
-        worked = False
-        # loop 1: push rows of R_b @ d_low into the rows of S_L
-        while True:
-            rb_low = gf2.mat_mul(state.r_b, d_low)
-            extra = sorted(gf2.row_support(rb_low) - sl_rows)
-            if not extra:
-                break
-            i = extra[0] - 1
-            row_of_image = rb_low[i]
-            j = int(np.flatnonzero(row_of_image)[0])
-            w = rb_low[:, j] ^ state.s_l[:, j]
-            state.r_b ^= np.outer(w, state.r_b[i])
-            state.loop_counters[0] += 1
-            worked = True
-            checked()
-            if state.loop_counters[0] > guard:
-                raise AssertionError("loop 1 failed to terminate")
-        # loop 2: push columns of R_b @ d_low into the columns of S_L
-        while True:
-            rb_low = gf2.mat_mul(state.r_b, d_low)
-            extra = sorted(gf2.col_support(rb_low) - sl_cols)
-            if not extra:
-                break
-            j = extra[0] - 1
-            c = rb_low[:, j]
-            k = min(
-                set(int(i) + 1 for i in np.flatnonzero(c))
-                & gf2.row_support(state.r_b)
-            ) - 1
-            state.r_b ^= np.outer(c, state.r_b[k])
-            state.loop_counters[1] += 1
-            worked = True
-            checked()
-            if state.loop_counters[1] > guard:
-                raise AssertionError("loop 2 failed to terminate")
-        # loop 3: drop rows of R_b invisible to d_low
-        while True:
-            rb_low = gf2.mat_mul(state.r_b, d_low)
-            extra = sorted(gf2.row_support(state.r_b) - gf2.row_support(rb_low))
-            if not extra:
-                break
-            state.r_b[extra[0] - 1] = 0
-            state.loop_counters[2] += 1
-            worked = True
-            checked()
-        # loop 4: push columns of d_high @ R_b into the columns of S_R
-        while True:
-            high_rb = gf2.mat_mul(d_high, state.r_b)
-            extra = sorted(gf2.col_support(high_rb) - sr_cols)
-            if not extra:
-                break
-            i = extra[0] - 1
-            col_of_image = high_rb[:, i]
-            j = int(np.flatnonzero(col_of_image)[0])
-            w = high_rb[j] ^ state.s_r[j]
-            state.r_b ^= np.outer(state.r_b[:, i], w)
-            state.loop_counters[3] += 1
-            worked = True
-            checked()
-            if state.loop_counters[3] > guard:
-                raise AssertionError("loop 4 failed to terminate")
-        # loop 5: push rows of d_high @ R_b into the rows of S_R
-        while True:
-            high_rb = gf2.mat_mul(d_high, state.r_b)
-            extra = sorted(gf2.row_support(high_rb) - sr_rows)
-            if not extra:
-                break
-            j = extra[0] - 1
-            v = high_rb[j]
-            k = min(
-                set(int(i) + 1 for i in np.flatnonzero(v))
-                & gf2.col_support(state.r_b)
-            ) - 1
-            state.r_b ^= np.outer(state.r_b[:, k], v)
-            state.loop_counters[4] += 1
-            worked = True
-            checked()
-            if state.loop_counters[4] > guard:
-                raise AssertionError("loop 5 failed to terminate")
-        # loop 6: drop columns of R_b invisible to d_high
-        while True:
-            high_rb = gf2.mat_mul(d_high, state.r_b)
-            extra = sorted(gf2.col_support(state.r_b) - gf2.col_support(high_rb))
-            if not extra:
-                break
-            state.r_b[:, extra[0] - 1] = 0
-            state.loop_counters[5] += 1
-            worked = True
-            checked()
+        fired = sum(counters)
+        _shrink_side(r_b, d_low, s_l, step)
+        _shrink_side(r_b.T, d_high.T, s_r.T, lambda loop: step(3 + loop))
         state.passes += 1
-        if not worked:
+        if sum(counters) == fired:
             break
         if state.passes > guard:
             raise AssertionError("outer pass failed to reach a fixed point")
@@ -603,7 +553,6 @@ def double_product_preimage(
     breve: ChainComplex,
     s,
     threshold: Optional[int] = None,
-    strict: bool = False,
 ) -> DoubleWitness:
     """Constructive bounded preimage under the double product's qubit map.
 
@@ -613,9 +562,9 @@ def double_product_preimage(
     assemble.  The cubic bound |r| <= |s|^3 / 4 is guaranteed for
     |s| < threshold; outside that range the remainder pieces can fall
     outside the single product's image, in which case the plain solver
-    supplies a correct (unbounded) witness unless strict is set.  Every
-    solver is memoised on a map of tilde or breve, so repeated calls on
-    one pair of complexes eliminate each map once.
+    supplies a correct (unbounded) witness.  Every solver is memoised on
+    a map of tilde or breve, so repeated calls on one pair of complexes
+    eliminate each map once.
     """
     h = gf2.as_bin(h)
     s = gf2.as_bin(s).reshape(-1)
@@ -673,7 +622,7 @@ def double_product_preimage(
             )
             r_c_mat[term.index, :] = witness.r
     except PreimageError:
-        if strict or guaranteed:
+        if guaranteed:
             raise
         return DoubleWitness(
             plain, None, None, None, False, True, left_terms, right_terms, None

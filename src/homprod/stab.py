@@ -179,7 +179,7 @@ def diagonalize(checks: SymplecticChecks) -> DiagonalizedChecks:
     step, so the procedure never stalls.
     """
     n = checks.n
-    reduced, pivots = _row_reduce_symplectic(checks.matrix)
+    reduced, pivots = gf2._rref(checks.matrix)
     g = reduced[: len(pivots)].copy()
     r = g.shape[0]
     perm = list(range(n))
@@ -237,12 +237,6 @@ def diagonalize(checks: SymplecticChecks) -> DiagonalizedChecks:
         if any(g[j, i] for j in range(r) if j != i):
             raise AssertionError(f"pivot column {i} is not cleared in the final frame")
     return DiagonalizedChecks(g, n, perm, local, checks)
-
-
-def _row_reduce_symplectic(matrix: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    packed = np.packbits(matrix, axis=1)
-    pivots = gf2._echelon_packed(packed, matrix.shape[1], reduced=True)
-    return np.unpackbits(packed, axis=1, count=matrix.shape[1]), pivots
 
 
 def pure_error_preimage(diag: DiagonalizedChecks, s) -> np.ndarray:
@@ -313,9 +307,8 @@ def _canonical_reducer(span_rows: np.ndarray):
     """Reduce vectors to canonical coset representatives of a row space."""
     if span_rows.shape[0] == 0:
         return lambda v: v
-    packed = np.packbits(span_rows, axis=1)
-    pivots = gf2._echelon_packed(packed, span_rows.shape[1], reduced=True)
-    basis = np.unpackbits(packed, axis=1, count=span_rows.shape[1])[: len(pivots)]
+    reduced, pivots = gf2._rref(span_rows)
+    basis = reduced[: len(pivots)]
 
     def reduce(v: np.ndarray) -> np.ndarray:
         out = v.copy()
@@ -408,9 +401,7 @@ def energy_barrier(
     if sector == "full":
         if n > min(n_limit, 5):
             raise ValueError("full-sector walks are limited to 5 qubits")
-        reduced, pivots = _row_reduce_symplectic(checks.matrix)
-        span = reduced[: len(pivots)]
-        reduce = _canonical_reducer(span)
+        reduce = _canonical_reducer(checks.matrix)
         paulis = [("X", 0), ("Z", 1), ("Y", 2)]
 
         def neighbours(v):

@@ -161,6 +161,29 @@ def test_non_css_complex_is_an_input_error(tmp_path, capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["report"],
+        ["sweep", "--t", "2"],
+        ["rounds", "--t", "2", "--schedule", "schedule.json"],
+    ],
+    ids=["report", "sweep", "rounds"],
+)
+def test_all_zero_complex_is_an_input_error(tmp_path, capsys, argv):
+    # every map zero, so n_0 = k_0: no check is independent
+    complex_dir = tmp_path / "zero"
+    zero = ChainComplex([gf2.zeros(2, 0), gf2.zeros(0, 2)], j_min=-1)
+    chain.save_complex(complex_dir, zero)
+    (tmp_path / "schedule.json").write_text(json.dumps([{"e_support": [1]}]))
+    argv = [str(tmp_path / a) if a == "schedule.json" else a for a in argv]
+    capsys.readouterr()
+    assert run(*argv, "--complex", str(complex_dir), "--quiet") == 2
+    err = capsys.readouterr().err
+    assert "input error" in err and "no independent checks" in err
+    assert "Traceback" not in err
+
+
 class TestReport:
     def test_json_round_trip(self, tmp_path, rep2_build):
         out = tmp_path / "report.json"

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import os
@@ -13,6 +14,12 @@ from homprod.chain import ChainComplex
 
 REP2 = gf2.as_bin([[1, 1]])
 REP3 = gf2.as_bin([[1, 1, 0], [0, 1, 1]])
+
+# partial_decode's counter totals and digest over the seeded batch of
+# TestPartialDecode.test_pinned_batch_digest: a change to any loop's order
+# or tie-break changes them
+PINNED_TOTALS = [59, 1, 63, 71, 1, 35]
+PINNED_DIGEST = "2b493c50b307a28cd89ab40e844274332d113e3ffdacd489f6a65ade888246a8"
 
 
 def cyclic(length):
@@ -75,6 +82,32 @@ class TestProfile:
         assert x < 4
         best = gf2.min_weight_solution(s.delta(0), syndrome, 8)
         assert Fraction(best[1]) > bounds.QUADRATIC_OVER_4(x)
+
+    def test_counterexample_is_first_worst_syndrome(self):
+        # the witness's syndrome is the first weight-x image syndrome in
+        # (weight, lex) order whose minimum preimage is the worst one
+        keys = {
+            "worst_min_preimage_by_syndrome_weight", "preimage_budget",
+            "x_max", "domain", "threshold", "bound", "verdict",
+        }
+        for length in (3, 4, 5):
+            delta = single(cyclic(length)).delta(0)
+            prof = soundness.certify_map(delta, 4, bounds.QUADRATIC_OVER_4)
+            assert prof.verdict.kind == "counterexample"
+            assert set(prof.to_json()) == keys
+            syndrome = gf2.mat_vec(delta, prof.verdict.counterexample)
+            x = gf2.weight(syndrome)
+            budget = prof.preimage_budget
+            first_worst, worst = None, -1
+            for s in gf2.kernel_vectors_by_weight(gf2.annihilator(delta.T), x):
+                if gf2.weight(s) != x:
+                    continue
+                found = gf2.min_weight_solution(delta, s, budget)
+                w = found[1] if found is not None else budget + 1
+                if w > worst:
+                    first_worst, worst = s, w
+            assert worst == prof.worst[x]
+            assert (syndrome == first_worst).all()
 
     def test_image_first_matches_error_first(self, tilde_rep3):
         delta = tilde_rep3.delta(0).T
@@ -200,6 +233,44 @@ class TestSingleProductPreimage:
         proc = subprocess.run([sys.executable, "-O", "-c", code], env=env)
         assert proc.returncode == 7
 
+    def test_partial_decode_check_survives_optimize_flag(self, tilde_rep2, tmp_path):
+        # a side transform that breaks M is caught by check_every_step's
+        # explicit raise, not an assert that -O strips
+        rng = np.random.default_rng(159)
+        state = make_error_state(tilde_rep2, rng, int(rng.integers(1, 14)))
+        inputs = tmp_path / "state.npz"
+        np.savez(inputs, *state)
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from homprod import product, soundness\n"
+            "from homprod.chain import ChainComplex\n"
+            "h = np.array([[1, 1]], dtype=np.uint8)\n"
+            "tilde = product.single_product(ChainComplex([h], j_min=0))\n"
+            "r_b, s_l, s_r = np.load(sys.argv[1]).values()\n"
+            "real = soundness._shrink_side\n"
+            "def wrong(r, *args):\n"
+            "    r[0, 0] ^= 1\n"
+            "    return real(r, *args)\n"
+            "soundness._shrink_side = wrong\n"
+            "try:\n"
+            "    soundness.partial_decode(\n"
+            "        r_b, s_l, s_r, tilde.delta(0), tilde.delta(-1),\n"
+            "        check_every_step=True,\n"
+            "    )\n"
+            "except AssertionError as exc:\n"
+            "    raise SystemExit(7 if 'failed to preserve M' in str(exc) else 1)\n"
+            "raise SystemExit(1)\n"
+        )
+        src = os.path.dirname(os.path.dirname(soundness.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p
+        )}
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code, str(inputs)], env=env
+        )
+        assert proc.returncode == 7
+
 
 def make_error_state(tilde, rng, weight):
     """A partial-decode input triple harvested from an actual error."""
@@ -311,6 +382,43 @@ class TestPartialDecode:
                 r_b, s_l, s_r, tilde_rep2.delta(0), tilde_rep2.delta(-1),
                 check_every_step=True,
             )
+
+    @pytest.mark.parametrize(
+        "seed, counters, passes",
+        [(159, [1, 1, 2, 0, 0, 1], 3), (634, [0, 0, 1, 0, 1, 1], 2)],
+    )
+    def test_pinned_states_fire_loops_two_and_five(
+        self, tilde_rep2, seed, counters, passes
+    ):
+        rng = np.random.default_rng(seed)
+        r_b, s_l, s_r = make_error_state(tilde_rep2, rng, int(rng.integers(1, 14)))
+        state = soundness.partial_decode(
+            r_b, s_l, s_r, tilde_rep2.delta(0), tilde_rep2.delta(-1)
+        )
+        assert state.loop_counters == counters
+        assert state.passes == passes
+        check_partial_properties(state, tilde_rep2)
+
+    def test_pinned_batch_digest(self, tilde_rep2, tilde_rep3):
+        # exact r_b, loop counters and passes over a seeded batch
+        digest = hashlib.sha256()
+        totals = [0] * 6
+        for tilde in (tilde_rep2, tilde_rep3):
+            rng = np.random.default_rng(2027)
+            for _ in range(150):
+                r_b, s_l, s_r = make_error_state(tilde, rng, int(rng.integers(1, 14)))
+                state = soundness.partial_decode(
+                    r_b, s_l, s_r, tilde.delta(0), tilde.delta(-1),
+                    check_every_step=False,
+                )
+                digest.update(state.r_b.tobytes())
+                digest.update(
+                    np.array(state.loop_counters + [state.passes], dtype=np.int64).tobytes()
+                )
+                totals = [a + b for a, b in zip(totals, state.loop_counters)]
+        assert totals[1] > 0 and totals[4] > 0
+        assert totals == PINNED_TOTALS
+        assert digest.hexdigest() == PINNED_DIGEST
 
 
 class TestDoubleProductPreimage:
