@@ -16,7 +16,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -47,7 +47,6 @@ class RunConfig:
     max_weight: int = chain.DEFAULT_DISTANCE_BUDGET
     json_path: Optional[str] = None
     quiet: bool = False
-    extra: dict = field(default_factory=dict)
 
 
 def emit(cfg: RunConfig, payload: dict, text: str) -> None:
@@ -94,11 +93,10 @@ def classical_distance(base: ChainComplex) -> Distance:
     return chain.homological_distance(base, 0, base.size(0))
 
 
-def build_stages(h: np.ndarray) -> tuple[ChainComplex, ChainComplex, ChainComplex]:
-    base = ChainComplex([h], j_min=0)
+def build_stages(base: ChainComplex) -> tuple[ChainComplex, ChainComplex]:
+    """The single product of base and the double product of that."""
     tilde = product.single_product(base)
-    breve = product.double_product(tilde)
-    return base, tilde, breve
+    return tilde, product.double_product(tilde)
 
 
 def checked_d_q(
@@ -126,8 +124,8 @@ def checked_d_q(
 
 
 def run_table1_row(name: str, max_weight: int) -> dict:
-    h = TABLE1_INPUTS[name]
-    base, tilde, breve = build_stages(h)
+    base = ChainComplex([TABLE1_INPUTS[name]], j_min=0)
+    tilde, breve = build_stages(base)
     report = css.code_report(breve, max_weight=max_weight, distance_search=False)
     # a full d_q search is out of reach at these sizes; weight 2 gives a floor
     floor = css.combine_distances(
@@ -219,26 +217,28 @@ def _load_classical(path: str) -> np.ndarray:
         raise InputError(f"cannot read check matrix {path!r}: {exc}") from exc
 
 
-def _load_code(path: str) -> np.ndarray:
-    """A classical check matrix to build products from: rank at least 1."""
+def _load_base(path: str, allow_redundant: bool) -> ChainComplex:
+    """The length-1 complex of a classical check matrix to build products from.
+
+    The checks must have rank at least 1, and full row rank unless
+    allow_redundant is set.
+    """
     h = _load_classical(path)
     if gf2.rank(h) == 0:
         raise InputError(
             f"check matrix {path!r} ({h.shape[0]}x{h.shape[1]}) has no "
             "independent checks"
         )
-    return h
+    if allow_redundant:
+        return ChainComplex([h], j_min=0)
+    try:
+        return product.minimal_complex(h)
+    except ValueError as exc:
+        raise InputError(f"{exc} (pass --allow-redundant to proceed)") from exc
 
 
 def cmd_build(cfg: RunConfig, args) -> int:
-    h = _load_code(args.classical)
-    if args.allow_redundant:
-        base = ChainComplex([h], j_min=0)
-    else:
-        try:
-            base = product.minimal_complex(h)
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
+    base = _load_base(args.classical, args.allow_redundant)
     tilde = product.single_product(base)
     if args.stages == 2:
         final = product.double_product(tilde)
@@ -246,7 +246,7 @@ def cmd_build(cfg: RunConfig, args) -> int:
     else:
         final = tilde
     chain.save_complex(args.out, final)
-    gf2.write_pcm(os.path.join(args.out, "classical.pcm"), h)
+    gf2.write_pcm(os.path.join(args.out, "classical.pcm"), base.delta(0))
     computed = {
         "level_sizes": {str(j): final.size(j) for j in final.levels()},
         "level_bettis": {
@@ -353,7 +353,7 @@ def _command_budget(
         complex_, max_weight=cfg.max_weight, distance_search=args.dq is None
     )
     d_q = report.d_q if args.dq is None else Distance(float(args.dq), "external")
-    return decoder.single_shot_budget(report.d_ss, t, d_q, bounds.from_name(args.f))
+    return decoder.single_shot_budget(report.d_ss, t, d_q, args.f)
 
 
 def cmd_sweep(cfg: RunConfig, args) -> int:
@@ -468,9 +468,7 @@ def cmd_certify(cfg: RunConfig, args) -> int:
     complex_ = _load_complex(args.complex)
     delta = _select_map(complex_, args.map)
     t = _infer_threshold(args, args.complex)
-    profile = soundness.certify_map(
-        delta, t.value, bounds.from_name(args.f), x_max=args.xmax
-    )
+    profile = soundness.certify_map(delta, t.value, args.f, x_max=args.xmax)
     payload = profile.to_json()
     emit(cfg, payload, f"verdict: {profile.verdict.kind} ({profile.verdict.detail})")
     return EXIT_OK if profile.verdict.certified else EXIT_COUNTEREXAMPLE
@@ -588,15 +586,9 @@ def cmd_barrier(cfg: RunConfig, args) -> int:
 
 
 def cmd_pipeline(cfg: RunConfig, args) -> int:
-    h = _load_code(args.classical)
-    if not args.allow_redundant and gf2.rank(h) != h.shape[0]:
-        print(
-            f"not minimal: {h.shape[0]} checks, rank {gf2.rank(h)} "
-            "(pass --allow-redundant to proceed)",
-            file=sys.stderr,
-        )
-        return EXIT_INPUT
-    base, tilde, breve = build_stages(h)
+    base = _load_base(args.classical, args.allow_redundant)
+    h = base.delta(0)
+    tilde, breve = build_stages(base)
     os.makedirs(args.out, exist_ok=True)
     chain.save_complex(os.path.join(args.out, "stage1"), tilde)
     chain.save_complex(args.out, breve)
@@ -702,7 +694,10 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--t", type=int, default=None, help="soundness threshold")
     p.add_argument("--dq", type=int, default=None, help="code distance override")
-    p.add_argument("--f", default="x3", help="soundness function (x, x2, x3)")
+    p.add_argument(
+        "--f", type=bounds.from_name, default="x3",
+        help="soundness function (x, x2, x3)",
+    )
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("rounds", help="multi-round containment simulation")
@@ -711,7 +706,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", dest="rounds", type=int, default=10)
     p.add_argument("--t", type=int, default=None)
     p.add_argument("--dq", type=int, default=None)
-    p.add_argument("--f", default="x3")
+    p.add_argument("--f", type=bounds.from_name, default="x3")
     p.set_defaults(func=cmd_rounds)
 
     p = sub.add_parser("profile", help="soundness profile of one boundary map")
@@ -732,7 +727,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--complex", required=True)
     p.add_argument("--map", required=True)
     p.add_argument("--t", type=int, default=None)
-    p.add_argument("--f", default="x2")
+    p.add_argument("--f", type=bounds.from_name, default="x2")
     p.add_argument("--xmax", type=int, default=None)
     p.set_defaults(func=cmd_certify)
 

@@ -1,23 +1,21 @@
 """Single and double homological products of chain complexes.
 
-Conventions that pin the constructions down bit-exactly:
+Both products are one operation, x (x) y*, where y* is y with its levels
+negated and its maps transposed.  The rule pins it down bit-exactly:
 
-* Tensor indices are row-major with the LEFT factor major, i.e. the
-  basis vector a_i (x) b_j of A (x) B sits at flat index i*dim(B) + j.
-  This matches numpy.kron, so every block below is a kron product.
+* Level m is the direct sum of the components x_i (x) y_j over i - j = m,
+  listed by ascending i.  Within a component the LEFT factor is major:
+  basis vector a (x) b sits at flat index a*dim(y_j) + b, as in numpy.kron.
 
-* The product of two length-1 complexes A: A0 -> A1 and B: B0 -> B1 is
-  the length-2 complex
+* d_m sends x_i (x) y_j to x_{i+1} (x) y_j by kron(d^x_i, I) and to
+  x_i (x) y_{j-1} by kron(I, (d^y_{j-1})^T).  Every other block is zero.
+
+So the single product of length-1 complexes A: A0 -> A1 and B: B0 -> B1 is
 
       A0(x)B1  ->  (A0(x)B0) + (A1(x)B1)  ->  A1(x)B0
 
-  with first map stack(I (x) dB^T ; dA (x) I) and second map
-  concat(dA (x) I | I (x) dB^T).  The A0(x)B0 block always comes first
-  in the middle level.
-
-* The product of two length-2 complexes (levels -1..1) is the length-4
-  complex with component spaces  C_m = sum over i-j=m of A_i (x) B_j,
-  components ordered by ascending i.
+at levels -1..1, with the A0(x)B0 block first in the middle level; the
+double product of two length-2 complexes at levels -1..1 spans -2..2.
 
 Applied twice to the minimal complex of an [n, k, d] classical code
 with k >= 1 this yields a quantum code on n^4 + 4 n^2 (n-k)^2 + (n-k)^4
@@ -78,22 +76,7 @@ def single_product(
         b = a
     if a.length != 1 or b.length != 1:
         raise ValueError("single_product expects length-1 complexes")
-    da, db = a.delta(a.j_min), b.delta(b.j_min)
-    na0, na1 = da.shape[1], da.shape[0]
-    nb0, nb1 = db.shape[1], db.shape[0]
-    d_low = np.vstack(
-        [
-            np.kron(gf2.identity(na0), db.T),
-            np.kron(da, gf2.identity(nb1)),
-        ]
-    )
-    d_high = np.hstack(
-        [
-            np.kron(da, gf2.identity(nb0)),
-            np.kron(gf2.identity(na1), db.T),
-        ]
-    )
-    return require_valid(ChainComplex([d_low, d_high], j_min=-1))
+    return _tensor(a, b)
 
 
 def double_product(
@@ -110,67 +93,40 @@ def double_product(
         raise ValueError("double_product expects length-2 complexes")
     if a.j_min != -1 or b.j_min != -1:
         raise ValueError("double_product expects levels -1..1")
-    a_low, a_high = a.delta(-1), a.delta(0)
-    b_low, b_high = b.delta(-1), b.delta(0)
-    na = {j: a.size(j) for j in (-1, 0, 1)}
-    nb = {j: b.size(j) for j in (-1, 0, 1)}
+    return _tensor(a, b)
 
-    d_m2 = np.vstack(
-        [
-            np.kron(gf2.identity(na[-1]), b_high.T),
-            np.kron(a_low, gf2.identity(nb[1])),
-        ]
-    )
-    d_m1 = np.vstack(
-        [
-            np.hstack(
-                [
-                    np.kron(gf2.identity(na[-1]), b_low.T),
-                    gf2.zeros(na[-1] * nb[-1], na[0] * nb[1]),
-                ]
-            ),
-            np.hstack(
-                [
-                    np.kron(a_low, gf2.identity(nb[0])),
-                    np.kron(gf2.identity(na[0]), b_high.T),
-                ]
-            ),
-            np.hstack(
-                [
-                    gf2.zeros(na[1] * nb[1], na[-1] * nb[0]),
-                    np.kron(a_high, gf2.identity(nb[1])),
-                ]
-            ),
-        ]
-    )
-    d_0 = np.vstack(
-        [
-            np.hstack(
-                [
-                    np.kron(a_low, gf2.identity(nb[-1])),
-                    np.kron(gf2.identity(na[0]), b_low.T),
-                    gf2.zeros(na[0] * nb[-1], na[1] * nb[1]),
-                ]
-            ),
-            np.hstack(
-                [
-                    gf2.zeros(na[1] * nb[0], na[-1] * nb[-1]),
-                    np.kron(a_high, gf2.identity(nb[0])),
-                    np.kron(gf2.identity(na[1]), b_high.T),
-                ]
-            ),
-        ]
-    )
-    d_1 = np.hstack(
-        [
-            np.kron(a_high, gf2.identity(nb[-1])),
-            np.kron(gf2.identity(na[1]), b_low.T),
-        ]
-    )
-    complex_ = ChainComplex([d_m2, d_m1, d_0, d_1], j_min=-2)
+
+def _tensor(x: ChainComplex, y: ChainComplex) -> ChainComplex:
+    """x (x) y*, by the block rule of the module docstring, validated."""
+    levels: dict[int, list[tuple[int, int]]] = {}
+    for i in x.levels():
+        for j in y.levels():
+            levels.setdefault(i - j, []).append((i, j))
+    # each component's rows or columns within its level, and each level's size
+    span, size = {}, {}
+    for m, components in levels.items():
+        size[m] = 0
+        for i, j in components:
+            n = x.size(i) * y.size(j)
+            span[i, j] = slice(size[m], size[m] + n)
+            size[m] += n
+    maps = []
+    for m in range(min(levels), max(levels)):
+        d = gf2.zeros(size[m + 1], size[m])
+        for i, j in levels[m]:
+            if x.has_level(i + 1):
+                d[span[i + 1, j], span[i, j]] = np.kron(
+                    x.delta(i), gf2.identity(y.size(j))
+                )
+            if y.has_level(j - 1):
+                d[span[i, j - 1], span[i, j]] = np.kron(
+                    gf2.identity(x.size(i)), y.delta(j - 1).T
+                )
+        maps.append(d)
+    complex_ = ChainComplex(maps, j_min=min(levels))
     # the complex holds read-only copies; free the originals before the
     # validation products reach peak memory
-    del d_m2, d_m1, d_0, d_1
+    del maps, d
     return require_valid(complex_)
 
 
@@ -205,11 +161,11 @@ def product_params(a: ChainComplex, stages: int = 2) -> ProductParams:
     "d_1" and "d_-2^T".
 
     Derivation.  single_product(x, y) and double_product(x, y) are both
-    x (x) y*, where y* is y with its levels negated and its maps
-    transposed: level m holds x_i (x) y_j over i - j = m.  So level m has
-    size sum n_i(x) n_j(y) and, by the Kunneth formula over a field, Betti
-    number sum k_i(x) k_j(y) over i - j = m, since the homology of y* at
-    level -j is the cohomology of y at level j, of the same dimension.
+    x (x) y* (see the module docstring): level m holds x_i (x) y_j over
+    i - j = m.  So level m has size sum n_i(x) n_j(y) and, by the Kunneth
+    formula over a field, Betti number sum k_i(x) k_j(y) over i - j = m,
+    since the homology of y* at level -j is the cohomology of y at level
+    j, of the same dimension.
     When one factor is a two-term complex (a single map), the distances of
     a tensor product are exact products too (Zeng and Pryadko,
     arXiv:2007.12152; see also arXiv:1810.01519):

@@ -143,6 +143,25 @@ def test_rank_zero_input_is_an_input_error(tmp_path, capsys, pcm, argv):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["sweep", "--complex", "c", "--t", "3", "--dq", "9", "--samples", "5"],
+        ["rounds", "--complex", "c", "--schedule", "s.json"],
+        ["certify", "--complex", "c", "--map", "z"],
+    ],
+    ids=["sweep", "rounds", "certify"],
+)
+def test_unknown_bound_is_a_usage_error(capsys, argv):
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run(*argv, "--f", "bogus")
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "--f" in err and "bogus" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["report"],
         ["decode", "--syndrome", "s.pcm"],
         ["sweep"],
@@ -565,6 +584,16 @@ class TestPipeline:
         p = tmp_path / "cyc3.pcm"
         gf2.write_pcm(p, CYC3)
         assert run("pipeline", "--classical", str(p), "--out", str(tmp_path / "x")) == 2
+
+    def test_redundant_is_an_input_error(self, tmp_path, capsys):
+        p = tmp_path / "cyc3.pcm"
+        gf2.write_pcm(p, CYC3)
+        out = tmp_path / "x"
+        capsys.readouterr()
+        assert run("pipeline", "--classical", str(p), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "input error" in err and "not minimal" in err
+        assert not out.exists()
 
     def test_reports_exact_d_q(self, tmp_path, rep2_pcm):
         summary = tmp_path / "summary.json"

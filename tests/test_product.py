@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -159,6 +160,45 @@ class TestDoubleProduct:
         bad = ChainComplex([gf2.identity(2), gf2.identity(2)], j_min=-1)
         with pytest.raises(chain.ValidationError):
             product.double_product(bad)
+
+
+
+# first 16 hex digits of the sha256 over every map of a product, each fed
+# as "j:rowsxcols:" and its bytes; recorded from the hand-written kron blocks
+PINNED_PRODUCTS = [
+    (("rep2",), 1, "de769f3c27df4afb"),
+    (("rep2",), 2, "4b6b1d014a5384c7"),
+    (("rep3",), 1, "3e3582f72da23dc8"),
+    (("rep3",), 2, "18f89638a9f0374e"),
+    (("cyc3",), 1, "60375d2ceb02a337"),
+    (("cyc3",), 2, "00d52198dd842650"),
+    (("six_two",), 1, "91aeafcce68302d9"),
+    (("six_two",), 2, "e597a6e1269a9d3f"),
+    (("rep2", "rep3"), 1, "e7937e003e27049a"),
+    (("rep2", "rep3"), 2, "900197127fe9ff1f"),
+]
+
+
+@pytest.mark.parametrize(
+    "factors, stages, digest",
+    PINNED_PRODUCTS,
+    ids=[
+        "x".join(f) + ("-single" if s == 1 else "-double")
+        for f, s, _ in PINNED_PRODUCTS
+    ],
+)
+def test_product_maps_are_pinned(factors, stages, digest):
+    bases = [complex_of(KUNNETH_CODES[name]) for name in factors]
+    if stages == 1:
+        c = product.single_product(*bases)
+    else:
+        c = product.double_product(*(product.single_product(b) for b in bases))
+    h = hashlib.sha256()
+    for j in range(c.j_min, c.j_max):
+        d = c.delta(j)
+        h.update(f"{j}:{d.shape[0]}x{d.shape[1]}:".encode())
+        h.update(np.ascontiguousarray(d).tobytes())
+    assert h.hexdigest()[:16] == digest
 
 
 class TestPredictions:
@@ -346,8 +386,8 @@ class TestProductDistances:
 
     @pytest.mark.parametrize("name", sorted(cli.TABLE1_INPUTS))
     def test_equals_table1_witness(self, name):
-        h = cli.TABLE1_INPUTS[name]
-        base, tilde, breve = cli.build_stages(h)
+        base = complex_of(cli.TABLE1_INPUTS[name])
+        tilde, breve = cli.build_stages(base)
         d = cli.classical_distance(base)
         witness = product.double_distance_witness(tilde, breve, max_weight=int(d.value))
         assert witness is not None
