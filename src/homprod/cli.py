@@ -630,6 +630,14 @@ def cmd_pipeline(cfg: RunConfig, args) -> int:
 # -- argument parsing ---------------------------------------------------------------
 
 
+def _bound(name: str) -> bounds.PolyBound:
+    """--f converter: an unknown name is a usage error that lists the valid ones."""
+    try:
+        return bounds.from_name(name)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="homprod",
@@ -695,8 +703,8 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, default=None, help="soundness threshold")
     p.add_argument("--dq", type=int, default=None, help="code distance override")
     p.add_argument(
-        "--f", type=bounds.from_name, default="x3",
-        help="soundness function (x, x2, x3)",
+        "--f", type=_bound, default="x3",
+        help="soundness function (x, x2, x^2/4, x3, x^3/4)",
     )
     p.set_defaults(func=cmd_sweep)
 
@@ -706,7 +714,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", dest="rounds", type=int, default=10)
     p.add_argument("--t", type=int, default=None)
     p.add_argument("--dq", type=int, default=None)
-    p.add_argument("--f", type=bounds.from_name, default="x3")
+    p.add_argument("--f", type=_bound, default="x3")
     p.set_defaults(func=cmd_rounds)
 
     p = sub.add_parser("profile", help="soundness profile of one boundary map")
@@ -727,7 +735,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--complex", required=True)
     p.add_argument("--map", required=True)
     p.add_argument("--t", type=int, default=None)
-    p.add_argument("--f", type=bounds.from_name, default="x2")
+    p.add_argument("--f", type=_bound, default="x2")
     p.add_argument("--xmax", type=int, default=None)
     p.set_defaults(func=cmd_certify)
 

@@ -8,6 +8,7 @@ the Z-syndrome bits and d_{-2}^T on the X-syndrome bits.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -103,8 +104,8 @@ class CssCode:
     Built only from a complex, which is validated (once, memoised): its
     d.d = 0 is what makes the checks commute and the metachecks
     annihilate them, so the code repeats none of those products.  The
-    X-side matrices are transposes of the complex's maps, held as their
-    own read-only copies (see _transposed).
+    X-side matrices are transposes of the complex's maps, copied on first
+    use into their own read-only arrays (see _transposed).
     """
 
     def __init__(self, complex_: ChainComplex) -> None:
@@ -120,16 +121,22 @@ class CssCode:
                 f"length-{complex_.length} complex must span levels "
                 f"{expected_min}..{expected_min + complex_.length}"
             )
+        self._complex = complex_
         self.z_checks = complex_.delta(0)
-        self.x_checks = _transposed(complex_.delta(-1))
         self.n = self.z_checks.shape[1]
-        metachecks = complex_.length == 4
-        self.z_metachecks = complex_.delta(1) if metachecks else None
-        self.x_metachecks = _transposed(complex_.delta(-2)) if metachecks else None
+        self.z_metachecks = complex_.delta(1) if complex_.length == 4 else None
+
+    @functools.cached_property
+    def x_checks(self) -> np.ndarray:
+        return _transposed(self._complex.delta(-1))
+
+    @functools.cached_property
+    def x_metachecks(self) -> Optional[np.ndarray]:
+        return _transposed(self._complex.delta(-2)) if self.has_metachecks else None
 
     @property
     def has_metachecks(self) -> bool:
-        return self.z_metachecks is not None and self.x_metachecks is not None
+        return self.z_metachecks is not None
 
     @property
     def num_z_checks(self) -> int:
@@ -137,7 +144,7 @@ class CssCode:
 
     @property
     def num_x_checks(self) -> int:
-        return self.x_checks.shape[0]
+        return self._complex.delta(-1).shape[1]
 
     def syndrome(self, error: PauliError) -> Syndrome:
         if error.e.shape[0] != self.n or error.f.shape[0] != self.n:
@@ -190,26 +197,31 @@ def _coset_elements(code: CssCode, side: str, v: np.ndarray, budget: int):
     return gf2.all_solutions_up_to_weight(ann, gf2.mat_vec(ann, v), budget)
 
 
+# bytes of packed pair unions pauli_min_weight forms at once
+_JOIN_BLOCK_BYTES = 1 << 24
+
+
 def pauli_min_weight(code: CssCode, p: PauliError, max_weight: int) -> Optional[int]:
     """Least weight of p times any stabiliser, or None when it exceeds budget.
 
     The X and Z coset sides are searched independently and then joined on
-    combined support, which is exact within the budget.
+    combined support, which is exact within the budget: every pair (e, f)
+    weighs popcount(e | f) on bit-packed rows, a block of e rows at a time.
     """
     if p.is_identity():
         return 0
     xs = _coset_elements(code, "x", p.e, max_weight)
     zs = _coset_elements(code, "z", p.f, max_weight)
-    best: Optional[int] = None
-    for ev in xs:
-        e_supp = np.flatnonzero(ev)
-        for fv in zs:
-            w = int(np.union1d(e_supp, np.flatnonzero(fv)).size)
-            if best is None or w < best:
-                best = w
-    if best is not None and best <= max_weight:
-        return best
-    return None
+    if not xs or not zs:
+        return None
+    e = np.packbits(xs, axis=1)
+    f = np.packbits(zs, axis=1)
+    rows = max(1, _JOIN_BLOCK_BYTES // max(1, f.size))
+    best = min(
+        int(np.bitwise_count(e[i : i + rows, np.newaxis] | f).sum(axis=2).min())
+        for i in range(0, len(e), rows)
+    )
+    return best if best <= max_weight else None
 
 
 @dataclass
@@ -262,7 +274,7 @@ def code_report(
     Check statistics pool the Z- and X-check rows together; the mean is an
     exact reduced rational.
     """
-    code = from_complex(complex_)
+    from_complex(complex_)  # validates, and rejects a non-CSS complex
     n = complex_.size(0)
     k = betti_number(complex_, 0)
     if k == n:
@@ -290,13 +302,10 @@ def code_report(
         d_ss = Distance(math.inf, "exact")
     from .product import redundancy as _redundancy
 
-    check_weights = np.concatenate(
-        [code.z_checks.sum(axis=1), code.x_checks.sum(axis=1)]
-    ).astype(np.int64)
-    qubit_degrees = (
-        code.z_checks.sum(axis=0).astype(np.int64)
-        + code.x_checks.sum(axis=0).astype(np.int64)
-    )
+    # Z checks are the rows of d_0, X checks the columns of d_-1
+    d_0, d_m1 = complex_.delta(0), complex_.delta(-1)
+    check_weights = np.concatenate([d_0.sum(axis=1), d_m1.sum(axis=0)]).astype(np.int64)
+    qubit_degrees = d_0.sum(axis=0).astype(np.int64) + d_m1.sum(axis=1).astype(np.int64)
     return CodeReport(
         n=n,
         k=k,

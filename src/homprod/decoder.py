@@ -20,6 +20,7 @@ from . import gf2
 from .bounds import PolyBound
 from .chain import Distance
 from .css import CssCode, PauliError, Syndrome, pauli_min_weight
+from .gf2 import BudgetExhausted
 
 __all__ = [
     "BudgetExhausted",
@@ -38,10 +39,6 @@ __all__ = [
 ]
 
 Number = Union[Fraction, float]
-
-
-class BudgetExhausted(RuntimeError):
-    """An enumeration budget ran out before any admissible solution."""
 
 
 @dataclass(frozen=True)

@@ -10,11 +10,26 @@ through float64 BLAS, which is faster for the small dense ones.
 Pivoting is always left-to-right over columns and tie-breaks are
 lexicographic (smallest support indices first), so every routine is
 deterministic.  Support sets are reported 1-based.
+
+The weight-ordered searches (min_weight_solution,
+all_solutions_up_to_weight, kernel_vectors_by_weight) meet in the
+middle over half tables of column combinations (see _WeightSearch).  A
+query that enumerates up to 384 right halves loops over them against a
+Python dict keyed by the exact packed column sum: the many shallow
+decoding queries pay per-call overhead, and a dict lookup has the
+least.  A larger query runs on sorted numpy arrays keyed by a 64-bit
+linear sketch of the column sum, for all right halves at once; every
+candidate is verified against the exact sum, so a sketch collision
+costs work, never a wrong answer, and results keep their (weight, lex)
+order.  A table whose estimated size exceeds a memory cap is never
+built: the search raises BudgetExhausted.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import weakref
 from typing import Callable, Iterator, Optional, TypeVar
 
@@ -34,6 +49,7 @@ __all__ = [
     "Gf2Solver",
     "get_solver",
     "memo",
+    "BudgetExhausted",
     "min_weight_solution",
     "all_solutions_up_to_weight",
     "kernel_vectors_by_weight",
@@ -323,9 +339,79 @@ def solve(m, b) -> Optional[np.ndarray]:
 # -- weight-ordered search ---------------------------------------------------
 
 
-def _columns_as_ints(m: np.ndarray) -> list[int]:
-    packed = np.packbits(m.T, axis=1)
-    return [int.from_bytes(row.tobytes(), "big") for row in packed]
+class BudgetExhausted(RuntimeError):
+    """An enumeration or memory budget ran out before any admissible solution."""
+
+
+# A query that enumerates more right halves than this runs on sorted numpy
+# half tables, all right halves at once; a smaller one loops over its right
+# halves against a Python dict.  The dict path costs about 0.35 us per right
+# half; the array path about 100 us per query plus a little per half.  On
+# weight-2 and weight-3 queries the two cost the same near 384 halves (the
+# dict path wins at 256, the array path at 512).  Below that sit the
+# shallow queries that dominate decoding.
+_ARRAY_MIN_RIGHT_HALVES = 384
+
+# Largest half table a search may build, in estimated bytes (C(n, k) entries
+# times the bytes per entry below); a larger one raises BudgetExhausted.
+_TABLE_BYTES_MAX = 1 << 30
+# Peak bytes per entry, measured with tracemalloc: a dict entry holds a
+# tuple, a list slot and its share of the dict (230-245 bytes); an array
+# entry holds one 8-byte key, plus the temporaries of building the table
+# (40-50 bytes) or of its heaviest query (65 bytes per right half, when the
+# target is zero and every right half meets itself).
+_DICT_ENTRY_BYTES = 256
+_ARRAY_ENTRY_BYTES = 80
+
+_SKETCH_SEED = 20180524
+# rows of packed vectors sketched per block, so the byte lookups of a wide
+# matrix stay near a megabyte
+_SKETCH_BLOCK_BYTES = 1 << 17
+
+
+@functools.lru_cache(maxsize=None)
+def _sketch_bytes(nbytes: int) -> np.ndarray:
+    """Sketch of every byte value at every byte position, (nbytes, 256)."""
+    # one pseudo-random word per bit position: splitmix64 of its index
+    z = (np.arange(8 * nbytes, dtype=np.uint64) + np.uint64(_SKETCH_SEED)) * np.uint64(
+        0x9E3779B97F4A7C15
+    )
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    words = (z ^ (z >> np.uint64(31))).reshape(nbytes, 8)
+    table = np.zeros((nbytes, 256), dtype=np.uint64)
+    for j in range(8):
+        # every byte value with bit j set, bit 0 the most significant as in packbits
+        table[:, (np.arange(256) >> (7 - j)) & 1 == 1] ^= words[:, j, np.newaxis]
+    table.setflags(write=False)
+    return table
+
+
+def _sketch(packed: np.ndarray) -> np.ndarray:
+    """64-bit linear sketch of each row of a packed (8 bits per byte) array.
+
+    A fixed, seeded GF(2) projection: bit i of a vector contributes one
+    pseudo-random 64-bit word, and the sketch is the XOR of the words of
+    its set bits, so sketch(a ^ b) = sketch(a) ^ sketch(b).  Looked up one
+    byte at a time.
+    """
+    rows, nbytes = packed.shape
+    table, positions = _sketch_bytes(nbytes), np.arange(nbytes)
+    out = np.zeros(rows, dtype=np.uint64)
+    step = max(1, _SKETCH_BLOCK_BYTES // max(1, 8 * nbytes))
+    for i in range(0, rows, step):
+        out[i : i + step] = np.bitwise_xor.reduce(table[positions, packed[i : i + step]], axis=1)
+    return out
+
+
+def _reserve(n: int, size: int, entry_bytes: int) -> None:
+    """Raise BudgetExhausted if a C(n, size)-entry table exceeds the cap."""
+    need = math.comb(n, size) * entry_bytes
+    if need > _TABLE_BYTES_MAX:
+        raise BudgetExhausted(
+            f"weight-search table of C({n}, {size}) = {math.comb(n, size)} "
+            f"entries needs about {need} bytes, above the {_TABLE_BYTES_MAX}-byte cap"
+        )
 
 
 def _combinations_by_sum(
@@ -341,53 +427,193 @@ def _combinations_by_sum(
 
 
 class _WeightSearch:
-    """Shared machinery: supports S with |S| = w and sum of columns = target.
+    """Supports S with |S| = w whose columns sum to a target, by meet in the middle.
 
-    Enumerates solutions of fixed support size by meet-in-the-middle over
-    column subsets; memoises the half-combination tables per matrix.
+    A size-w support splits into a left half of ceil(w/2) columns and a
+    right half of the rest, every left index below every right one.  The
+    left halves come from a table of all column combinations of that size,
+    built once per size and memoised with the search; the right halves are
+    enumerated per query, and each asks the table for the left halves whose
+    column sum is the target's plus its own.
+
+    The path follows the number of right halves a query enumerates,
+    C(n, right):
+
+    * up to _ARRAY_MIN_RIGHT_HALVES, a loop over the right halves against a
+      dict from the packed column sum (a Python int) to its combinations.
+      This is the path of the many shallow decoding queries, whose cost is
+      per-call overhead.
+    * above it, the left table is one sorted uint64 array of composite
+      keys: the 64-bit linear _sketch of a combination's column sum, with
+      its low bits replaced by the combination's code (its indices,
+      _index_bits each, first index highest, so codes order like lex
+      order).  A sum's sketch is the XOR of its columns' sketches, so all
+      right halves are keyed at once (from the right table, sorted the same
+      way), and the left halves whose sketch matches one right half are
+      one searchsorted range.  Each candidate is then checked for index
+      order and verified against the exact packed column sum, so a sketch
+      collision costs work, never a wrong answer; one lexsort restores lex
+      order.
+
+    Before a table is built its size is estimated; above _TABLE_BYTES_MAX
+    the search raises BudgetExhausted instead of running out of memory.
     """
 
     def __init__(self, m: np.ndarray) -> None:
         self.n = m.shape[1]
-        self.cols = _columns_as_ints(m)
-        self._tables: dict[int, dict[int, list[tuple[int, ...]]]] = {}
+        # column j of m as the big-endian int of its packed bytes
+        self.cols = [int.from_bytes(row.tobytes(), "big") for row in np.packbits(m.T, axis=1)]
+        self._nbytes = -(-m.shape[0] // 8)
+        self._hashed: dict[int, dict[int, list[tuple[int, ...]]]] = {}
+        self._sorted: dict[int, np.ndarray] = {}
+        # bits per index in a combination code: n itself must fit
+        self._index_bits = self.n.bit_length()
 
-    def _table(self, size: int) -> dict[int, list[tuple[int, ...]]]:
-        if size not in self._tables:
-            self._tables[size] = _combinations_by_sum(self.cols, size)
-        return self._tables[size]
+    def _padded(self, ints: list[int]) -> np.ndarray:
+        """Packed column sums as rows of whole uint64 words, zero-padded."""
+        width = -(-self._nbytes // 8) * 8
+        pad = 8 * (width - self._nbytes)
+        raw = b"".join((v << pad).to_bytes(width, "big") for v in ints)
+        return np.frombuffer(raw, dtype=np.uint64).reshape(len(ints), width // 8)
 
-    def supports(self, w: int, target: int) -> list[tuple[int, ...]]:
-        """All supports of size w whose column sum equals target, lex sorted.
+    @functools.cached_property
+    def _words(self) -> np.ndarray:
+        return self._padded(self.cols)
 
-        The larger half of the split is hashed once (memoised); the
-        smaller half is enumerated per query, so repeated queries against
-        one matrix stay cheap.
-        """
+    def _code_mask(self, size: int) -> np.uint64:
+        return np.uint64((1 << (size * self._index_bits)) - 1)
+
+    def _sorted_table(self, size: int) -> np.ndarray:
+        """Sorted composite keys of every size-`size` combination."""
+        if size not in self._sorted:
+            _reserve(self.n, size, _ARRAY_ENTRY_BYTES)
+            # longer codes would leave the sketch too few bits to keep
+            # candidates rare; only searches for about half of all columns
+            # of a narrow matrix get here
+            if size * self._index_bits > 48:
+                raise BudgetExhausted(
+                    f"codes of {size} indices below {self.n} need "
+                    f"{size * self._index_bits} bits, leaving too few for the sketch"
+                )
+            n = self.n
+            bits = np.uint64(self._index_bits)
+            sketches = _sketch(self._words.view(np.uint8))
+            codes = np.arange(n, dtype=np.uint64)
+            keys = sketches
+            for _ in range(size - 1):
+                # extend each combination by every index after its last
+                last = (codes & self._code_mask(1)).astype(np.intp)
+                counts = n - 1 - last
+                parent = np.repeat(np.arange(codes.size), counts)
+                shift = np.cumsum(counts) - counts - last - 1
+                new = np.arange(parent.size) - np.repeat(shift, counts)
+                codes = (codes[parent] << bits) | new.astype(np.uint64)
+                keys = keys[parent] ^ sketches[new]
+                # free this round's index arrays before the next, larger one
+                del last, counts, parent, shift, new
+            mask = self._code_mask(size)
+            keys = (keys & ~mask) | codes
+            del codes
+            keys.sort()
+            self._sorted[size] = keys
+        return self._sorted[size]
+
+    def _decode(self, codes: np.ndarray, size: int) -> np.ndarray:
+        """Index columns of combination codes, first index first."""
+        bits = self._index_bits
+        low = np.uint64((1 << bits) - 1)
+        shifts = np.arange(size - 1, -1, -1, dtype=np.uint64) * np.uint64(bits)
+        return ((codes[:, np.newaxis] >> shifts) & low).astype(np.intp)
+
+    def _matches(self, w: int, target: int):
+        """Supports of size w summing to target, in no particular order:
+        a list of tuples from the dict path, an int array (one support per
+        row) from the array path."""
         if w == 0:
             return [()] if target == 0 else []
-        left = (w + 1) // 2
-        right = w - left
-        out = []
+        right = w // 2
+        left = w - right
+        if right and math.comb(self.n, right) > _ARRAY_MIN_RIGHT_HALVES:
+            return self._array_matches(left, right, target)
+        table = self._hashed.get(left)
+        if table is None:
+            _reserve(self.n, left, _DICT_ENTRY_BYTES)
+            table = self._hashed[left] = _combinations_by_sum(self.cols, left)
         if right == 0:
-            for combo in self._table(left).get(target, ()):
-                out.append(combo)
-        else:
-            left_table = self._table(left)
-            cols = self.cols
-            for rc in itertools.combinations(range(self.n), right):
-                acc = target
-                for j in rc:
-                    acc ^= cols[j]
-                matches = left_table.get(acc)
-                if not matches:
-                    continue
-                first_rc = rc[0]
-                for lc in matches:
-                    if lc[-1] < first_rc:
-                        out.append(lc + rc)
-        out.sort()
+            return list(table.get(target, ()))
+        out = []
+        cols = self.cols
+        for rc in itertools.combinations(range(self.n), right):
+            acc = target
+            for j in rc:
+                acc ^= cols[j]
+            matches = table.get(acc)
+            if not matches:
+                continue
+            first_rc = rc[0]
+            for lc in matches:
+                if lc[-1] < first_rc:
+                    out.append(lc + rc)
         return out
+
+    def _array_matches(self, left: int, right: int, target: int) -> np.ndarray:
+        keys = self._sorted_table(left)
+        if not keys.size:
+            return np.zeros((0, left + right), dtype=np.intp)
+        target_words = self._padded([target])
+        left_mask, right_mask = self._code_mask(left), self._code_mask(right)
+        right_keys = self._sorted_table(right)
+        # each needle: the sketch a matching left half must have, above the
+        # right half's own code; sorted, they walk the keys in one direction,
+        # which searchsorted answers far faster than scattered ones
+        sketch_bits = ~left_mask
+        needles = (right_keys ^ _sketch(target_words.view(np.uint8))[0]) & sketch_bits
+        needles |= right_keys & right_mask
+        needles.sort()
+        lo = np.searchsorted(keys, needles & sketch_bits)
+        # a needle hits when the first key at or after it shares its sketch
+        at = keys[np.minimum(lo, keys.size - 1)]
+        at ^= needles
+        at &= sketch_bits
+        hit = np.flatnonzero((at == 0) & (lo < keys.size))
+        del at
+        lo, needles = lo[hit], needles[hit]
+        counts = np.searchsorted(keys, needles | left_mask, side="right")
+        counts -= lo
+        rows = np.repeat(lo - np.cumsum(counts) + counts, counts)
+        rows += np.arange(rows.size)
+        left_codes = keys[rows]
+        left_codes &= left_mask
+        del rows
+        right_codes = np.repeat(needles & right_mask, counts)
+        # every left index below every right one: last below first
+        last = left_codes & self._code_mask(1)
+        ordered = last < right_codes >> np.uint64((right - 1) * self._index_bits)
+        left_codes, right_codes = left_codes[ordered], right_codes[ordered]
+        supports = np.hstack([self._decode(left_codes, left), self._decode(right_codes, right)])
+        sums = np.bitwise_xor.reduce(self._words[supports], axis=1)
+        return supports[~(sums ^ target_words).any(axis=1)]
+
+    def supports(self, w: int, target: int) -> list[tuple[int, ...]]:
+        """All supports of size w whose column sum equals target, lex sorted."""
+        found = self._matches(w, target)
+        if isinstance(found, list):
+            found.sort()
+            return found
+        found = found[np.lexsort(found.T[::-1])]
+        return [tuple(s) for s in found.tolist()]
+
+    def first_support(self, w: int, target: int) -> Optional[tuple[int, ...]]:
+        """The lex-first support of size w summing to target, or None."""
+        found = self._matches(w, target)
+        if isinstance(found, list):
+            return min(found) if found else None
+        if not len(found):
+            return None
+        # narrow to the smallest entry column by column: no full sort
+        for j in range(w):
+            found = found[found[:, j] == found[:, j].min()]
+        return tuple(found[0].tolist())
 
 
 def _searcher(m: np.ndarray) -> _WeightSearch:
@@ -405,6 +631,21 @@ def _support_to_vector(support: tuple[int, ...], n: int) -> np.ndarray:
     return v
 
 
+def _search_inputs(m, b, max_weight: int) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """m and b (unless None) as uint8, after the checks every search shares."""
+    m = as_bin(m)
+    if max_weight < 0:
+        raise ValueError("max_weight must be >= 0")
+    if b is not None:
+        b = as_bin(b).reshape(-1)
+        if b.shape[0] != m.shape[0]:
+            raise ValueError(
+                f"dimension mismatch: matrix has {m.shape[0]} rows, "
+                f"vector has {b.shape[0]}"
+            )
+    return m, b
+
+
 def min_weight_solution(
     m, b, max_weight: int
 ) -> Optional[tuple[np.ndarray, int]]:
@@ -414,28 +655,22 @@ def min_weight_solution(
     lexicographically smallest support wins.  Returns None when every
     solution (if any) is heavier than the budget.
     """
-    m = as_bin(m)
-    b = as_bin(b).reshape(-1)
-    if b.shape[0] != m.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: matrix has {m.shape[0]} rows, "
-            f"vector has {b.shape[0]}"
-        )
-    if max_weight < 0:
-        raise ValueError("max_weight must be >= 0")
-    search = _searcher(m)
+    m, b = _search_inputs(m, b, max_weight)
     target = _target_int(b)
-    for w in range(max_weight + 1):
-        supports = search.supports(w, target)
-        if supports:
-            return _support_to_vector(supports[0], m.shape[1]), w
+    if target == 0:
+        # weight 0 needs no table: skip the searcher's memo lookup
+        return np.zeros(m.shape[1], dtype=np.uint8), 0
+    search = _searcher(m)
+    for w in range(1, max_weight + 1):
+        support = search.first_support(w, target)
+        if support is not None:
+            return _support_to_vector(support, m.shape[1]), w
     return None
 
 
 def all_solutions_up_to_weight(m, b, max_weight: int) -> list[np.ndarray]:
     """Every x with Mx = b and |x| <= max_weight, in (weight, lex) order."""
-    m = as_bin(m)
-    b = as_bin(b).reshape(-1)
+    m, b = _search_inputs(m, b, max_weight)
     search = _searcher(m)
     target = _target_int(b)
     out = []
@@ -447,7 +682,7 @@ def all_solutions_up_to_weight(m, b, max_weight: int) -> list[np.ndarray]:
 
 def kernel_vectors_by_weight(m, max_weight: int) -> Iterator[np.ndarray]:
     """Nonzero kernel vectors of M in increasing (weight, lex) order."""
-    m = as_bin(m)
+    m, _ = _search_inputs(m, None, max_weight)
     search = _searcher(m)
     for w in range(1, max_weight + 1):
         for support in search.supports(w, 0):

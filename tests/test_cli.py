@@ -156,6 +156,7 @@ def test_unknown_bound_is_a_usage_error(capsys, argv):
     err = capsys.readouterr().err
     assert exc.value.code == 2
     assert "--f" in err and "bogus" in err
+    assert "x^3/4" in err  # the valid names are listed
     assert "Traceback" not in err
 
 
@@ -321,6 +322,19 @@ class TestSweepAndRounds:
             "-n", "1", "--dq", "4", "--json", str(out), "--quiet",
         ) == 0
         assert len(json.loads(out.read_text())["rounds"]) == 1
+
+    def test_rounds_over_memory_cap_exits_3(self, tmp_path, rep2_build, capsys, monkeypatch):
+        monkeypatch.setattr(gf2, "_TABLE_BYTES_MAX", 4)
+        sched = tmp_path / "sched.json"
+        sched.write_text(json.dumps([{"e_support": [3]}]))
+        capsys.readouterr()
+        assert run(
+            "rounds", "--complex", rep2_build, "--schedule", str(sched),
+            "-n", "1", "--dq", "4", "--t", "2", "--quiet",
+        ) == 3
+        err = capsys.readouterr().err
+        assert "budget exhausted" in err and "byte cap" in err
+        assert "Traceback" not in err
 
     def test_sampled_sweep_with_zero_threshold(self, tmp_path, rep2_build, deadline):
         # t = 0 admits no (E, u) pair; sampling must stop, not spin

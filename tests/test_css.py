@@ -240,6 +240,20 @@ class TestPauliMinWeight:
             )
             assert css.pauli_min_weight(code, p, 5) == brute
 
+    def test_join_in_row_blocks(self, code33, monkeypatch):
+        # one X-side coset element per block gives the one-block minimum
+        rng = np.random.default_rng(13)
+        paulis = [
+            PauliError(
+                gf2.as_bin(rng.random(33) < 0.1), gf2.as_bin(rng.random(33) < 0.1)
+            )
+            for _ in range(20)
+        ]
+        whole = [css.pauli_min_weight(code33, p, 5) for p in paulis]
+        monkeypatch.setattr(css, "_JOIN_BLOCK_BYTES", 1)
+        assert [css.pauli_min_weight(code33, p, 5) for p in paulis] == whole
+        assert sum(w is not None and w > 0 for w in whole) >= 5  # not vacuous
+
 
 class TestCodeReport:
     def test_rep3_double(self, complex241):
@@ -269,6 +283,30 @@ class TestCodeReport:
         rep = css.code_report(double(REP2), max_weight=4)
         assert rep.n == 33 and rep.k == 1
         assert rep.d_q.value == 4 and rep.d_q.is_exact()
+
+    def test_table1_row_report_copies_no_transpose(self, monkeypatch):
+        from homprod import cli
+
+        _, breve = cli.build_stages(ChainComplex([cli.TABLE1_INPUTS["row4"]], j_min=0))
+        copies = []
+        real = css._transposed
+
+        def counting(m):
+            copies.append(m.shape)
+            return real(m)
+
+        monkeypatch.setattr(css, "_transposed", counting)
+        rep = css.code_report(breve, max_weight=1, distance_search=False)
+        assert copies == []
+        # the statistics equal those of the code's own check matrices
+        code = css.from_complex(breve)
+        z, x = code.z_checks.astype(np.int64), code.x_checks.astype(np.int64)
+        weights = np.concatenate([z.sum(axis=1), x.sum(axis=1)])
+        assert len(copies) == 1  # x_checks, copied on first use
+        assert rep.max_check_weight == weights.max()
+        assert rep.mean_check_weight == Fraction(int(weights.sum()), len(weights))
+        assert rep.max_qubit_degree == (z.sum(axis=0) + x.sum(axis=0)).max()
+        assert code.num_x_checks == x.shape[0] and len(copies) == 1
 
     def test_check_weight_invariants(self, complex241, code241):
         rep = css.code_report(complex241, max_weight=1, distance_search=False)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -267,6 +269,149 @@ class TestMinWeightSolution:
         m = bits([[1, 1, 0], [0, 1, 1]])
         sols = gf2.all_solutions_up_to_weight(m, bits([0, 0]), 3)
         assert [s.tolist() for s in sols] == [[0, 0, 0], [1, 1, 1]]
+
+
+class TestSearchInputs:
+    """The three weight searches share one length and one budget check."""
+
+    M = bits([[1, 1, 0], [0, 1, 1]])
+
+    @pytest.mark.parametrize("b", [[1], [1, 0, 0]], ids=["short", "long"])
+    @pytest.mark.parametrize(
+        "search", [gf2.min_weight_solution, gf2.all_solutions_up_to_weight]
+    )
+    def test_wrong_length_target(self, search, b):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            search(self.M, bits(b), 3)
+
+    def test_negative_budget(self):
+        for call in (
+            lambda: gf2.min_weight_solution(self.M, bits([1, 0]), -1),
+            lambda: gf2.all_solutions_up_to_weight(self.M, bits([1, 0]), -1),
+            lambda: list(gf2.kernel_vectors_by_weight(self.M, -1)),
+        ):
+            with pytest.raises(ValueError, match="max_weight"):
+                call()
+
+
+def _brute_supports(m: np.ndarray, b: np.ndarray, w: int) -> list[tuple[int, ...]]:
+    """Size-w column sets summing to b, by filtering itertools.combinations."""
+    cols = [int("".join(map(str, col)) or "0", 2) for col in m.T]
+    target = int("".join(map(str, b)) or "0", 2)
+    out = []
+    for combo in itertools.combinations(range(m.shape[1]), w):
+        acc = 0
+        for j in combo:
+            acc ^= cols[j]
+        if acc == target:
+            out.append(combo)
+    return out  # combinations come in lex order
+
+
+@st.composite
+def search_case(draw):
+    """A matrix of up to 8 x 12 and a target: a sum of columns or random bits."""
+    rows, cols = draw(st.integers(0, 8)), draw(st.integers(0, 12))
+    m = draw(arrays(np.uint8, (rows, cols), elements=st.integers(0, 1)))
+    if draw(st.booleans()):
+        x = draw(arrays(np.uint8, (cols,), elements=st.integers(0, 1)))
+        b = gf2.mat_vec(m, x)
+    else:
+        b = draw(arrays(np.uint8, (rows,), elements=st.integers(0, 1)))
+    return m, b
+
+
+def _zero_sketch(packed):
+    return np.zeros(len(packed), dtype=np.uint64)
+
+
+class TestWeightSearch:
+    """Both half-table representations give the brute-force supports in lex
+    order; the sorted arrays stay exact when every sketch collides."""
+
+    @pytest.mark.parametrize(
+        "patches",
+        [
+            {"_ARRAY_MIN_RIGHT_HALVES": -1},
+            {"_ARRAY_MIN_RIGHT_HALVES": 1 << 62},
+            {"_ARRAY_MIN_RIGHT_HALVES": -1, "_sketch": _zero_sketch},
+        ],
+        ids=["arrays", "dicts", "arrays-colliding-sketch"],
+    )
+    @given(search_case())
+    @settings(max_examples=60)
+    def test_equals_brute_force(self, patches, case):
+        m, b = case
+        with pytest.MonkeyPatch.context() as mp:
+            for name, value in patches.items():
+                mp.setattr(gf2, name, value)
+            search = gf2._WeightSearch(m)
+            target = gf2._target_int(b)
+            expected = [_brute_supports(m, b, w) for w in range(7)]
+            for w in range(7):
+                assert search.supports(w, target) == expected[w]
+                assert search.first_support(w, target) == (
+                    expected[w][0] if expected[w] else None
+                )
+            listed = gf2.all_solutions_up_to_weight(m, b, 6)
+            assert [tuple(np.flatnonzero(v)) for v in listed] == [
+                s for per_weight in expected for s in per_weight
+            ]
+            first = next((s for per_weight in expected for s in per_weight), None)
+            found = gf2.min_weight_solution(m, b, 6)
+            if first is None:
+                assert found is None
+            else:
+                assert tuple(np.flatnonzero(found[0])) == first
+                assert found[1] == len(first)
+
+    def test_sketch_is_linear_and_blockwise(self, monkeypatch):
+        rng = np.random.default_rng(2)
+        a, b = (rng.integers(0, 256, (40, 19), dtype=np.uint8) for _ in range(2))
+        whole = gf2._sketch(a)
+        assert (gf2._sketch(a ^ b) == whole ^ gf2._sketch(b)).all()
+        assert len(set(whole.tolist())) == 40  # distinct vectors, distinct sketches
+        monkeypatch.setattr(gf2, "_SKETCH_BLOCK_BYTES", 8)  # one row per block
+        assert (gf2._sketch(a) == whole).all()
+
+    def test_path_follows_right_half_count(self, monkeypatch):
+        monkeypatch.setattr(gf2, "_ARRAY_MIN_RIGHT_HALVES", 10)
+        search = gf2._WeightSearch(gf2.identity(6))
+        search.supports(3, 0)  # C(6, 1) = 6 right halves: dict
+        assert list(search._hashed) == [2] and not search._sorted
+        search.supports(4, 0)  # C(6, 2) = 15 right halves: arrays
+        assert list(search._sorted) == [2]
+        search.supports(1, 1)  # one (empty) right half: always a dict lookup
+        assert sorted(search._hashed) == [1, 2] and list(search._sorted) == [2]
+
+
+class TestMemoryCap:
+    """A half table over the byte cap raises BudgetExhausted before it is built."""
+
+    def test_table_over_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(gf2, "_TABLE_BYTES_MAX", 4)
+        m = bits([[1, 1, 0], [0, 1, 1]])
+        # weight 0 needs no table
+        assert gf2.min_weight_solution(m, bits([0, 0]), 3)[1] == 0
+        with pytest.raises(gf2.BudgetExhausted, match=r"C\(3, 1\) = 3 entries"):
+            gf2.min_weight_solution(m, bits([1, 0]), 3)
+
+    def test_sorted_table_over_cap_raises(self, monkeypatch):
+        search = gf2._WeightSearch(gf2.identity(6))
+        monkeypatch.setattr(gf2, "_TABLE_BYTES_MAX", 15 * gf2._ARRAY_ENTRY_BYTES - 1)
+        with pytest.raises(gf2.BudgetExhausted, match=r"C\(6, 2\) = 15 entries"):
+            search._sorted_table(2)
+        monkeypatch.setattr(gf2, "_TABLE_BYTES_MAX", 15 * gf2._ARRAY_ENTRY_BYTES)
+        assert search._sorted_table(2).size == 15
+
+    def test_default_cap_admits_the_241_qubit_tables(self):
+        # C(241, 3) entries as arrays: the deep coset search of the 241-qubit code
+        gf2._reserve(241, 3, gf2._ARRAY_ENTRY_BYTES)
+
+    def test_decoder_raises_the_same_class(self):
+        from homprod import decoder
+
+        assert decoder.BudgetExhausted is gf2.BudgetExhausted
 
 
 class TestReshape:
