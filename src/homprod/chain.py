@@ -21,14 +21,12 @@ from . import gf2
 __all__ = [
     "ChainComplex",
     "Distance",
-    "LevelReport",
     "ValidationError",
     "validate",
     "betti_number",
     "cobetti_number",
     "homological_distance",
     "cohomological_distance",
-    "level_report",
     "save_complex",
     "load_complex",
     "DEFAULT_DISTANCE_BUDGET",
@@ -60,16 +58,6 @@ class Distance:
     def to_json(self) -> dict:
         v = "inf" if math.isinf(self.value) else int(self.value)
         return {"value": v, "status": self.status}
-
-
-@dataclass(frozen=True)
-class LevelReport:
-    level: int
-    size: int
-    betti: int
-    cobetti: int
-    distance: Distance
-    codistance: Distance
 
 
 _UNCHECKED = object()
@@ -260,19 +248,6 @@ def cohomological_distance(
         complex_.delta(j + 1).T,
         betti_number(complex_, j + 1),
         max_weight,
-    )
-
-
-def level_report(
-    complex_: ChainComplex, j: int, max_weight: int = DEFAULT_DISTANCE_BUDGET
-) -> LevelReport:
-    return LevelReport(
-        level=j,
-        size=complex_.size(j),
-        betti=betti_number(complex_, j),
-        cobetti=cobetti_number(complex_, j),
-        distance=homological_distance(complex_, j, max_weight),
-        codistance=cohomological_distance(complex_, j, max_weight),
     )
 
 

@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 input error, 3 enumeration budget exhausted,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -88,59 +89,24 @@ TABLE1_EXPECTED = {
 }
 
 
-def classical_distance(base: ChainComplex) -> Distance:
-    """Exact distance of the classical code of a length-1 complex."""
-    return chain.homological_distance(base, 0, base.size(0))
-
-
 def build_stages(base: ChainComplex) -> tuple[ChainComplex, ChainComplex]:
     """The single product of base and the double product of that."""
     tilde = product.single_product(base)
     return tilde, product.double_product(tilde)
 
 
-def checked_d_q(
-    base: ChainComplex, floor: Distance, witness: Optional[np.ndarray]
-) -> Distance:
-    """Exact d_q of the double product of base, in closed form.
-
-    Raises ContractViolation when it lies below the enumeration result
-    floor (or differs from it, when floor is exact) or above the weight of
-    a verified logical witness.
-    """
-    closed = product.product_params(base).distances
-    d_q = css.combine_distances(closed["d_0"], closed["d_-1^T"])
-    shown = d_q.to_json()["value"]
-    if d_q.value < floor.value or (floor.is_exact() and d_q.value != floor.value):
-        raise ContractViolation(
-            f"closed-form d_q {shown} disagrees with the enumerated {floor.to_json()}"
-        )
-    if witness is not None and d_q.value > gf2.weight(witness):
-        raise ContractViolation(
-            f"closed-form d_q {shown} exceeds the weight {gf2.weight(witness)} "
-            "of a logical witness"
-        )
-    return d_q
-
-
-def run_table1_row(name: str, max_weight: int) -> dict:
+def run_table1_row(name: str) -> dict:
     base = ChainComplex([TABLE1_INPUTS[name]], j_min=0)
     tilde, breve = build_stages(base)
-    report = css.code_report(breve, max_weight=max_weight, distance_search=False)
-    # a full d_q search is out of reach at these sizes; weight 2 gives a floor
-    floor = css.combine_distances(
-        chain.homological_distance(breve, 0, 2),
-        chain.cohomological_distance(breve, -1, 2),
-    )
-    d = classical_distance(base)
-    witness = product.double_distance_witness(tilde, breve, max_weight=int(d.value))
-    d_q = checked_d_q(base, floor, witness)
+    report = css.code_report(breve)
+    # a full search is out of reach at these sizes; weight 2 checks the closed form
+    params = Parameters(Stored(breve, base, tilde), floor_weight=2)
     computed = {
         "n_q": report.n,
         "k_q": report.k,
-        "d_q": d_q.to_json(),
-        "d_q_witness_upper": None if witness is None else gf2.weight(witness),
-        "d_ss": report.d_ss.to_json()["value"],
+        "d_q": params.d_q.to_json(),
+        "d_q_witness_upper": params.witness_weight,
+        "d_ss": params.d_ss.to_json()["value"],
         "max_check_weight": report.max_check_weight,
         "mean_check_weight": float(report.mean_check_weight),
         "mean_check_weight_exact": str(report.mean_check_weight),
@@ -160,7 +126,7 @@ def run_table1_row(name: str, max_weight: int) -> dict:
     }
     row = {"input": name, "computed": computed, "expected": expected, "matches": matches}
     if not matches["redundancy"]:
-        closed_form = product.product_params(base).level_sizes
+        closed_form = params.closed.level_sizes
         row["note"] = (
             f"computed redundancy {computed['redundancy_exact']} = "
             f"{computed['redundancy']:.5f} differs from the tabulated "
@@ -177,7 +143,7 @@ def _matches_rounded(value: Fraction, expected_str: str, tol: float = 1e-5) -> b
 
 
 def cmd_table1(cfg: RunConfig, args) -> int:
-    rows = [run_table1_row(n, cfg.max_weight) for n in TABLE1_INPUTS]
+    rows = [run_table1_row(n) for n in TABLE1_INPUTS]
     all_match = all(
         all(r["matches"].values()) or ("note" in r and _only_redundancy_off(r))
         for r in rows
@@ -277,10 +243,132 @@ def _load_complex(path: str) -> ChainComplex:
         raise InputError(f"cannot load complex from {path!r}: {exc}") from exc
 
 
+# -- provenance and parameters ------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Stored:
+    """A complex with, when known, the classical code it is built from (base,
+    the length-1 complex of the checks H) and the single product of that (tilde)."""
+
+    complex_: ChainComplex
+    base: Optional[ChainComplex] = None
+    tilde: Optional[ChainComplex] = None
+
+
+def load_stored(path: str) -> Stored:
+    """The complex stored at path, with its base when classical.pcm sits beside
+    it: an input error unless the base rebuilds every stored map bit for bit."""
+    complex_ = _load_complex(path)
+    pcm = os.path.join(path, "classical.pcm")
+    if not os.path.exists(pcm):
+        return Stored(complex_)
+    base = ChainComplex([_load_classical(pcm)], j_min=0)
+    tilde = product.single_product(base)
+    built = tilde if complex_.length == 2 else product.double_product(tilde)
+    if (built.j_min, built.length) != (complex_.j_min, complex_.length) or not all(
+        np.array_equal(a, b) for a, b in zip(built.boundaries, complex_.boundaries)
+    ):
+        raise InputError(f"{pcm!r} does not build the complex stored beside it")
+    return Stored(complex_, base, tilde)
+
+
+def _agreeing(name: str, closed: Distance, floor: Distance) -> Distance:
+    """closed, checked against an enumeration result: at least a lower bound,
+    equal to an exact value."""
+    if closed.value < floor.value or (floor.is_exact() and closed.value != floor.value):
+        raise ContractViolation(
+            f"closed-form {name} {closed.to_json()['value']} disagrees with "
+            f"the enumerated {floor.to_json()}"
+        )
+    return closed
+
+
+class Parameters:
+    """d_q, d_ss and the soundness threshold t for every command, each worked
+    out on first use; a d_q or t given here is used as it is.  With a base,
+    d_q and d_ss are exact from product.product_params, and a disagreement
+    with the enumeration to floor_weight, or a double product's d_q above a
+    verified logical witness, raises ContractViolation (an explicit raise,
+    kept by python -O); t is min(d(H), d(H^T)).  Without a base, d_q and
+    d_ss are the enumeration results and t must be given."""
+
+    def __init__(
+        self, stored: Stored, floor_weight: int, d_q: Optional[int] = None, t: Optional[int] = None
+    ) -> None:
+        self.stored, self.floor_weight = stored, floor_weight
+        self._given_d_q, self._given_t = d_q, t
+
+    @functools.cached_property
+    def closed(self) -> Optional[product.ProductParams]:
+        s = self.stored
+        return None if s.base is None else product.product_params(s.base, s.complex_.length // 2)
+
+    @functools.cached_property
+    def classical(self) -> tuple[Distance, Distance]:
+        """d(H) and d(H^T), each exact."""
+        base = self.stored.base
+        return (
+            chain.homological_distance(base, 0, max(base.size(0), 1)),
+            chain.cohomological_distance(base, 0, max(base.size(1), 1)),
+        )
+
+    @functools.cached_property
+    def t(self) -> Distance:
+        if self._given_t is not None:
+            return Distance(float(self._given_t), "exact")
+        if self.stored.base is None:
+            raise InputError(
+                "no soundness threshold: pass --t or keep classical.pcm beside the complex"
+            )
+        return css.combine_distances(*self.classical)
+
+    @functools.cached_property
+    def witness_weight(self) -> Optional[int]:
+        """Weight of a verified qubit-level logical of a double product, or None."""
+        s = self.stored
+        if s.base is None or s.complex_.length != 4 or math.isinf(self.classical[0].value):
+            return None
+        found = product.double_distance_witness(s.tilde, s.complex_, int(self.classical[0].value))
+        return None if found is None else gf2.weight(found)
+
+    @functools.cached_property
+    def d_q(self) -> Distance:
+        if self._given_d_q is not None:
+            return Distance(float(self._given_d_q), "external")
+        floor = css.qubit_distance(self.stored.complex_, self.floor_weight)
+        if self.closed is None:
+            return floor
+        closed = self.closed.distances
+        d_q = _agreeing("d_q", css.combine_distances(closed["d_0"], closed["d_-1^T"]), floor)
+        if self.witness_weight is not None and d_q.value > self.witness_weight:
+            raise ContractViolation(
+                f"closed-form d_q {d_q.to_json()['value']} exceeds the weight "
+                f"{self.witness_weight} of a logical witness"
+            )
+        return d_q
+
+    @functools.cached_property
+    def d_ss(self) -> Distance:
+        floor = css.single_shot_distance(self.stored.complex_, self.floor_weight)
+        if self.closed is None or self.stored.complex_.length != 4:
+            return floor
+        closed = self.closed.distances
+        return _agreeing("d_ss", css.combine_distances(closed["d_1"], closed["d_-2^T"]), floor)
+
+    def budget(self, bound: bounds.PolyBound) -> decoder.SingleShotBudget:
+        t = self.t  # first: a missing threshold fails before any search
+        return decoder.single_shot_budget(self.d_ss, t, self.d_q, bound)
+
+    def report_json(self, report: css.CodeReport) -> dict:
+        """report's statistics with d_q and d_ss."""
+        return {**report.to_json(), "d_q": self.d_q.to_json(), "d_ss": self.d_ss.to_json()}
+
+
 def cmd_report(cfg: RunConfig, args) -> int:
-    complex_ = _load_complex(args.complex)
-    rep = css.code_report(complex_, max_weight=cfg.max_weight)
-    payload = rep.to_json()
+    stored = load_stored(args.complex)
+    rep = css.code_report(stored.complex_)
+    payload = Parameters(stored, cfg.max_weight).report_json(rep)
     text = (
         f"[[{rep.n}, {rep.k}]]  d_q: {payload['d_q']}  d_ss: {payload['d_ss']}\n"
         f"max check weight {rep.max_check_weight}, "
@@ -307,11 +395,7 @@ def cmd_decode(cfg: RunConfig, args) -> int:
     complex_ = _load_complex(args.complex)
     code = css.from_complex(complex_)
     s = _load_syndrome(args.syndrome, code)
-    try:
-        result = decoder.single_shot_decode(code, s, cfg.max_weight)
-    except decoder.BudgetExhausted as exc:
-        print(f"budget exhausted: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+    result = decoder.single_shot_decode(code, s, cfg.max_weight)
     payload = {
         "metacheck_failure": result.metacheck_failure,
         "s_rec_weight": result.s_rec.weight(),
@@ -330,37 +414,10 @@ def _support_1based(v: np.ndarray) -> list[int]:
     return [int(i) + 1 for i in np.flatnonzero(v)]
 
 
-def _infer_threshold(args, dirpath: str) -> Distance:
-    if getattr(args, "t", None) is not None:
-        return Distance(float(args.t), "exact")
-    classical = os.path.join(dirpath, "classical.pcm")
-    if os.path.exists(classical):
-        base = ChainComplex([_load_classical(classical)], j_min=0)
-        return css.combine_distances(
-            classical_distance(base),
-            chain.cohomological_distance(base, 0, base.size(0)),
-        )
-    raise InputError(
-        "no soundness threshold: pass --t or keep classical.pcm beside the complex"
-    )
-
-
-def _command_budget(
-    cfg: RunConfig, args, complex_: ChainComplex, t: Distance
-) -> decoder.SingleShotBudget:
-    """Budget from one code report; --dq replaces (and skips) the d_q search."""
-    report = css.code_report(
-        complex_, max_weight=cfg.max_weight, distance_search=args.dq is None
-    )
-    d_q = report.d_q if args.dq is None else Distance(float(args.dq), "external")
-    return decoder.single_shot_budget(report.d_ss, t, d_q, args.f)
-
-
 def cmd_sweep(cfg: RunConfig, args) -> int:
-    complex_ = _load_complex(args.complex)
-    code = css.from_complex(complex_)
-    t = _infer_threshold(args, args.complex)
-    budget = _command_budget(cfg, args, complex_, t)
+    stored = load_stored(args.complex)
+    code = css.from_complex(stored.complex_)
+    budget = Parameters(stored, cfg.max_weight, d_q=args.dq, t=args.t).budget(args.f)
     limits = decoder.SweepLimits(
         u_max=args.umax, e_max=args.emax, samples=args.samples, seed=cfg.seed
     )
@@ -392,8 +449,8 @@ def _support_vector(entry: dict, key: str, length: int, k: int) -> np.ndarray:
 
 
 def cmd_rounds(cfg: RunConfig, args) -> int:
-    complex_ = _load_complex(args.complex)
-    code = css.from_complex(complex_)
+    stored = load_stored(args.complex)
+    code = css.from_complex(stored.complex_)
     try:
         with open(args.schedule, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -415,8 +472,7 @@ def cmd_rounds(cfg: RunConfig, args) -> int:
     while len(schedule) < args.rounds:
         schedule.append(schedule[len(schedule) % len(raw)])
     schedule = schedule[: args.rounds]
-    t = _infer_threshold(args, args.complex)
-    budget = _command_budget(cfg, args, complex_, t)
+    budget = Parameters(stored, cfg.max_weight, d_q=args.dq, t=args.t).budget(args.f)
     records = decoder.simulate_rounds(
         code, budget, schedule, max_weight=cfg.max_weight
     )
@@ -465,9 +521,9 @@ def cmd_profile(cfg: RunConfig, args) -> int:
 
 
 def cmd_certify(cfg: RunConfig, args) -> int:
-    complex_ = _load_complex(args.complex)
-    delta = _select_map(complex_, args.map)
-    t = _infer_threshold(args, args.complex)
+    stored = load_stored(args.complex)
+    delta = _select_map(stored.complex_, args.map)
+    t = Parameters(stored, cfg.max_weight, t=args.t).t
     profile = soundness.certify_map(delta, t.value, args.f, x_max=args.xmax)
     payload = profile.to_json()
     emit(cfg, payload, f"verdict: {profile.verdict.kind} ({profile.verdict.detail})")
@@ -475,38 +531,29 @@ def cmd_certify(cfg: RunConfig, args) -> int:
 
 
 def cmd_witness(cfg: RunConfig, args) -> int:
-    complex_ = _load_complex(args.complex)
-    classical = os.path.join(args.complex, "classical.pcm")
-    if not os.path.exists(classical):
+    stored = load_stored(args.complex)
+    if stored.base is None:
         raise InputError("witness generation needs classical.pcm beside the complex")
-    h = _load_classical(classical)
+    h = stored.base.delta(0)
     s = gf2.flatten_matrix(_load_classical(args.syndrome))
-    t = _infer_threshold(args, args.complex)
+    t = Parameters(stored, cfg.max_weight, t=args.t).t
     threshold = None if math.isinf(t.value) else int(t.value)
     try:
-        if complex_.length == 2:
+        # the loader admits a base only beside its single or double product
+        if stored.complex_.length == 2:
             side = {"xt": "from_redundancy", "zt": "from_checks"}.get(args.map)
             if side is None:
                 raise InputError("single-product witnesses need --map zt or xt")
-            witness = soundness.single_product_preimage(
-                h, s, side, threshold, tilde=complex_
+            out = soundness.single_product_preimage(
+                h, s, side, threshold, tilde=stored.complex_
             )
-            r, flag = witness.r, witness.bound_guaranteed
-        elif complex_.length == 4:
-            stage1 = os.path.join(args.complex, "stage1")
-            tilde = (
-                _load_complex(stage1)
-                if os.path.exists(stage1)
-                else product.single_product(ChainComplex([h], j_min=0))
-            )
-            out = soundness.double_product_preimage(
-                h, tilde, complex_, s, threshold=threshold
-            )
-            r, flag = out.r, out.bound_guaranteed
         else:
-            raise InputError("witnesses need a length-2 or length-4 complex")
+            out = soundness.double_product_preimage(
+                h, stored.tilde, stored.complex_, s, threshold=threshold
+            )
     except soundness.PreimageError as exc:
         raise InputError(str(exc)) from exc
+    r, flag = out.r, out.bound_guaranteed
     payload = {
         "weight": gf2.weight(r),
         "support": _support_1based(r),
@@ -594,19 +641,18 @@ def cmd_pipeline(cfg: RunConfig, args) -> int:
     chain.save_complex(args.out, breve)
     gf2.write_pcm(os.path.join(args.out, "classical.pcm"), h)
 
-    d = classical_distance(base)
-    report = css.code_report(breve, max_weight=min(cfg.max_weight, 3))
+    params = Parameters(Stored(breve, base, tilde), min(cfg.max_weight, 3))
+    report = css.code_report(breve)
     cube = bounds.CUBIC_OVER_4
-    cert_z = soundness.certify_map(breve.delta(0), d.value, cube)
-    cert_x = soundness.certify_map(breve.delta(-1).T, d.value, cube)
-    witness = product.double_distance_witness(tilde, breve, max_weight=int(d.value))
-    d_q = checked_d_q(base, report.d_q, witness)
-    budget = decoder.single_shot_budget(report.d_ss, d, d_q, cube)
+    budget = params.budget(cube)
+    cert_z = soundness.certify_map(breve.delta(0), params.t.value, cube)
+    cert_x = soundness.certify_map(breve.delta(-1).T, params.t.value, cube)
+    d = params.classical[0].to_json()["value"]
     summary = {
-        "classical": {"n": h.shape[1], "checks": h.shape[0], "distance": int(d.value)},
-        "code": report.to_json(),
-        "d_q": d_q.to_json(),
-        "d_q_witness_upper": None if witness is None else gf2.weight(witness),
+        "classical": {"n": h.shape[1], "checks": h.shape[0], "distance": d},
+        "code": params.report_json(report),
+        "d_q": params.d_q.to_json(),
+        "d_q_witness_upper": params.witness_weight,
         "soundness_z": cert_z.to_json(),
         "soundness_x": cert_x.to_json(),
         "single_shot_budget": budget.to_json(),

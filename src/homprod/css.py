@@ -34,6 +34,8 @@ __all__ = [
     "CodeReport",
     "from_complex",
     "pauli_min_weight",
+    "qubit_distance",
+    "single_shot_distance",
     "code_report",
 ]
 
@@ -87,7 +89,7 @@ class Syndrome:
 
 
 class NotACssComplex(ValueError):
-    """A complex whose length or levels give no CSS code."""
+    """A complex whose length, levels or all-zero check maps give no CSS code."""
 
 
 def _transposed(m: np.ndarray) -> np.ndarray:
@@ -124,6 +126,8 @@ class CssCode:
         self._complex = complex_
         self.z_checks = complex_.delta(0)
         self.n = self.z_checks.shape[1]
+        if not (self.z_checks.any() or complex_.delta(-1).any()):
+            raise NotACssComplex(f"no independent checks: all {self.n} qubits are logical")
         self.z_metachecks = complex_.delta(1) if complex_.length == 4 else None
 
     @functools.cached_property
@@ -224,12 +228,36 @@ def pauli_min_weight(code: CssCode, p: PauliError, max_weight: int) -> Optional[
     return best if best <= max_weight else None
 
 
+def combine_distances(a: Distance, b: Distance) -> Distance:
+    """min of two distances, exact only when the lesser one is (on a tie,
+    either); a lower bound only caps from below."""
+    lesser = min((a, b), key=lambda d: (d.value, not d.is_exact()))
+    return lesser if lesser.is_exact() else Distance(lesser.value, "lower_bound")
+
+
+def qubit_distance(complex_: ChainComplex, max_weight: int) -> Distance:
+    """d_q searched to max_weight: the lesser of the X and Z logical weights."""
+    return combine_distances(
+        homological_distance(complex_, 0, max_weight),
+        cohomological_distance(complex_, -1, max_weight),
+    )
+
+
+def single_shot_distance(complex_: ChainComplex, max_weight: int) -> Distance:
+    """d_ss searched to max_weight: the least weight of a metacheck-consistent
+    non-syndrome.  Infinite, unsearched, without metachecks or homology at 1, -1."""
+    if complex_.length != 4 or betti_number(complex_, 1) == betti_number(complex_, -1) == 0:
+        return Distance(math.inf, "exact")
+    return combine_distances(
+        homological_distance(complex_, 1, max_weight),
+        cohomological_distance(complex_, -2, max_weight),
+    )
+
+
 @dataclass
 class CodeReport:
     n: int
     k: int
-    d_q: Distance
-    d_ss: Distance
     redundancy: Fraction
     max_check_weight: int
     mean_check_weight: Fraction
@@ -239,8 +267,6 @@ class CodeReport:
         return {
             "n": self.n,
             "k": self.k,
-            "d_q": self.d_q.to_json(),
-            "d_ss": self.d_ss.to_json(),
             "redundancy": {
                 "value": float(self.redundancy),
                 "exact": str(self.redundancy),
@@ -254,52 +280,14 @@ class CodeReport:
         }
 
 
-def combine_distances(a: Distance, b: Distance) -> Distance:
-    """min of two distances; a lower bound only caps from below."""
-    if a.status == "exact" and b.status == "exact":
-        chosen = a if a.value <= b.value else b
-        return chosen
-    if a.status == "exact" and a.value <= b.value:
-        return a
-    if b.status == "exact" and b.value <= a.value:
-        return b
-    return Distance(min(a.value, b.value), "lower_bound")
-
-
-def code_report(
-    complex_: ChainComplex, max_weight: int = 4, distance_search: bool = True
-) -> CodeReport:
-    """All code parameters of a complex, distances carrying exactness status.
+def code_report(complex_: ChainComplex) -> CodeReport:
+    """Size, logical count, redundancy and check statistics of a complex.
 
     Check statistics pool the Z- and X-check rows together; the mean is an
-    exact reduced rational.
+    exact reduced rational.  The distances are qubit_distance and
+    single_shot_distance.
     """
     from_complex(complex_)  # validates, and rejects a non-CSS complex
-    n = complex_.size(0)
-    k = betti_number(complex_, 0)
-    if k == n:
-        raise NotACssComplex(
-            f"no independent checks: all {n} qubits are logical, "
-            "so the redundancy is undefined"
-        )
-    if distance_search:
-        d_q = combine_distances(
-            homological_distance(complex_, 0, max_weight),
-            cohomological_distance(complex_, -1, max_weight),
-        )
-    else:
-        d_q = Distance(1.0, "lower_bound")
-    if complex_.length == 4:
-        if betti_number(complex_, 1) == 0 and betti_number(complex_, -1) == 0:
-            d_ss = Distance(math.inf, "exact")
-        else:
-            d_ss = combine_distances(
-                homological_distance(complex_, 1, max_weight),
-                cohomological_distance(complex_, -2, max_weight),
-            )
-    else:
-        # no metachecks: every metacheck-consistent syndrome is a syndrome
-        d_ss = Distance(math.inf, "exact")
     from .product import redundancy as _redundancy
 
     # Z checks are the rows of d_0, X checks the columns of d_-1
@@ -307,14 +295,10 @@ def code_report(
     check_weights = np.concatenate([d_0.sum(axis=1), d_m1.sum(axis=0)]).astype(np.int64)
     qubit_degrees = d_0.sum(axis=0).astype(np.int64) + d_m1.sum(axis=1).astype(np.int64)
     return CodeReport(
-        n=n,
-        k=k,
-        d_q=d_q,
-        d_ss=d_ss,
+        n=complex_.size(0),
+        k=betti_number(complex_, 0),
         redundancy=_redundancy(complex_),
-        max_check_weight=int(check_weights.max()) if check_weights.size else 0,
-        mean_check_weight=Fraction(int(check_weights.sum()), len(check_weights))
-        if check_weights.size
-        else Fraction(0),
-        max_qubit_degree=int(qubit_degrees.max()) if qubit_degrees.size else 0,
+        max_check_weight=int(check_weights.max()),
+        mean_check_weight=Fraction(int(check_weights.sum()), len(check_weights)),
+        max_qubit_degree=int(qubit_degrees.max()),
     )

@@ -9,6 +9,7 @@ search, so results are deterministic and minimality is certified per side.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -31,7 +32,6 @@ __all__ = [
     "SweepReport",
     "RoundRecord",
     "repair_syndrome",
-    "qubit_decode",
     "single_shot_decode",
     "single_shot_budget",
     "adversarial_sweep",
@@ -142,23 +142,10 @@ def repair_syndrome(code: CssCode, s: Syndrome, max_weight: int) -> RepairOutcom
     return RepairOutcome(s_rec, not code.in_syndrome_image(repaired))
 
 
-def qubit_decode(
-    code: CssCode, repaired: Syndrome, max_weight: int
-) -> tuple[PauliError, bool]:
-    """Minimum-weight Pauli with the given (metacheck-consistent) syndrome.
-
-    Returns (error, certified); certified means both per-side searches
-    exhausted every lower weight, which the increasing-weight enumeration
-    always does when it succeeds.
-    """
-    if not code.in_syndrome_image(repaired):
-        raise ValueError("repaired syndrome has no Pauli explanation")
-    return _min_weight_pauli(code, repaired, max_weight), True
-
-
 def _min_weight_pauli(code: CssCode, repaired: Syndrome, max_weight: int) -> PauliError:
-    """The two per-side searches of qubit_decode, for a syndrome already
-    known to lie in the image."""
+    """Minimum-weight Pauli with a syndrome already known to lie in the
+    image: one increasing-weight search per side, so minimality is certain
+    whenever both succeed."""
     found_e = gf2.min_weight_solution(code.z_checks, repaired.z_part, max_weight)
     if found_e is None:
         raise BudgetExhausted(f"no X-part recovery within weight {max_weight}")
@@ -183,7 +170,7 @@ def single_shot_decode(
             outcome.s_rec, PauliError.identity(code.n), True, None, False
         )
     # repair_syndrome has already checked that the repaired syndrome lies
-    # in the image, so only qubit_decode's searches remain
+    # in the image, so only the per-side searches remain
     e_rec = _min_weight_pauli(code, s.compose(outcome.s_rec), max_weight)
     residual_wt: Optional[int] = None
     if true_error is not None:
@@ -204,7 +191,6 @@ class SweepLimits:
     e_max: int
     samples: Optional[int] = None
     seed: int = 0
-    error_sides: str = "both"  # "x", "z", or "both" (mixed Paulis included)
 
 
 @dataclass(frozen=True)
@@ -260,20 +246,16 @@ def _pauli_from_typed_support(
     return PauliError(e, f)
 
 
-def _iter_errors_exhaustive(n: int, e_max: int, sides: str):
-    import itertools
-
-    type_choices = {"x": (0,), "z": (1,), "both": (0, 1, 2)}[sides]
+def _iter_errors_exhaustive(n: int, e_max: int):
+    """Every Pauli of weight <= e_max; a qubit's type is 0 (X), 1 (Z) or 2 (Y)."""
     yield PauliError.identity(n)
     for w in range(1, e_max + 1):
         for support in itertools.combinations(range(n), w):
-            for types in itertools.product(type_choices, repeat=w):
+            for types in itertools.product((0, 1, 2), repeat=w):
                 yield _pauli_from_typed_support(n, support, types)
 
 
 def _iter_u_exhaustive(m: int, u_max: int):
-    import itertools
-
     yield np.zeros(m, dtype=np.uint8)
     for w in range(1, u_max + 1):
         for support in itertools.combinations(range(m), w):
@@ -350,7 +332,7 @@ def adversarial_sweep(
             u_weight = int(u.sum())
             if not u_weight < budget.measurement_budget:
                 continue
-            for error in _iter_errors_exhaustive(code.n, limits.e_max, limits.error_sides):
+            for error in _iter_errors_exhaustive(code.n, limits.e_max):
                 if not budget.admits(u_weight, error.weight()):
                     continue
                 pairs += 1
@@ -359,7 +341,6 @@ def adversarial_sweep(
         # admits only shrinks as the weights grow: a budget that refuses the
         # empty pair refuses every pair, and rejection sampling would spin
         rng = np.random.default_rng(limits.seed)
-        type_choices = {"x": (0,), "z": (1,), "both": (0, 1, 2)}[limits.error_sides]
         while pairs < limits.samples:
             uw = int(rng.integers(0, limits.u_max + 1))
             u = np.zeros(m, dtype=np.uint8)
@@ -367,7 +348,7 @@ def adversarial_sweep(
                 u[rng.choice(m, size=uw, replace=False)] = 1
             ew = int(rng.integers(0, limits.e_max + 1))
             support = tuple(sorted(rng.choice(code.n, size=ew, replace=False).tolist())) if ew else ()
-            types = tuple(int(type_choices[i]) for i in rng.integers(0, len(type_choices), size=ew))
+            types = tuple(int(i) for i in rng.integers(0, 3, size=ew))
             error = _pauli_from_typed_support(code.n, support, types)
             if not budget.admits(int(u.sum()), error.weight()):
                 continue
@@ -379,6 +360,10 @@ def adversarial_sweep(
 
 
 # -- multi-round containment ----------------------------------------------------
+
+# least weight every round's residual search reaches, so a round with a smaller
+# f(2|u|), out-of-contract rounds included, still reports its residual weight
+_RESIDUAL_SEARCH_CAP = 6
 
 
 @dataclass(frozen=True)
@@ -406,7 +391,6 @@ def simulate_rounds(
     budget: SingleShotBudget,
     schedule: list[tuple[PauliError, np.ndarray]],
     max_weight: int = 6,
-    residual_search_cap: int = 6,
 ) -> list[RoundRecord]:
     """Iterate decoding over a schedule of (new physical error, measurement
     error) rounds, carrying the residual forward.
@@ -431,7 +415,7 @@ def simulate_rounds(
         total = new_error.compose(residual)
         s = code.syndrome(total).compose(split_measurement_error(code, u))
         allowed = budget.bound(2 * u_weight)
-        cap = max(int(allowed), residual_search_cap)
+        cap = max(int(allowed), _RESIDUAL_SEARCH_CAP)
         result = single_shot_decode(
             code, s, max_weight, true_error=total, residual_budget=cap
         )

@@ -249,16 +249,12 @@ def kernel_basis(m) -> list[np.ndarray]:
     m = as_bin(m)
     n = m.shape[1]
     red, pivots = _rref(m)
-    pivot_set = set(pivots)
-    free = [c for c in range(n) if c not in pivot_set]
-    basis = []
-    for f in free:
-        v = np.zeros(n, dtype=np.uint8)
-        v[f] = 1
-        for row_idx, p in enumerate(pivots):
-            v[p] = red[row_idx, f]
-        basis.append(v)
-    return basis
+    free = np.setdiff1d(np.arange(n), pivots)
+    basis = np.zeros((free.size, n), dtype=np.uint8)
+    basis[np.arange(free.size), free] = 1
+    # free column f's vector takes red[row, f] at the pivot of each row
+    basis[:, pivots] = red[: len(pivots), free].T
+    return list(basis)
 
 
 def annihilator(m) -> np.ndarray:
@@ -362,6 +358,11 @@ _TABLE_BYTES_MAX = 1 << 30
 # target is zero and every right half meets itself).
 _DICT_ENTRY_BYTES = 256
 _ARRAY_ENTRY_BYTES = 80
+# Peak bytes per candidate of an array query (a left half whose sketch matches
+# a right half's), the same way: 33-35 bytes of indices and codes before the
+# index-order filter, then up to 16 per column word the verification gathers.
+_CANDIDATE_BYTES = 40
+_CANDIDATE_WORD_BYTES = 16
 
 _SKETCH_SEED = 20180524
 # rows of packed vectors sketched per block, so the byte lookups of a wide
@@ -404,14 +405,18 @@ def _sketch(packed: np.ndarray) -> np.ndarray:
     return out
 
 
-def _reserve(n: int, size: int, entry_bytes: int) -> None:
-    """Raise BudgetExhausted if a C(n, size)-entry table exceeds the cap."""
-    need = math.comb(n, size) * entry_bytes
+def _require_under_cap(need: int, what: str) -> None:
     if need > _TABLE_BYTES_MAX:
         raise BudgetExhausted(
-            f"weight-search table of C({n}, {size}) = {math.comb(n, size)} "
-            f"entries needs about {need} bytes, above the {_TABLE_BYTES_MAX}-byte cap"
+            f"{what} needs about {need} bytes, above the {_TABLE_BYTES_MAX}-byte cap"
         )
+
+
+def _reserve(n: int, size: int, entry_bytes: int) -> None:
+    """Raise BudgetExhausted if a C(n, size)-entry table exceeds the cap."""
+    entries = math.comb(n, size)
+    what = f"weight-search table of C({n}, {size}) = {entries} entries"
+    _require_under_cap(entries * entry_bytes, what)
 
 
 def _combinations_by_sum(
@@ -580,6 +585,9 @@ class _WeightSearch:
         lo, needles = lo[hit], needles[hit]
         counts = np.searchsorted(keys, needles | left_mask, side="right")
         counts -= lo
+        candidates = int(counts.sum())
+        need = candidates * (_CANDIDATE_BYTES + _CANDIDATE_WORD_BYTES * self._words.shape[1])
+        _require_under_cap(need, f"weight-search query of {candidates} candidates")
         rows = np.repeat(lo - np.cumsum(counts) + counts, counts)
         rows += np.arange(rows.size)
         left_codes = keys[rows]

@@ -81,7 +81,7 @@ def budget241():
 
 def test_criterion_01_table_reproduction():
     start = time.monotonic()
-    rows = {name: cli.run_table1_row(name, max_weight=3) for name in cli.TABLE1_INPUTS}
+    rows = {name: cli.run_table1_row(name) for name in cli.TABLE1_INPUTS}
     elapsed = time.monotonic() - start
 
     expected_n = {"row1": 241, "row2": 913, "row3": 486, "row4": 3856}
@@ -123,8 +123,8 @@ def test_criterion_02_single_shot_distance():
         breve = product.double_product(product.single_product(complex_of(h)))
         assert chain.betti_number(breve, 1) == 0
         assert chain.betti_number(breve, -1) == 0
-        rep = css.code_report(breve, max_weight=1, distance_search=False)
-        assert math.isinf(rep.d_ss.value) and rep.d_ss.is_exact()
+        d_ss = css.single_shot_distance(breve, 1)
+        assert math.isinf(d_ss.value) and d_ss.is_exact()
     elapsed = time.monotonic() - start
     assert elapsed < 600, f"single-shot distances took {elapsed:.1f}s"
     ok(2, "single-shot distance")
@@ -502,7 +502,7 @@ def test_criterion_11_energy_barriers():
     t_z = _largest_certified_threshold(patch_complex.delta(0), quad, 4)
     t_x = _largest_certified_threshold(patch_complex.delta(-1).T, quad, 4)
     t_cert = min(t_z, t_x)
-    d_q = int(css.code_report(patch_complex, max_weight=4).d_q.value)
+    d_q = int(css.qubit_distance(patch_complex, 4).value)
     bound = stab.barrier_bound(d_q, t_cert, quad, int(checks.qubit_degrees().max()))
     assert bound.satisfied_by(report.barrier)
 

@@ -244,11 +244,10 @@ class TestCohomologicalDistance:
 class TestLevelReport:
     def test_rep3_product_level0(self):
         s = product.single_product(rep3_minimal())
-        rep = chain.level_report(s, 0, 6)
-        assert rep.size == 13
-        assert rep.betti == rep.cobetti == 1
-        assert rep.distance.value == 3
-        assert math.isinf(rep.codistance.value)
+        assert s.size(0) == 13
+        assert chain.betti_number(s, 0) == chain.cobetti_number(s, 0) == 1
+        assert chain.homological_distance(s, 0, 6).value == 3
+        assert math.isinf(chain.cohomological_distance(s, 0, 6).value)
 
 
 class TestSerialization:

@@ -20,14 +20,15 @@ def run(*argv):
     return cli.main(list(argv))
 
 
-def closed_form_with_d_q(d_q):
-    """product.product_params with both qubit-level distances set to d_q."""
+def closed_form_with_d_q(d_q, keys=("d_0", "d_-1^T")):
+    """product.product_params with the distances under keys (by default
+    both qubit-level ones) set to d_q."""
     real = product.product_params
 
     def fake(base, stages=2):
         params = real(base, stages)
         wrong = chain.Distance(d_q, "exact")
-        distances = {**params.distances, "d_0": wrong, "d_-1^T": wrong}
+        distances = {**params.distances, **{key: wrong for key in keys}}
         return dataclasses.replace(params, distances=distances)
 
     return fake
@@ -204,6 +205,87 @@ def test_all_zero_complex_is_an_input_error(tmp_path, capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["report"],
+        ["sweep", "--samples", "2"],
+        ["certify", "--map", "z"],
+        ["witness", "--syndrome", "s.pcm"],
+    ],
+    ids=["report", "sweep", "certify", "witness"],
+)
+def test_classical_pcm_that_does_not_build_the_complex(tmp_path, rep2_build, capsys, argv):
+    # rep-3's check matrix beside the rep-2 double product
+    gf2.write_pcm(os.path.join(rep2_build, "classical.pcm"), REP3)
+    gf2.write_pcm(tmp_path / "s.pcm", np.zeros((1, 40), dtype=np.uint8))
+    argv = [str(tmp_path / a) if a == "s.pcm" else a for a in argv]
+    capsys.readouterr()
+    assert run(*argv, "--complex", rep2_build, "--quiet") == 2
+    err = capsys.readouterr().err
+    assert "input error" in err and "classical.pcm" in err
+    assert "does not build the complex" in err
+    assert "Traceback" not in err
+
+
+def built(tmp_path, h):
+    pcm, out = tmp_path / "h.pcm", tmp_path / "built"
+    gf2.write_pcm(pcm, h)
+    assert run(
+        "build", "--classical", str(pcm), "--out", str(out), "--allow-redundant", "--quiet"
+    ) == 0
+    return str(out)
+
+
+@pytest.fixture()
+def rep3_build(tmp_path):
+    return built(tmp_path, REP3)
+
+
+class TestExactFromProvenance:
+    """A complex with its classical.pcm gets d_q and d_ss in closed form,
+    not a bound."""
+
+    @pytest.mark.parametrize("h, d_ss", [(REP3, "inf"), (CYC3, 3)], ids=["rep3", "cyc3"])
+    def test_report(self, tmp_path, h, d_ss):
+        out = tmp_path / "report.json"
+        assert run(
+            "report", "--complex", built(tmp_path, h), "--max-weight", "2",
+            "--json", str(out), "--quiet",
+        ) == 0
+        payload = json.loads(out.read_text())
+        assert payload["d_q"] == {"value": 9, "status": "exact"}
+        assert payload["d_ss"] == {"value": d_ss, "status": "exact"}
+
+    def test_closed_form_d_ss_disagreement_exits_4(self, tmp_path, monkeypatch, capsys):
+        complex_dir = built(tmp_path, CYC3)
+        monkeypatch.setattr(
+            product, "product_params", closed_form_with_d_q(2, keys=("d_1", "d_-2^T"))
+        )
+        capsys.readouterr()
+        assert run("report", "--complex", complex_dir, "--max-weight", "3", "--quiet") == 4
+        assert "closed-form d_ss 2 disagrees" in capsys.readouterr().err
+
+    def test_sweep_budget(self, tmp_path, rep3_build):
+        out = tmp_path / "sweep.json"
+        assert run(
+            "sweep", "--complex", rep3_build, "--samples", "3", "--max-weight", "3",
+            "--json", str(out), "--quiet",
+        ) == 0
+        budget = json.loads(out.read_text())["budget"]
+        assert budget["qubit_budget"] == 4.5 and budget["qubit_status"] == "exact"
+        assert budget["measurement_budget"] == 1.5  # t = d(H) = 3
+
+    def test_without_provenance_d_q_is_a_bound(self, tmp_path, rep3_build):
+        os.remove(os.path.join(rep3_build, "classical.pcm"))
+        out = tmp_path / "report.json"
+        assert run(
+            "report", "--complex", rep3_build, "--max-weight", "2",
+            "--json", str(out), "--quiet",
+        ) == 0
+        assert json.loads(out.read_text())["d_q"] == {"value": 3, "status": "lower_bound"}
+
+
 class TestReport:
     def test_json_round_trip(self, tmp_path, rep2_build):
         out = tmp_path / "report.json"
@@ -371,20 +453,23 @@ class TestSweepAndRounds:
 
 
 class TestOneCodeReport:
+    """Each command searches d_q once, through cli.Parameters, to its own
+    weight: --max-weight, 3 at most in pipeline, 2 in table1; --dq skips it."""
+
     @pytest.fixture()
-    def reports(self, monkeypatch):
-        calls = []
-        real = css.code_report
+    def searches(self, monkeypatch):
+        weights = []
+        real = css.qubit_distance
 
-        def counting(*args, **kwargs):
-            calls.append(kwargs.get("distance_search", True))
-            return real(*args, **kwargs)
+        def counting(complex_, max_weight):
+            weights.append(max_weight)
+            return real(complex_, max_weight)
 
-        monkeypatch.setattr(css, "code_report", counting)
-        return calls
+        monkeypatch.setattr(css, "qubit_distance", counting)
+        return weights
 
     @pytest.mark.parametrize("dq", [[], ["--dq", "4"]])
-    def test_sweep_and_rounds(self, tmp_path, rep2_build, reports, dq):
+    def test_sweep_and_rounds(self, tmp_path, rep2_build, searches, dq):
         sched = tmp_path / "sched.json"
         sched.write_text(json.dumps([{"e_support": [3]}]))
         assert run("sweep", "--complex", rep2_build, "--samples", "5", *dq, "--quiet") == 0
@@ -392,17 +477,18 @@ class TestOneCodeReport:
             "rounds", "--complex", rep2_build, "--schedule", str(sched), "-n", "2",
             *dq, "--quiet",
         ) == 0
-        assert reports == [not dq, not dq]
+        default = chain.DEFAULT_DISTANCE_BUDGET
+        assert searches == ([] if dq else [default, default])
 
-    def test_pipeline(self, tmp_path, rep2_pcm, reports):
+    def test_pipeline(self, tmp_path, rep2_pcm, searches):
         assert run(
             "pipeline", "--classical", rep2_pcm, "--out", str(tmp_path / "p"), "--quiet"
         ) == 0
-        assert reports == [True]
+        assert searches == [3]
 
-    def test_table1_row(self, reports):
-        cli.run_table1_row("row1", max_weight=3)
-        assert reports == [False]
+    def test_table1_row(self, searches):
+        cli.run_table1_row("row1")
+        assert searches == [2]
 
 
 class TestSoundnessCommands:
@@ -542,7 +628,7 @@ class TestTable1:
             real(self, m)
 
         monkeypatch.setattr(gf2.Gf2Solver, "__init__", counting)
-        cli.run_table1_row(name, chain.DEFAULT_DISTANCE_BUDGET)
+        cli.run_table1_row(name)
         assert len(built) >= 4
         assert all(shape[0] and shape[1] for shape, _ in built)
         assert max(built.values()) == 1
@@ -594,6 +680,24 @@ class TestPipeline:
         assert payload["single_shot_budget"]["qubit_budget"] == 2.0
         assert payload["d_q_witness_upper"] == 4
 
+    def test_threshold_of_redundant_input_matches_certify(self, tmp_path):
+        # d(H) = 3 but d(H^T) = 2: t is the smaller, as certify takes it
+        p, out = tmp_path / "h.pcm", tmp_path / "pipe"
+        gf2.write_pcm(p, gf2.as_bin([[1, 1, 0], [0, 1, 1], [0, 1, 1]]))
+        summary, cert = tmp_path / "summary.json", tmp_path / "certify.json"
+        assert run(
+            "pipeline", "--classical", str(p), "--out", str(out), "--allow-redundant",
+            "--json", str(summary), "--quiet",
+        ) == 0
+        assert run(
+            "certify", "--complex", str(out), "--map", "z", "--f", "x3",
+            "--json", str(cert), "--quiet",
+        ) == 0
+        payload = json.loads(summary.read_text())
+        assert payload["soundness_z"]["threshold"] == 2
+        assert payload["soundness_x"]["threshold"] == 2
+        assert json.loads(cert.read_text())["threshold"] == 2
+
     def test_rejects_redundant(self, tmp_path):
         p = tmp_path / "cyc3.pcm"
         gf2.write_pcm(p, CYC3)
@@ -634,19 +738,33 @@ class TestPipeline:
 
 
 class TestCheckedDq:
-    def test_exact_floor_must_agree(self):
+    """cli.Parameters checks the closed-form d_q against its search."""
+
+    @pytest.fixture()
+    def rep2_d_q(self, monkeypatch):
         base = ChainComplex([REP2], j_min=0)
-        assert cli.checked_d_q(base, chain.Distance(4, "exact"), None).value == 4
+        tilde, breve = cli.build_stages(base)
+
+        def d_q(floor):
+            monkeypatch.setattr(css, "qubit_distance", lambda complex_, max_weight: floor)
+            return cli.Parameters(cli.Stored(breve, base, tilde), 4).d_q
+
+        return d_q
+
+    def test_exact_floor_must_agree(self, rep2_d_q):
+        assert rep2_d_q(chain.Distance(4, "exact")).value == 4
         with pytest.raises(cli.ContractViolation):
-            cli.checked_d_q(base, chain.Distance(3, "exact"), None)
+            rep2_d_q(chain.Distance(3, "exact"))
 
     def test_guard_survives_optimize_flag(self):
         # the guard is an explicit raise, not an assert that -O strips
         code = (
-            "from homprod import chain, cli, gf2\n"
+            "from homprod import chain, cli, css, gf2\n"
             "base = chain.ChainComplex([gf2.as_bin([[1, 1]])], j_min=0)\n"
+            "tilde, breve = cli.build_stages(base)\n"
+            "css.qubit_distance = lambda c, w: chain.Distance(5, 'lower_bound')\n"
             "try:\n"
-            "    cli.checked_d_q(base, chain.Distance(5, 'lower_bound'), None)\n"
+            "    cli.Parameters(cli.Stored(breve, base, tilde), 4).d_q\n"
             "except cli.ContractViolation:\n"
             "    raise SystemExit(7)\n"
         )

@@ -257,32 +257,36 @@ class TestPauliMinWeight:
 
 class TestCodeReport:
     def test_rep3_double(self, complex241):
-        rep = css.code_report(complex241, max_weight=3)
+        rep = css.code_report(complex241)
         assert rep.n == 241
         assert rep.k == 1
         assert rep.max_check_weight == 6
         assert rep.mean_check_weight == Fraction(190, 39)
         assert round(float(rep.mean_check_weight), 5) == 4.87179
         assert rep.redundancy == Fraction(13, 10)
-        assert math.isinf(rep.d_ss.value) and rep.d_ss.is_exact()
-        assert rep.d_q.status == "lower_bound"
+        d_ss = css.single_shot_distance(complex241, 3)
+        assert math.isinf(d_ss.value) and d_ss.is_exact()
+        assert css.qubit_distance(complex241, 3).status == "lower_bound"
 
     def test_six_two_double(self):
-        rep = css.code_report(double(SIX_TWO), max_weight=1, distance_search=False)
+        breve = double(SIX_TWO)
+        rep = css.code_report(breve)
         assert rep.n == 3856 and rep.k == 16
         assert rep.max_check_weight == 8
         assert round(float(rep.mean_check_weight), 5) == 5.48077
         assert rep.redundancy == Fraction(13, 10)
-        assert math.isinf(rep.d_ss.value)
+        assert math.isinf(css.single_shot_distance(breve, 1).value)
 
     def test_cyclic_single_shot_distance(self):
-        rep = css.code_report(double(CYC3), max_weight=3)
-        assert rep.d_ss.value == 3 and rep.d_ss.is_exact()
+        d_ss = css.single_shot_distance(double(CYC3), 3)
+        assert d_ss.value == 3 and d_ss.is_exact()
 
     def test_rep2_double_exact_distance(self):
-        rep = css.code_report(double(REP2), max_weight=4)
+        breve = double(REP2)
+        rep = css.code_report(breve)
         assert rep.n == 33 and rep.k == 1
-        assert rep.d_q.value == 4 and rep.d_q.is_exact()
+        d_q = css.qubit_distance(breve, 4)
+        assert d_q.value == 4 and d_q.is_exact()
 
     def test_table1_row_report_copies_no_transpose(self, monkeypatch):
         from homprod import cli
@@ -296,7 +300,7 @@ class TestCodeReport:
             return real(m)
 
         monkeypatch.setattr(css, "_transposed", counting)
-        rep = css.code_report(breve, max_weight=1, distance_search=False)
+        rep = css.code_report(breve)
         assert copies == []
         # the statistics equal those of the code's own check matrices
         code = css.from_complex(breve)
@@ -309,7 +313,7 @@ class TestCodeReport:
         assert code.num_x_checks == x.shape[0] and len(copies) == 1
 
     def test_check_weight_invariants(self, complex241, code241):
-        rep = css.code_report(complex241, max_weight=1, distance_search=False)
+        rep = css.code_report(complex241)
         weights = np.concatenate(
             [code241.z_checks.sum(axis=1), code241.x_checks.sum(axis=1)]
         )

@@ -111,35 +111,43 @@ class TestRepairSyndrome:
 
 
 class TestQubitDecode:
+    """The qubit stage of single_shot_decode: a syndrome with no measurement
+    error needs no repair, so the decode is the minimum-weight Pauli."""
+
     def test_zero_syndrome(self, code33):
-        e_rec, certified = decoder.qubit_decode(
+        result = decoder.single_shot_decode(
             code33, code33.syndrome(PauliError.identity(33)), 3
         )
-        assert e_rec.is_identity() and certified
+        assert result.s_rec.is_zero()
+        assert result.e_rec.is_identity() and result.minimality_certified
 
     def test_single_error_recovered_exactly(self, code33):
         # distance 4 > 2: weight-1 errors decode to themselves
         for q in range(33):
             err = single_x(33, q)
-            e_rec, _ = decoder.qubit_decode(code33, code33.syndrome(err), 3)
-            assert (e_rec.e == err.e).all() and not e_rec.f.any()
+            result = decoder.single_shot_decode(code33, code33.syndrome(err), 3)
+            assert result.s_rec.is_zero()
+            assert (result.e_rec.e == err.e).all() and not result.e_rec.f.any()
 
     def test_weight_two_syndrome(self, code241):
         err = PauliError.x_only(
             gf2.as_bin(np.eye(241, dtype=np.uint8)[3] | np.eye(241, dtype=np.uint8)[77])
         )
-        e_rec, certified = decoder.qubit_decode(code241, code241.syndrome(err), 3)
-        assert certified
+        result = decoder.single_shot_decode(code241, code241.syndrome(err), 3)
+        assert result.s_rec.is_zero() and result.minimality_certified
+        e_rec = result.e_rec
         assert e_rec.weight() <= 2
         assert (code241.syndrome(e_rec).z_part == code241.syndrome(err).z_part).all()
 
     def test_rejects_unexplainable_syndrome(self, code486):
+        # metacheck-consistent, but no Pauli explains it: no recovery is applied
         witness = chain.homological_distance(double(CYC3), 1, 3).witness
         s = decoder.split_measurement_error(
             code486, np.concatenate([witness, np.zeros(324, dtype=np.uint8)])
         )
-        with pytest.raises(ValueError):
-            decoder.qubit_decode(code486, s, 3)
+        result = decoder.single_shot_decode(code486, s, 3)
+        assert result.metacheck_failure and not result.minimality_certified
+        assert result.e_rec.is_identity()
 
 
 class TestSingleShotDecode:

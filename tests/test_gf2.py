@@ -64,6 +64,19 @@ class TestKernel:
         for v in gf2.kernel_basis(m):
             assert not gf2.mat_vec(m, v).any()
 
+    @given(bin_matrix(max_rows=8, max_cols=10))
+    def test_one_vector_per_free_column(self, m):
+        # reference: free column f's vector is red[row, f] at each row's pivot
+        red, pivots = gf2._rref(m)
+        expected = []
+        for f in (c for c in range(m.shape[1]) if c not in pivots):
+            v = np.zeros(m.shape[1], dtype=np.uint8)
+            v[f] = 1
+            for row, p in enumerate(pivots):
+                v[p] = red[row, f]
+            expected.append(v.tolist())
+        assert [v.tolist() for v in gf2.kernel_basis(m)] == expected
+
 
 @st.composite
 def product_pair(draw):
@@ -403,6 +416,15 @@ class TestMemoryCap:
             search._sorted_table(2)
         monkeypatch.setattr(gf2, "_TABLE_BYTES_MAX", 15 * gf2._ARRAY_ENTRY_BYTES)
         assert search._sorted_table(2).size == 15
+
+    def test_query_over_cap_raises(self, monkeypatch):
+        # the weight-2 tables take 780 entries, but the weight-4 query of an
+        # all-zero row pairs 780 right halves with 780 left halves each
+        monkeypatch.setattr(gf2, "_TABLE_BYTES_MAX", 1 << 20)
+        search = gf2._WeightSearch(gf2.zeros(1, 40))
+        search._sorted_table(2)
+        with pytest.raises(gf2.BudgetExhausted, match="608400 candidates"):
+            list(gf2.kernel_vectors_by_weight(gf2.zeros(1, 40), 4))
 
     def test_default_cap_admits_the_241_qubit_tables(self):
         # C(241, 3) entries as arrays: the deep coset search of the 241-qubit code

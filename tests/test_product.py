@@ -379,7 +379,7 @@ class TestProductDistances:
 
     def test_full_rank_input_gives_d_squared(self):
         for h in (REP3, REP4, KUNNETH_CODES["hamming74"], SIX_TWO):
-            d = cli.classical_distance(complex_of(h)).value
+            d = chain.homological_distance(complex_of(h), 0, h.shape[1]).value
             closed = product.product_params(complex_of(h)).distances
             assert closed["d_0"].value == closed["d_-1^T"].value == d * d
             assert math.isinf(closed["d_1"].value) and math.isinf(closed["d_-2^T"].value)
@@ -388,7 +388,7 @@ class TestProductDistances:
     def test_equals_table1_witness(self, name):
         base = complex_of(cli.TABLE1_INPUTS[name])
         tilde, breve = cli.build_stages(base)
-        d = cli.classical_distance(base)
+        d = chain.homological_distance(base, 0, base.size(0))
         witness = product.double_distance_witness(tilde, breve, max_weight=int(d.value))
         assert witness is not None
         closed = product.product_params(base).distances
