@@ -198,10 +198,13 @@ def _distance_search(
         raise AssertionError("negative homology dimension; complex is invalid")
     if homology_dim == 0:
         return Distance(math.inf, "exact")
-    # a map with no columns (out of an end level) has image {0}, so every
-    # nonzero cycle is nontrivial and there is nothing to eliminate
-    image_solver = gf2.get_solver(image_map) if image_map.size else None
+    # the image is eliminated at the first cycle found, so a search that finds
+    # none builds no solver; a map with no columns (out of an end level) has
+    # image {0}, so every nonzero cycle is nontrivial and none is ever built
+    image_solver = None
     for c in gf2.kernel_vectors_by_weight(kernel_map, max_weight):
+        if image_solver is None and image_map.size:
+            image_solver = gf2.get_solver(image_map)
         if image_solver is None or not image_solver.in_image(c):
             return Distance(float(gf2.weight(c)), "exact", c)
     return Distance(float(max_weight + 1), "lower_bound")

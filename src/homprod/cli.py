@@ -380,6 +380,17 @@ def cmd_report(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
+def _code_with_metachecks(complex_: ChainComplex, command: str) -> css.CssCode:
+    """The code of complex_, which must carry metachecks for command to run."""
+    code = css.from_complex(complex_)
+    if not code.has_metachecks:
+        raise InputError(
+            f"{command} needs a code with metachecks (a length-4 complex, as "
+            f"build --stages 2 writes); this complex has length {complex_.length}"
+        )
+    return code
+
+
 def _load_syndrome(path: str, code: css.CssCode) -> css.Syndrome:
     m = _load_classical(path)
     v = gf2.flatten_matrix(m)
@@ -392,8 +403,7 @@ def _load_syndrome(path: str, code: css.CssCode) -> css.Syndrome:
 
 
 def cmd_decode(cfg: RunConfig, args) -> int:
-    complex_ = _load_complex(args.complex)
-    code = css.from_complex(complex_)
+    code = _code_with_metachecks(_load_complex(args.complex), "decode")
     s = _load_syndrome(args.syndrome, code)
     result = decoder.single_shot_decode(code, s, cfg.max_weight)
     payload = {
@@ -416,7 +426,7 @@ def _support_1based(v: np.ndarray) -> list[int]:
 
 def cmd_sweep(cfg: RunConfig, args) -> int:
     stored = load_stored(args.complex)
-    code = css.from_complex(stored.complex_)
+    code = _code_with_metachecks(stored.complex_, "sweep")
     budget = Parameters(stored, cfg.max_weight, d_q=args.dq, t=args.t).budget(args.f)
     limits = decoder.SweepLimits(
         u_max=args.umax, e_max=args.emax, samples=args.samples, seed=cfg.seed
@@ -450,7 +460,7 @@ def _support_vector(entry: dict, key: str, length: int, k: int) -> np.ndarray:
 
 def cmd_rounds(cfg: RunConfig, args) -> int:
     stored = load_stored(args.complex)
-    code = css.from_complex(stored.complex_)
+    code = _code_with_metachecks(stored.complex_, "rounds")
     try:
         with open(args.schedule, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -635,6 +645,13 @@ def cmd_barrier(cfg: RunConfig, args) -> int:
 def cmd_pipeline(cfg: RunConfig, args) -> int:
     base = _load_base(args.classical, args.allow_redundant)
     h = base.delta(0)
+    if gf2.rank(h) == h.shape[1]:
+        # no codeword: t = min(d(H), d(H^T)) can be infinite, and certify_map
+        # would enumerate syndromes of every weight
+        raise InputError(
+            f"check matrix {args.classical!r} has k = 0 (rank(H) = n = {h.shape[1]}): "
+            "it has no nonzero codeword"
+        )
     tilde, breve = build_stages(base)
     os.makedirs(args.out, exist_ok=True)
     chain.save_complex(os.path.join(args.out, "stage1"), tilde)
@@ -684,6 +701,17 @@ def _bound(name: str) -> bounds.PolyBound:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _positive(text: str) -> int:
+    """--max-weight converter: an enumeration budget below 1 is a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="homprod",
@@ -697,7 +725,7 @@ def make_parser() -> argparse.ArgumentParser:
             **({"default": argparse.SUPPRESS} if suppress else {"default": 0}),
         )
         target.add_argument(
-            "--max-weight", type=int,
+            "--max-weight", type=_positive,
             help="enumeration budget for distances and decoding",
             **({"default": argparse.SUPPRESS} if suppress
                else {"default": chain.DEFAULT_DISTANCE_BUDGET}),

@@ -1,10 +1,14 @@
 """GF(2) linear algebra on numpy uint8 arrays.
 
-Matrices are row-major uint8 arrays with entries in {0, 1}.  The
-elimination kernels and the zero-product test (product_is_zero) pack
-rows into bit-packed buffers (8 columns per byte) so that row
-operations run as vectorised byte XORs; unpacked arrays remain the
-interchange format at every API boundary.  mat_mul forms products
+Matrices are row-major uint8 arrays with entries in {0, 1}; they are
+the interchange format at every API boundary.  Elimination (rank,
+kernel_basis, annihilator, Gf2Solver) runs on rows held as Python ints,
+column 0 in the highest bit, inserted one by one into an XOR basis keyed
+by leading bit (see _eliminate): the maps eliminated here are sparse
+boundary maps and products of them, whose rows meet few pivots, so a
+row costs a few int XORs where a column step of a packed array costs
+several numpy calls.  The zero-product test (product_is_zero) packs rows
+8 columns per byte and XORs them vectorised; mat_mul forms products
 through float64 BLAS, which is faster for the small dense ones.
 
 Pivoting is always left-to-right over columns and tie-breaks are
@@ -186,62 +190,76 @@ def memo(m: np.ndarray, key: str, build: Callable[[np.ndarray], _T]) -> _T:
     return values[slot]
 
 
-# -- bit-packed elimination kernels -----------------------------------------
+# -- elimination on Python-int rows ------------------------------------------
 
 
-def _pack(m: np.ndarray) -> np.ndarray:
-    return np.packbits(m, axis=1)
+def _row_ints(m: np.ndarray) -> list[int]:
+    """Each row of m as one int: column 0 in the highest bit of an int whose
+    width is a whole number of bytes (the packed row, read big-endian)."""
+    return [int.from_bytes(row.tobytes(), "big") for row in np.packbits(m, axis=1)]
 
 
-def _unpack(p: np.ndarray, cols: int) -> np.ndarray:
-    return np.unpackbits(p, axis=1, count=cols)
+def _int_rows(ints: list[int], nbytes: int) -> np.ndarray:
+    """Ints of 8 * nbytes bits back to packed rows: (len(ints), nbytes) uint8."""
+    raw = b"".join(v.to_bytes(nbytes, "big") for v in ints)
+    return np.frombuffer(raw, dtype=np.uint8).reshape(len(ints), nbytes)
 
 
-def _echelon_packed(packed: np.ndarray, cols: int, reduced: bool) -> list[int]:
-    """In-place row echelon form on a packed buffer; returns pivot columns."""
-    rows = packed.shape[0]
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        byte = c >> 3
-        mask = np.uint8(0x80 >> (c & 7))
-        below = packed[r:, byte] & mask
-        nz = np.nonzero(below)[0]
-        if nz.size == 0:
-            continue
-        p = r + int(nz[0])
-        if p != r:
-            packed[[r, p]] = packed[[p, r]]
-        if reduced:
-            hits = np.nonzero(packed[:, byte] & mask)[0]
-            hits = hits[hits != r]
+def _eliminate(rows: list[int], low: int = 0, reduced: bool = False) -> tuple[list[int], list[int]]:
+    """Row reduction of int rows into an XOR basis keyed by leading bit.
+
+    Only bits at or above bit `low` can be pivots.  Each row in turn is
+    XORed with the basis row of its leading bit until that lead is new,
+    and joins the basis there, or until no bit at or above low is left:
+    the row has cancelled, and what remains of it (its low bits) is kept
+    apart.  Returns the basis rows in descending order of lead, which is
+    ascending pivot column, and the cancelled rows in input order.
+
+    With reduced, the basis is then fully reduced, from the last pivot
+    column to the first: each row's bits at pivots already seen are
+    cleared one XOR each, which leaves the reduced row echelon form.
+    """
+    basis: dict[int, int] = {}
+    cancelled = []
+    floor = 1 << low
+    for v in rows:
+        while v >= floor:
+            lead = v.bit_length() - 1
+            pivot_row = basis.get(lead)
+            if pivot_row is None:
+                basis[lead] = v
+                break
+            v ^= pivot_row
         else:
-            hits = r + 1 + np.nonzero(packed[r + 1 :, byte] & mask)[0]
-        if hits.size:
-            packed[hits] ^= packed[r]
-        pivots.append(c)
-        r += 1
-    return pivots
+            cancelled.append(v)
+    leads = sorted(basis)
+    if reduced:
+        seen = 0
+        for lead in leads:
+            v = basis[lead]
+            hits = v & seen
+            while hits:
+                bit = hits.bit_length() - 1
+                # basis[bit] is reduced: of the pivots, it holds only bit
+                v ^= basis[bit]
+                hits ^= 1 << bit
+            basis[lead] = v
+            seen |= 1 << lead
+    return [basis[lead] for lead in reversed(leads)], cancelled
 
 
 def rank(m) -> int:
     """GF(2) rank; rank(M) == rank(M.T)."""
     m = as_bin(m)
-    if m.size == 0:
-        return 0
-    packed = _pack(m)
-    return len(_echelon_packed(packed, m.shape[1], reduced=False))
+    return len(_eliminate(_row_ints(m))[0])
 
 
 def _rref(m: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form (unpacked) plus pivot column list."""
-    if m.shape[0] == 0 or m.shape[1] == 0:
-        return m.copy(), []
-    packed = _pack(m)
-    pivots = _echelon_packed(packed, m.shape[1], reduced=True)
-    return _unpack(packed, m.shape[1]), pivots
+    """The nonzero rows of m's reduced row echelon form, plus their pivot columns."""
+    nbytes = -(-m.shape[1] // 8)
+    basis, _ = _eliminate(_row_ints(m), reduced=True)
+    pivots = [8 * nbytes - v.bit_length() for v in basis]
+    return np.unpackbits(_int_rows(basis, nbytes), axis=1, count=m.shape[1]), pivots
 
 
 def kernel_basis(m) -> list[np.ndarray]:
@@ -253,7 +271,7 @@ def kernel_basis(m) -> list[np.ndarray]:
     basis = np.zeros((free.size, n), dtype=np.uint8)
     basis[np.arange(free.size), free] = 1
     # free column f's vector takes red[row, f] at the pivot of each row
-    basis[:, pivots] = red[: len(pivots), free].T
+    basis[:, pivots] = red[:, free].T
     return list(basis)
 
 
@@ -272,26 +290,27 @@ def annihilator(m) -> np.ndarray:
 class Gf2Solver:
     """Reusable solver for Mx = b: one elimination, many right-hand sides.
 
-    Row-reduces the augmented system [M | I] once.  in_image(b) then costs
-    one packed matrix-vector product; solve(b) adds one scatter of the
-    pivot entries.  The solver keeps only M's shape, so it can be memoised
-    on M.
+    Eliminates M's rows once, row i carrying the unit vector e_i in bits
+    below M's, where no pivot is taken.  Those low bits end up holding the
+    row reduction T, with T M in reduced row echelon form: one row per
+    pivot first, then one per row of M that cancelled, which together span
+    the left null space.  in_image(b) then costs one packed matrix-vector
+    product; solve(b) adds one scatter of the pivot entries.  The solver
+    keeps only M's shape, so it can be memoised on M.
     """
 
     def __init__(self, m) -> None:
         m = as_bin(m)
-        self.shape = m.shape
-        rows, cols = m.shape
-        aug = np.hstack([m, identity(rows)]) if rows else zeros(0, cols)
-        packed = _pack(aug) if aug.size else _pack(np.zeros((0, 1), dtype=np.uint8))
-        pivots = _echelon_packed(packed, cols, reduced=True) if rows else []
-        if rows:
-            full = _unpack(packed, cols + rows)
-            self.transform = np.packbits(full[:, cols:], axis=1)
-        else:
-            self.transform = np.zeros((0, 0), dtype=np.uint8)
-        self.pivot_index = np.array(pivots, dtype=np.intp)
-        self.rank = len(pivots)
+        self.shape = rows, cols = m.shape
+        # T's rows are packed whole bytes wide, below M's bits
+        low = 8 * -(-rows // 8)
+        augmented = [(v << low) | (1 << (low - 1 - i)) for i, v in enumerate(_row_ints(m))]
+        basis, cancelled = _eliminate(augmented, low, reduced=True)
+        width = 8 * -(-cols // 8) + low
+        self.pivot_index = np.array([width - v.bit_length() for v in basis], dtype=np.intp)
+        self.rank = len(basis)
+        mask = (1 << low) - 1
+        self.transform = _int_rows([v & mask for v in basis] + cancelled, low // 8)
 
     def _transformed(self, b) -> np.ndarray:
         """T b, where T is the row reduction: Mx = b is consistent iff
@@ -467,7 +486,7 @@ class _WeightSearch:
     def __init__(self, m: np.ndarray) -> None:
         self.n = m.shape[1]
         # column j of m as the big-endian int of its packed bytes
-        self.cols = [int.from_bytes(row.tobytes(), "big") for row in np.packbits(m.T, axis=1)]
+        self.cols = _row_ints(m.T)
         self._nbytes = -(-m.shape[0] // 8)
         self._hashed: dict[int, dict[int, list[tuple[int, ...]]]] = {}
         self._sorted: dict[int, np.ndarray] = {}
@@ -478,8 +497,7 @@ class _WeightSearch:
         """Packed column sums as rows of whole uint64 words, zero-padded."""
         width = -(-self._nbytes // 8) * 8
         pad = 8 * (width - self._nbytes)
-        raw = b"".join((v << pad).to_bytes(width, "big") for v in ints)
-        return np.frombuffer(raw, dtype=np.uint64).reshape(len(ints), width // 8)
+        return _int_rows([v << pad for v in ints], width).view(np.uint64)
 
     @functools.cached_property
     def _words(self) -> np.ndarray:

@@ -205,6 +205,24 @@ class TestHomologicalDistance:
         assert d.status == "lower_bound" and d.value == 3
         assert d.witness is None
 
+    def test_search_that_finds_no_cycle_builds_no_solver(self, monkeypatch):
+        # the rep-3 double product (241 qubits) has no logical of weight <= 2
+        breve = product.double_product(product.single_product(rep3_minimal()))
+        built = []
+        real = gf2.Gf2Solver.__init__
+
+        def counting(self, m):
+            built.append(m.shape)
+            real(self, m)
+
+        monkeypatch.setattr(gf2.Gf2Solver, "__init__", counting)
+        d = chain.homological_distance(breve, 0, 2)
+        assert d.status == "lower_bound" and d.value == 3
+        assert built == []
+        # at weight 4 the first cycle found is a check, so the solver is built
+        assert chain.homological_distance(breve, 0, 4).value == 5
+        assert built == [(breve.size(0), breve.size(-1))]
+
     def test_witness_properties(self):
         s = product.single_product(cyc3_complex())
         d = chain.homological_distance(s, 0, 4)

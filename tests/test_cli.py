@@ -335,6 +335,43 @@ class TestDecode:
         assert payload["e_rec_x_support"] == [8]  # 1-based
 
 
+@pytest.fixture()
+def rep2_single(tmp_path, rep2_pcm):
+    out = tmp_path / "rep2s"
+    assert run("build", "--classical", rep2_pcm, "--stages", "1", "--out", str(out)) == 0
+    return str(out)
+
+
+@pytest.mark.parametrize("command", ["sweep", "rounds", "decode"])
+def test_single_product_is_an_input_error(tmp_path, capsys, rep2_single, command):
+    # a length-2 complex has no metachecks to repair a syndrome with
+    sched, syn = tmp_path / "sched.json", tmp_path / "syn.pcm"
+    sched.write_text(json.dumps([{"e_support": [1]}]))
+    gf2.write_pcm(syn, np.zeros((1, 6), dtype=np.uint8))
+    extra = {
+        "sweep": ["--samples", "2"],
+        "rounds": ["--schedule", str(sched), "-n", "1"],
+        "decode": ["--syndrome", str(syn)],
+    }[command]
+    capsys.readouterr()
+    assert run(command, "--complex", rep2_single, *extra, "--quiet") == 2
+    err = capsys.readouterr().err
+    assert "input error" in err and "metachecks" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["report", "sweep"])
+@pytest.mark.parametrize("weight", ["0", "-2"])
+def test_max_weight_below_one_is_a_usage_error(capsys, rep2_build, command, weight):
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run(command, "--complex", rep2_build, "--max-weight", weight, "--quiet")
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "--max-weight" in err and "at least 1" in err
+    assert "Traceback" not in err
+
+
 class TestSweepAndRounds:
     def test_exhaustive_sweep(self, tmp_path, rep2_build):
         out = tmp_path / "sweep.json"
@@ -633,6 +670,20 @@ class TestTable1:
         assert all(shape[0] and shape[1] for shape, _ in built)
         assert max(built.values()) == 1
 
+    def test_row4_eliminates_only_the_witness_image(self, monkeypatch):
+        # the weight-2 searches find no cycle, so only the witness's in_image
+        # check eliminates a 3856 x 2496 map: d_-1 of the double product
+        built = collections.Counter()
+        real = gf2.Gf2Solver.__init__
+
+        def counting(self, m):
+            built[gf2.as_bin(m).shape] += 1
+            real(self, m)
+
+        monkeypatch.setattr(gf2.Gf2Solver, "__init__", counting)
+        cli.run_table1_row("row4")
+        assert built[(3856, 2496)] == 1
+
     def test_witness_reuses_the_memoised_solver(self, monkeypatch):
         tilde = product.single_product(ChainComplex([REP3], j_min=0))
         breve = product.double_product(tilde)
@@ -711,6 +762,17 @@ class TestPipeline:
         assert run("pipeline", "--classical", str(p), "--out", str(out)) == 2
         err = capsys.readouterr().err
         assert "input error" in err and "not minimal" in err
+        assert not out.exists()
+
+    def test_k_zero_is_an_input_error(self, tmp_path, capsys, deadline):
+        # rank(H) = n: t would be infinite and certify_map would not stop
+        p, out = tmp_path / "k0.pcm", tmp_path / "pipe"
+        gf2.write_pcm(p, gf2.identity(2))
+        capsys.readouterr()
+        with deadline(30):
+            assert run("pipeline", "--classical", str(p), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "input error" in err and "k = 0" in err and "rank(H) = n = 2" in err
         assert not out.exists()
 
     def test_reports_exact_d_q(self, tmp_path, rep2_pcm):

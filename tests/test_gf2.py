@@ -232,6 +232,77 @@ class TestSolverMembership:
         assert not solver.in_image(bits([1, 0, 0]))
 
 
+@st.composite
+def wide_matrix(draw):
+    """A sparse, dense or low-rank matrix with 0-70 rows and 0-70 columns, so
+    widths land on and off byte boundaries."""
+    rows, cols = draw(st.integers(0, 70)), draw(st.integers(0, 70))
+    kind = draw(st.sampled_from(["sparse", "dense", "low_rank"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "low_rank":
+        k = draw(st.integers(0, 6))
+        a = rng.integers(0, 2, (rows, k))
+        return ((a @ rng.integers(0, 2, (k, cols))) % 2).astype(np.uint8)
+    density = 0.05 if kind == "sparse" else 0.5
+    return (rng.random((rows, cols)) < density).astype(np.uint8)
+
+
+def dense_rref(m):
+    """Reference elimination, one column at a time on a dense uint8 copy:
+    the nonzero rows of the reduced row echelon form and their pivots."""
+    a = m.copy()
+    pivots = []
+    for c in range(a.shape[1]):
+        r = len(pivots)
+        below = np.flatnonzero(a[r:, c])
+        if not below.size:
+            continue
+        p = r + below[0]
+        a[[r, p]] = a[[p, r]]
+        for i in np.flatnonzero(a[:, c]):
+            if i != r:
+                a[i] ^= a[r]
+        pivots.append(c)
+    return a[: len(pivots)], pivots
+
+
+class TestEliminationAgainstReference:
+    @settings(max_examples=150, deadline=None)
+    @given(wide_matrix(), st.integers(0, 2**32 - 1))
+    def test_every_output_matches(self, m, seed):
+        rows, cols = m.shape
+        red, pivots = dense_rref(m)
+        assert gf2.rank(m) == len(pivots) == gf2.rank(m.T)
+        # one kernel vector per free column, read off the reference form
+        kernel = []
+        for f in (c for c in range(cols) if c not in pivots):
+            v = np.zeros(cols, dtype=np.uint8)
+            v[f] = 1
+            v[pivots] = red[:, f]
+            kernel.append(v)
+        got = gf2.kernel_basis(m)
+        assert len(got) == len(kernel)
+        assert all(g.dtype == np.uint8 and np.array_equal(g, v) for g, v in zip(got, kernel))
+        solver = gf2.Gf2Solver(m)
+        assert solver.rank == len(pivots)
+        assert solver.pivot_index.tolist() == pivots
+        rng = np.random.default_rng(seed)
+        x = rng.integers(0, 2, cols, dtype=np.uint8)
+        for b in (rng.integers(0, 2, rows, dtype=np.uint8), gf2.mat_vec(m, x)):
+            aug_red, aug_pivots = dense_rref(np.hstack([m, b.reshape(rows, 1)]))
+            if cols in aug_pivots:
+                expected = None
+            else:
+                expected = np.zeros(cols, dtype=np.uint8)
+                expected[aug_pivots] = aug_red[:, cols]
+            got = solver.solve(b)
+            assert solver.in_image(b) == (expected is not None)
+            if expected is None:
+                assert got is None
+            else:
+                assert np.array_equal(got, expected)
+
+
 class TestMinWeightSolution:
     def test_zero_target(self):
         x, w = gf2.min_weight_solution(bits([[1, 1, 0], [0, 1, 1]]), bits([0, 0]), 3)
