@@ -64,12 +64,15 @@ _UNCHECKED = object()
 
 
 def _frozen(b) -> np.ndarray:
-    """A read-only 0/1 copy, so no caller can change a map behind the memos.
-
-    Reduced mod 2 whatever the dtype (as_bin passes uint8 through as it
-    is), so every product, rank and solver reads the same map.
-    """
-    m = np.bitwise_and(gf2.as_bin(b), 1, order="C")
+    """A read-only 0/1 array that owns its memory, so no caller can change a
+    map behind the memos: b itself if it is one (a product's map, another
+    complex's: its memos are kept), else a copy reduced mod 2 whatever the
+    dtype (as_bin passes uint8 through as it is)."""
+    m = gf2.as_bin(b)
+    owner = m.base is None and m.flags.c_contiguous and not m.flags.writeable
+    if owner and m.max(initial=0) <= 1:
+        return m
+    m = np.bitwise_and(m, 1, order="C")
     m.setflags(write=False)
     return m
 
@@ -77,9 +80,9 @@ def _frozen(b) -> np.ndarray:
 class ChainComplex:
     """Boundary maps d_{j_min} .. d_{j_max-1} with the qubit level at 0.
 
-    The maps are read-only 0/1 copies of the input, so the validation result
-    memoised here and the ranks memoised on each map (gf2.memo) always
-    describe them.
+    The maps are read-only 0/1 arrays (see _frozen), so the validation
+    result memoised here and the ranks memoised on each map (gf2.memo)
+    always describe them.
     """
 
     def __init__(self, boundaries, j_min: int = 0) -> None:

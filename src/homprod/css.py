@@ -93,11 +93,10 @@ class NotACssComplex(ValueError):
 
 
 def _transposed(m: np.ndarray) -> np.ndarray:
-    """m.T as a read-only array that owns its memory: gf2.memo finds facts
-    about an owner about twice as fast as about a transposed view."""
-    t = m.T.copy()
-    t.setflags(write=False)
-    return t
+    """m.T as a read-only array that owns its memory, built from m.T's
+    support: gf2.memo finds facts about an owner about twice as fast as
+    about a transposed view."""
+    return gf2._from_support(m.shape[::-1], *gf2._support(m.T))
 
 
 class CssCode:
@@ -291,9 +290,11 @@ def code_report(complex_: ChainComplex) -> CodeReport:
     from .product import redundancy as _redundancy
 
     # Z checks are the rows of d_0, X checks the columns of d_-1
-    d_0, d_m1 = complex_.delta(0), complex_.delta(-1)
-    check_weights = np.concatenate([d_0.sum(axis=1), d_m1.sum(axis=0)]).astype(np.int64)
-    qubit_degrees = d_0.sum(axis=0).astype(np.int64) + d_m1.sum(axis=1).astype(np.int64)
+    z_checks, z_qubits = gf2._support(complex_.delta(0))
+    x_qubits, x_checks = gf2._support(complex_.delta(-1))
+    checks = np.concatenate([z_checks, complex_.size(1) + x_checks])
+    check_weights = np.bincount(checks, minlength=complex_.size(1) + complex_.size(-1))
+    qubit_degrees = np.bincount(np.concatenate([z_qubits, x_qubits]), minlength=complex_.size(0))
     return CodeReport(
         n=complex_.size(0),
         k=betti_number(complex_, 0),

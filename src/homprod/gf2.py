@@ -7,9 +7,12 @@ column 0 in the highest bit, inserted one by one into an XOR basis keyed
 by leading bit (see _eliminate): the maps eliminated here are sparse
 boundary maps and products of them, whose rows meet few pivots, so a
 row costs a few int XORs where a column step of a packed array costs
-several numpy calls.  The zero-product test (product_is_zero) packs rows
-8 columns per byte and XORs them vectorised; mat_mul forms products
-through float64 BLAS, which is faster for the small dense ones.
+several numpy calls.  Those maps hold a few ones per row, so the
+zero-product test (product_is_zero), mat_vec and the int rows read a
+matrix's support, the row and column indices of its ones (_support),
+memoised on read-only matrices and handed over with each product map
+and its transpose (_from_support): no dense map is scanned or packed.
+mat_mul forms products through float64 BLAS, faster for small dense ones.
 
 Pivoting is always left-to-right over columns and tie-breaks are
 lexicographic (smallest support indices first), so every routine is
@@ -111,24 +114,27 @@ def mat_mul(a, b) -> np.ndarray:
 def product_is_zero(a, b) -> bool:
     """Is a @ b = 0 mod 2?  Answers without forming the product.
 
-    Row i of a @ b is the XOR of the rows of b that row i of a picks.  So
-    b's rows are packed once (8 columns per byte), a's support is read
-    with one nonzero scan, and one reduceat XORs each row's picks
-    together.  The XOR work and its buffer scale with the ones in a, not
-    with a's size, which suits sparse boundary maps; small dense products
-    are faster through mat_mul.
+    Entry (i, j) of a @ b counts the pairs of a one (i, k) of a and a one
+    (k, j) of b.  So each one of a is paired with the ones of b's row k,
+    read from both supports, and the product is zero when every (i, j)
+    occurs an even number of times.  The work scales with those pairs,
+    not with the matrices' size, which suits sparse boundary maps; small
+    dense products are faster through mat_mul.
     """
     a = as_bin(a)
     b = as_bin(b)
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"dimension mismatch: {a.shape} @ {b.shape}")
-    rows, cols = np.nonzero(a)
-    if rows.size == 0 or b.shape[1] == 0:
-        return True
-    picked = np.packbits(b, axis=1)[cols]
-    # rows come sorted, so each row of a is one run of picks
-    starts = np.flatnonzero(np.diff(rows, prepend=-1))
-    return not np.bitwise_xor.reduceat(picked, starts, axis=0).any()
+    a_rows, a_cols = _support(a)
+    b_rows, b_cols = _support(b)
+    # b's ones of row k are b_cols[starts[k] : starts[k + 1]]
+    starts = np.searchsorted(b_rows, np.arange(b.shape[0] + 1))
+    counts = starts[a_cols + 1] - starts[a_cols]
+    first = np.repeat(starts[a_cols] - np.cumsum(counts) + counts, counts)
+    keys = np.repeat(a_rows, counts) * b.shape[1] + b_cols[first + np.arange(first.size)]
+    keys.sort()
+    # sorted, every key occurs an even number of times iff the keys pair off
+    return keys.size % 2 == 0 and bool((keys[::2] == keys[1::2]).all())
 
 
 def mat_vec(m, v) -> np.ndarray:
@@ -136,11 +142,8 @@ def mat_vec(m, v) -> np.ndarray:
     v = as_bin(v).reshape(-1)
     if m.shape[1] != v.shape[0]:
         raise ValueError(f"dimension mismatch: {m.shape} @ ({v.shape[0]},)")
-    if m.shape[0] == 0:
-        return np.zeros(0, dtype=np.uint8)
-    if m.shape[1] == 0:
-        return np.zeros(m.shape[0], dtype=np.uint8)
-    return ((m.astype(np.int64) @ v.astype(np.int64)) & 1).astype(np.uint8)
+    rows, cols = _support(m)
+    return (np.bincount(rows[v[cols] == 1], minlength=m.shape[0]) & 1).astype(np.uint8)
 
 
 # -- memo of facts about read-only matrices ----------------------------------
@@ -155,7 +158,8 @@ def memo(m: np.ndarray, key: str, build: Callable[[np.ndarray], _T]) -> _T:
     """build(m), memoised for as long as m's memory lives and cannot change.
 
     The rule: m is memoised only when m and the array that owns its
-    memory are both read-only, and m is that owner or its full transpose.
+    memory are both read-only, and m is that owner (or a view of all of
+    it) or its full transpose.
     Any other input, a writable array or a read-only view of one
     included, is rebuilt on every call, so no answer goes stale.  Entries
     hang off a weak reference to the owner, keyed by "" or "T" plus key:
@@ -166,13 +170,11 @@ def memo(m: np.ndarray, key: str, build: Callable[[np.ndarray], _T]) -> _T:
     owner = m.base
     if owner is None:
         owner, view = m, ""
-    elif (
-        type(owner) is np.ndarray
-        and owner.base is None
-        and owner.dtype == m.dtype
-        and m.strides == owner.strides[::-1]
-        and m.shape == owner.shape[::-1]
-    ):
+    elif type(owner) is not np.ndarray or owner.base is not None or owner.dtype != m.dtype:
+        return build(m)
+    elif (m.shape, m.strides) == (owner.shape, owner.strides):
+        view = ""  # a view of all of the owner, such as m.T.T
+    elif (m.shape, m.strides) == (owner.shape[::-1], owner.strides[::-1]):
         view = "T"
     else:
         return build(m)
@@ -190,13 +192,37 @@ def memo(m: np.ndarray, key: str, build: Callable[[np.ndarray], _T]) -> _T:
     return values[slot]
 
 
+def _support(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of m's ones, in row-major order (np.nonzero's),
+    memoised on m while m is read-only (see memo)."""
+    return memo(m, "support", np.nonzero)
+
+
+def _from_support(shape: tuple[int, int], rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Read-only uint8 matrix of the given shape with ones at (rows, cols),
+    distinct and in any order.  It owns its memory, and the support of it
+    and of its transpose are memoised, so neither is ever scanned."""
+    m = np.zeros(shape, dtype=np.uint8)
+    m[rows, cols] = 1
+    m.setflags(write=False)
+    for view, major, minor in ((m, rows, cols), (m.T, cols, rows)):
+        order = np.lexsort((minor, major))
+        support = major[order], minor[order]
+        memo(view, "support", lambda _: support)
+    return m
+
+
 # -- elimination on Python-int rows ------------------------------------------
 
 
 def _row_ints(m: np.ndarray) -> list[int]:
     """Each row of m as one int: column 0 in the highest bit of an int whose
     width is a whole number of bytes (the packed row, read big-endian)."""
-    return [int.from_bytes(row.tobytes(), "big") for row in np.packbits(m, axis=1)]
+    rows, cols = _support(m)
+    nbytes = -(-m.shape[1] // 8)
+    packed = np.zeros((m.shape[0], nbytes), dtype=np.uint8)
+    np.bitwise_or.at(packed, (rows, cols >> 3), (128 >> (cols & 7)).astype(np.uint8))
+    return [int.from_bytes(row.tobytes(), "big") for row in packed]
 
 
 def _int_rows(ints: list[int], nbytes: int) -> np.ndarray:
@@ -776,6 +802,9 @@ def parse_pcm(text: str) -> np.ndarray:
             raise ValueError(f"bad .pcm row {i + 1}: {line!r}")
         if cols:
             m[i] = np.frombuffer(line.encode(), dtype=np.uint8) - ord("0")
+    for k, line in enumerate(lines[rows + 1 :], start=rows + 2):
+        if line.strip():
+            raise ValueError(f"unexpected .pcm line {k} after {rows} rows: {line!r}")
     return m
 
 

@@ -97,37 +97,42 @@ def double_product(
 
 
 def _tensor(x: ChainComplex, y: ChainComplex) -> ChainComplex:
-    """x (x) y*, by the block rule of the module docstring, validated."""
+    """x (x) y*, by the block rule of the module docstring, validated.
+
+    Each map is built from its support: for each one (r, c) of an n_r x n_c
+    factor map d, kron(d, I_n) has ones at (r*n + b, c*n + b), b < n, and
+    kron(I_m, d^T) at (a*n_c + c, a*n_r + r), a < m.  The map and its
+    transpose keep that support (gf2._from_support), so none is scanned.
+    """
     levels: dict[int, list[tuple[int, int]]] = {}
     for i in x.levels():
         for j in y.levels():
             levels.setdefault(i - j, []).append((i, j))
-    # each component's rows or columns within its level, and each level's size
-    span, size = {}, {}
+    # each component's first row or column within its level, and each level's size
+    start, size = {}, {}
     for m, components in levels.items():
         size[m] = 0
         for i, j in components:
-            n = x.size(i) * y.size(j)
-            span[i, j] = slice(size[m], size[m] + n)
-            size[m] += n
+            start[i, j] = size[m]
+            size[m] += x.size(i) * y.size(j)
     maps = []
     for m in range(min(levels), max(levels)):
-        d = gf2.zeros(size[m + 1], size[m])
+        rows, cols = [], []
         for i, j in levels[m]:
             if x.has_level(i + 1):
-                d[span[i + 1, j], span[i, j]] = np.kron(
-                    x.delta(i), gf2.identity(y.size(j))
-                )
+                r, c = gf2._support(x.delta(i))
+                b = np.arange(y.size(j))
+                rows.append(start[i + 1, j] + (r[:, np.newaxis] * b.size + b).ravel())
+                cols.append(start[i, j] + (c[:, np.newaxis] * b.size + b).ravel())
             if y.has_level(j - 1):
-                d[span[i, j - 1], span[i, j]] = np.kron(
-                    gf2.identity(x.size(i)), y.delta(j - 1).T
-                )
-        maps.append(d)
-    complex_ = ChainComplex(maps, j_min=min(levels))
-    # the complex holds read-only copies; free the originals before the
-    # validation products reach peak memory
-    del maps, d
-    return require_valid(complex_)
+                r, c = gf2._support(y.delta(j - 1))
+                n_r, n_c = y.delta(j - 1).shape
+                a = np.arange(x.size(i))[:, np.newaxis]
+                rows.append(start[i, j - 1] + (a * n_c + c).ravel())
+                cols.append(start[i, j] + (a * n_r + r).ravel())
+        shape = (size[m + 1], size[m])
+        maps.append(gf2._from_support(shape, np.concatenate(rows), np.concatenate(cols)))
+    return require_valid(ChainComplex(maps, j_min=min(levels)))
 
 
 @dataclass(frozen=True)

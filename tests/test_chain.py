@@ -108,6 +108,16 @@ class TestCanonicalMaps:
             chain.betti_number(i64, j) for j in i64.levels()
         ]
 
+    def test_read_only_owner_is_kept_only_when_0_1(self):
+        kept = REP3.copy()
+        kept.setflags(write=False)
+        twos = np.array([[1, 2, 0], [0, 1, 1]], dtype=np.uint8)
+        twos.setflags(write=False)
+        c = ChainComplex([kept], j_min=0)
+        assert c.delta(0) is kept
+        stored = ChainComplex([twos], j_min=0).delta(0)
+        assert stored is not twos and stored.tolist() == [[1, 0, 0], [0, 1, 1]]
+
     def test_transposed_input_stored_as_contiguous_owner(self):
         c = ChainComplex([REP3.T.T, np.asarray(REP3.T)], j_min=0)
         for m in c.boundaries:

@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -713,6 +714,35 @@ class TestTable1:
         for out in (a, b):
             assert run("table1", "--json", str(out), "--quiet") == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize(
+        "seed, digest",
+        [
+            ("1", "40246e0841f8e60f3a550404269b2e08776d1fedfd1e8e7bb2b5063e6b4f1bd4"),
+            ("0", "81ca18ab8099e37b4514dec06480cd527b6c03b8c8810b1cff0337c8df16d564"),
+        ],
+        ids=["seed1", "seed0"],
+    )
+    def test_canonical_json_is_pinned(self, tmp_path, seed, digest):
+        out = tmp_path / "table1.json"
+        assert run("table1", "--seed", seed, "--json", str(out), "--quiet") == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_row4_scans_and_packs_no_dense_map(self, monkeypatch):
+        # the product maps' supports come from the build, so nothing scans or
+        # packs a dense array of a million entries or more
+        dense = []
+        for name in ("nonzero", "packbits"):
+            real = getattr(np, name)
+
+            def counting(a, *args, _real=real, _name=name, **kwargs):
+                if np.size(a) >= 1 << 20:
+                    dense.append((_name, np.shape(a)))
+                return _real(a, *args, **kwargs)
+
+            monkeypatch.setattr(np, name, counting)
+        cli.run_table1_row("row4")
+        assert dense == []
 
 
 class TestPipeline:

@@ -312,6 +312,16 @@ class TestCodeReport:
         assert rep.max_qubit_degree == (z.sum(axis=0) + x.sum(axis=0)).max()
         assert code.num_x_checks == x.shape[0] and len(copies) == 1
 
+    def test_zero_weight_checks_count_in_the_mean(self):
+        # the last Z check (row of d_0) and the last X check (column of d_-1) are empty
+        d_m1 = gf2.as_bin([[1, 0], [1, 0], [0, 0]])
+        d_0 = gf2.as_bin([[1, 1, 1], [0, 0, 0]])
+        rep = css.code_report(ChainComplex([d_m1, d_0], j_min=-1))
+        assert (rep.n, rep.k) == (3, 1)
+        assert rep.max_check_weight == 3
+        assert rep.mean_check_weight == Fraction(3 + 0 + 2 + 0, 4)
+        assert rep.max_qubit_degree == 2
+
     def test_check_weight_invariants(self, complex241, code241):
         rep = css.code_report(complex241)
         weights = np.concatenate(

@@ -303,6 +303,75 @@ class TestEliminationAgainstReference:
                 assert np.array_equal(got, expected)
 
 
+def read_only(m):
+    m = m.copy()
+    m.setflags(write=False)
+    return m
+
+
+def listed(support):
+    return [a.tolist() for a in support]
+
+
+def packed_row_ints(m):
+    """Reference int rows: the packed rows of the dense matrix, big-endian."""
+    return [int.from_bytes(row.tobytes(), "big") for row in np.packbits(m, axis=1)]
+
+
+class TestSupportLayer:
+    """Facts read from supports equal the same facts read from dense arrays."""
+
+    @staticmethod
+    def forms(m, seed):
+        """m as a writable array, a read-only owner, and an owner built from
+        its support in shuffled order, each with its full transpose."""
+        rows, cols = np.nonzero(m)
+        order = np.random.default_rng(seed).permutation(rows.size)
+        built = gf2._from_support(m.shape, rows[order], cols[order])
+        assert built.base is None and not built.flags.writeable
+        for a in (m, read_only(m), built):
+            yield a, m
+            yield a.T, m.T
+
+    @settings(max_examples=100, deadline=None)
+    @given(wide_matrix(), st.integers(0, 2**32 - 1))
+    def test_memoised_support_equals_nonzero(self, m, seed):
+        for view, dense in self.forms(m, seed):
+            support = gf2._support(view)
+            assert listed(support) == listed(np.nonzero(dense))
+            if not view.flags.writeable:
+                # read-only: memoised, shared by every view of all of the owner
+                assert gf2._support(view.T.T) is support
+
+    def test_writable_matrix_gets_a_fresh_support(self):
+        m = bits([[1, 0, 0], [0, 1, 0]])
+        for view in (m, m.T):
+            first = listed(gf2._support(view))
+            m[0] = [0, 0, 1]
+            assert listed(gf2._support(view)) == listed(np.nonzero(view)) != first
+            m[0] = [1, 0, 0]
+
+    @settings(max_examples=100, deadline=None)
+    @given(wide_matrix(), st.integers(0, 2**32 - 1))
+    def test_consumers_agree_with_dense_references(self, m, seed):
+        rng = np.random.default_rng(seed)
+        found = gf2.kernel_basis(m)
+        kernel = np.array(found, dtype=np.uint8).reshape(len(found), m.shape[1])
+        coeffs = rng.integers(0, 2, (kernel.shape[0], 5), dtype=np.uint8)
+        # m @ in_kernel = 0, and in_kernel.T @ m.T = 0
+        in_kernel = gf2.mat_mul(kernel.T, coeffs)
+        for view, dense in self.forms(m, seed):
+            assert gf2._row_ints(view) == packed_row_ints(dense)
+            v = rng.integers(0, 2, dense.shape[1], dtype=np.uint8)
+            expected = (dense.astype(np.int64) @ v.astype(np.int64)) & 1
+            got = gf2.mat_vec(view, v)
+            assert got.dtype == np.uint8 and got.tolist() == expected.tolist()
+            b = rng.integers(0, 2, (dense.shape[1], rng.integers(0, 20)), dtype=np.uint8)
+            assert gf2.product_is_zero(view, b) == (not gf2.mat_mul(dense, b).any())
+        assert gf2.product_is_zero(gf2._from_support(m.shape, *np.nonzero(m)), in_kernel)
+        assert gf2.product_is_zero(in_kernel.T, read_only(m).T)
+
+
 class TestMinWeightSolution:
     def test_zero_target(self):
         x, w = gf2.min_weight_solution(bits([[1, 1, 0], [0, 1, 1]]), bits([0, 0]), 3)
@@ -585,6 +654,16 @@ class TestPcmFormat:
         with pytest.raises(ValueError):
             gf2.parse_pcm("2 2\n10\n2x\n")
 
+    def test_blank_lines_after_the_rows_parse(self):
+        assert gf2.parse_pcm("2 0\n\n\n").shape == (2, 0)
+        assert gf2.parse_pcm("1 2\n10\n\n  \n").tolist() == [[1, 0]]
+        assert gf2.parse_pcm("2 2\n10\n01").tolist() == [[1, 0], [0, 1]]
+
+    @pytest.mark.parametrize("text", ["1 2\n10\n01\n", "1 2\n10\n\n01\n", "0 2\n10\n"])
+    def test_rejects_rows_beyond_the_header(self, text):
+        with pytest.raises(ValueError, match="unexpected .pcm line"):
+            gf2.parse_pcm(text)
+
 
 class TestMemo:
     """Facts about a matrix are memoised only while the matrix cannot change."""
@@ -643,3 +722,5 @@ class TestMemo:
         assert gf2.memo(m.T, "probe", lambda a: a.shape) == (3, 2)
         assert gf2.memo(m, "probe", lambda a: None) == 2
         assert gf2.memo(m.T, "probe", lambda a: None) == (3, 2)
+        # a view of all of the owner is the owner
+        assert gf2.memo(m.T.T, "probe", lambda a: None) == 2

@@ -4,6 +4,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from homprod import chain, cli, gf2, product
 from homprod.chain import ChainComplex
@@ -161,6 +164,57 @@ class TestDoubleProduct:
         with pytest.raises(chain.ValidationError):
             product.double_product(bad)
 
+
+
+def dense_tensor(x, y):
+    """Reference x (x) y*: the block rule of product's docstring, with each
+    block written as a dense np.kron into a zeroed map."""
+    levels = {}
+    for i in x.levels():
+        for j in y.levels():
+            levels.setdefault(i - j, []).append((i, j))
+    span, size = {}, {}
+    for m, components in levels.items():
+        size[m] = 0
+        for i, j in components:
+            n = x.size(i) * y.size(j)
+            span[i, j] = slice(size[m], size[m] + n)
+            size[m] += n
+    maps = []
+    for m in range(min(levels), max(levels)):
+        d = gf2.zeros(size[m + 1], size[m])
+        for i, j in levels[m]:
+            if x.has_level(i + 1):
+                d[span[i + 1, j], span[i, j]] = np.kron(x.delta(i), gf2.identity(y.size(j)))
+            if y.has_level(j - 1):
+                d[span[i, j - 1], span[i, j]] = np.kron(
+                    gf2.identity(x.size(i)), y.delta(j - 1).T
+                )
+        maps.append(d)
+    return maps
+
+
+def check_matrices():
+    """Check matrices with 0-4 rows and 0-5 columns, empty shapes included."""
+    return st.tuples(st.integers(0, 4), st.integers(0, 5)).flatmap(
+        lambda shape: arrays(np.uint8, shape, elements=st.integers(0, 1))
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(check_matrices(), check_matrices())
+def test_maps_equal_the_dense_kron_blocks(h_a, h_b):
+    a, b = complex_of(h_a), complex_of(h_b)
+    x, y = product.single_product(a, b), product.single_product(b, a)
+    for built, left, right in ((x, a, b), (product.double_product(x, y), x, y)):
+        expected = dense_tensor(left, right)
+        assert built.j_min == -(len(expected) // 2) and built.length == len(expected)
+        for d, e in zip(built.boundaries, expected):
+            assert d.shape == e.shape and np.array_equal(d, e)
+            # the memoised supports are the maps' own
+            for view, dense in ((d, e), (d.T, e.T)):
+                got = gf2._support(view)
+                assert [s.tolist() for s in got] == [s.tolist() for s in np.nonzero(dense)]
 
 
 # first 16 hex digits of the sha256 over every map of a product, each fed
