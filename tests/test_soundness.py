@@ -20,6 +20,9 @@ REP3 = gf2.as_bin([[1, 1, 0], [0, 1, 1]])
 # or tie-break changes them
 PINNED_TOTALS = [59, 1, 63, 71, 1, 35]
 PINNED_DIGEST = "2b493c50b307a28cd89ab40e844274332d113e3ffdacd489f6a65ade888246a8"
+# digests over every output of the witness batches of TestWitnessDigests
+PINNED_DOUBLE_DIGEST = "049c7d29c465561cb7eb1a7cfc12710267283b6e794631359639ac7131ce60c6"
+PINNED_SINGLE_DIGEST = "0b90c099294bf934f867bbd783693864a29e95e9f70067e429c9171050253f72"
 
 
 def cyclic(length):
@@ -517,6 +520,70 @@ class TestDoubleProductPreimage:
             fallbacks += out.used_fallback
         assert fallbacks < 60
         assert sorted(builds) == sorted([(156, 241), (36, 169), (13, 6), (13, 6)])
+
+
+def _feed(digest, *values):
+    """Feed arrays, flags and int lists to a digest; None gets its own marker."""
+    for v in values:
+        if v is None:
+            digest.update(b"none")
+        elif isinstance(v, np.ndarray):
+            digest.update(v.astype(np.uint8).tobytes())
+        else:
+            digest.update(np.array(v, dtype=np.int64).tobytes())
+
+
+class TestWitnessDigests:
+    """Every output of both witness constructions over seeded batches, pinned:
+    a change to any loop, tie-break or counter changes a digest."""
+
+    def test_double_product_batches(self, tilde_rep2, breve_rep2, tilde_rep3):
+        digest = hashlib.sha256()
+        fallbacks = 0
+        breve_rep3 = product.double_product(tilde_rep3)
+        batches = [
+            (REP2, tilde_rep2, breve_rep2, 2,
+             [s for w in (0, 1, 2) for s in itertools.combinations(range(33), w)]),
+        ]
+        rng = np.random.default_rng(241)
+        supports = [rng.choice(241, size=int(rng.integers(1, 4)), replace=False) for _ in range(400)]
+        batches.append((REP3, tilde_rep3, breve_rep3, 3, supports))
+        for h, tilde, breve, t, errors in batches:
+            n = breve.size(0)
+            for support in errors:
+                r0 = np.zeros(n, dtype=np.uint8)
+                r0[list(support)] = 1
+                s = gf2.mat_vec(breve.delta(0), r0)
+                out = soundness.double_product_preimage(h, tilde, breve, s, threshold=t)
+                state = out.state
+                _feed(
+                    digest, out.r, out.r_a, out.r_b, out.r_c,
+                    [out.bound_guaranteed, out.used_fallback],
+                    None if state is None else state.loop_counters + [state.passes],
+                )
+                fallbacks += out.used_fallback
+        assert fallbacks > 0
+        assert digest.hexdigest() == PINNED_DOUBLE_DIGEST
+
+    def test_single_product_batches(self):
+        digest = hashlib.sha256()
+        reductions = 0
+        h4 = gf2.as_bin([[1, 1, 0, 1], [0, 1, 1, 1], [1, 0, 1, 0]])
+        rng = np.random.default_rng(1805)
+        for h, t in ((REP2, 2), (REP3, 3), (h4, None)):
+            tilde = single(h)
+            for side, delta in (
+                ("from_checks", tilde.delta(0).T),
+                ("from_redundancy", tilde.delta(-1)),
+            ):
+                for _ in range(200):
+                    r0 = rng.integers(0, 2, size=delta.shape[1], dtype=np.uint8)
+                    s = gf2.mat_vec(delta, r0)
+                    out = soundness.single_product_preimage(h, s, side, t, tilde=tilde)
+                    _feed(digest, out.r, [out.bound_guaranteed, out.reductions])
+                    reductions += out.reductions
+        assert reductions > 0
+        assert digest.hexdigest() == PINNED_SINGLE_DIGEST
 
 
 class TestCertifyChecks:
