@@ -13,6 +13,8 @@ matrix's support, the row and column indices of its ones (_support),
 memoised on read-only matrices and handed over with each product map
 and its transpose (_from_support): no dense map is scanned or packed.
 mat_mul forms products through float64 BLAS, faster for small dense ones.
+The constructive witnesses (soundness) keep their small matrices in the
+same int rows, multiplied and transposed by _mul_rows and _transpose_ints.
 
 Pivoting is always left-to-right over columns and tie-breaks are
 lexicographic (smallest support indices first), so every routine is
@@ -217,11 +219,17 @@ def _from_support(shape: tuple[int, int], rows: np.ndarray, cols: np.ndarray) ->
 
 def _row_ints(m: np.ndarray) -> list[int]:
     """Each row of m as one int: column 0 in the highest bit of an int whose
-    width is a whole number of bytes (the packed row, read big-endian)."""
-    rows, cols = _support(m)
-    nbytes = -(-m.shape[1] // 8)
-    packed = np.zeros((m.shape[0], nbytes), dtype=np.uint8)
-    np.bitwise_or.at(packed, (rows, cols >> 3), (128 >> (cols & 7)).astype(np.uint8))
+    width is a whole number of bytes (the packed row, read big-endian).
+
+    A read-only m is packed from its memoised support; a writable one has
+    none to keep, so its dense rows are packed directly, one scan either way.
+    """
+    if m.flags.writeable:
+        packed = np.packbits(m, axis=1)
+    else:
+        rows, cols = _support(m)
+        packed = np.zeros((m.shape[0], -(-m.shape[1] // 8)), dtype=np.uint8)
+        np.bitwise_or.at(packed, (rows, cols >> 3), (128 >> (cols & 7)).astype(np.uint8))
     return [int.from_bytes(row.tobytes(), "big") for row in packed]
 
 
@@ -229,6 +237,35 @@ def _int_rows(ints: list[int], nbytes: int) -> np.ndarray:
     """Ints of 8 * nbytes bits back to packed rows: (len(ints), nbytes) uint8."""
     raw = b"".join(v.to_bytes(nbytes, "big") for v in ints)
     return np.frombuffer(raw, dtype=np.uint8).reshape(len(ints), nbytes)
+
+
+def _mul_rows(a: list[int], b: list[int]) -> list[int]:
+    """a @ b mod 2 on int rows: a's rows hold one column per row of b, and
+    row i of the product is the XOR of b's rows at the ones of a's row i."""
+    width = 8 * -(-len(b) // 8)
+    out = []
+    for v in a:
+        acc = 0
+        while v:
+            low = v & -v
+            acc ^= b[width - low.bit_length()]
+            v ^= low
+        out.append(acc)
+    return out
+
+
+def _transpose_ints(rows: list[int], cols: int) -> list[int]:
+    """The transpose of int rows that hold `cols` columns, as int rows."""
+    width = 8 * -(-cols // 8)
+    top = 8 * -(-len(rows) // 8) - 1
+    out = [0] * cols
+    for i, v in enumerate(rows):
+        bit = 1 << (top - i)
+        while v:
+            low = v & -v
+            out[width - low.bit_length()] |= bit
+            v ^= low
+    return out
 
 
 def _eliminate(rows: list[int], low: int = 0, reduced: bool = False) -> tuple[list[int], list[int]]:
@@ -777,12 +814,22 @@ def row_support(m) -> frozenset[int]:
 
 
 def format_pcm(m) -> str:
-    """Render a matrix in .pcm text form: "ROWS COLS" then 0/1 rows."""
+    """Render a matrix in .pcm text form: "ROWS COLS" then 0/1 rows.
+
+    The text is one uint8 array of character codes, the header and then
+    each row with a newline column, decoded once.
+    """
     m = as_bin(m)
-    lines = [f"{m.shape[0]} {m.shape[1]}"]
-    for row in m:
-        lines.append("".join("1" if x else "0" for x in row))
-    return "\n".join(lines) + "\n"
+    rows, cols = m.shape
+    header = f"{rows} {cols}\n".encode("ascii")
+    text = np.empty(len(header) + rows * (cols + 1), dtype=np.uint8)
+    text[: len(header)] = np.frombuffer(header, dtype=np.uint8)
+    body = text[len(header) :].reshape(rows, cols + 1)
+    # a nonzero entry is a "1"
+    np.minimum(m, 1, out=body[:, :cols])
+    body[:, :cols] += ord("0")
+    body[:, cols] = ord("\n")
+    return str(text, "ascii")
 
 
 def parse_pcm(text: str) -> np.ndarray:

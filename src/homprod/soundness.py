@@ -18,11 +18,12 @@ constructions:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -291,12 +292,47 @@ def certify_checks(
 
 # -- constructive witness: single product ---------------------------------------
 
+# The witness loops run on int rows in gf2's convention: row i of a matrix
+# is one int, column 0 in its highest bit, a whole number of bytes wide.
+
+
+def _rows(m: np.ndarray) -> list[int]:
+    """m's int rows (gf2's convention), memoised while m is read-only."""
+    return gf2.memo(m, "row_ints", gf2._row_ints)
+
+
+def _matrix(rows: list[int], cols: int) -> np.ndarray:
+    """Int rows holding `cols` columns back to a uint8 matrix."""
+    return np.unpackbits(gf2._int_rows(rows, -(-cols // 8)), axis=1, count=cols)
+
+
+def _any_row(rows: list[int]) -> int:
+    """The columns that hold a one in some row, as one int row."""
+    out = 0
+    for v in rows:
+        out |= v
+    return out
+
 
 @dataclass(frozen=True)
 class SingleWitness:
     r: np.ndarray
     bound_guaranteed: bool
     reductions: int
+
+
+def _require_levels(c: ChainComplex, j_min: int, sizes: list[int], what: str) -> None:
+    """Raise ValueError naming what c should be unless it spans levels j_min..
+    with these sizes, read from its maps' shapes."""
+    shapes = [(n_out, n_in) for n_in, n_out in zip(sizes, sizes[1:])]
+    if c.j_min != j_min or [m.shape for m in c.boundaries] != shapes:
+        raise ValueError(f"{c!r} is not {what}")
+
+
+def _require_single_product(h: np.ndarray, tilde: ChainComplex) -> None:
+    n1, n0 = h.shape
+    sizes = [n0 * n1, n0 * n0 + n1 * n1, n1 * n0]
+    _require_levels(tilde, -1, sizes, f"the single product of a {n1}x{n0} matrix")
 
 
 def _single_map_pieces(h: np.ndarray, tilde: ChainComplex, map_side: str):
@@ -319,35 +355,34 @@ def _reduce_reshaped(
 ) -> tuple[np.ndarray, int]:
     """Cancel intersecting kernel column/row pairs by rank-one updates.
 
-    While some column a of R lies in ker(col_test), some row b of R lies
-    in ker(row_test), and they intersect (R[i, j] = 1), replace
+    While some column a = R[:, j] lies in ker(col_test), some row b = R[i]
+    lies in ker(row_test), and they intersect (R[i, j] = 1), replace
     R <- R + a b.  Each step strictly shrinks both supports, and the
     image constraints are untouched.  Pairs are chosen smallest row
     index first, then smallest column index.
+
+    R runs as int rows (gf2's convention).  The kernel tests read the
+    products ct = col_test R and rt = R row_test^T, formed once: the
+    update changes them by outer(ct[:, j], b) and outer(a, rt[i]), and a
+    chosen pair has ct[:, j] = 0 and rt[i] = 0, so both stay as they are.
     """
-    r_mat = r_mat.copy()
+    rows = gf2._row_ints(r_mat)
+    kernel_cols = ~_any_row(gf2._mul_rows(_rows(col_test), rows))
+    kernel_rows = [i for i, v in enumerate(gf2._mul_rows(rows, _rows(row_test.T))) if not v]
     steps = 0
     while True:
-        nonzero_cols = np.flatnonzero(r_mat.any(axis=0))
-        nonzero_rows = np.flatnonzero(r_mat.any(axis=1))
-        if nonzero_cols.size == 0 or nonzero_rows.size == 0:
+        for i in kernel_rows:
+            hit = rows[i] & kernel_cols
+            if hit:
+                break
+        else:
             break
-        col_ok = nonzero_cols[
-            ~gf2.mat_mul(col_test, r_mat[:, nonzero_cols]).any(axis=0)
-        ]
-        row_ok = nonzero_rows[
-            ~gf2.mat_mul(row_test, r_mat[nonzero_rows].T).any(axis=0)
-        ]
-        if col_ok.size == 0 or row_ok.size == 0:
-            break
-        sub = r_mat[np.ix_(row_ok, col_ok)]
-        hits = np.argwhere(sub == 1)
-        if hits.size == 0:
-            break
-        i, j = int(row_ok[hits[0][0]]), int(col_ok[hits[0][1]])
-        r_mat ^= np.outer(r_mat[:, j], r_mat[i, :])
+        bit, b = hit.bit_length() - 1, rows[i]
+        for k, v in enumerate(rows):
+            if v >> bit & 1:
+                rows[k] = v ^ b
         steps += 1
-    return r_mat, steps
+    return _matrix(rows, r_mat.shape[1]), steps
 
 
 def single_product_preimage(
@@ -376,11 +411,10 @@ def single_product_preimage(
     s = gf2.as_bin(s).reshape(-1)
     if s.shape[0] != n0 * n0 + n1 * n1:
         raise ValueError("syndrome length does not match the product's middle level")
-    sizes = [n0 * n1, n0 * n0 + n1 * n1, n1 * n0]
     if tilde is None:
         tilde = product.single_product(ChainComplex([h], j_min=0))
-    elif tilde.j_min != -1 or [tilde.size(j) for j in tilde.levels()] != sizes:
-        raise ValueError(f"{tilde!r} is not the single product of a {n1}x{n0} matrix")
+    else:
+        _require_single_product(h, tilde)
     the_map, shape, col_test, row_test = _single_map_pieces(h, tilde, map_side)
     r0 = gf2.get_solver(the_map).solve(s)
     if r0 is None:
@@ -403,12 +437,19 @@ def single_product_preimage(
 
 @dataclass
 class PartialDecodeState:
-    """Bookkeeping for the middle-block reduction of the double product."""
+    """Bookkeeping for the middle-block reduction of the double product.
+
+    rb_d_low and d_high_rb are the products R_b d_low and d_high R_b of
+    the final R_b: S_L + R_b d_low and S_R + d_high R_b are the leftover
+    blocks that the single-product witnesses solve.
+    """
 
     r_b: np.ndarray
     s_l: np.ndarray
     s_r: np.ndarray
     m: np.ndarray
+    rb_d_low: np.ndarray
+    d_high_rb: np.ndarray
     loop_counters: list[int] = field(default_factory=lambda: [0] * 6)
     passes: int = 0
 
@@ -434,42 +475,55 @@ def _assert_m_preserved(state: PartialDecodeState, d_high, d_low) -> None:
         raise AssertionError("middle-block transform failed to preserve M")
 
 
-def _shrink_side(r, d, s, step) -> None:
+def _shrink_side(r: list[int], d: list[int], s: list[int], step) -> list[int]:
     """Loops 1-3 of partial_decode: r is R_b, d is d_low, s is S_L.
 
-    Each transform XORs a rank-one matrix into r in place, so on a view
-    (R_b^T for loops 4-6) it lands in R_b.  step(k) is called after every
-    transform of loop k + 1 of the three.
+    All three are int rows (gf2's convention), and r changes in place,
+    one transform at a time; loops 4-6 pass the rows of R_b^T, d_high^T
+    and S_R^T.  rd = r d is formed once and then kept up to date: every
+    transform is rank one, r ^= outer(w, r[k]) for a 0/1 column w, which
+    changes r d by outer(w, rd[k]), and zeroing a row of r whose row of
+    rd is zero leaves rd as it is.  step(k) is called after every
+    transform of loop k + 1 of the three.  Returns the final rd.
     """
-    s_rows = s.any(axis=1)
-    s_cols = s.any(axis=0)
+    rd = gf2._mul_rows(r, d)
+    s_cols = _any_row(s)
+
+    def add_row(k: int, w: Callable[[int], bool]) -> None:
+        # r ^= outer(w, r[k]) and rd ^= outer(w, rd[k]), w read before the update
+        r_k, rd_k = r[k], rd[k]
+        for row in range(len(r)):
+            if w(row):
+                r[row] ^= r_k
+                rd[row] ^= rd_k
+
     # loop 1: push rows of r @ d into the rows of s
     while True:
-        rd = gf2.mat_mul(r, d)
-        extra = np.flatnonzero(rd.any(axis=1) & ~s_rows)
-        if not extra.size:
+        i = next((i for i, v in enumerate(rd) if v and not s[i]), None)
+        if i is None:
             break
-        i = extra[0]
-        j = np.flatnonzero(rd[i])[0]
-        r ^= np.outer(rd[:, j] ^ s[:, j], r[i])
+        # rd[i]'s first column j: the row's highest bit
+        bit = rd[i].bit_length() - 1
+        add_row(i, lambda row: (rd[row] ^ s[row]) >> bit & 1)
         step(0)
     # loop 2: push columns of r @ d into the columns of s
     while True:
-        rd = gf2.mat_mul(r, d)
-        extra = np.flatnonzero(rd.any(axis=0) & ~s_cols)
-        if not extra.size:
+        extra = _any_row(rd) & ~s_cols
+        if not extra:
             break
-        c = rd[:, extra[0]]
-        k = np.flatnonzero(c & r.any(axis=1))[0]
-        r ^= np.outer(c, r[k])
+        bit = extra.bit_length() - 1
+        # a row of rd with a one in that column; its row of r is not zero
+        k = next(k for k, v in enumerate(rd) if v >> bit & 1)
+        add_row(k, lambda row: rd[row] >> bit & 1)
         step(1)
     # loop 3: drop rows of r invisible to d
     while True:
-        extra = np.flatnonzero(r.any(axis=1) & ~gf2.mat_mul(r, d).any(axis=1))
-        if not extra.size:
+        i = next((i for i, v in enumerate(r) if v and not rd[i]), None)
+        if i is None:
             break
-        r[extra[0]] = 0
+        r[i] = 0
         step(2)
+    return rd
 
 
 def partial_decode(
@@ -487,43 +541,77 @@ def partial_decode(
     terminal support conditions.  Loops 4-6 are loops 1-3 on the
     transposed problem: d_high @ R_b = (R_b^T @ d_high^T)^T, so
     (R_b^T, d_high^T, S_R^T) takes the place of (R_b, d_low, S_L).
-    M = d_high @ r_b @ d_low is asserted after every single transform
-    when check_every_step is set.
+
+    The loops run on int rows (see _shrink_side): R_b, S_L and S_R are
+    converted once, the maps' int rows are memoised on the maps, and R_b's
+    rows are transposed once at each switch of side.  The last pass transforms
+    nothing, so its two running products are R_b d_low and d_high R_b of
+    the final R_b, which the state keeps.  With check_every_step,
+    M = d_high @ R_b @ d_low is recomputed in full from R_b as it stands
+    after every single transform.
     """
     d_high = gf2.as_bin(d_high)
     d_low = gf2.as_bin(d_low)
-    r_b = gf2.as_bin(r_b).copy()
+    r_b = gf2.as_bin(r_b)
     s_l = gf2.as_bin(s_l)
     s_r = gf2.as_bin(s_r)
-    m_from_sl = gf2.mat_mul(d_high, s_l)
-    m_from_sr = gf2.mat_mul(s_r, d_low)
-    m_from_rb = gf2.mat_mul(gf2.mat_mul(d_high, r_b), d_low)
-    if not (m_from_sl == m_from_sr).all():
+    n_1, n_0 = d_high.shape
+    n_m1 = d_low.shape[1]
+    shapes = [(n_0, n_0), (n_0, n_m1), (n_1, n_0), (n_0, n_m1)]
+    if [r_b.shape, s_l.shape, s_r.shape, d_low.shape] != shapes:
+        raise ValueError(
+            f"dimension mismatch: R_b {r_b.shape}, S_L {s_l.shape}, S_R {s_r.shape}, "
+            f"d_high {d_high.shape}, d_low {d_low.shape}"
+        )
+    low, high = _rows(d_low), _rows(d_high)
+    rows, sl, sr = gf2._row_ints(r_b), gf2._row_ints(s_l), gf2._row_ints(s_r)
+    m = gf2._mul_rows(high, sl)
+    if m != gf2._mul_rows(sr, low):
         raise ValueError("precondition failed: d_high @ S_L != S_R @ d_low")
-    if not (m_from_sl == m_from_rb).all():
+    if m != gf2._mul_rows(high, gf2._mul_rows(rows, low)):
         raise ValueError("precondition failed: d_high @ R_b @ d_low != d_high @ S_L")
-    state = PartialDecodeState(r_b, s_l, s_r, m_from_sl)
-    counters = state.loop_counters
-    guard = 4 * (r_b.shape[0] + r_b.shape[1] + 2) ** 2
+    # side 2 is side 1 on transposes
+    sides = [(low, sl), (_rows(d_high.T), gf2._transpose_ints(sr, n_0))]
+    if check_every_step:
+        # e, the other side's map, makes e @ r @ d M on side 1 and M^T on side 2
+        checks = [(high, m), (_rows(d_low.T), gf2._transpose_ints(m, n_m1))]
+    counters = [0] * 6
+    guard = 4 * (2 * n_0 + 2) ** 2
+    passes = 0
 
-    def step(loop: int) -> None:
+    def step(side: int, loop: int) -> None:
+        # rows holds the side's rows of R_b (or R_b^T) as they stand
+        loop += 3 * side
         counters[loop] += 1
         if check_every_step:
-            _assert_m_preserved(state, d_high, d_low)
+            e, target = checks[side]
+            if gf2._mul_rows(e, gf2._mul_rows(rows, sides[side][0])) != target:
+                raise AssertionError("middle-block transform failed to preserve M")
         # loops 3 and 6 only delete rows or columns, so they always stop
         if loop % 3 < 2 and counters[loop] > guard:
             raise AssertionError(f"loop {loop + 1} failed to terminate")
 
     while True:
         fired = sum(counters)
-        _shrink_side(r_b, d_low, s_l, step)
-        _shrink_side(r_b.T, d_high.T, s_r.T, lambda loop: step(3 + loop))
-        state.passes += 1
+        products = []
+        for side, (d, s) in enumerate(sides):
+            products.append(_shrink_side(rows, d, s, functools.partial(step, side)))
+            rows = gf2._transpose_ints(rows, n_0)
+        passes += 1
         if sum(counters) == fired:
             break
-        if state.passes > guard:
+        if passes > guard:
             raise AssertionError("outer pass failed to reach a fixed point")
-    return state
+    return PartialDecodeState(
+        _matrix(rows, n_0),
+        s_l,
+        s_r,
+        _matrix(m, n_m1),
+        _matrix(products[0], n_m1),
+        _matrix(products[1], n_1).T.copy(),
+        counters,
+        passes,
+    )
 
 
 @dataclass(frozen=True)
@@ -568,10 +656,21 @@ def double_product_preimage(
     """
     h = gf2.as_bin(h)
     s = gf2.as_bin(s).reshape(-1)
+    _require_single_product(h, tilde)
     d_low, d_high = tilde.delta(-1), tilde.delta(0)
-    n_m1, n_0, n_1 = tilde.size(-1), tilde.size(0), tilde.size(1)
+    n_0, n_m1 = d_low.shape
+    n_1 = d_high.shape[0]
     len_l = n_0 * n_m1
-    if s.shape[0] != breve.size(1):
+    # levels -2..2 of tilde (x) tilde*: sum of n_i n_j over i - j = level
+    sizes = [
+        n_m1 * n_1,
+        n_m1 * n_0 + n_0 * n_1,
+        n_m1**2 + n_0**2 + n_1**2,
+        len_l + n_1 * n_0,
+        n_1 * n_m1,
+    ]
+    _require_levels(breve, -2, sizes, f"the double product of {tilde!r}")
+    if s.shape[0] != sizes[3]:
         raise ValueError("syndrome length does not match the double product's checks")
     if gf2.mat_vec(breve.delta(1), s).any():
         raise PreimageError("syndrome fails the metachecks")
@@ -597,8 +696,8 @@ def double_product_preimage(
     )
     _assert_m_preserved(state, d_high, d_low)
 
-    q_l = s_l_mat ^ gf2.mat_mul(state.r_b, d_low)
-    q_r = s_r_mat ^ gf2.mat_mul(d_high, state.r_b)
+    q_l = s_l_mat ^ state.rb_d_low
+    q_r = s_r_mat ^ state.d_high_rb
     left_terms = [
         RemainderTerm(q_l[:, j].copy(), j) for j in np.flatnonzero(q_l.any(axis=0))
     ]

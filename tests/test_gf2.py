@@ -644,6 +644,28 @@ class TestPcmFormat:
     def test_exact_text(self):
         assert gf2.format_pcm(bits([[1, 0], [0, 1]])) == "2 2\n10\n01\n"
 
+    @staticmethod
+    def per_entry_writer(m):
+        """The writer as it was, one generator step per entry: the reference."""
+        lines = [f"{m.shape[0]} {m.shape[1]}"]
+        for row in m:
+            lines.append("".join("1" if x else "0" for x in row))
+        return "\n".join(lines) + "\n"
+
+    @settings(max_examples=150, deadline=None)
+    @given(wide_matrix())
+    def test_text_equals_per_entry_writer_and_round_trips(self, m):
+        text = gf2.format_pcm(m)
+        assert text == self.per_entry_writer(m)
+        assert gf2.parse_pcm(text).tolist() == m.tolist()
+        assert gf2.format_pcm(m.T) == self.per_entry_writer(m.T)
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 5), (3, 0), (1, 1), (2, 8), (2, 9)])
+    def test_text_of_edge_shapes(self, shape):
+        m = np.random.default_rng(sum(shape)).integers(0, 2, shape, dtype=np.uint8)
+        assert gf2.format_pcm(m) == self.per_entry_writer(m)
+        assert gf2.parse_pcm(gf2.format_pcm(m)).shape == shape
+
     def test_zero_rows(self, tmp_path):
         p = tmp_path / "z.pcm"
         gf2.write_pcm(p, gf2.zeros(0, 4))

@@ -237,8 +237,9 @@ class TestSingleProductPreimage:
         assert proc.returncode == 7
 
     def test_partial_decode_check_survives_optimize_flag(self, tilde_rep2, tmp_path):
-        # a side transform that breaks M is caught by check_every_step's
-        # explicit raise, not an assert that -O strips
+        # an entry of R_b flipped as a side starts, outside any transform,
+        # is caught by check_every_step's explicit raise at the next
+        # transform, not by an assert that -O strips
         rng = np.random.default_rng(159)
         state = make_error_state(tilde_rep2, rng, int(rng.integers(1, 14)))
         inputs = tmp_path / "state.npz"
@@ -252,8 +253,10 @@ class TestSingleProductPreimage:
             "tilde = product.single_product(ChainComplex([h], j_min=0))\n"
             "r_b, s_l, s_r = np.load(sys.argv[1]).values()\n"
             "real = soundness._shrink_side\n"
+            "# entry (0, 0) of the side's int rows: column 0 is the highest bit\n"
+            "top = 1 << (8 * -(-r_b.shape[1] // 8) - 1)\n"
             "def wrong(r, *args):\n"
-            "    r[0, 0] ^= 1\n"
+            "    r[0] ^= top\n"
             "    return real(r, *args)\n"
             "soundness._shrink_side = wrong\n"
             "try:\n"
@@ -324,6 +327,91 @@ def check_partial_properties(state, tilde):
     for beta in rows:
         assert gf2.weight(beta) <= w_r
         assert not gf2.mat_vec(d_low.T, beta).any()
+
+
+def reference_partial_decode(r_b, s_l, s_r, d_high, d_low):
+    """The dense loops partial_decode replaced, one mat_mul per loop test:
+    the reference for its R_b, loop counters and passes."""
+    r_b = r_b.copy()
+    counters = [0] * 6
+
+    def side(r, d, s, first):
+        while True:
+            rd = gf2.mat_mul(r, d)
+            extra = np.flatnonzero(rd.any(axis=1) & ~s.any(axis=1))
+            if not extra.size:
+                break
+            i = extra[0]
+            j = np.flatnonzero(rd[i])[0]
+            r ^= np.outer(rd[:, j] ^ s[:, j], r[i])
+            counters[first] += 1
+        while True:
+            rd = gf2.mat_mul(r, d)
+            extra = np.flatnonzero(rd.any(axis=0) & ~s.any(axis=0))
+            if not extra.size:
+                break
+            c = rd[:, extra[0]]
+            r ^= np.outer(c, r[np.flatnonzero(c & r.any(axis=1))[0]])
+            counters[first + 1] += 1
+        while True:
+            extra = np.flatnonzero(r.any(axis=1) & ~gf2.mat_mul(r, d).any(axis=1))
+            if not extra.size:
+                break
+            r[extra[0]] = 0
+            counters[first + 2] += 1
+
+    passes = 0
+    while True:
+        fired = sum(counters)
+        side(r_b, d_low, s_l, 0)
+        side(r_b.T, d_high.T, s_r.T, 3)
+        passes += 1
+        if sum(counters) == fired:
+            return r_b, counters, passes
+
+
+def reference_reduce_reshaped(r_mat, col_test, row_test):
+    """The dense loop _reduce_reshaped replaced: the reference for its output."""
+    r_mat = r_mat.copy()
+    steps = 0
+    while True:
+        col_ok = np.flatnonzero(r_mat.any(axis=0) & ~gf2.mat_mul(col_test, r_mat).any(axis=0))
+        row_ok = np.flatnonzero(r_mat.any(axis=1) & ~gf2.mat_mul(r_mat, row_test.T).any(axis=1))
+        hits = np.argwhere(r_mat[np.ix_(row_ok, col_ok)] == 1)
+        if not hits.size:
+            return r_mat, steps
+        i, j = row_ok[hits[0][0]], col_ok[hits[0][1]]
+        r_mat ^= np.outer(r_mat[:, j], r_mat[i, :])
+        steps += 1
+
+
+class TestAgainstDenseReferences:
+    def test_partial_decode(self, tilde_rep2, tilde_rep3):
+        rng = np.random.default_rng(1805)
+        for tilde, count in ((tilde_rep2, 300), (tilde_rep3, 200)):
+            d_low, d_high = tilde.delta(-1), tilde.delta(0)
+            for _ in range(count):
+                inputs = make_error_state(tilde, rng, int(rng.integers(1, 14)))
+                state = soundness.partial_decode(*inputs, d_high, d_low, check_every_step=False)
+                r_b, counters, passes = reference_partial_decode(*inputs, d_high, d_low)
+                assert (state.r_b == r_b).all()
+                assert (state.loop_counters, state.passes) == (counters, passes)
+
+    def test_reduce_reshaped(self):
+        rng = np.random.default_rng(9)
+        steps_seen = set()
+        for _ in range(300):
+            n1, n0 = int(rng.integers(2, 6)), int(rng.integers(2, 7))
+            k = int(rng.integers(1, min(n1, n0)))
+            # rank below both sides, so both kernel tests pass some vectors
+            h = (rng.integers(0, 2, (n1, k)) @ rng.integers(0, 2, (k, n0)) % 2).astype(np.uint8)
+            for shape, col_test, row_test in (((n1, n0), h.T, h), ((n0, n1), h, h.T)):
+                r_mat = rng.integers(0, 2, shape, dtype=np.uint8)
+                got, steps = soundness._reduce_reshaped(r_mat, col_test, row_test)
+                want, want_steps = reference_reduce_reshaped(r_mat, col_test, row_test)
+                assert got.tolist() == want.tolist() and steps == want_steps
+                steps_seen.add(steps)
+        assert {0, 1, 2, 3} <= steps_seen
 
 
 class TestPartialDecode:
@@ -423,6 +511,45 @@ class TestPartialDecode:
         assert totals == PINNED_TOTALS
         assert digest.hexdigest() == PINNED_DIGEST
 
+    def test_every_step_check_changes_nothing(self, tilde_rep2, tilde_rep3):
+        # the pinned batch, with and without the per-transform check
+        for tilde in (tilde_rep2, tilde_rep3):
+            rng = np.random.default_rng(2027)
+            for _ in range(150):
+                inputs = make_error_state(tilde, rng, int(rng.integers(1, 14)))
+                checked, unchecked = (
+                    soundness.partial_decode(
+                        *inputs, tilde.delta(0), tilde.delta(-1), check_every_step=flag
+                    )
+                    for flag in (True, False)
+                )
+                for name in ("r_b", "s_l", "s_r", "m", "rb_d_low", "d_high_rb"):
+                    assert (getattr(checked, name) == getattr(unchecked, name)).all()
+                assert checked.loop_counters == unchecked.loop_counters
+                assert checked.passes == unchecked.passes
+
+    def test_state_products_are_those_of_the_final_block(self, tilde_rep3):
+        d_low, d_high = tilde_rep3.delta(-1), tilde_rep3.delta(0)
+        rng = np.random.default_rng(33)
+        for _ in range(100):
+            state = soundness.partial_decode(
+                *make_error_state(tilde_rep3, rng, int(rng.integers(1, 8))), d_high, d_low
+            )
+            assert (state.rb_d_low == gf2.mat_mul(state.r_b, d_low)).all()
+            assert (state.d_high_rb == gf2.mat_mul(d_high, state.r_b)).all()
+            assert (state.m == gf2.mat_mul(d_high, state.s_l)).all()
+
+    def test_rejects_mismatched_shapes(self, tilde_rep3):
+        n0 = tilde_rep3.size(0)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            soundness.partial_decode(
+                gf2.zeros(n0, n0 - 1),
+                gf2.zeros(n0, tilde_rep3.size(-1)),
+                gf2.zeros(tilde_rep3.size(1), n0),
+                tilde_rep3.delta(0),
+                tilde_rep3.delta(-1),
+            )
+
 
 class TestDoubleProductPreimage:
     def test_zero(self, tilde_rep2, breve_rep2):
@@ -494,6 +621,20 @@ class TestDoubleProductPreimage:
                 cyclic(3), tilde, breve, s, threshold=3
             )
 
+
+    def test_rejects_tilde_of_another_matrix(self, tilde_rep3):
+        # h is otherwise read only when a remainder term exists, so a zero
+        # syndrome would get a witness
+        breve = product.double_product(tilde_rep3)
+        zero = np.zeros(breve.size(1), dtype=np.uint8)
+        with pytest.raises(ValueError, match="not the single product of a 1x2 matrix"):
+            soundness.double_product_preimage(REP2, tilde_rep3, breve, zero, threshold=2)
+
+    def test_rejects_breve_of_another_complex(self, tilde_rep2, tilde_rep3):
+        breve = product.double_product(tilde_rep3)
+        s = gf2.mat_vec(breve.delta(0), np.eye(1, 241, 7, dtype=np.uint8)[0])
+        with pytest.raises(ValueError, match=r"levels -2\.\.2.* is not the double product of"):
+            soundness.double_product_preimage(REP2, tilde_rep2, breve, s, threshold=2)
 
     def test_each_map_eliminated_once(self, monkeypatch):
         # breve's qubit map, the middle-block map and tilde's two
