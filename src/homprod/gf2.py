@@ -239,6 +239,11 @@ def _int_rows(ints: list[int], nbytes: int) -> np.ndarray:
     return np.frombuffer(raw, dtype=np.uint8).reshape(len(ints), nbytes)
 
 
+def _int_matrix(ints: list[int], cols: int) -> np.ndarray:
+    """Int rows that hold `cols` columns back to a uint8 matrix."""
+    return np.unpackbits(_int_rows(ints, -(-cols // 8)), axis=1, count=cols)
+
+
 def _mul_rows(a: list[int], b: list[int]) -> list[int]:
     """a @ b mod 2 on int rows: a's rows hold one column per row of b, and
     row i of the product is the XOR of b's rows at the ones of a's row i."""
@@ -319,10 +324,10 @@ def rank(m) -> int:
 
 def _rref(m: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """The nonzero rows of m's reduced row echelon form, plus their pivot columns."""
-    nbytes = -(-m.shape[1] // 8)
+    width = 8 * -(-m.shape[1] // 8)
     basis, _ = _eliminate(_row_ints(m), reduced=True)
-    pivots = [8 * nbytes - v.bit_length() for v in basis]
-    return np.unpackbits(_int_rows(basis, nbytes), axis=1, count=m.shape[1]), pivots
+    pivots = [width - v.bit_length() for v in basis]
+    return _int_matrix(basis, m.shape[1]), pivots
 
 
 def kernel_basis(m) -> list[np.ndarray]:

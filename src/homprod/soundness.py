@@ -301,11 +301,6 @@ def _rows(m: np.ndarray) -> list[int]:
     return gf2.memo(m, "row_ints", gf2._row_ints)
 
 
-def _matrix(rows: list[int], cols: int) -> np.ndarray:
-    """Int rows holding `cols` columns back to a uint8 matrix."""
-    return np.unpackbits(gf2._int_rows(rows, -(-cols // 8)), axis=1, count=cols)
-
-
 def _any_row(rows: list[int]) -> int:
     """The columns that hold a one in some row, as one int row."""
     out = 0
@@ -382,7 +377,7 @@ def _reduce_reshaped(
             if v >> bit & 1:
                 rows[k] = v ^ b
         steps += 1
-    return _matrix(rows, r_mat.shape[1]), steps
+    return gf2._int_matrix(rows, r_mat.shape[1]), steps
 
 
 def single_product_preimage(
@@ -603,12 +598,12 @@ def partial_decode(
         if passes > guard:
             raise AssertionError("outer pass failed to reach a fixed point")
     return PartialDecodeState(
-        _matrix(rows, n_0),
+        gf2._int_matrix(rows, n_0),
         s_l,
         s_r,
-        _matrix(m, n_m1),
-        _matrix(products[0], n_m1),
-        _matrix(products[1], n_1).T.copy(),
+        gf2._int_matrix(m, n_m1),
+        gf2._int_matrix(products[0], n_m1),
+        gf2._int_matrix(products[1], n_1).T.copy(),
         counters,
         passes,
     )
