@@ -1,3 +1,6 @@
+import dataclasses
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -294,3 +297,150 @@ class TestBarrierBound:
         bound = stab.barrier_bound(3, math.inf, bounds.LINEAR, int(diag_checks.qubit_degrees().max()))
         assert bound.satisfied_by(report.barrier)
         assert report.barrier >= 1
+
+
+# -- pinned outputs ----------------------------------------------------------------
+
+# sha256 over every output of the seeded corpus below (see TestStabDigest)
+PINNED_STAB_DIGEST = "abfc8479142cd374087df10d0b5c92a2ebec2d744eac1889fe335d0724017d73"
+
+# per-qubit local Cliffords on (x, z) bit pairs: the six invertible 2 x 2 maps
+LOCAL_CLIFFORDS = [
+    np.array(m, dtype=np.uint8)
+    for m in (
+        [[1, 0], [0, 1]], [[0, 1], [1, 0]], [[1, 1], [0, 1]],
+        [[1, 0], [1, 1]], [[0, 1], [1, 1]], [[1, 1], [1, 0]],
+    )
+]
+
+
+def random_css_checks(rng):
+    """A CSS check set on 2-8 qubits: random X-type rows, and Z-type rows
+    drawn from the span of their annihilator, so every pair commutes."""
+    n = int(rng.integers(2, 9))
+    h_x = rng.integers(0, 2, size=(int(rng.integers(0, n)), n), dtype=np.uint8)
+    ann = gf2.annihilator(h_x)
+    # mostly near-full Z-type spans, so few qubits carry a weight-1 logical
+    rows = int(rng.integers(max(ann.shape[0] - 3, 0), ann.shape[0] + 2))
+    mix = rng.integers(0, 2, size=(rows, ann.shape[0]))
+    h_z = gf2.mat_mul(mix, ann)
+    return stab.SymplecticChecks.from_css(h_z, h_x)
+
+
+def scrambled(checks, rng):
+    """The same checks after a random local Clifford on each qubit."""
+    n = checks.n
+    m = checks.matrix.copy()
+    for q in range(n):
+        pair = gf2.mat_mul(LOCAL_CLIFFORDS[int(rng.integers(0, 6))], m[:, [q, n + q]].T)
+        m[:, q], m[:, n + q] = pair
+    return stab.SymplecticChecks(m)
+
+
+def reference_css_barrier(checks, sector, n_limit=8):
+    """The CSS-sector search energy_barrier ran before all sectors shared
+    one path: n-bit X (or Z) vectors modulo the X-type (Z-type) stabiliser
+    supports, node cost the Z-type (X-type) checks they violate."""
+    n = checks.n
+    if n > n_limit:
+        raise ValueError(f"{n} qubits exceeds the sector search limit {n_limit}")
+    if not checks.is_css():
+        raise ValueError("sector barriers need a CSS-split check set")
+    x_rows = checks.matrix[:, :n]
+    z_rows = checks.matrix[:, n:]
+    is_x_type = x_rows.any(axis=1)
+    if sector == "x":
+        detect = z_rows[~is_x_type]  # Z-type checks catch X errors
+        span = x_rows[is_x_type]  # X-type stabiliser supports
+    else:
+        detect = x_rows[is_x_type]
+        span = z_rows[~is_x_type]
+    span = span.reshape(-1, n)
+    detect = detect.reshape(-1, n)
+    reduce = stab._canonical_reducer(span)
+    letter = "X" if sector == "x" else "Z"
+
+    def neighbours(e):
+        for q in range(n):
+            step = e.copy()
+            step[q] ^= 1
+            yield (q + 1, letter), reduce(step)
+
+    def cost(e):
+        return int(gf2.mat_vec(detect, e).sum())
+
+    def is_target(e):
+        return cost(e) == 0 and e.any()
+
+    start = np.zeros(n, dtype=np.uint8)
+    barrier, steps, node = stab._bottleneck_search(start, neighbours, cost, is_target)
+    return stab.EnergyReport(barrier, steps, sector, int(node.sum()))
+
+
+def _outcome(call, *args, **kwargs):
+    """A call's result, or its ValueError's message."""
+    try:
+        return call(*args, **kwargs)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+class TestStabDigest:
+    """Every output of stab over a seeded corpus, pinned: barriers of every
+    sector (or their ValueError messages), diagonal frames, frame
+    conversions, pure-error preimages and logical witnesses."""
+
+    def test_seeded_corpus(self):
+        digest = hashlib.sha256()
+
+        def feed(*values):
+            for v in values:
+                if isinstance(v, str):
+                    digest.update(v.encode())
+                elif isinstance(v, np.ndarray):
+                    digest.update(repr(v.shape).encode() + v.astype(np.uint8).tobytes())
+                else:
+                    digest.update(json.dumps(v, sort_keys=True).encode())
+
+        rng = np.random.default_rng(1805)
+        corpus = [random_css_checks(rng) for _ in range(120)]
+        corpus += [scrambled(c, rng) for c in corpus if c.n <= 5]
+        corpus += [stab.SymplecticChecks(m) for m in DIAG_CODES.values()]
+        corpus += [scrambled(stab.SymplecticChecks(FIVE_QUBIT), rng) for _ in range(4)]
+        errors = 0
+        for checks in corpus:
+            n = checks.n
+            feed(checks.matrix)
+            for sector, n_limit in (("x", 8), ("z", 8), ("full", 8), ("x", 4), ("z", 5), ("full", 4), ("y", 8)):
+                out = _outcome(stab.energy_barrier, checks, sector, n_limit=n_limit)
+                errors += isinstance(out, str)
+                feed(out if isinstance(out, str) else out.to_json())
+            diag = stab.diagonalize(checks)
+            feed(diag.generators, diag.qubit_permutation, [m.tolist() for m in diag.local_maps])
+            for _ in range(3):
+                v = rng.integers(0, 2, size=2 * n, dtype=np.uint8)
+                there = diag.from_original_frame(v)
+                feed(v, there, diag.to_original_frame(v), checks.syndrome(v), diag.syndrome(there))
+                s = rng.integers(0, 2, size=diag.num_generators, dtype=np.uint8)
+                feed(stab.pure_error_preimage(diag, s))
+            feed(_outcome(stab.pure_error_preimage, diag, np.ones(diag.num_generators + 1)))
+            witness = _outcome(stab.low_weight_logical, diag)
+            feed(witness if isinstance(witness, str) else [witness.weight, witness.probe_qubit])
+            if not isinstance(witness, str):
+                feed(witness.pauli)
+        singular = dataclasses.replace(diag, local_maps=[gf2.zeros(2, 2)] * diag.n)
+        feed(_outcome(singular.to_original_frame, np.zeros(2 * diag.n, dtype=np.uint8)))
+        assert errors > 100
+        assert digest.hexdigest() == PINNED_STAB_DIGEST
+
+    def test_css_sectors_match_reference(self):
+        rng = np.random.default_rng(9)
+        for _ in range(60):
+            checks = random_css_checks(rng)
+            for sector in ("x", "z"):
+                want = _outcome(reference_css_barrier, checks, sector)
+                got = _outcome(stab.energy_barrier, checks, sector)
+                if isinstance(want, str):
+                    assert got == want
+                else:
+                    assert got.to_json() == want.to_json()
