@@ -50,13 +50,16 @@ class RunConfig:
     quiet: bool = False
 
 
+def _write_json(path: str, payload: dict, seed: int) -> None:
+    """payload plus its seed as indented, key-sorted JSON and a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({**payload, "seed": seed}, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def emit(cfg: RunConfig, payload: dict, text: str) -> None:
-    payload = dict(payload)
-    payload["seed"] = cfg.seed
     if cfg.json_path:
-        with open(cfg.json_path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(cfg.json_path, payload, cfg.seed)
     if not cfg.quiet:
         print(text)
 
@@ -137,9 +140,9 @@ def run_table1_row(name: str) -> dict:
     return row
 
 
-def _matches_rounded(value: Fraction, expected_str: str, tol: float = 1e-5) -> bool:
+def _matches_rounded(value: Fraction, expected_str: str) -> bool:
     decimals = len(expected_str.split(".")[1]) if "." in expected_str else 0
-    return abs(round(float(value), decimals) - float(expected_str)) <= tol
+    return abs(round(float(value), decimals) - float(expected_str)) <= 1e-5
 
 
 def cmd_table1(cfg: RunConfig, args) -> int:
@@ -224,9 +227,7 @@ def cmd_build(cfg: RunConfig, args) -> int:
     for stages in range(1, args.stages + 1):
         params = product.product_params(base, stages)
         payload[f"predicted_stage{stages}"] = params.to_json()
-    with open(os.path.join(args.out, "params.json"), "w", encoding="utf-8") as fh:
-        json.dump({**payload, "seed": cfg.seed}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(args.out, "params.json"), payload, cfg.seed)
     emit(
         cfg,
         payload,
@@ -601,11 +602,8 @@ def cmd_diag(cfg: RunConfig, args) -> int:
     frame = {
         "qubit_permutation": [q + 1 for q in diag.qubit_permutation],
         "local_maps": [m.tolist() for m in diag.local_maps],
-        "seed": cfg.seed,
     }
-    with open(os.path.join(args.out, "frame.json"), "w", encoding="utf-8") as fh:
-        json.dump(frame, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(args.out, "frame.json"), frame, cfg.seed)
     verdict = soundness.certify_checks(
         diag.generators, math.inf, bounds.LINEAR
     ) if diag.n <= 7 else None
@@ -674,9 +672,7 @@ def cmd_pipeline(cfg: RunConfig, args) -> int:
         "soundness_x": cert_x.to_json(),
         "single_shot_budget": budget.to_json(),
     }
-    with open(os.path.join(args.out, "summary.json"), "w", encoding="utf-8") as fh:
-        json.dump({**summary, "seed": cfg.seed}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(args.out, "summary.json"), summary, cfg.seed)
     certified = cert_z.verdict.certified and cert_x.verdict.certified
     emit(
         cfg,

@@ -75,10 +75,13 @@ class SingleShotBudget:
     measurement_status: str = "exact"
     qubit_status: str = "exact"
 
-    def admits(self, u_weight: int, new_error_weight: int) -> bool:
+    def admits(self, u_weight: int, new_error_weight: int, prev_u_weight: int = 0) -> bool:
+        """The contract: |u| below the measurement budget, and
+        f(2|u|) + f(2|u_prev|) + wt(E) below the qubit budget (f(0) = 0)."""
         return (
             u_weight < self.measurement_budget
-            and self.bound(2 * u_weight) + new_error_weight < self.qubit_budget
+            and self.bound(2 * u_weight) + self.bound(2 * prev_u_weight) + new_error_weight
+            < self.qubit_budget
         )
 
     def to_json(self) -> dict:
@@ -405,13 +408,7 @@ def simulate_rounds(
     for idx, (new_error, u) in enumerate(schedule):
         u = gf2.as_bin(u).reshape(-1)
         u_weight = int(u.sum())
-        in_contract = (
-            u_weight < budget.measurement_budget
-            and budget.bound(2 * u_weight)
-            + budget.bound(2 * prev_u_weight)
-            + new_error.weight()
-            < budget.qubit_budget
-        )
+        in_contract = budget.admits(u_weight, new_error.weight(), prev_u_weight)
         total = new_error.compose(residual)
         s = code.syndrome(total).compose(split_measurement_error(code, u))
         allowed = budget.bound(2 * u_weight)

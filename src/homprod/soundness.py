@@ -147,7 +147,6 @@ def profile_map_error_first(delta, w_domain_max: Optional[int] = None) -> Soundn
     """
     delta = gf2.as_bin(delta)
     n = delta.shape[1]
-    syndromes: dict[bytes, np.ndarray] = {}
     if n <= 20 and w_domain_max is None:
         rs = (
             np.array([(code >> i) & 1 for i in range(n)], dtype=np.uint8)
@@ -191,7 +190,6 @@ def certify_map(
     threshold: float,
     bound: PolyBound,
     x_max: Optional[int] = None,
-    preimage_budget: Optional[int] = None,
 ) -> SoundnessProfile:
     """Certify or refute a (threshold, bound) soundness claim for a map.
 
@@ -207,8 +205,7 @@ def certify_map(
         range_max = int(threshold) - 1
     x_max = range_max if x_max is None else max(x_max, range_max)
     x_max = min(x_max, delta.shape[0])
-    if preimage_budget is None:
-        preimage_budget = int(bound(max(range_max, 0))) + 1
+    preimage_budget = int(bound(max(range_max, 0))) + 1
     profile = profile_map(delta, x_max, preimage_budget)
     profile.threshold = threshold
     profile.bound = bound
@@ -721,27 +718,15 @@ def double_product_preimage(
         return DoubleWitness(
             plain, None, None, None, False, True, left_terms, right_terms, None
         )
-    r = np.concatenate(
-        [
-            gf2.flatten_matrix(r_a_mat),
-            gf2.flatten_matrix(state.r_b),
-            gf2.flatten_matrix(r_c_mat),
-        ]
-    )
+    r = np.concatenate([m.reshape(-1) for m in (r_a_mat, state.r_b, r_c_mat)])
     if not (gf2.mat_vec(breve.delta(0), r) == s).all():
         raise AssertionError("assembled witness does not solve the qubit map")
     if guaranteed and Fraction(gf2.weight(r)) > CUBIC_OVER_4(x):
         raise AssertionError("cubic bound violated inside the guaranteed range")
+    # views of r's three blocks, so a kept witness holds each bit once
+    r_a, r_b, r_c = np.split(r, [n_m1 * n_m1, n_m1 * n_m1 + n_0 * n_0])
     return DoubleWitness(
-        r,
-        gf2.flatten_matrix(r_a_mat),
-        gf2.flatten_matrix(state.r_b),
-        gf2.flatten_matrix(r_c_mat),
-        guaranteed,
-        False,
-        left_terms,
-        right_terms,
-        state,
+        r, r_a, r_b, r_c, guaranteed, False, left_terms, right_terms, state
     )
 
 

@@ -15,9 +15,8 @@ syndromes invert trivially: a weight-|s| Pauli reproduces any syndrome s.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 
@@ -39,11 +38,10 @@ __all__ = [
 ]
 
 # single-qubit frame maps on (x, z) bit pairs; any relabelling of
-# {X, Y, Z} is a product of the two generators recorded in the log
+# {X, Y, Z} is a product of the two swaps recorded in the log
 _FRAME_MAPS = {
     "identity": np.array([[1, 0], [0, 1]], dtype=np.uint8),
     "swap_xz": np.array([[0, 1], [1, 0]], dtype=np.uint8),  # Hadamard-like
-    "swap_zy": np.array([[1, 1], [0, 1]], dtype=np.uint8),  # phase-like, fixes X
     "swap_xy": np.array([[1, 0], [1, 1]], dtype=np.uint8),  # fixes Z
 }
 
@@ -54,11 +52,10 @@ def pauli_vector_weight(v: np.ndarray) -> int:
     return int(np.count_nonzero(v[:n] | v[n:]))
 
 
-def _symplectic_products(checks: np.ndarray, v: np.ndarray) -> np.ndarray:
-    n = checks.shape[1] // 2
-    return (
-        gf2.mat_vec(checks[:, :n], v[n:]) ^ gf2.mat_vec(checks[:, n:], v[:n])
-    )
+def _symplectic_products(checks: np.ndarray, pauli) -> np.ndarray:
+    # x(g).z(v) + z(g).x(v) for every row g: the rows times v with its halves
+    # swapped, one mat_vec that reads the read-only checks' memoised support
+    return gf2.mat_vec(checks, gf2.as_bin(pauli).reshape(2, -1)[::-1])
 
 
 class SymplecticChecks:
@@ -69,6 +66,8 @@ class SymplecticChecks:
         self.matrix = gf2.as_bin(matrix) & 1
         if self.matrix.ndim != 2 or self.matrix.shape[1] % 2:
             raise ValueError("check matrix must be m x 2n")
+        # read-only, so gf2.memo keeps its support for every syndrome
+        self.matrix.setflags(write=False)
         self.n = self.matrix.shape[1] // 2
         x, z = self.matrix[:, : self.n], self.matrix[:, self.n :]
         # M [z|x]^T = x z^T + z x^T holds every pair's symplectic product
@@ -88,7 +87,7 @@ class SymplecticChecks:
         return self.n - self.num_generators
 
     def syndrome(self, pauli: np.ndarray) -> np.ndarray:
-        return _symplectic_products(self.matrix, gf2.as_bin(pauli).reshape(-1))
+        return _symplectic_products(self.matrix, pauli)
 
     def qubit_degrees(self) -> np.ndarray:
         x, z = self.matrix[:, : self.n], self.matrix[:, self.n :]
@@ -101,15 +100,8 @@ class SymplecticChecks:
     @staticmethod
     def from_css(z_checks, x_checks) -> "SymplecticChecks":
         """Stack Z-type rows (z supports) and X-type rows (x supports)."""
-        z_checks = gf2.as_bin(z_checks)
-        x_checks = gf2.as_bin(x_checks)
-        n = z_checks.shape[1]
-        rows = []
-        for r in z_checks:
-            rows.append(np.concatenate([np.zeros(n, dtype=np.uint8), r]))
-        for r in x_checks:
-            rows.append(np.concatenate([r, np.zeros(n, dtype=np.uint8)]))
-        return SymplecticChecks(np.array(rows, dtype=np.uint8).reshape(len(rows), 2 * n))
+        z, x = gf2.as_bin(z_checks), gf2.as_bin(x_checks)
+        return SymplecticChecks(np.block([[np.zeros_like(z), z], [x, np.zeros_like(x)]]))
 
 
 @dataclass
@@ -137,38 +129,31 @@ class DiagonalizedChecks:
         return v
 
     def syndrome(self, pauli: np.ndarray) -> np.ndarray:
-        return _symplectic_products(self.generators, gf2.as_bin(pauli).reshape(-1))
+        return _symplectic_products(self.generators, pauli)
+
+    def _maps(self) -> np.ndarray:
+        return gf2.as_bin(np.asarray(self.local_maps)).reshape(self.n, 2, 2)
 
     def to_original_frame(self, pauli: np.ndarray) -> np.ndarray:
-        pauli = gf2.as_bin(pauli).reshape(-1)
-        out = np.zeros_like(pauli)
-        for pos in range(self.n):
-            pair = np.array([pauli[pos], pauli[self.n + pos]], dtype=np.uint8)
-            inv = _invert_2x2(self.local_maps[pos])
-            orig_pair = gf2.mat_vec(inv, pair)
-            q = self.qubit_permutation[pos]
-            out[q] = orig_pair[0]
-            out[self.n + q] = orig_pair[1]
-        return out
+        maps = self._maps()
+        a, b, c, d = maps[:, 0, 0], maps[:, 0, 1], maps[:, 1, 0], maps[:, 1, 1]
+        if not ((a & d) ^ (b & c)).all():
+            raise ValueError("frame map is singular")
+        # over GF(2) the inverse of [[a, b], [c, d]] is [[d, b], [c, a]]
+        inverses = maps[:, ::-1, ::-1].transpose(0, 2, 1)
+        pairs = _map_pairs(inverses, gf2.as_bin(pauli).reshape(2, self.n).T)
+        out = np.zeros((2, self.n), dtype=np.uint8)
+        out[:, self.qubit_permutation] = pairs.T
+        return out.reshape(-1)
 
     def from_original_frame(self, pauli: np.ndarray) -> np.ndarray:
-        pauli = gf2.as_bin(pauli).reshape(-1)
-        out = np.zeros_like(pauli)
-        for pos in range(self.n):
-            q = self.qubit_permutation[pos]
-            pair = np.array([pauli[q], pauli[self.n + q]], dtype=np.uint8)
-            new_pair = gf2.mat_vec(self.local_maps[pos], pair)
-            out[pos] = new_pair[0]
-            out[self.n + pos] = new_pair[1]
-        return out
+        pairs = gf2.as_bin(pauli).reshape(2, self.n)[:, self.qubit_permutation].T
+        return _map_pairs(self._maps(), pairs).T.reshape(-1)
 
 
-def _invert_2x2(m: np.ndarray) -> np.ndarray:
-    a, b, c, d = int(m[0, 0]), int(m[0, 1]), int(m[1, 0]), int(m[1, 1])
-    det = (a * d + b * c) % 2
-    if det != 1:
-        raise ValueError("frame map is singular")
-    return np.array([[d, b], [c, a]], dtype=np.uint8)
+def _map_pairs(maps: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """Row p of pairs, an (x, z) bit pair, times its own 2 x 2 map maps[p]."""
+    return (maps @ pairs[:, :, None])[:, :, 0] & 1
 
 
 def diagonalize(checks: SymplecticChecks) -> DiagonalizedChecks:
@@ -194,20 +179,16 @@ def diagonalize(checks: SymplecticChecks) -> DiagonalizedChecks:
         local[pos] = gf2.mat_mul(m, local[pos])
 
     for i in range(r):
-        found = None
-        for q in range(i, n):
-            for row in range(i, r):
-                if g[row, q] or g[row, n + q]:
-                    found = (q, row)
-                    break
-            if found:
-                break
-        if found is None:
+        # the first qubit from i on that a row from i on acts on, and that row
+        acts = g[i:, i:n] | g[i:, n + i :]
+        hit = acts.any(axis=0)
+        if not hit.any():
             raise AssertionError(
                 "no pivot available; independent commuting rows must act "
                 "on an unused qubit"
             )
-        q, row = found
+        q = i + int(hit.argmax())
+        row = i + int(acts[:, q - i].argmax())
         if q != i:
             g[:, [i, q]] = g[:, [q, i]]
             g[:, [n + i, n + q]] = g[:, [n + q, n + i]]
@@ -236,6 +217,7 @@ def diagonalize(checks: SymplecticChecks) -> DiagonalizedChecks:
             raise AssertionError(f"pivot {i} is not a pure X in the final frame")
         if any(g[j, i] for j in range(r) if j != i):
             raise AssertionError(f"pivot column {i} is not cleared in the final frame")
+    g.setflags(write=False)
     return DiagonalizedChecks(g, n, perm, local, checks)
 
 
@@ -244,9 +226,9 @@ def pure_error_preimage(diag: DiagonalizedChecks, s) -> np.ndarray:
     s = gf2.as_bin(s).reshape(-1)
     if s.shape[0] != diag.num_generators:
         raise ValueError("syndrome length does not match generator count")
+    # pure error j is Z on qubit j, so the product is s on the first Z bits
     v = np.zeros(2 * diag.n, dtype=np.uint8)
-    for j in np.flatnonzero(s):
-        v ^= diag.pure_error(int(j))
+    v[diag.n : diag.n + s.shape[0]] = s
     return v
 
 
@@ -257,7 +239,7 @@ class LogicalWitness:
     probe_qubit: int
 
 
-def low_weight_logical(diag: DiagonalizedChecks, degree_cap: Optional[int] = None) -> LogicalWitness:
+def low_weight_logical(diag: DiagonalizedChecks) -> LogicalWitness:
     """A zero-syndrome non-stabiliser Pauli of weight at most (max qubit
     degree) + 1, built from a probe on a non-pivot qubit."""
     r, n = diag.num_generators, diag.n
@@ -266,7 +248,7 @@ def low_weight_logical(diag: DiagonalizedChecks, degree_cap: Optional[int] = Non
     degrees = (
         (diag.generators[:, :n] | diag.generators[:, n:]).sum(axis=0).astype(np.int64)
     )
-    cap = int(degrees.max()) if degree_cap is None else degree_cap
+    cap = int(degrees.max())
     probe_qubit = r  # first position beyond the pivots
     probe = np.zeros(2 * n, dtype=np.uint8)
     probe[n + probe_qubit] = 1  # Z probe
@@ -357,74 +339,53 @@ def energy_barrier(
 ) -> EnergyReport:
     """Exact energy barrier by bottleneck search over error classes.
 
-    Nodes are error vectors modulo the relevant stabiliser span, edges are
-    single-qubit Pauli steps, node cost is the number of violated checks;
-    the barrier is the smallest achievable walk maximum, walking from the
-    trivial class to any zero-syndrome class outside the stabiliser span.
+    Every sector walks 2n-bit Pauli vectors; the sector picks the steps:
+    single-qubit X for "x", Z for "z", and X, Z or Y for "full".  Nodes
+    are error classes modulo the check rows that act only where the steps
+    act (the X-type rows for "x", the Z-type rows for "z", every row for
+    "full"), each held as its canonical representative; node cost is the
+    number of violated checks.  The barrier is the smallest achievable
+    walk maximum, walking from the trivial class to any zero-syndrome
+    class outside that span.
     """
     n = checks.n
-    if sector in ("x", "z"):
-        if n > n_limit:
-            raise ValueError(f"{n} qubits exceeds the sector search limit {n_limit}")
-        if not checks.is_css():
-            raise ValueError("sector barriers need a CSS-split check set")
-        x_rows = checks.matrix[:, :n]
-        z_rows = checks.matrix[:, n:]
-        is_x_type = x_rows.any(axis=1)
-        if sector == "x":
-            detect = z_rows[~is_x_type]  # Z-type checks catch X errors
-            span = x_rows[is_x_type]  # X-type stabiliser supports
-        else:
-            detect = x_rows[is_x_type]
-            span = z_rows[~is_x_type]
-        span = span.reshape(-1, n)
-        detect = detect.reshape(-1, n)
-        reduce = _canonical_reducer(span)
-        letter = "X" if sector == "x" else "Z"
-
-        def neighbours(e):
-            for q in range(n):
-                step = e.copy()
-                step[q] ^= 1
-                yield (q + 1, letter), reduce(step)
-
-        def cost(e):
-            return int(gf2.mat_vec(detect, e).sum())
-
-        def is_target(e):
-            return cost(e) == 0 and e.any()
-
-        start = np.zeros(n, dtype=np.uint8)
-        barrier, steps, node = _bottleneck_search(start, neighbours, cost, is_target)
-        return EnergyReport(barrier, steps, sector, int(node.sum()))
-
+    if sector not in ("x", "z", "full"):
+        raise ValueError("sector must be 'x', 'z', or 'full'")
     if sector == "full":
         if n > min(n_limit, 5):
             raise ValueError("full-sector walks are limited to 5 qubits")
-        reduce = _canonical_reducer(checks.matrix)
-        paulis = [("X", 0), ("Z", 1), ("Y", 2)]
+    elif n > n_limit:
+        raise ValueError(f"{n} qubits exceeds the sector search limit {n_limit}")
+    elif not checks.is_css():
+        raise ValueError("sector barriers need a CSS-split check set")
+    rows = checks.matrix
+    if sector == "x":
+        rows = rows[~rows[:, n:].any(axis=1)]
+    elif sector == "z":
+        rows = rows[~rows[:, :n].any(axis=1)]
+    reduce = _canonical_reducer(rows)
+    # each step letter with the halves it flips: x at q, z at n + q
+    steps = [(p, p != "Z", p != "X") for p in {"x": "X", "z": "Z", "full": "XZY"}[sector]]
 
-        def neighbours(v):
-            for q in range(n):
-                for letter, kind in paulis:
-                    step = v.copy()
-                    if kind in (0, 2):
-                        step[q] ^= 1
-                    if kind in (1, 2):
-                        step[n + q] ^= 1
-                    yield (q + 1, letter), reduce(step)
+    def neighbours(v):
+        for q in range(n):
+            for letter, flip_x, flip_z in steps:
+                step = v.copy()
+                if flip_x:
+                    step[q] ^= 1
+                if flip_z:
+                    step[n + q] ^= 1
+                yield (q + 1, letter), reduce(step)
 
-        def cost(v):
-            return int(checks.syndrome(v).sum())
+    def cost(v):
+        return np.count_nonzero(checks.syndrome(v))
 
-        def is_target(v):
-            return cost(v) == 0 and v.any()
+    def is_target(v):
+        return cost(v) == 0 and v.any()
 
-        start = np.zeros(2 * n, dtype=np.uint8)
-        barrier, steps, node = _bottleneck_search(start, neighbours, cost, is_target)
-        return EnergyReport(barrier, steps, sector, pauli_vector_weight(node))
-
-    raise ValueError("sector must be 'x', 'z', or 'full'")
+    start = np.zeros(2 * n, dtype=np.uint8)
+    barrier, walk, node = _bottleneck_search(start, neighbours, cost, is_target)
+    return EnergyReport(barrier, walk, sector, pauli_vector_weight(node))
 
 
 @dataclass(frozen=True)

@@ -57,7 +57,8 @@ class TestBuild:
         assert stage1.size(0) == 5
         h = gf2.read_pcm(rep2_build + "/classical.pcm")
         assert (h == REP2).all()
-        params = json.loads(open(rep2_build + "/params.json").read())
+        with open(rep2_build + "/params.json") as fh:
+            params = json.load(fh)
         assert params["computed"]["level_sizes"]["0"] == 33
         assert params["predicted_stage2"]["level_sizes"]["0"] == 33
 

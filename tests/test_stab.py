@@ -103,6 +103,16 @@ class TestSymplecticChecks:
         assert checks.num_generators == 4
         assert checks.num_logical == 1
 
+    def test_syndromes_read_a_memoised_support(self):
+        checks = stab.SymplecticChecks(FIVE_QUBIT)
+        diag = stab.diagonalize(checks)
+        for matrix, syndrome in ((checks.matrix, checks.syndrome), (diag.generators, diag.syndrome)):
+            syndrome(np.ones(10, dtype=np.uint8))
+            # a memo hit returns the kept support and never calls the builder
+            support = gf2.memo(matrix, "support", lambda m: None)
+            assert support is not None
+            assert all((a == b).all() for a, b in zip(support, np.nonzero(matrix)))
+
     def test_css_split(self):
         assert stab.SymplecticChecks(DIAG_CODES["steane"]).is_css()
         assert not stab.SymplecticChecks(FIVE_QUBIT).is_css()
