@@ -407,6 +407,21 @@ class TestSweepAndRounds:
         assert len(payload["rounds"]) == 10
         assert payload["in_contract_violations"] == 0
 
+    def test_rounds241_json_is_pinned(self, tmp_path):
+        # the benchmark's rounds241 run at seed 1: a one-bit measurement error,
+        # then a weight-1 X error, on the rep-3 double product (241 qubits)
+        complex_dir, sched, out = tmp_path / "c241", tmp_path / "s.json", tmp_path / "r.json"
+        tilde = product.single_product(ChainComplex([REP3], j_min=0))
+        chain.save_complex(str(complex_dir), product.double_product(tilde))
+        sched.write_text(json.dumps([{"u_support": [120]}, {"e_support": [164]}]))
+        assert run(
+            "rounds", "--complex", str(complex_dir), "--schedule", str(sched),
+            "-n", "2", "--dq", "9", "--t", "3", "--json", str(out), "--seed", "1",
+        ) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "77a1e89bb6f12da85e280e64e229b84b51f7b7243d67d6bb30c9bb589fcdeaa6"
+        )
+
     @pytest.mark.parametrize(
         "schedule, message",
         [

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -214,6 +215,57 @@ class TestSingleShotDecode:
         assert (a.e_rec.e == b.e_rec.e).all() and (a.e_rec.f == b.e_rec.f).all()
         assert (a.s_rec.z_part == b.s_rec.z_part).all()
         assert a.residual_min_weight == b.residual_min_weight
+
+
+# sha256 over every single_shot_decode output of the seeded corpus below
+PINNED_DECODE_DIGEST = "85150d70a92e82c397dd93c042d6a4e4fb38137930183244da4deab28c865b1e"
+
+
+def random_pauli(rng, n, weight):
+    """A Pauli on `weight` distinct qubits, each X, Z or Y at random."""
+    e = np.zeros(n, dtype=np.uint8)
+    f = np.zeros(n, dtype=np.uint8)
+    for q, kind in zip(rng.choice(n, size=weight, replace=False), rng.integers(0, 3, size=weight)):
+        e[q] = kind != 1
+        f[q] = kind != 0
+    return PauliError(e, f)
+
+
+class TestDecodeDigest:
+    """Every field of single_shot_decode over seeded (E, u) pairs, pinned:
+    500 in-contract pairs on the 241-qubit code (|u| <= 1, |E| <= 2,
+    residual budget f(2|u|)), and 500 pairs with |u| from 1 to 3 on the
+    486-qubit code, whose homology at the syndrome levels lets a repaired
+    syndrome fail its metachecks (residual budget f(2|u|), at most the
+    search weight 6).  A decode that runs out of budget contributes its
+    BudgetExhausted message."""
+
+    def test_seeded_corpus(self, code241, code486):
+        digest = hashlib.sha256()
+        failures = exhausted = 0
+        for code, seed, u_weights in ((code241, 241, (0, 1)), (code486, 486, (1, 2, 3))):
+            rng = np.random.default_rng(seed)
+            m = code.num_z_checks + code.num_x_checks
+            for _ in range(500):
+                u = np.zeros(m, dtype=np.uint8)
+                u_weight = int(rng.choice(u_weights))
+                u[rng.choice(m, size=u_weight, replace=False)] = 1
+                error = random_pauli(rng, code.n, int(rng.integers(0, 3)))
+                s = code.syndrome(error).compose(decoder.split_measurement_error(code, u))
+                budget = min(int(bounds.CUBIC_OVER_4(2 * u_weight)), 6)
+                try:
+                    r = decoder.single_shot_decode(code, s, 6, true_error=error, residual_budget=budget)
+                except gf2.BudgetExhausted as exc:
+                    exhausted += 1
+                    digest.update(f"BudgetExhausted: {exc}".encode())
+                    continue
+                failures += r.metacheck_failure
+                for v in (r.s_rec.z_part, r.s_rec.x_part, r.e_rec.e, r.e_rec.f):
+                    digest.update(v.astype(np.uint8).tobytes())
+                digest.update(repr((r.metacheck_failure, r.residual_min_weight, r.minimality_certified)).encode())
+        # the corpus reaches both kinds of outcome beyond a plain decode
+        assert (failures, exhausted) == (3, 5)
+        assert digest.hexdigest() == PINNED_DECODE_DIGEST
 
 
 class TestBudget:
