@@ -99,6 +99,28 @@ def _transposed(m: np.ndarray) -> np.ndarray:
     return gf2._from_support(m.shape[::-1], *gf2._support(m.T))
 
 
+def _obstruction_rows(h: np.ndarray, m: Optional[np.ndarray], betti: int) -> np.ndarray:
+    """Rows spanning ker(h^T) modulo m's row space (see
+    CssCode.syndrome_obstructions), read-only; there must be `betti`.
+
+    ker(h^T) is spanned by the rows of h's solver transform past its rank.
+    m's rows, in it because m h = 0, are eliminated first, so the kernel
+    rows that still take a new pivot are those outside m's row space.
+    """
+    solver = gf2.get_solver(h)
+    kernel = [int.from_bytes(row.tobytes(), "big") for row in solver.transform[solver.rank :]]
+    meta = [] if m is None else gf2._row_ints(m)
+    meta_leads = {v.bit_length() for v in gf2._eliminate(meta)[0]}
+    rows = [v for v in gf2._eliminate(meta + kernel)[0] if v.bit_length() not in meta_leads]
+    if len(rows) != betti:
+        raise AssertionError(
+            f"{len(rows)} syndrome obstruction rows, but the Betti number is {betti}"
+        )
+    out = gf2._int_matrix(rows, h.shape[0])
+    out.setflags(write=False)
+    return out
+
+
 class CssCode:
     """Checks and metachecks of a CSS code read off a chain complex.
 
@@ -168,10 +190,38 @@ class CssCode:
             ]
         )
 
+    @functools.cached_property
+    def syndrome_obstructions(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only obstruction rows of the Z and X syndrome sides.
+
+        On a side with checks H and metachecks M (none on a length-2
+        code), the rows span ker(H^T) modulo M's row space: a syndrome s
+        with M s = 0 is an image H e exactly when every row has even
+        overlap with s.  Their number is the Betti number at the syndrome
+        level (1 for Z, -1 for X), so a code with no homology there
+        (d_ss infinite, as on the 241-qubit code) has no rows and never
+        fails.  Computed once per code.
+        """
+        return (
+            _obstruction_rows(self.z_checks, self.z_metachecks, betti_number(self._complex, 1)),
+            _obstruction_rows(self.x_checks, self.x_metachecks, betti_number(self._complex, -1)),
+        )
+
+    def obstructed(self, s: Syndrome) -> bool:
+        """Does some obstruction row have odd overlap with s?  For a
+        metacheck-consistent s, exactly when no Pauli has syndrome s."""
+        z_rows, x_rows = self.syndrome_obstructions
+        return bool(
+            (len(z_rows) and gf2.mat_vec(z_rows, s.z_part).any())
+            or (len(x_rows) and gf2.mat_vec(x_rows, s.x_part).any())
+        )
+
     def in_syndrome_image(self, s: Syndrome) -> bool:
-        """Is s = syndrome(E) for some Pauli E?"""
-        z_ok = gf2.get_solver(self.z_checks).in_image(s.z_part)
-        return z_ok and gf2.get_solver(self.x_checks).in_image(s.x_part)
+        """Is s = syndrome(E) for some Pauli E?  Exactly when s passes every
+        metacheck and no obstruction row has odd overlap with it."""
+        if self.has_metachecks and self.metasyndrome(s).any():
+            return False
+        return not self.obstructed(s)
 
     def coset_annihilator(self, side: str) -> np.ndarray:
         """Read-only matrix B whose kernel is the stabiliser span on one side.

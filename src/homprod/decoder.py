@@ -5,6 +5,12 @@ nearest metacheck-consistent one, then find a minimum-weight Pauli with
 that syndrome.  The X and Z sides decode independently (the CSS block
 structure keeps them uncoupled), each by exhaustive increasing-weight
 search, so results are deterministic and minimality is certified per side.
+
+A repaired syndrome fails (no Pauli has it) exactly when it has odd
+overlap with one of the code's syndrome-level obstruction rows
+(CssCode.syndrome_obstructions, computed once per code); a code with no
+homology at levels 1 and -1 (d_ss infinite, such as the 241-qubit code)
+has none, so its decodes never fail and pay nothing for the test.
 """
 
 from __future__ import annotations
@@ -125,7 +131,9 @@ def repair_syndrome(code: CssCode, s: Syndrome, max_weight: int) -> RepairOutcom
 
     The two metacheck blocks are independent, so per-side minima add up to
     the joint minimum.  Reports a metacheck failure when the repaired
-    syndrome admits no Pauli explanation; raises BudgetExhausted when no
+    syndrome admits no Pauli explanation: it passes every metacheck, so
+    that is when some obstruction row of the code has odd overlap with it
+    (see CssCode.syndrome_obstructions).  Raises BudgetExhausted when no
     repair at all exists within the weight budget.
     """
     if not code.has_metachecks:
@@ -141,8 +149,8 @@ def repair_syndrome(code: CssCode, s: Syndrome, max_weight: int) -> RepairOutcom
     if found_x is None:
         raise BudgetExhausted(f"no X-side syndrome repair within weight {max_weight}")
     s_rec = Syndrome(found_z[0], found_x[0])
-    repaired = s.compose(s_rec)
-    return RepairOutcome(s_rec, not code.in_syndrome_image(repaired))
+    # the repaired syndrome passes every metacheck by construction
+    return RepairOutcome(s_rec, code.obstructed(s.compose(s_rec)))
 
 
 def _min_weight_pauli(code: CssCode, repaired: Syndrome, max_weight: int) -> PauliError:

@@ -1,5 +1,8 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -152,23 +155,28 @@ class TestQubitDecode:
 
 
 class TestSingleShotDecode:
-    def test_one_membership_check_per_decode(self, code33, monkeypatch):
-        calls = []
-        real = css.CssCode.in_syndrome_image
+    def test_no_image_test_and_obstruction_rows_built_once(self, monkeypatch):
+        built = []
+        real_rows = css._obstruction_rows
 
-        def counted(self, s):
-            calls.append(1)
-            return real(self, s)
+        def counting(h, m, betti):
+            built.append(h.shape)
+            return real_rows(h, m, betti)
 
-        monkeypatch.setattr(css.CssCode, "in_syndrome_image", counted)
-        m = code33.num_z_checks + code33.num_x_checks
-        cases = [(single_x(33, q), unit_u(m, i)) for q, i in [(0, 0), (7, 3), (32, m - 1)]]
-        cases.append((PauliError.identity(33), np.zeros(m, dtype=np.uint8)))
+        def refused(self, b):
+            raise AssertionError("decode made an image test")
+
+        monkeypatch.setattr(css, "_obstruction_rows", counting)
+        monkeypatch.setattr(gf2.Gf2Solver, "in_image", refused)
+        code = css.from_complex(double(REP3))  # fresh: nothing cached yet
+        m = code.num_z_checks + code.num_x_checks
+        cases = [(single_x(241, q), unit_u(m, i)) for q, i in [(0, 0), (7, 3), (240, m - 1)]]
+        cases.append((PauliError.identity(241), np.zeros(m, dtype=np.uint8)))
         for err, u in cases:
-            s = code33.syndrome(err).compose(decoder.split_measurement_error(code33, u))
-            calls.clear()
-            decoder.single_shot_decode(code33, s, 3, true_error=err)
-            assert len(calls) == 1
+            s = code.syndrome(err).compose(decoder.split_measurement_error(code, u))
+            decoder.single_shot_decode(code, s, 6, true_error=err, residual_budget=2)
+        # one build per side, on the first decode
+        assert built == [code.z_checks.shape, code.x_checks.shape]
 
     def test_zero_syndrome(self, code33):
         res = decoder.single_shot_decode(
@@ -266,6 +274,96 @@ class TestDecodeDigest:
         # the corpus reaches both kinds of outcome beyond a plain decode
         assert (failures, exhausted) == (3, 5)
         assert digest.hexdigest() == PINNED_DECODE_DIGEST
+
+
+class TestSyndromeObstructions:
+    """The rows that decide metacheck failure: ker(H^T) modulo M's rows."""
+
+    @pytest.mark.parametrize(
+        "h, counts",
+        [(REP2, (0, 0)), (REP3, (0, 0)), (CYC3, (4, 4))],
+        ids=["code33", "code241", "code486"],
+    )
+    def test_row_counts_are_betti_numbers(self, h, counts):
+        complex_ = double(h)
+        z_rows, x_rows = css.from_complex(complex_).syndrome_obstructions
+        assert (len(z_rows), len(x_rows)) == counts
+        assert counts == (chain.betti_number(complex_, 1), chain.betti_number(complex_, -1))
+
+    def test_rows_are_read_only_kernel_rows_of_the_checks(self, code486):
+        for rows, h, m in (
+            (*code486.syndrome_obstructions[:1], code486.z_checks, code486.z_metachecks),
+            (*code486.syndrome_obstructions[1:], code486.x_checks, code486.x_metachecks),
+        ):
+            assert not rows.flags.writeable
+            assert not gf2.mat_mul(rows, h).any()
+            # independent of each other and of m's rows
+            assert gf2.rank(np.vstack([m, rows])) == gf2.rank(m) + len(rows)
+
+    def test_failure_flag_matches_solver_membership(self, code486):
+        # metacheck-consistent syndromes: an error's syndrome plus, on each
+        # side with probability 1/2, a random vector of ker M
+        rng = np.random.default_rng(1805)
+        z_kernel = np.array(gf2.kernel_basis(code486.z_metachecks))
+        x_kernel = np.array(gf2.kernel_basis(code486.x_metachecks))
+        solvers = gf2.get_solver(code486.z_checks), gf2.get_solver(code486.x_checks)
+        flags = []
+        for _ in range(300):
+            s = code486.syndrome(random_pauli(rng, 486, int(rng.integers(0, 4))))
+            parts = [s.z_part, s.x_part]
+            for i, kernel in enumerate((z_kernel, x_kernel)):
+                if rng.integers(0, 2):
+                    mix = rng.integers(0, 2, size=len(kernel))
+                    parts[i] = parts[i] ^ gf2.mat_vec(kernel.T, mix)
+            s = css.Syndrome(*parts)
+            assert not code486.metasyndrome(s).any()
+            expected = not (solvers[0].in_image(s.z_part) and solvers[1].in_image(s.x_part))
+            outcome = decoder.repair_syndrome(code486, s, 3)
+            assert outcome.repaired_weight == 0
+            assert outcome.metacheck_failure == expected
+            assert code486.in_syndrome_image(s) == (not expected)
+            flags.append(expected)
+        assert 50 < sum(flags) < 250
+
+    @pytest.mark.parametrize("h", [REP3, CYC3], ids=["rep3", "cyc3"])
+    def test_membership_matches_solvers_on_any_syndrome(self, h):
+        # arbitrary syndromes, metacheck-consistent or not, on the double
+        # product and on the single product (no metachecks)
+        rng = np.random.default_rng(7)
+        single = product.single_product(ChainComplex([gf2.as_bin(h)], j_min=0))
+        for code in (css.from_complex(single), css.from_complex(double(h))):
+            solvers = gf2.get_solver(code.z_checks), gf2.get_solver(code.x_checks)
+            for _ in range(200):
+                s = css.Syndrome(
+                    rng.integers(0, 2, size=code.num_z_checks, dtype=np.uint8),
+                    rng.integers(0, 2, size=code.num_x_checks, dtype=np.uint8),
+                )
+                if rng.integers(0, 2):
+                    s = code.syndrome(random_pauli(rng, code.n, 3))
+                expected = solvers[0].in_image(s.z_part) and solvers[1].in_image(s.x_part)
+                assert code.in_syndrome_image(s) == expected
+
+    def test_betti_guard_survives_optimize_flag(self):
+        # a row count that disagrees with the Betti number is caught by an
+        # explicit raise, not an assert that -O strips
+        code = (
+            "from homprod import chain, css, gf2, product\n"
+            "h = gf2.as_bin([[1, 1, 0], [0, 1, 1], [1, 0, 1]])\n"
+            "complex_ = product.double_product(product.single_product(chain.ChainComplex([h], j_min=0)))\n"
+            "real = css.betti_number\n"
+            "css.betti_number = lambda c, j: real(c, j) + 1\n"
+            "try:\n"
+            "    css.from_complex(complex_).syndrome_obstructions\n"
+            "except AssertionError as exc:\n"
+            "    raise SystemExit(7 if 'Betti number is 5' in str(exc) else 1)\n"
+            "raise SystemExit(1)\n"
+        )
+        src = os.path.dirname(os.path.dirname(css.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p
+        )}
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env)
+        assert proc.returncode == 7
 
 
 class TestBudget:
