@@ -56,7 +56,7 @@ class PreimageError(ValueError):
 
 @dataclass(frozen=True)
 class Verdict:
-    kind: str  # "certified" | "counterexample" | "budget_limited"
+    kind: str  # "certified" | "counterexample"
     detail: str
     counterexample: Optional[np.ndarray] = None
 
@@ -202,7 +202,7 @@ def certify_map(
     if math.isinf(threshold):
         range_max = delta.shape[0]
     else:
-        range_max = int(threshold) - 1
+        range_max = math.ceil(threshold) - 1
     x_max = range_max if x_max is None else max(x_max, range_max)
     x_max = min(x_max, delta.shape[0])
     preimage_budget = int(bound(max(range_max, 0))) + 1
@@ -215,12 +215,6 @@ def certify_map(
             continue
         w = profile.worst[x]
         if Fraction(w) > bound(x):
-            if w > preimage_budget and Fraction(preimage_budget) < bound(x):
-                verdict = Verdict(
-                    "budget_limited",
-                    f"syndrome weight {x}: preimage search stopped at {preimage_budget}",
-                )
-                break
             r = gf2.solve(delta, profile.worst_syndrome[x])
             verdict = Verdict(
                 "counterexample",

@@ -74,6 +74,14 @@ class TestProfile:
             assert Fraction(prof.worst[2]) > bounds.QUADRATIC_OVER_4(2)
         assert worst_at_two == {3: 2, 4: 4, 5: 4}
 
+    def test_non_integer_threshold_profiles_its_whole_range(self):
+        # every syndrome weight below 3.5 is enumerated, 3 included
+        prof = soundness.certify_map(np.eye(4, dtype=np.uint8), 3.5, bounds.LINEAR)
+        assert prof.x_max == 3
+        assert prof.worst == {0: 0, 1: 1, 2: 2, 3: 3}
+        assert prof.preimage_budget == 4
+        assert prof.verdict.certified
+
     def test_certify_counterexample_carries_witness(self):
         s = single(cyclic(3))
         prof = soundness.certify_map(s.delta(0), 4, bounds.QUADRATIC_OVER_4)
