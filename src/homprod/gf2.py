@@ -27,11 +27,13 @@ query that enumerates up to 384 right halves loops over them against a
 Python dict keyed by the exact packed column sum: the many shallow
 decoding queries pay per-call overhead, and a dict lookup has the
 least.  A larger query runs on sorted numpy arrays keyed by a 64-bit
-linear sketch of the column sum, for all right halves at once; every
-candidate is verified against the exact sum, so a sketch collision
-costs work, never a wrong answer, and results keep their (weight, lex)
-order.  A table whose estimated size exceeds a memory cap is never
-built: the search raises BudgetExhausted.
+linear sketch of the column sum, a fixed-size block of right halves at
+a time; every candidate is verified against the exact sum, so a sketch
+collision costs work, never a wrong answer, and results keep their
+(weight, lex) order.  A table whose estimated size exceeds a memory cap
+is never built, and a block whose candidates, with the supports found
+before it, would exceed the cap is never expanded: the search raises
+BudgetExhausted.
 """
 
 from __future__ import annotations
@@ -427,12 +429,12 @@ class BudgetExhausted(RuntimeError):
 
 
 # A query that enumerates more right halves than this runs on sorted numpy
-# half tables, all right halves at once; a smaller one loops over its right
-# halves against a Python dict.  The dict path costs about 0.35 us per right
-# half; the array path about 100 us per query plus a little per half.  On
-# weight-2 and weight-3 queries the two cost the same near 384 halves (the
-# dict path wins at 256, the array path at 512).  Below that sit the
-# shallow queries that dominate decoding.
+# half tables, a block of right halves at a time; a smaller one loops over
+# its right halves against a Python dict.  The dict path costs about
+# 0.35 us per right half; the array path about 100 us per query plus a
+# little per half.  On weight-2 and weight-3 queries the two cost the same
+# near 384 halves (the dict path wins at 256, the array path at 512).
+# Below that sit the shallow queries that dominate decoding.
 _ARRAY_MIN_RIGHT_HALVES = 384
 
 # Largest half table a search may build, in estimated bytes (C(n, k) entries
@@ -440,16 +442,22 @@ _ARRAY_MIN_RIGHT_HALVES = 384
 _TABLE_BYTES_MAX = 1 << 30
 # Peak bytes per entry, measured with tracemalloc: a dict entry holds a
 # tuple, a list slot and its share of the dict (230-245 bytes); an array
-# entry holds one 8-byte key, plus the temporaries of building the table
-# (40-50 bytes) or of its heaviest query (65 bytes per right half, when the
-# target is zero and every right half meets itself).
+# entry holds one 8-byte key, and building the table in place peaks at
+# 8.1-9.6 bytes per entry (the shorter key list it is extended from).  A
+# query on it adds one block's temporaries, under 0.9 MB (5.6 bytes per
+# entry of a C(100, 3) table, 0.4 of a C(241, 3) one), and its candidates.
 _DICT_ENTRY_BYTES = 256
-_ARRAY_ENTRY_BYTES = 80
-# Peak bytes per candidate of an array query (a left half whose sketch matches
-# a right half's), the same way: 33-35 bytes of indices and codes before the
-# index-order filter, then up to 16 per column word the verification gathers.
-_CANDIDATE_BYTES = 40
-_CANDIDATE_WORD_BYTES = 16
+_ARRAY_ENTRY_BYTES = 10
+# Peak bytes per candidate of a block of an array query (a left half whose
+# sketch matches a right half's), the same way: 33 bytes of codes before the
+# index-order filter, or 17 plus 7.5-7.9 per column word while the ones that
+# pass it (at most half) are verified.
+_CANDIDATE_BYTES = 33
+_CANDIDATE_WORD_BYTES = 8
+# Right halves an array query keys at once: about 40 bytes of temporaries
+# each, and the keys their needles reach stay in cache.  On the weight-6
+# queries of the 241-qubit code, blocks of 1 << 13 and 1 << 16 ran slower.
+_QUERY_BLOCK_HALVES = 1 << 14
 
 _SKETCH_SEED = 20180524
 # rows of packed vectors sketched per block, so the byte lookups of a wide
@@ -539,16 +547,20 @@ class _WeightSearch:
       keys: the 64-bit linear _sketch of a combination's column sum, with
       its low bits replaced by the combination's code (its indices,
       _index_bits each, first index highest, so codes order like lex
-      order).  A sum's sketch is the XOR of its columns' sketches, so all
-      right halves are keyed at once (from the right table, sorted the same
-      way), and the left halves whose sketch matches one right half are
-      one searchsorted range.  Each candidate is then checked for index
-      order and verified against the exact packed column sum, so a sketch
-      collision costs work, never a wrong answer; one lexsort restores lex
-      order.
+      order).  A sum's sketch is the XOR of its columns' sketches, so the
+      right halves are keyed a block at a time (slices of the right table,
+      sorted the same way), and the left halves whose sketch matches one
+      right half are one searchsorted range.  Each candidate is then
+      checked for index order and verified against the exact packed
+      column sum, so a sketch collision costs work, never a wrong answer;
+      the supports of all blocks are gathered, and one lexsort restores
+      lex order.  Only the tables and one block's temporaries are held at
+      once.
 
-    Before a table is built its size is estimated; above _TABLE_BYTES_MAX
-    the search raises BudgetExhausted instead of running out of memory.
+    Before a table is built its size is estimated, and before a block's
+    candidates are expanded their size is, with the supports found so far;
+    above _TABLE_BYTES_MAX the search raises BudgetExhausted instead of
+    running out of memory.
     """
 
     def __init__(self, m: np.ndarray) -> None:
@@ -586,35 +598,44 @@ class _WeightSearch:
                     f"codes of {size} indices below {self.n} need "
                     f"{size * self._index_bits} bits, leaving too few for the sketch"
                 )
-            n = self.n
-            bits = np.uint64(self._index_bits)
             sketches = _sketch(self._words.view(np.uint8))
-            codes = np.arange(n, dtype=np.uint64)
-            keys = sketches
-            for _ in range(size - 1):
-                # extend each combination by every index after its last
-                last = (codes & self._code_mask(1)).astype(np.intp)
-                counts = n - 1 - last
-                parent = np.repeat(np.arange(codes.size), counts)
-                shift = np.cumsum(counts) - counts - last - 1
-                new = np.arange(parent.size) - np.repeat(shift, counts)
-                codes = (codes[parent] << bits) | new.astype(np.uint64)
-                keys = keys[parent] ^ sketches[new]
-                # free this round's index arrays before the next, larger one
-                del last, counts, parent, shift, new
-            mask = self._code_mask(size)
-            keys = (keys & ~mask) | codes
-            del codes
+            keys = (sketches & ~self._code_mask(1)) | np.arange(self.n, dtype=np.uint64)
+            for longer in range(2, size + 1):
+                keys = self._extended(keys, longer, sketches)
             keys.sort()
             self._sorted[size] = keys
         return self._sorted[size]
 
-    def _decode(self, codes: np.ndarray, size: int) -> np.ndarray:
-        """Index columns of combination codes, first index first."""
-        bits = self._index_bits
-        low = np.uint64((1 << bits) - 1)
-        shifts = np.arange(size - 1, -1, -1, dtype=np.uint64) * np.uint64(bits)
-        return ((codes[:, np.newaxis] >> shifts) & low).astype(np.intp)
+    def _extended(self, shorter: np.ndarray, size: int, sketches: np.ndarray) -> np.ndarray:
+        """Keys of every size-`size` combination in lex order, from the keys
+        of every (size - 1)-combination in lex order.
+
+        A combination is its first index i followed by a shorter one whose
+        indices all exceed i, and those shorter ones are a tail of the lex
+        order.  So the combinations that start at i are that tail with its
+        sketch bits cleared where the longer code goes, XORed with i's
+        sketch and code: one run of the output array, filled in place.
+        """
+        n, bits = self.n, self._index_bits
+        mask = self._code_mask(size)
+        heads = (sketches & ~mask) | (np.arange(n, dtype=np.uint64) << np.uint64((size - 1) * bits))
+        keep = ~mask | self._code_mask(size - 1)
+        out = np.empty(math.comb(n, size), dtype=np.uint64)
+        filled = tail = 0
+        for i in range(n - size + 1):
+            # skip the shorter combinations that start at i
+            tail += math.comb(n - 1 - i, size - 2)
+            run = out[filled : filled + shorter.size - tail]
+            np.bitwise_and(shorter[tail:], keep, out=run)
+            run ^= heads[i]
+            filled += run.size
+        return out
+
+    def _columns(self, codes: np.ndarray, size: int) -> Iterator[np.ndarray]:
+        """The indices of combination codes of `size` indices, one array per
+        position, first index first."""
+        for j in range(size - 1, -1, -1):
+            yield ((codes >> np.uint64(j * self._index_bits)) & self._code_mask(1)).astype(np.intp)
 
     def _matches(self, w: int, target: int):
         """Supports of size w summing to target, in no particular order:
@@ -649,44 +670,87 @@ class _WeightSearch:
 
     def _array_matches(self, left: int, right: int, target: int) -> np.ndarray:
         keys = self._sorted_table(left)
-        if not keys.size:
-            return np.zeros((0, left + right), dtype=np.intp)
         target_words = self._padded([target])
+        target_sketch = _sketch(target_words.view(np.uint8))[0]
         left_mask, right_mask = self._code_mask(left), self._code_mask(right)
-        right_keys = self._sorted_table(right)
-        # each needle: the sketch a matching left half must have, above the
-        # right half's own code; sorted, they walk the keys in one direction,
-        # which searchsorted answers far faster than scattered ones
         sketch_bits = ~left_mask
-        needles = (right_keys ^ _sketch(target_words.view(np.uint8))[0]) & sketch_bits
-        needles |= right_keys & right_mask
-        needles.sort()
-        lo = np.searchsorted(keys, needles & sketch_bits)
-        # a needle hits when the first key at or after it shares its sketch
-        at = keys[np.minimum(lo, keys.size - 1)]
-        at ^= needles
-        at &= sketch_bits
-        hit = np.flatnonzero((at == 0) & (lo < keys.size))
-        del at
-        lo, needles = lo[hit], needles[hit]
-        counts = np.searchsorted(keys, needles | left_mask, side="right")
-        counts -= lo
-        candidates = int(counts.sum())
-        need = candidates * (_CANDIDATE_BYTES + _CANDIDATE_WORD_BYTES * self._words.shape[1])
-        _require_under_cap(need, f"weight-search query of {candidates} candidates")
-        rows = np.repeat(lo - np.cumsum(counts) + counts, counts)
-        rows += np.arange(rows.size)
-        left_codes = keys[rows]
-        left_codes &= left_mask
-        del rows
-        right_codes = np.repeat(needles & right_mask, counts)
-        # every left index below every right one: last below first
-        last = left_codes & self._code_mask(1)
-        ordered = last < right_codes >> np.uint64((right - 1) * self._index_bits)
-        left_codes, right_codes = left_codes[ordered], right_codes[ordered]
-        supports = np.hstack([self._decode(left_codes, left), self._decode(right_codes, right)])
-        sums = np.bitwise_xor.reduce(self._words[supports], axis=1)
-        return supports[~(sums ^ target_words).any(axis=1)]
+        right_keys = self._sorted_table(right)
+        found, held = [], 0  # the supports found so far, and their count
+        for start in range(0, right_keys.size, _QUERY_BLOCK_HALVES):
+            block = right_keys[start : start + _QUERY_BLOCK_HALVES]
+            # each needle: the sketch a matching left half must have, above
+            # the right half's own code; sorted, they walk the keys in one
+            # direction, which searchsorted answers far faster than scattered ones
+            needles = block ^ target_sketch
+            needles &= sketch_bits
+            needles |= block & right_mask
+            needles.sort()
+            # the keys the block's needles can reach are one run of the table,
+            # about as long as the block, so the searches stay in cache
+            window = keys[
+                np.searchsorted(keys, needles[0] & sketch_bits) : np.searchsorted(
+                    keys, needles[-1] | left_mask, side="right"
+                )
+            ]
+            if not window.size:
+                continue
+            lo = np.searchsorted(window, needles & sketch_bits)
+            # a needle hits when the first key at or after it shares its sketch
+            at = window.take(lo, mode="clip")
+            at ^= needles
+            at &= sketch_bits
+            hit = np.flatnonzero((at == 0) & (lo < window.size))
+            del at
+            lo, needles = lo[hit], needles[hit]
+            del hit
+            # a sketch mostly occurs once; search for the end of the others' runs
+            counts = np.ones(lo.size, dtype=np.intp)
+            at = window.take(lo + 1, mode="clip")
+            at ^= needles
+            at &= sketch_bits
+            longer = np.flatnonzero((at == 0) & (lo + 1 < window.size))
+            del at
+            counts[longer] = np.searchsorted(window, needles[longer] | left_mask, side="right")
+            counts[longer] -= lo[longer]
+            candidates = int(counts.sum())
+            need = held * (left + right) * np.dtype(np.intp).itemsize + candidates * (
+                _CANDIDATE_BYTES + _CANDIDATE_WORD_BYTES * self._words.shape[1]
+            )
+            _require_under_cap(
+                need,
+                f"weight-search query of {candidates} candidates in one block, "
+                f"after {held} supports found",
+            )
+            right_codes = np.repeat(needles & right_mask, counts)
+            rows = np.repeat(lo - np.cumsum(counts) + counts, counts)
+            # the block's per-needle arrays go before the candidates peak
+            del lo, needles, counts
+            rows += np.arange(rows.size)
+            left_codes = window[rows]
+            del rows
+            left_codes &= left_mask
+            # every left index below every right one: last below first
+            last = left_codes & self._code_mask(1)
+            ordered = last < right_codes >> np.uint64((right - 1) * self._index_bits)
+            del last
+            halves = ((left_codes[ordered], left), (right_codes[ordered], right))
+            del left_codes, right_codes
+            # the exact column sum, one column at a time; only the supports
+            # that reach the target are decoded whole
+            sums = np.repeat(target_words, ordered.sum(), axis=0)
+            for codes, size in halves:
+                for column in self._columns(codes, size):
+                    sums ^= self._words[column]
+            exact = ~sums.any(axis=1)
+            del sums
+            supports = np.column_stack(
+                [column for codes, size in halves for column in self._columns(codes[exact], size)]
+            )
+            found.append(supports)
+            held += len(supports)
+        if not found:
+            return np.zeros((0, left + right), dtype=np.intp)
+        return found[0] if len(found) == 1 else np.concatenate(found)
 
     def supports(self, w: int, target: int) -> list[tuple[int, ...]]:
         """All supports of size w whose column sum equals target, lex sorted."""

@@ -307,18 +307,21 @@ class SingleWitness:
     reductions: int
 
 
-def _require_levels(c: ChainComplex, j_min: int, sizes: list[int], what: str) -> None:
-    """Raise ValueError naming what c should be unless it spans levels j_min..
-    with these sizes, read from its maps' shapes."""
+def _require_levels(
+    c: ChainComplex, j_min: int, sizes: list[int], what: Callable[[], str]
+) -> None:
+    """Raise ValueError naming what c should be, what(), unless it spans
+    levels j_min.. with these sizes, read from its maps' shapes.  The name
+    is built only on failure: a repr can cost more than the check."""
     shapes = [(n_out, n_in) for n_in, n_out in zip(sizes, sizes[1:])]
     if c.j_min != j_min or [m.shape for m in c.boundaries] != shapes:
-        raise ValueError(f"{c!r} is not {what}")
+        raise ValueError(f"{c!r} is not {what()}")
 
 
 def _require_single_product(h: np.ndarray, tilde: ChainComplex) -> None:
     n1, n0 = h.shape
     sizes = [n0 * n1, n0 * n0 + n1 * n1, n1 * n0]
-    _require_levels(tilde, -1, sizes, f"the single product of a {n1}x{n0} matrix")
+    _require_levels(tilde, -1, sizes, lambda: f"the single product of a {n1}x{n0} matrix")
 
 
 def _single_map_pieces(h: np.ndarray, tilde: ChainComplex, map_side: str):
@@ -655,7 +658,7 @@ def double_product_preimage(
         len_l + n_1 * n_0,
         n_1 * n_m1,
     ]
-    _require_levels(breve, -2, sizes, f"the double product of {tilde!r}")
+    _require_levels(breve, -2, sizes, lambda: f"the double product of {tilde!r}")
     if s.shape[0] != sizes[3]:
         raise ValueError("syndrome length does not match the double product's checks")
     if gf2.mat_vec(breve.delta(1), s).any():

@@ -1,4 +1,6 @@
 import itertools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -488,8 +490,9 @@ class TestWeightSearch:
             {"_ARRAY_MIN_RIGHT_HALVES": -1},
             {"_ARRAY_MIN_RIGHT_HALVES": 1 << 62},
             {"_ARRAY_MIN_RIGHT_HALVES": -1, "_sketch": _zero_sketch},
+            {"_ARRAY_MIN_RIGHT_HALVES": -1, "_QUERY_BLOCK_HALVES": 1},
         ],
-        ids=["arrays", "dicts", "arrays-colliding-sketch"],
+        ids=["arrays", "dicts", "arrays-colliding-sketch", "arrays-one-half-blocks"],
     )
     @given(search_case())
     @settings(max_examples=60)
@@ -517,6 +520,32 @@ class TestWeightSearch:
             else:
                 assert tuple(np.flatnonzero(found[0])) == first
                 assert found[1] == len(first)
+
+    def test_241_qubit_blocks_equal_one_block(self):
+        # the deep queries of the benchmark's seed-1 rounds run: the first
+        # round's residual is one X error, decoded from a flip of check bit
+        # 120; its X side has a nonzero target, its Z side the target zero
+        from homprod import chain, css, decoder, product
+
+        tilde = product.single_product(chain.ChainComplex([bits([[1, 1, 0], [0, 1, 1]])], j_min=0))
+        code = css.from_complex(product.double_product(tilde))
+        u = np.zeros(code.num_z_checks + code.num_x_checks, dtype=np.uint8)
+        u[119] = 1
+        residual = decoder.single_shot_decode(
+            code, decoder.split_measurement_error(code, u), 6
+        ).e_rec
+        for side, v, count in (("x", residual.e, 90), ("z", residual.f, 116)):
+            ann = code.coset_annihilator(side)
+            search = gf2._WeightSearch(ann)
+            target = gf2._target_int(gf2.mat_vec(ann, v))
+            assert (target == 0) == (side == "z")
+            blocks = math.comb(code.n, 3) // gf2._QUERY_BLOCK_HALVES
+            assert blocks > 100  # the weight-6 queries span many blocks
+            blockwise = search.supports(6, target)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(gf2, "_QUERY_BLOCK_HALVES", math.comb(code.n, 3))
+                assert search.supports(6, target) == blockwise
+            assert len(blockwise) == count
 
     def test_sketch_is_linear_and_blockwise(self, monkeypatch):
         rng = np.random.default_rng(2)
@@ -565,6 +594,23 @@ class TestMemoryCap:
         search._sorted_table(2)
         with pytest.raises(gf2.BudgetExhausted, match="608400 candidates"):
             list(gf2.kernel_vectors_by_weight(gf2.zeros(1, 40), 4))
+
+    def test_array_peaks_stay_within_the_entry_estimate(self):
+        # the cap's estimate is an upper bound: building a table of 161700
+        # entries, and its heaviest query (target zero, where every right
+        # half meets itself), each peak below the estimated bytes per entry
+        m = np.random.default_rng(1).integers(0, 2, (20, 100), dtype=np.uint8)
+        search = gf2._WeightSearch(m)
+        entries = math.comb(100, 3)
+        peaks = []
+        for step in (lambda: search._sorted_table(3), lambda: search.supports(6, 0)):
+            tracemalloc.start()
+            try:
+                step()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) <= entries * gf2._ARRAY_ENTRY_BYTES, peaks
 
     def test_default_cap_admits_the_241_qubit_tables(self):
         # C(241, 3) entries as arrays: the deep coset search of the 241-qubit code
