@@ -40,16 +40,6 @@ class ContractViolation(RuntimeError):
     """A closed-form result disagrees with an enumeration or a witness."""
 
 
-@dataclass
-class RunConfig:
-    """Resolved run settings shared by the subcommands."""
-
-    seed: int = 0
-    max_weight: int = chain.DEFAULT_DISTANCE_BUDGET
-    json_path: Optional[str] = None
-    quiet: bool = False
-
-
 def _write_json(path: str, payload: dict, seed: int) -> None:
     """payload plus its seed as indented, key-sorted JSON and a final newline."""
     with open(path, "w", encoding="utf-8") as fh:
@@ -57,10 +47,10 @@ def _write_json(path: str, payload: dict, seed: int) -> None:
         fh.write("\n")
 
 
-def emit(cfg: RunConfig, payload: dict, text: str) -> None:
-    if cfg.json_path:
-        _write_json(cfg.json_path, payload, cfg.seed)
-    if not cfg.quiet:
+def emit(args: argparse.Namespace, payload: dict, text: str) -> None:
+    if args.json_path:
+        _write_json(args.json_path, payload, args.seed)
+    if not args.quiet:
         print(text)
 
 
@@ -92,10 +82,23 @@ TABLE1_EXPECTED = {
 }
 
 
-def build_stages(base: ChainComplex) -> tuple[ChainComplex, ChainComplex]:
-    """The single product of base and the double product of that."""
-    tilde = product.single_product(base)
-    return tilde, product.double_product(tilde)
+def build_stages(base: ChainComplex, stages: int = 2) -> tuple[ChainComplex, ...]:
+    """The single product of base and, for two stages, the double product of that."""
+    built = (product.single_product(base),)
+    if stages == 2:
+        built += (product.double_product(built[0]),)
+    return built
+
+
+def save_stages(out: str, base: ChainComplex, stages: int) -> tuple[ChainComplex, ...]:
+    """build_stages of base, written to out: the last product, stage1/ beside
+    a double product, and the checks as classical.pcm."""
+    built = build_stages(base, stages)
+    if stages == 2:
+        chain.save_complex(os.path.join(out, "stage1"), built[0])
+    chain.save_complex(out, built[-1])
+    gf2.write_pcm(os.path.join(out, "classical.pcm"), base.delta(0))
+    return built
 
 
 def run_table1_row(name: str) -> dict:
@@ -145,12 +148,10 @@ def _matches_rounded(value: Fraction, expected_str: str) -> bool:
     return abs(round(float(value), decimals) - float(expected_str)) <= 1e-5
 
 
-def cmd_table1(cfg: RunConfig, args) -> int:
+def cmd_table1(args: argparse.Namespace) -> int:
     rows = [run_table1_row(n) for n in TABLE1_INPUTS]
-    all_match = all(
-        all(r["matches"].values()) or ("note" in r and _only_redundancy_off(r))
-        for r in rows
-    )
+    # a row whose only miss is the redundancy carries a note explaining it
+    all_match = all(v for r in rows for k, v in r["matches"].items() if k != "redundancy")
     lines = [
         f"{'input':<6} {'n_q':>5} {'k_q':>4} {'d_q':>9} {'d_ss':>5} "
         f"{'max_w':>5} {'mean_w':>8} {'redund':>8}  ok"
@@ -168,12 +169,8 @@ def cmd_table1(cfg: RunConfig, args) -> int:
         )
         if "note" in r:
             lines.append(f"  note: {r['note']}")
-    emit(cfg, {"rows": rows, "all_match": all_match}, "\n".join(lines))
+    emit(args, {"rows": rows, "all_match": all_match}, "\n".join(lines))
     return EXIT_OK
-
-
-def _only_redundancy_off(row: dict) -> bool:
-    return all(v for k, v in row["matches"].items() if k != "redundancy")
 
 
 # -- complex/build/report --------------------------------------------------------
@@ -206,16 +203,9 @@ def _load_base(path: str, allow_redundant: bool) -> ChainComplex:
         raise InputError(f"{exc} (pass --allow-redundant to proceed)") from exc
 
 
-def cmd_build(cfg: RunConfig, args) -> int:
+def cmd_build(args: argparse.Namespace) -> int:
     base = _load_base(args.classical, args.allow_redundant)
-    tilde = product.single_product(base)
-    if args.stages == 2:
-        final = product.double_product(tilde)
-        chain.save_complex(os.path.join(args.out, "stage1"), tilde)
-    else:
-        final = tilde
-    chain.save_complex(args.out, final)
-    gf2.write_pcm(os.path.join(args.out, "classical.pcm"), base.delta(0))
+    final = save_stages(args.out, base, args.stages)[-1]
     computed = {
         "level_sizes": {str(j): final.size(j) for j in final.levels()},
         "level_bettis": {
@@ -227,9 +217,9 @@ def cmd_build(cfg: RunConfig, args) -> int:
     for stages in range(1, args.stages + 1):
         params = product.product_params(base, stages)
         payload[f"predicted_stage{stages}"] = params.to_json()
-    _write_json(os.path.join(args.out, "params.json"), payload, cfg.seed)
+    _write_json(os.path.join(args.out, "params.json"), payload, args.seed)
     emit(
-        cfg,
+        args,
         payload,
         f"built stage-{args.stages} complex at {args.out}: "
         f"{final.size(0)} qubits, {chain.betti_number(final, 0)} logical",
@@ -265,13 +255,13 @@ def load_stored(path: str) -> Stored:
     if not os.path.exists(pcm):
         return Stored(complex_)
     base = ChainComplex([_load_classical(pcm)], j_min=0)
-    tilde = product.single_product(base)
-    built = tilde if complex_.length == 2 else product.double_product(tilde)
-    if (built.j_min, built.length) != (complex_.j_min, complex_.length) or not all(
-        np.array_equal(a, b) for a, b in zip(built.boundaries, complex_.boundaries)
+    built = build_stages(base, complex_.length // 2)
+    last = built[-1]
+    if (last.j_min, last.length) != (complex_.j_min, complex_.length) or not all(
+        np.array_equal(a, b) for a, b in zip(last.boundaries, complex_.boundaries)
     ):
         raise InputError(f"{pcm!r} does not build the complex stored beside it")
-    return Stored(complex_, base, tilde)
+    return Stored(complex_, base, built[0])
 
 
 def _agreeing(name: str, closed: Distance, floor: Distance) -> Distance:
@@ -366,10 +356,10 @@ class Parameters:
         return {**report.to_json(), "d_q": self.d_q.to_json(), "d_ss": self.d_ss.to_json()}
 
 
-def cmd_report(cfg: RunConfig, args) -> int:
+def cmd_report(args: argparse.Namespace) -> int:
     stored = load_stored(args.complex)
     rep = css.code_report(stored.complex_)
-    payload = Parameters(stored, cfg.max_weight).report_json(rep)
+    payload = Parameters(stored, args.max_weight).report_json(rep)
     text = (
         f"[[{rep.n}, {rep.k}]]  d_q: {payload['d_q']}  d_ss: {payload['d_ss']}\n"
         f"max check weight {rep.max_check_weight}, "
@@ -377,7 +367,7 @@ def cmd_report(cfg: RunConfig, args) -> int:
         f"max qubit degree {rep.max_qubit_degree}, "
         f"redundancy {float(rep.redundancy):.5f}"
     )
-    emit(cfg, payload, text)
+    emit(args, payload, text)
     return EXIT_OK
 
 
@@ -403,10 +393,10 @@ def _load_syndrome(path: str, code: css.CssCode) -> css.Syndrome:
     return css.Syndrome(v[: code.num_z_checks], v[code.num_z_checks :])
 
 
-def cmd_decode(cfg: RunConfig, args) -> int:
+def cmd_decode(args: argparse.Namespace) -> int:
     code = _code_with_metachecks(_load_complex(args.complex), "decode")
     s = _load_syndrome(args.syndrome, code)
-    result = decoder.single_shot_decode(code, s, cfg.max_weight)
+    result = decoder.single_shot_decode(code, s, args.max_weight)
     payload = {
         "metacheck_failure": result.metacheck_failure,
         "s_rec_weight": result.s_rec.weight(),
@@ -417,7 +407,7 @@ def cmd_decode(cfg: RunConfig, args) -> int:
         "e_rec_z_support": _support_1based(result.e_rec.f),
         "minimality_certified": result.minimality_certified,
     }
-    emit(cfg, payload, json.dumps(payload, indent=2, sort_keys=True))
+    emit(args, payload, json.dumps(payload, indent=2, sort_keys=True))
     return EXIT_OK
 
 
@@ -425,21 +415,21 @@ def _support_1based(v: np.ndarray) -> list[int]:
     return [int(i) + 1 for i in np.flatnonzero(v)]
 
 
-def cmd_sweep(cfg: RunConfig, args) -> int:
+def cmd_sweep(args: argparse.Namespace) -> int:
     stored = load_stored(args.complex)
     code = _code_with_metachecks(stored.complex_, "sweep")
-    budget = Parameters(stored, cfg.max_weight, d_q=args.dq, t=args.t).budget(args.f)
+    budget = Parameters(stored, args.max_weight, d_q=args.dq, t=args.t).budget(args.f)
     limits = decoder.SweepLimits(
-        u_max=args.umax, e_max=args.emax, samples=args.samples, seed=cfg.seed
+        u_max=args.umax, e_max=args.emax, samples=args.samples, seed=args.seed
     )
-    report = decoder.adversarial_sweep(code, budget, limits, max_weight=cfg.max_weight)
+    report = decoder.adversarial_sweep(code, budget, limits, max_weight=args.max_weight)
     payload = {"budget": budget.to_json(), **report.to_json()}
     text = (
         f"swept {report.pairs_tested} in-contract pairs "
         f"({'sampled' if report.sampled else 'exhaustive'}): "
         f"{len(report.violations)} violations"
     )
-    emit(cfg, payload, text)
+    emit(args, payload, text)
     return EXIT_OK if report.ok else EXIT_COUNTEREXAMPLE
 
 
@@ -459,7 +449,7 @@ def _support_vector(entry: dict, key: str, length: int, k: int) -> np.ndarray:
     return v
 
 
-def cmd_rounds(cfg: RunConfig, args) -> int:
+def cmd_rounds(args: argparse.Namespace) -> int:
     stored = load_stored(args.complex)
     code = _code_with_metachecks(stored.complex_, "rounds")
     try:
@@ -480,12 +470,10 @@ def cmd_rounds(cfg: RunConfig, args) -> int:
         schedule.append((css.PauliError(e, f), u))
     if not schedule:
         raise InputError("schedule is empty")
-    while len(schedule) < args.rounds:
-        schedule.append(schedule[len(schedule) % len(raw)])
-    schedule = schedule[: args.rounds]
-    budget = Parameters(stored, cfg.max_weight, d_q=args.dq, t=args.t).budget(args.f)
+    schedule = [schedule[k % len(schedule)] for k in range(args.rounds)]
+    budget = Parameters(stored, args.max_weight, d_q=args.dq, t=args.t).budget(args.f)
     records = decoder.simulate_rounds(
-        code, budget, schedule, max_weight=cfg.max_weight
+        code, budget, schedule, max_weight=args.max_weight
     )
     bad = [
         r for r in records if r.in_contract and r.residual_bounded is not True
@@ -496,7 +484,7 @@ def cmd_rounds(cfg: RunConfig, args) -> int:
         "in_contract_violations": len(bad),
     }
     emit(
-        cfg,
+        args,
         payload,
         f"ran {len(records)} rounds; in-contract violations: {len(bad)}",
     )
@@ -518,36 +506,36 @@ def _select_map(complex_: ChainComplex, name: str) -> np.ndarray:
     return options[name]()
 
 
-def cmd_profile(cfg: RunConfig, args) -> int:
+def cmd_profile(args: argparse.Namespace) -> int:
     complex_ = _load_complex(args.complex)
     delta = _select_map(complex_, args.map)
-    budget = args.budget if args.budget is not None else cfg.max_weight
+    budget = args.budget if args.budget is not None else args.max_weight
     profile = soundness.profile_map(delta, args.xmax, budget)
     payload = profile.to_json()
     text = "syndrome weight -> worst min preimage\n" + "\n".join(
         f"  {x}: {w}" for x, w in sorted(profile.worst.items())
     )
-    emit(cfg, payload, text)
+    emit(args, payload, text)
     return EXIT_OK
 
 
-def cmd_certify(cfg: RunConfig, args) -> int:
+def cmd_certify(args: argparse.Namespace) -> int:
     stored = load_stored(args.complex)
     delta = _select_map(stored.complex_, args.map)
-    t = Parameters(stored, cfg.max_weight, t=args.t).t
+    t = Parameters(stored, args.max_weight, t=args.t).t
     profile = soundness.certify_map(delta, t.value, args.f, x_max=args.xmax)
     payload = profile.to_json()
-    emit(cfg, payload, f"verdict: {profile.verdict.kind} ({profile.verdict.detail})")
+    emit(args, payload, f"verdict: {profile.verdict.kind} ({profile.verdict.detail})")
     return EXIT_OK if profile.verdict.certified else EXIT_COUNTEREXAMPLE
 
 
-def cmd_witness(cfg: RunConfig, args) -> int:
+def cmd_witness(args: argparse.Namespace) -> int:
     stored = load_stored(args.complex)
     if stored.base is None:
         raise InputError("witness generation needs classical.pcm beside the complex")
     h = stored.base.delta(0)
     s = gf2.flatten_matrix(_load_classical(args.syndrome))
-    t = Parameters(stored, cfg.max_weight, t=args.t).t
+    t = Parameters(stored, args.max_weight, t=args.t).t
     threshold = None if math.isinf(t.value) else int(t.value)
     try:
         # the loader admits a base only beside its single or double product
@@ -572,7 +560,7 @@ def cmd_witness(cfg: RunConfig, args) -> int:
         "syndrome_weight": gf2.weight(s),
     }
     emit(
-        cfg,
+        args,
         payload,
         f"witness weight {payload['weight']} for syndrome weight "
         f"{payload['syndrome_weight']} (bound guaranteed: {flag})",
@@ -590,20 +578,19 @@ def _load_checks(path: str) -> stab.SymplecticChecks:
         raise InputError(str(exc)) from exc
 
 
-def cmd_diag(cfg: RunConfig, args) -> int:
+def cmd_diag(args: argparse.Namespace) -> int:
     checks = _load_checks(args.checks)
     diag = stab.diagonalize(checks)
     os.makedirs(args.out, exist_ok=True)
     gf2.write_pcm(os.path.join(args.out, "generators.pcm"), diag.generators)
-    pure = np.array(
-        [diag.pure_error(j) for j in range(diag.num_generators)], dtype=np.uint8
-    ).reshape(diag.num_generators, 2 * diag.n)
+    # pure error j is Z on qubit j of the transformed frame
+    pure = np.eye(diag.num_generators, 2 * diag.n, k=diag.n, dtype=np.uint8)
     gf2.write_pcm(os.path.join(args.out, "pure_errors.pcm"), pure)
     frame = {
         "qubit_permutation": [q + 1 for q in diag.qubit_permutation],
         "local_maps": [m.tolist() for m in diag.local_maps],
     }
-    _write_json(os.path.join(args.out, "frame.json"), frame, cfg.seed)
+    _write_json(os.path.join(args.out, "frame.json"), frame, args.seed)
     verdict = soundness.certify_checks(
         diag.generators, math.inf, bounds.LINEAR
     ) if diag.n <= 7 else None
@@ -613,7 +600,7 @@ def cmd_diag(cfg: RunConfig, args) -> int:
         "soundness": None if verdict is None else verdict.kind,
     }
     emit(
-        cfg,
+        args,
         payload,
         f"diagonalized {diag.num_generators} generators on {diag.n} qubits "
         f"({diag.num_logical} logical) -> {args.out}",
@@ -621,7 +608,7 @@ def cmd_diag(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def cmd_barrier(cfg: RunConfig, args) -> int:
+def cmd_barrier(args: argparse.Namespace) -> int:
     checks = _load_checks(args.checks)
     try:
         report = stab.energy_barrier(checks, args.sector, n_limit=args.n_limit)
@@ -629,7 +616,7 @@ def cmd_barrier(cfg: RunConfig, args) -> int:
         raise InputError(str(exc)) from exc
     payload = report.to_json()
     emit(
-        cfg,
+        args,
         payload,
         f"{args.sector}-sector energy barrier: {report.barrier} "
         f"(walk of {len(report.walk)} steps to a weight-{report.target_weight} logical)",
@@ -640,7 +627,7 @@ def cmd_barrier(cfg: RunConfig, args) -> int:
 # -- end-to-end pipeline -----------------------------------------------------------
 
 
-def cmd_pipeline(cfg: RunConfig, args) -> int:
+def cmd_pipeline(args: argparse.Namespace) -> int:
     base = _load_base(args.classical, args.allow_redundant)
     h = base.delta(0)
     if gf2.rank(h) == h.shape[1]:
@@ -650,13 +637,9 @@ def cmd_pipeline(cfg: RunConfig, args) -> int:
             f"check matrix {args.classical!r} has k = 0 (rank(H) = n = {h.shape[1]}): "
             "it has no nonzero codeword"
         )
-    tilde, breve = build_stages(base)
-    os.makedirs(args.out, exist_ok=True)
-    chain.save_complex(os.path.join(args.out, "stage1"), tilde)
-    chain.save_complex(args.out, breve)
-    gf2.write_pcm(os.path.join(args.out, "classical.pcm"), h)
+    tilde, breve = save_stages(args.out, base, 2)
 
-    params = Parameters(Stored(breve, base, tilde), min(cfg.max_weight, 3))
+    params = Parameters(Stored(breve, base, tilde), min(args.max_weight, 3))
     report = css.code_report(breve)
     cube = bounds.CUBIC_OVER_4
     budget = params.budget(cube)
@@ -672,10 +655,10 @@ def cmd_pipeline(cfg: RunConfig, args) -> int:
         "soundness_x": cert_x.to_json(),
         "single_shot_budget": budget.to_json(),
     }
-    _write_json(os.path.join(args.out, "summary.json"), summary, cfg.seed)
+    _write_json(os.path.join(args.out, "summary.json"), summary, args.seed)
     certified = cert_z.verdict.certified and cert_x.verdict.certified
     emit(
-        cfg,
+        args,
         summary,
         f"[[{report.n}, {report.k}, {summary['d_q']['value']}]] "
         f"d_ss={summary['code']['d_ss']['value']} "
@@ -697,150 +680,123 @@ def _bound(name: str) -> bounds.PolyBound:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _positive(text: str) -> int:
-    """--max-weight converter: an enumeration budget below 1 is a usage error."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _at_least(floor: int):
+    """Converter for a count flag: a value below floor is a usage error."""
+
+    def convert(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < floor:
+            raise argparse.ArgumentTypeError(f"must be at least {floor}, got {value}")
+        return value
+
+    return convert
 
 
 def make_parser() -> argparse.ArgumentParser:
+    # the global flags, shared by the top level and every command; SUPPRESS
+    # leaves a flag unset unless given, so main's namespace holds the defaults
+    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    common.add_argument("--seed", type=int, help="RNG seed, recorded in outputs")
+    common.add_argument(
+        "--max-weight", type=_at_least(1), help="enumeration budget for distances and decoding"
+    )
+    common.add_argument("--json", dest="json_path", help="write JSON output here")
+    common.add_argument("--quiet", action="store_true", help="suppress text output")
     parser = argparse.ArgumentParser(
         prog="homprod",
+        parents=[common],
         description="homological-product CSS codes with metachecks: "
         "construction, reporting, decoding, certification",
     )
-
-    def add_globals(target, suppress):
-        target.add_argument(
-            "--seed", type=int, help="RNG seed, recorded in outputs",
-            **({"default": argparse.SUPPRESS} if suppress else {"default": 0}),
-        )
-        target.add_argument(
-            "--max-weight", type=_positive,
-            help="enumeration budget for distances and decoding",
-            **({"default": argparse.SUPPRESS} if suppress
-               else {"default": chain.DEFAULT_DISTANCE_BUDGET}),
-        )
-        target.add_argument(
-            "--json", dest="json_path", help="write JSON output here",
-            **({"default": argparse.SUPPRESS} if suppress else {"default": None}),
-        )
-        target.add_argument(
-            "--quiet", action="store_true", help="suppress text output",
-            **({"default": argparse.SUPPRESS} if suppress else {}),
-        )
-
-    add_globals(parser, suppress=False)
-    # the same flags are accepted after the subcommand; SUPPRESS keeps the
-    # top-level values when the subcommand omits them
-    shared = argparse.ArgumentParser(add_help=False)
-    add_globals(shared, suppress=True)
     sub = parser.add_subparsers(dest="command", required=True)
-    _orig_add_parser = sub.add_parser
 
-    def add_parser(name, **kwargs):
-        kwargs.setdefault("parents", [shared])
-        return _orig_add_parser(name, **kwargs)
+    def add(name: str, help: str, handler) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help, parents=[common])
+        p.set_defaults(func=handler)
+        return p
 
-    sub.add_parser = add_parser  # type: ignore[method-assign]
-
-    p = sub.add_parser("build", help="build a product complex from a classical code")
+    p = add("build", "build a product complex from a classical code", cmd_build)
     p.add_argument("--classical", required=True)
     p.add_argument("--stages", type=int, choices=(1, 2), default=2)
     p.add_argument("--out", required=True)
     p.add_argument("--allow-redundant", action="store_true")
-    p.set_defaults(func=cmd_build)
 
-    p = sub.add_parser("report", help="code parameters of a stored complex")
+    p = add("report", "code parameters of a stored complex", cmd_report)
     p.add_argument("--complex", required=True)
-    p.set_defaults(func=cmd_report)
 
-    p = sub.add_parser("decode", help="single-shot decode one syndrome")
+    p = add("decode", "single-shot decode one syndrome", cmd_decode)
     p.add_argument("--complex", required=True)
     p.add_argument("--syndrome", required=True)
-    p.set_defaults(func=cmd_decode)
 
-    p = sub.add_parser("sweep", help="adversarial (E, u) sweep")
+    p = add("sweep", "adversarial (E, u) sweep", cmd_sweep)
     p.add_argument("--complex", required=True)
-    p.add_argument("--umax", type=int, default=1)
-    p.add_argument("--emax", type=int, default=2)
-    p.add_argument("--samples", type=int, default=None)
+    p.add_argument("--umax", type=_at_least(0), default=1)
+    p.add_argument("--emax", type=_at_least(0), default=2)
+    p.add_argument("--samples", type=_at_least(1), default=None)
     p.add_argument("--t", type=int, default=None, help="soundness threshold")
     p.add_argument("--dq", type=int, default=None, help="code distance override")
     p.add_argument(
         "--f", type=_bound, default="x3",
         help="soundness function (x, x2, x^2/4, x3, x^3/4)",
     )
-    p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("rounds", help="multi-round containment simulation")
+    p = add("rounds", "multi-round containment simulation", cmd_rounds)
     p.add_argument("--complex", required=True)
     p.add_argument("--schedule", required=True)
-    p.add_argument("-n", dest="rounds", type=int, default=10)
+    p.add_argument("-n", dest="rounds", type=_at_least(1), default=10)
     p.add_argument("--t", type=int, default=None)
     p.add_argument("--dq", type=int, default=None)
     p.add_argument("--f", type=_bound, default="x3")
-    p.set_defaults(func=cmd_rounds)
 
-    p = sub.add_parser("profile", help="soundness profile of one boundary map")
+    p = add("profile", "soundness profile of one boundary map", cmd_profile)
     p.add_argument("--complex", required=True)
     p.add_argument("--map", required=True, help="z, x, zt, or xt")
-    p.add_argument("--xmax", type=int, default=6)
-    p.add_argument("--budget", type=int, default=None, help="preimage search budget")
-    p.set_defaults(func=cmd_profile)
+    p.add_argument("--xmax", type=_at_least(0), default=6)
+    p.add_argument("--budget", type=_at_least(0), default=None, help="preimage search budget")
 
-    p = sub.add_parser("witness", help="constructive bounded preimage for a syndrome")
+    p = add("witness", "constructive bounded preimage for a syndrome", cmd_witness)
     p.add_argument("--complex", required=True)
     p.add_argument("--syndrome", required=True)
     p.add_argument("--map", default="zt", help="zt or xt (length-2); ignored for length-4")
     p.add_argument("--t", type=int, default=None)
-    p.set_defaults(func=cmd_witness)
 
-    p = sub.add_parser("certify", help="certify a (t, f) soundness claim")
+    p = add("certify", "certify a (t, f) soundness claim", cmd_certify)
     p.add_argument("--complex", required=True)
     p.add_argument("--map", required=True)
     p.add_argument("--t", type=int, default=None)
     p.add_argument("--f", type=_bound, default="x2")
-    p.add_argument("--xmax", type=int, default=None)
-    p.set_defaults(func=cmd_certify)
+    p.add_argument("--xmax", type=_at_least(0), default=None)
 
-    p = sub.add_parser("diag", help="diagonalize a symplectic check set")
+    p = add("diag", "diagonalize a symplectic check set", cmd_diag)
     p.add_argument("--checks", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_diag)
 
-    p = sub.add_parser("barrier", help="exact energy barrier by bottleneck search")
+    p = add("barrier", "exact energy barrier by bottleneck search", cmd_barrier)
     p.add_argument("--checks", required=True)
     p.add_argument("--sector", choices=("x", "z", "full"), default="x")
     p.add_argument("--n-limit", type=int, default=8)
-    p.set_defaults(func=cmd_barrier)
 
-    p = sub.add_parser("table1", help="reproduce the four reference double products")
-    p.set_defaults(func=cmd_table1)
+    add("table1", "reproduce the four reference double products", cmd_table1)
 
-    p = sub.add_parser("pipeline", help="classical code -> certified single-shot code")
+    p = add("pipeline", "classical code -> certified single-shot code", cmd_pipeline)
     p.add_argument("--classical", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--allow-redundant", action="store_true")
-    p.set_defaults(func=cmd_pipeline)
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = make_parser().parse_args(argv)
-    cfg = RunConfig(
-        seed=args.seed,
-        max_weight=args.max_weight,
-        json_path=args.json_path,
-        quiet=args.quiet,
+    # a global flag given on either side of the command replaces its default
+    # here, and the later of two replaces the earlier
+    defaults = argparse.Namespace(
+        seed=0, max_weight=chain.DEFAULT_DISTANCE_BUDGET, json_path=None, quiet=False
     )
+    args = make_parser().parse_args(argv, defaults)
     try:
-        return args.func(cfg, args)
+        return args.func(args)
     except (InputError, css.NotACssComplex) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -266,16 +266,6 @@ def _iter_errors_exhaustive(n: int, e_max: int):
                 yield _pauli_from_typed_support(n, support, types)
 
 
-def _iter_u_exhaustive(m: int, u_max: int):
-    yield np.zeros(m, dtype=np.uint8)
-    for w in range(1, u_max + 1):
-        for support in itertools.combinations(range(m), w):
-            u = np.zeros(m, dtype=np.uint8)
-            for i in support:
-                u[i] = 1
-            yield u
-
-
 def _check_pair(
     code: CssCode,
     budget: SingleShotBudget,
@@ -339,7 +329,7 @@ def adversarial_sweep(
     pairs = 0
     repairs_ok = True
     if limits.samples is None:
-        for u in _iter_u_exhaustive(m, limits.u_max):
+        for u in gf2._vectors_up_to_weight(m, limits.u_max):
             u_weight = int(u.sum())
             if not u_weight < budget.measurement_budget:
                 continue

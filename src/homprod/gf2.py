@@ -789,6 +789,15 @@ def _support_to_vector(support: tuple[int, ...], n: int) -> np.ndarray:
     return v
 
 
+def _vectors_up_to_weight(n: int, max_weight: int) -> Iterator[np.ndarray]:
+    """The zero vector, then every length-n vector of weight 1..max_weight in
+    (weight, lex) order of support, each a fresh array."""
+    yield np.zeros(n, dtype=np.uint8)
+    for w in range(1, max_weight + 1):
+        for support in itertools.combinations(range(n), w):
+            yield _support_to_vector(support, n)
+
+
 def _search_inputs(m, b, max_weight: int) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """m and b (unless None) as uint8, after the checks every search shares."""
     m = as_bin(m)

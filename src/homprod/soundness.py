@@ -19,7 +19,6 @@ constructions:
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -154,16 +153,7 @@ def profile_map_error_first(delta, w_domain_max: Optional[int] = None) -> Soundn
         )
         domain = "full error space"
     elif w_domain_max is not None:
-        def gen():
-            yield np.zeros(n, dtype=np.uint8)
-            for w in range(1, w_domain_max + 1):
-                for support in itertools.combinations(range(n), w):
-                    r = np.zeros(n, dtype=np.uint8)
-                    for i in support:
-                        r[i] = 1
-                    yield r
-
-        rs = gen()
+        rs = gf2._vectors_up_to_weight(n, w_domain_max)
         domain = f"all errors of weight <= {w_domain_max}"
     else:
         raise ValueError("domain too large; pass w_domain_max")

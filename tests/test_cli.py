@@ -1,6 +1,8 @@
 import collections
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -8,6 +10,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homprod import cli, chain, css, gf2, product, stab
 from homprod.chain import ChainComplex
@@ -19,6 +23,19 @@ CYC3 = gf2.as_bin([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
 
 def run(*argv):
     return cli.main(list(argv))
+
+
+def tree_digest(root) -> str:
+    """sha256 over the sorted relative paths under root, each with its file's bytes."""
+    h = hashlib.sha256()
+    paths = sorted(
+        os.path.relpath(os.path.join(d, f), root).replace(os.sep, "/")
+        for d, _, files in os.walk(root) for f in files
+    )
+    for rel in paths:
+        with open(os.path.join(root, rel), "rb") as fh:
+            h.update(rel.encode() + b"\0" + fh.read() + b"\0")
+    return h.hexdigest()
 
 
 def closed_form_with_d_q(d_q, keys=("d_0", "d_-1^T")):
@@ -90,6 +107,24 @@ class TestBuild:
         if h is CYC3 and stages == 2:
             assert final["distances"]["d_1"]["value"] == 3
             assert final["distances"]["d_-2^T"]["value"] == 3
+
+    @pytest.mark.parametrize(
+        "h, stages, digest",
+        [
+            (REP2, "1", "330aad491e5d6f6801dc0439cda69b357dfa3b57a8e27ac85043fcbb7f9c9054"),
+            (REP2, "2", "3d5b7cb811ba841230d59b9a34fc8e8f9ac77834196fd3823ced7fd93b99547e"),
+            (REP3, "1", "c736cf82aa0a28a022121a3edab0ad12313edd28fa9a5f699fc8d58be98db4f7"),
+            (REP3, "2", "3bad80d392ac7be45eb700eab8bd8defdeb24a9850250480ab759af877c30488"),
+        ],
+        ids=["rep2_stage1", "rep2_stage2", "rep3_stage1", "rep3_stage2"],
+    )
+    def test_outputs_are_pinned(self, tmp_path, h, stages, digest):
+        pcm, out = tmp_path / "h.pcm", tmp_path / "out"
+        gf2.write_pcm(pcm, h)
+        assert run(
+            "build", "--classical", str(pcm), "--stages", stages, "--out", str(out), "--quiet"
+        ) == 0
+        assert tree_digest(out) == digest
 
     def test_byte_identical_reruns(self, tmp_path, rep2_pcm):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -362,16 +397,134 @@ def test_single_product_is_an_input_error(tmp_path, capsys, rep2_single, command
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("command", ["report", "sweep"])
-@pytest.mark.parametrize("weight", ["0", "-2"])
-def test_max_weight_below_one_is_a_usage_error(capsys, rep2_build, command, weight):
+@pytest.fixture(scope="module")
+def rep2_unbased(tmp_path_factory):
+    """The rep-2 double product without classical.pcm, so that report's d_q is
+    the enumeration to --max-weight: exact 4 at weight 4, a bound 3 at 2."""
+    out = tmp_path_factory.mktemp("unbased") / "rep2d"
+    chain.save_complex(str(out), product.double_product(product.single_product(
+        ChainComplex([REP2], j_min=0)
+    )))
+    return str(out)
+
+
+@pytest.mark.parametrize(
+    "place", ["before", "after", "both_later_after", "both_later_before"]
+)
+def test_global_flags_go_before_or_after_the_command(tmp_path, capsys, rep2_unbased, place):
+    # every global flag works on either side of the command; given on both
+    # sides, the later value wins, and --quiet stays on once given
+    seven = ["--seed", "7", "--max-weight", "4", "--json", str(tmp_path / "7.json"), "--quiet"]
+    three = ["--seed", "3", "--max-weight", "2", "--json", str(tmp_path / "3.json")]
+    before, after = {
+        "before": (seven, []),
+        "after": ([], seven),
+        "both_later_after": (three, seven),
+        "both_later_before": (seven, three),
+    }[place]
+    seed = int((after or before)[1])
+    capsys.readouterr()
+    assert run(*before, "report", "--complex", rep2_unbased, *after) == 0
+    assert capsys.readouterr().out == ""
+    assert os.listdir(tmp_path) == [f"{seed}.json"]
+    payload = json.loads((tmp_path / f"{seed}.json").read_text())
+    assert payload["seed"] == seed
+    assert payload["d_q"] == (
+        {"status": "exact", "value": 4} if seed == 7 else {"status": "lower_bound", "value": 3}
+    )
+
+
+@pytest.mark.parametrize(
+    "before, after",
+    [(["--max-weight", "0"], []), ([], ["--max-weight", "0"]),
+     (["--max-weight", "4"], ["--max-weight", "0"])],
+    ids=["before", "after", "both"],
+)
+def test_max_weight_zero_is_refused_on_either_side(capsys, rep2_unbased, before, after):
     capsys.readouterr()
     with pytest.raises(SystemExit) as exc:
-        run(command, "--complex", rep2_build, "--max-weight", weight, "--quiet")
+        run(*before, "report", "--complex", rep2_unbased, *after, "--quiet")
+    assert exc.value.code == 2
+    assert "--max-weight" in capsys.readouterr().err
+
+
+# every count flag below its floor: (command, flag, value, floor)
+BELOW_FLOOR = [
+    *((command, "--max-weight", weight, 1) for weight in ("0", "-2") for command in ("report", "sweep")),
+    ("sweep", "--umax", "-1", 0),
+    ("sweep", "--emax", "-1", 0),
+    ("sweep", "--samples", "0", 1),
+    ("sweep", "--samples", "-3", 1),
+    ("rounds", "-n", "0", 1),
+    ("rounds", "-n", "-1", 1),
+    ("profile", "--xmax", "-1", 0),
+    ("profile", "--budget", "-1", 0),
+    ("certify", "--xmax", "-1", 0),
+]
+
+
+@pytest.mark.parametrize(
+    "command, flag, value, floor",
+    BELOW_FLOOR,
+    ids=[
+        f"{value}-{command}" + ("" if flag == "--max-weight" else flag)
+        for command, flag, value, _ in BELOW_FLOOR
+    ],
+)
+def test_max_weight_below_one_is_a_usage_error(capsys, rep2_build, command, flag, value, floor):
+    # and every other count flag below its floor: a usage error naming the flag
+    required = {"rounds": ["--schedule", "unread.json"], "profile": ["--map", "z"],
+                "certify": ["--map", "z"]}.get(command, [])
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run(command, "--complex", rep2_build, *required, flag, value, "--quiet")
     err = capsys.readouterr().err
     assert exc.value.code == 2
-    assert "--max-weight" in err and "at least 1" in err
+    assert f"argument {flag}: must be at least {floor}" in err
     assert "Traceback" not in err
+
+
+# each count flag: (command, flag, floor, arguments that keep a run at any
+# accepted value to milliseconds on the rep-2 double product)
+COUNT_FLAGS = [
+    ("report", "--max-weight", 1, []),
+    ("sweep", "--umax", 0, ["--samples", "1"]),
+    ("sweep", "--emax", 0, ["--samples", "1"]),
+    ("sweep", "--samples", 1, []),
+    ("rounds", "-n", 1, []),
+    ("profile", "--xmax", 0, ["--map", "z", "--budget", "2"]),
+    ("profile", "--budget", 0, ["--map", "z", "--xmax", "2"]),
+    ("certify", "--xmax", 0, ["--map", "z"]),
+]
+
+
+@pytest.fixture(scope="module")
+def rep2_and_schedule(tmp_path_factory):
+    """build --stages 2 of rep-2 and a one-round schedule, made once per module."""
+    tmp = tmp_path_factory.mktemp("rep2")
+    pcm, out, sched = tmp / "rep2.pcm", str(tmp / "rep2d"), tmp / "sched.json"
+    gf2.write_pcm(pcm, REP2)
+    assert run("build", "--classical", str(pcm), "--out", out, "--quiet") == 0
+    sched.write_text(json.dumps([{"e_support": [3]}]))
+    return out, str(sched)
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=st.sampled_from(COUNT_FLAGS), value=st.integers(-4, 3))
+def test_count_flags_exit_0_or_a_usage_error(rep2_and_schedule, case, value):
+    command, flag, floor, extra = case
+    complex_dir, sched = rep2_and_schedule
+    schedule = ["--schedule", sched] if command == "rounds" else []
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            code = run(command, "--complex", complex_dir, *schedule, *extra, flag, str(value),
+                       "--quiet")
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2)
+    assert "Traceback" not in err.getvalue()
+    assert (code == 2) == (value < floor)
 
 
 class TestSweepAndRounds:
@@ -776,6 +929,13 @@ class TestPipeline:
         assert payload["single_shot_budget"]["measurement_budget"] == 1.0
         assert payload["single_shot_budget"]["qubit_budget"] == 2.0
         assert payload["d_q_witness_upper"] == 4
+
+    def test_outputs_are_pinned(self, tmp_path, rep2_pcm):
+        out = tmp_path / "pipe"
+        assert run("pipeline", "--classical", rep2_pcm, "--out", str(out), "--quiet") == 0
+        assert tree_digest(out) == (
+            "e27d58377601ad9b75f42c6634142ede1b2b8d1ee33c51638645ea498d6ba3d9"
+        )
 
     def test_threshold_of_redundant_input_matches_certify(self, tmp_path):
         # d(H) = 3 but d(H^T) = 2: t is the smaller, as certify takes it

@@ -679,6 +679,16 @@ class TestSupports:
         assert len(gf2.col_support(m)) <= gf2.weight(m)
         assert len(gf2.row_support(m)) <= gf2.weight(m)
 
+    def test_vectors_up_to_weight(self):
+        vectors = list(gf2._vectors_up_to_weight(4, 2))
+        supports = [tuple(np.flatnonzero(v)) for v in vectors]
+        assert supports == [
+            (), *itertools.combinations(range(4), 1), *itertools.combinations(range(4), 2)
+        ]
+        assert all(v.dtype == np.uint8 and v.shape == (4,) for v in vectors)
+        vectors[0][:] = 1  # each vector is a fresh array
+        assert [tuple(np.flatnonzero(v)) for v in vectors[1:]] == supports[1:]
+
 
 class TestPcmFormat:
     def test_round_trip(self, tmp_path):

@@ -127,6 +127,12 @@ class TestProfile:
         for x, w in a.worst.items():
             assert b.worst[x] == w
 
+    def test_error_first_to_full_weight_is_the_full_space(self, tilde_rep3):
+        delta = tilde_rep3.delta(0).T
+        full = soundness.profile_map_error_first(delta)
+        bounded = soundness.profile_map_error_first(delta, w_domain_max=delta.shape[1])
+        assert bounded.worst == full.worst
+
 
 class TestSingleProductPreimage:
     def test_zero(self):
