@@ -535,6 +535,13 @@ def cmd_witness(args: argparse.Namespace) -> int:
         raise InputError("witness generation needs classical.pcm beside the complex")
     h = stored.base.delta(0)
     s = gf2.flatten_matrix(_load_classical(args.syndrome))
+    # a single product's syndromes sit at its middle level, a double's at level 1
+    level = 0 if stored.complex_.length == 2 else 1
+    if s.shape[0] != stored.complex_.size(level):
+        raise InputError(
+            f"syndrome has {s.shape[0]} bits, but level {level} of the complex "
+            f"has {stored.complex_.size(level)}"
+        )
     t = Parameters(stored, args.max_weight, t=args.t).t
     threshold = None if math.isinf(t.value) else int(t.value)
     try:
@@ -736,8 +743,8 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--umax", type=_at_least(0), default=1)
     p.add_argument("--emax", type=_at_least(0), default=2)
     p.add_argument("--samples", type=_at_least(1), default=None)
-    p.add_argument("--t", type=int, default=None, help="soundness threshold")
-    p.add_argument("--dq", type=int, default=None, help="code distance override")
+    p.add_argument("--t", type=_at_least(1), default=None, help="soundness threshold")
+    p.add_argument("--dq", type=_at_least(1), default=None, help="code distance override")
     p.add_argument(
         "--f", type=_bound, default="x3",
         help="soundness function (x, x2, x^2/4, x3, x^3/4)",
@@ -747,8 +754,8 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--complex", required=True)
     p.add_argument("--schedule", required=True)
     p.add_argument("-n", dest="rounds", type=_at_least(1), default=10)
-    p.add_argument("--t", type=int, default=None)
-    p.add_argument("--dq", type=int, default=None)
+    p.add_argument("--t", type=_at_least(1), default=None)
+    p.add_argument("--dq", type=_at_least(1), default=None)
     p.add_argument("--f", type=_bound, default="x3")
 
     p = add("profile", "soundness profile of one boundary map", cmd_profile)
@@ -761,12 +768,12 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--complex", required=True)
     p.add_argument("--syndrome", required=True)
     p.add_argument("--map", default="zt", help="zt or xt (length-2); ignored for length-4")
-    p.add_argument("--t", type=int, default=None)
+    p.add_argument("--t", type=_at_least(1), default=None)
 
     p = add("certify", "certify a (t, f) soundness claim", cmd_certify)
     p.add_argument("--complex", required=True)
     p.add_argument("--map", required=True)
-    p.add_argument("--t", type=int, default=None)
+    p.add_argument("--t", type=_at_least(1), default=None)
     p.add_argument("--f", type=_bound, default="x2")
     p.add_argument("--xmax", type=_at_least(0), default=None)
 

@@ -23,14 +23,16 @@ deterministic.  Support sets are reported 1-based.
 The weight-ordered searches (min_weight_solution,
 all_solutions_up_to_weight, kernel_vectors_by_weight) meet in the
 middle over half tables of column combinations (see _WeightSearch).  A
-query that enumerates up to 384 right halves loops over them against a
-Python dict keyed by the exact packed column sum: the many shallow
-decoding queries pay per-call overhead, and a dict lookup has the
-least.  A larger query runs on sorted numpy arrays keyed by a 64-bit
-linear sketch of the column sum, a fixed-size block of right halves at
-a time; every candidate is verified against the exact sum, so a sketch
-collision costs work, never a wrong answer, and results keep their
-(weight, lex) order.  A table whose estimated size exceeds a memory cap
+query that enumerates up to 384 right halves looks them up in a Python
+dict keyed by the exact packed column sum: the many shallow decoding
+queries pay per-call overhead, and a dict lookup has the least.  A
+nonzero weight-2 or weight-3 target draws its one right column from the
+columns on its highest set bit, not from all of them, and the kernel's
+supports of each weight are kept with the search.  A larger query runs
+on sorted numpy arrays keyed by a 64-bit linear sketch of the column
+sum, a fixed-size block of right halves at a time; every candidate is
+verified against the exact sum, so a sketch collision costs work, never
+a wrong answer, and results keep their (weight, lex) order.  A table whose estimated size exceeds a memory cap
 is never built, and a block whose candidates, with the supports found
 before it, would exceed the cap is never expanded: the search raises
 BudgetExhausted.
@@ -429,12 +431,15 @@ class BudgetExhausted(RuntimeError):
 
 
 # A query that enumerates more right halves than this runs on sorted numpy
-# half tables, a block of right halves at a time; a smaller one loops over
-# its right halves against a Python dict.  The dict path costs about
-# 0.35 us per right half; the array path about 100 us per query plus a
-# little per half.  On weight-2 and weight-3 queries the two cost the same
-# near 384 halves (the dict path wins at 256, the array path at 512).
-# Below that sit the shallow queries that dominate decoding.
+# half tables, a block of right halves at a time; a smaller one looks its
+# right halves up in a Python dict.  Looping over all right halves costs
+# about 0.35 us per half on the dict path; the array path about 100 us per
+# query plus a little per half.  So weight-2 and weight-3 loops cost the
+# same on both near 384 halves (the dict path wins at 256, the array path
+# at 512).  Nonzero weight-2 and weight-3 targets skip the loop, so this
+# governs zero targets and wider right halves, table1's zero-target
+# queries among them.  Below it sit the shallow queries that dominate
+# decoding.
 _ARRAY_MIN_RIGHT_HALVES = 384
 
 # Largest half table a search may build, in estimated bytes (C(n, k) entries
@@ -539,10 +544,12 @@ class _WeightSearch:
     The path follows the number of right halves a query enumerates,
     C(n, right):
 
-    * up to _ARRAY_MIN_RIGHT_HALVES, a loop over the right halves against a
-      dict from the packed column sum (a Python int) to its combinations.
-      This is the path of the many shallow decoding queries, whose cost is
-      per-call overhead.
+    * up to _ARRAY_MIN_RIGHT_HALVES, a dict from the packed column sum (a
+      Python int) to its combinations.  A nonzero target with a one-column
+      right half (w = 2 or 3) draws that column only from the columns on
+      the target's highest set bit, since every support has one there; the
+      other queries loop over all their right halves.  This is the path of
+      the many shallow decoding queries, whose cost is per-call overhead.
     * above it, the left table is one sorted uint64 array of composite
       keys: the 64-bit linear _sketch of a combination's column sum, with
       its low bits replaced by the combination's code (its indices,
@@ -570,6 +577,10 @@ class _WeightSearch:
         self._nbytes = -(-m.shape[0] // 8)
         self._hashed: dict[int, dict[int, list[tuple[int, ...]]]] = {}
         self._sorted: dict[int, np.ndarray] = {}
+        # bit of the column ints -> the columns that have it, ascending
+        self._by_bit: dict[int, list[int]] = {}
+        # weight -> supports(w, 0), the kernel's supports of that weight
+        self._kernel: dict[int, list[tuple[int, ...]]] = {}
         # bits per index in a combination code: n itself must fit
         self._index_bits = self.n.bit_length()
 
@@ -582,6 +593,13 @@ class _WeightSearch:
     @functools.cached_property
     def _words(self) -> np.ndarray:
         return self._padded(self.cols)
+
+    def _bit_columns(self, bit: int) -> list[int]:
+        """The columns whose int has this bit set, ascending."""
+        found = self._by_bit.get(bit)
+        if found is None:
+            found = self._by_bit[bit] = [j for j, v in enumerate(self.cols) if v >> bit & 1]
+        return found
 
     def _code_mask(self, size: int) -> np.uint64:
         return np.uint64((1 << (size * self._index_bits)) - 1)
@@ -653,8 +671,18 @@ class _WeightSearch:
             table = self._hashed[left] = _combinations_by_sum(self.cols, left)
         if right == 0:
             return list(table.get(target, ()))
-        out = []
         cols = self.cols
+        if right == 1 and target:
+            # every support has a column on the target's highest set bit:
+            # draw the right column from that bit's columns, the others from
+            # the left table; a support with 3 columns on it is drawn 3 times
+            out = set()
+            for c in self._bit_columns(target.bit_length() - 1):
+                for lc in table.get(target ^ cols[c], ()):
+                    if c not in lc:
+                        out.add(tuple(sorted(lc + (c,))))
+            return list(out)
+        out = []
         for rc in itertools.combinations(range(self.n), right):
             acc = target
             for j in rc:
@@ -753,7 +781,17 @@ class _WeightSearch:
         return found[0] if len(found) == 1 else np.concatenate(found)
 
     def supports(self, w: int, target: int) -> list[tuple[int, ...]]:
-        """All supports of size w whose column sum equals target, lex sorted."""
+        """All supports of size w whose column sum equals target, lex sorted.
+
+        The kernel's supports (target 0) are kept per weight; each call
+        returns a fresh list of them."""
+        if target:
+            return self._sorted_supports(w, target)
+        if w not in self._kernel:
+            self._kernel[w] = self._sorted_supports(w, 0)
+        return list(self._kernel[w])
+
+    def _sorted_supports(self, w: int, target: int) -> list[tuple[int, ...]]:
         found = self._matches(w, target)
         if isinstance(found, list):
             found.sort()

@@ -460,6 +460,12 @@ BELOW_FLOOR = [
     ("profile", "--xmax", "-1", 0),
     ("profile", "--budget", "-1", 0),
     ("certify", "--xmax", "-1", 0),
+    ("sweep", "--t", "0", 1),
+    ("sweep", "--dq", "-3", 1),
+    ("rounds", "--t", "0", 1),
+    ("rounds", "--dq", "0", 1),
+    ("certify", "--t", "0", 1),
+    ("witness", "--t", "-1", 1),
 ]
 
 
@@ -474,7 +480,7 @@ BELOW_FLOOR = [
 def test_max_weight_below_one_is_a_usage_error(capsys, rep2_build, command, flag, value, floor):
     # and every other count flag below its floor: a usage error naming the flag
     required = {"rounds": ["--schedule", "unread.json"], "profile": ["--map", "z"],
-                "certify": ["--map", "z"]}.get(command, [])
+                "certify": ["--map", "z"], "witness": ["--syndrome", "unread.pcm"]}.get(command, [])
     capsys.readouterr()
     with pytest.raises(SystemExit) as exc:
         run(command, "--complex", rep2_build, *required, flag, value, "--quiet")
@@ -625,16 +631,6 @@ class TestSweepAndRounds:
         assert "budget exhausted" in err and "byte cap" in err
         assert "Traceback" not in err
 
-    def test_sampled_sweep_with_zero_threshold(self, tmp_path, rep2_build, deadline):
-        # t = 0 admits no (E, u) pair; sampling must stop, not spin
-        out = tmp_path / "sweep.json"
-        with deadline(30):
-            assert run(
-                "sweep", "--complex", rep2_build, "--t", "0", "--samples", "4",
-                "--json", str(out), "--quiet",
-            ) == 0
-        assert json.loads(out.read_text())["pairs_tested"] == 0
-
     def test_dq_skips_distance_search(self, tmp_path, rep2_build, monkeypatch):
         real_hom, real_cohom = css.homological_distance, css.cohomological_distance
 
@@ -750,6 +746,22 @@ class TestSoundnessCommands:
         ) == 0
         payload = json.loads(out.read_text())
         assert payload["weight"] >= 1
+
+    def test_witness_syndrome_of_wrong_length_is_an_input_error(
+        self, tmp_path, capsys, rep2_build, rep2_pcm
+    ):
+        single = tmp_path / "rep2s"
+        assert run(
+            "build", "--classical", rep2_pcm, "--stages", "1", "--out", str(single), "--quiet"
+        ) == 0
+        syn = tmp_path / "syn.pcm"
+        gf2.write_pcm(syn, gf2.zeros(2, 6))
+        for complex_dir in (rep2_build, str(single)):
+            capsys.readouterr()
+            assert run("witness", "--complex", complex_dir, "--syndrome", str(syn), "--quiet") == 2
+            err = capsys.readouterr().err
+            assert err.startswith("input error: syndrome has 12 bits")
+            assert "Traceback" not in err
 
     def test_witness_single(self, tmp_path, rep2_pcm):
         out_dir = tmp_path / "rep2s"

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -480,6 +480,32 @@ def _zero_sketch(packed):
     return np.zeros(len(packed), dtype=np.uint64)
 
 
+@st.composite
+def sparse_search_case(draw):
+    """A matrix of up to 8 x 12 with at most 4 ones a column, and a nonzero
+    target: a sum of columns or random bits."""
+    rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 12))
+    m = np.zeros((rows, cols), dtype=np.uint8)
+    for j in range(cols):
+        m[draw(st.lists(st.integers(0, rows - 1), max_size=4, unique=True)), j] = 1
+    if draw(st.booleans()):
+        b = gf2.mat_vec(m, draw(arrays(np.uint8, (cols,), elements=st.integers(0, 1))))
+    else:
+        b = draw(arrays(np.uint8, (rows,), elements=st.integers(0, 1)))
+    assume(b.any())
+    return m, b
+
+
+class _CountingDict(dict):
+    """A dict that counts its get calls."""
+
+    gets = 0
+
+    def get(self, *args):
+        self.gets += 1
+        return super().get(*args)
+
+
 class TestWeightSearch:
     """Both half-table representations give the brute-force supports in lex
     order; the sorted arrays stay exact when every sketch collides."""
@@ -565,6 +591,55 @@ class TestWeightSearch:
         assert list(search._sorted) == [2]
         search.supports(1, 1)  # one (empty) right half: always a dict lookup
         assert sorted(search._hashed) == [1, 2] and list(search._sorted) == [2]
+
+
+    @pytest.mark.parametrize(
+        "threshold", [-1, 1 << 62], ids=["arrays", "dicts"]
+    )
+    @given(sparse_search_case())
+    @settings(max_examples=60)
+    # the target's highest bit on an all-zero row: no support reaches it
+    @example(case=(bits([[0, 0, 0, 0], [1, 1, 0, 0], [0, 1, 1, 1]]), bits([1, 1, 0])))
+    # columns 0, 1 and 2 all on the target's highest bit: one support, drawn 3 times
+    @example(case=(bits([[1, 1, 1, 0], [1, 0, 0, 1], [0, 1, 0, 1]]), bits([1, 1, 1])))
+    def test_sparse_nonzero_targets_equal_brute_force(self, threshold, case):
+        m, b = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gf2, "_ARRAY_MIN_RIGHT_HALVES", threshold)
+            search = gf2._WeightSearch(m)
+            target = gf2._target_int(b)
+            for w in range(7):
+                expected = _brute_supports(m, b, w)
+                assert search.supports(w, target) == expected
+                assert search.first_support(w, target) == (expected[0] if expected else None)
+
+    def test_pivot_row_bounds_the_lookups(self):
+        # a nonzero weight-2 query on the 241-qubit Z checks looks up only
+        # the columns on the target's highest set bit, not all 241
+        from homprod import chain, css, product
+
+        tilde = product.single_product(chain.ChainComplex([bits([[1, 1, 0], [0, 1, 1]])], j_min=0))
+        z = css.from_complex(product.double_product(tilde)).z_checks
+        assert z.shape[1] == 241
+        search = gf2._WeightSearch(z)
+        v = np.zeros(241, dtype=np.uint8)
+        v[[17, 200]] = 1
+        target = gf2._target_int(gf2.mat_vec(z, v))
+        search.supports(1, target)  # builds the one-column table
+        table = search._hashed[1] = _CountingDict(search._hashed[1])
+        assert (17, 200) in search.supports(2, target)
+        assert 0 < table.gets <= int(z.sum(axis=1).max())
+
+    def test_kernel_supports_are_kept_and_handed_out_fresh(self):
+        m = bits([[1, 1, 0, 0, 1], [0, 1, 1, 0, 0], [0, 0, 1, 1, 1]])
+        search = gf2._WeightSearch(m)
+        first = search.supports(3, 0)
+        assert first == _brute_supports(m, bits([0, 0, 0]), 3) and first
+        second = search.supports(3, 0)
+        assert second == first and second is not first
+        first.sort(reverse=True)
+        first.append((9, 9, 9))
+        assert search.supports(3, 0) == second
 
 
 class TestMemoryCap:
