@@ -28,10 +28,6 @@ class PolyBound:
             raise ValueError("bound evaluated at negative argument")
         return self.scale * Fraction(x) ** self.degree
 
-    def inverse_at_least(self, barrier: int, y: Fraction) -> bool:
-        """Exact test of barrier >= f^{-1}(y), i.e. f(barrier) >= y."""
-        return self(barrier) >= y
-
     def inverse_float(self, y: Fraction) -> float:
         """f^{-1}(y) as a float, for display only."""
         return float((Fraction(y) / self.scale) ** Fraction(1, self.degree))

@@ -275,7 +275,8 @@ def load_complex(dirpath) -> ChainComplex:
     manifest = os.path.join(dirpath, MANIFEST_NAME)
     with open(manifest, "r", encoding="ascii") as fh:
         tokens = fh.read().split()
-    if len(tokens) != 5 or tokens[0] != "LEVELS" or tokens[3] != "QUBIT_LEVEL":
+    # the qubit level is always 0, and save_complex writes nothing else
+    if len(tokens) != 5 or tokens[0] != "LEVELS" or tokens[3:] != ["QUBIT_LEVEL", "0"]:
         raise ValueError(f"bad manifest {manifest!r}")
     j_min, j_max = int(tokens[1]), int(tokens[2])
     boundaries = [

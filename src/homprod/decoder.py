@@ -219,11 +219,14 @@ class SweepReport:
     violations: list[Violation]
     sampled: bool
     seed: int
-    repairs_bounded_by_u: bool = True
+
+    @property
+    def repairs_bounded_by_u(self) -> bool:
+        return all(v.kind != "repair_exceeds_u" for v in self.violations)
 
     @property
     def ok(self) -> bool:
-        return not self.violations and self.repairs_bounded_by_u
+        return not self.violations
 
     def to_json(self) -> dict:
         return {
@@ -273,8 +276,8 @@ def _check_pair(
     u: np.ndarray,
     max_weight: int,
     violations: list[Violation],
-) -> bool:
-    """Decode one in-contract pair; append violations; return repair bound ok."""
+) -> None:
+    """Decode one in-contract pair and append its violations."""
     u_syn = split_measurement_error(code, u)
     u_weight = int(u.sum())
     s = code.syndrome(error).compose(u_syn)
@@ -291,9 +294,8 @@ def _check_pair(
             Violation("metacheck_failure", u_supp, e_supp, f_supp,
                       "repair left the syndrome outside the image")
         )
-        return True
-    repair_ok = result.s_rec.weight() <= u_weight
-    if not repair_ok:
+        return
+    if result.s_rec.weight() > u_weight:
         violations.append(
             Violation(
                 "repair_exceeds_u",
@@ -313,7 +315,6 @@ def _check_pair(
                 f"residual min-weight exceeds f(2|u|) = {allowed}",
             )
         )
-    return repair_ok
 
 
 def adversarial_sweep(
@@ -327,7 +328,6 @@ def adversarial_sweep(
     m = code.num_z_checks + code.num_x_checks
     violations: list[Violation] = []
     pairs = 0
-    repairs_ok = True
     if limits.samples is None:
         for u in gf2._vectors_up_to_weight(m, limits.u_max):
             u_weight = int(u.sum())
@@ -337,27 +337,30 @@ def adversarial_sweep(
                 if not budget.admits(u_weight, error.weight()):
                     continue
                 pairs += 1
-                repairs_ok &= _check_pair(code, budget, error, u, max_weight, violations)
+                _check_pair(code, budget, error, u, max_weight, violations)
     elif budget.admits(0, 0):
         # admits only shrinks as the weights grow: a budget that refuses the
         # empty pair refuses every pair, and rejection sampling would spin
         rng = np.random.default_rng(limits.seed)
         while pairs < limits.samples:
             uw = int(rng.integers(0, limits.u_max + 1))
+            # a weight above the length draws no vector: out of contract
+            if uw > m:
+                continue
             u = np.zeros(m, dtype=np.uint8)
             if uw:
                 u[rng.choice(m, size=uw, replace=False)] = 1
             ew = int(rng.integers(0, limits.e_max + 1))
+            if ew > code.n:
+                continue
             support = tuple(sorted(rng.choice(code.n, size=ew, replace=False).tolist())) if ew else ()
             types = tuple(int(i) for i in rng.integers(0, 3, size=ew))
             error = _pauli_from_typed_support(code.n, support, types)
             if not budget.admits(int(u.sum()), error.weight()):
                 continue
             pairs += 1
-            repairs_ok &= _check_pair(code, budget, error, u, max_weight, violations)
-    report = SweepReport(pairs, violations, limits.samples is not None, limits.seed)
-    report.repairs_bounded_by_u = repairs_ok
-    return report
+            _check_pair(code, budget, error, u, max_weight, violations)
+    return SweepReport(pairs, violations, limits.samples is not None, limits.seed)
 
 
 # -- multi-round containment ----------------------------------------------------

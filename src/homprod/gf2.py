@@ -32,10 +32,11 @@ supports of each weight are kept with the search.  A larger query runs
 on sorted numpy arrays keyed by a 64-bit linear sketch of the column
 sum, a fixed-size block of right halves at a time; every candidate is
 verified against the exact sum, so a sketch collision costs work, never
-a wrong answer, and results keep their (weight, lex) order.  A table whose estimated size exceeds a memory cap
-is never built, and a block whose candidates, with the supports found
-before it, would exceed the cap is never expanded: the search raises
-BudgetExhausted.
+a wrong answer.  Both paths return support tuples, which
+_WeightSearch.supports sorts into (weight, lex) order.  A table whose
+estimated size exceeds a memory cap is never built, and a block whose
+candidates, with the supports found before it, would exceed the cap is
+never expanded: the search raises BudgetExhausted.
 """
 
 from __future__ import annotations
@@ -559,10 +560,11 @@ class _WeightSearch:
       sorted the same way), and the left halves whose sketch matches one
       right half are one searchsorted range.  Each candidate is then
       checked for index order and verified against the exact packed
-      column sum, so a sketch collision costs work, never a wrong answer;
-      the supports of all blocks are gathered, and one lexsort restores
-      lex order.  Only the tables and one block's temporaries are held at
-      once.
+      column sum, so a sketch collision costs work, never a wrong answer.
+      Only the tables and one block's temporaries are held at once.
+
+    Both paths return a list of ascending support tuples in no set order,
+    which supports, the one query entry, sorts into lex order.
 
     Before a table is built its size is estimated, and before a block's
     candidates are expanded their size is, with the supports found so far;
@@ -655,10 +657,9 @@ class _WeightSearch:
         for j in range(size - 1, -1, -1):
             yield ((codes >> np.uint64(j * self._index_bits)) & self._code_mask(1)).astype(np.intp)
 
-    def _matches(self, w: int, target: int):
-        """Supports of size w summing to target, in no particular order:
-        a list of tuples from the dict path, an int array (one support per
-        row) from the array path."""
+    def _matches(self, w: int, target: int) -> list[tuple[int, ...]]:
+        """Supports of size w summing to target, as ascending tuples in no
+        particular order."""
         if w == 0:
             return [()] if target == 0 else []
         right = w // 2
@@ -696,7 +697,7 @@ class _WeightSearch:
                     out.append(lc + rc)
         return out
 
-    def _array_matches(self, left: int, right: int, target: int) -> np.ndarray:
+    def _array_matches(self, left: int, right: int, target: int) -> list[tuple[int, ...]]:
         keys = self._sorted_table(left)
         target_words = self._padded([target])
         target_sketch = _sketch(target_words.view(np.uint8))[0]
@@ -776,9 +777,7 @@ class _WeightSearch:
             )
             found.append(supports)
             held += len(supports)
-        if not found:
-            return np.zeros((0, left + right), dtype=np.intp)
-        return found[0] if len(found) == 1 else np.concatenate(found)
+        return [tuple(s) for block in found for s in block.tolist()]
 
     def supports(self, w: int, target: int) -> list[tuple[int, ...]]:
         """All supports of size w whose column sum equals target, lex sorted.
@@ -786,30 +785,10 @@ class _WeightSearch:
         The kernel's supports (target 0) are kept per weight; each call
         returns a fresh list of them."""
         if target:
-            return self._sorted_supports(w, target)
+            return sorted(self._matches(w, target))
         if w not in self._kernel:
-            self._kernel[w] = self._sorted_supports(w, 0)
+            self._kernel[w] = sorted(self._matches(w, 0))
         return list(self._kernel[w])
-
-    def _sorted_supports(self, w: int, target: int) -> list[tuple[int, ...]]:
-        found = self._matches(w, target)
-        if isinstance(found, list):
-            found.sort()
-            return found
-        found = found[np.lexsort(found.T[::-1])]
-        return [tuple(s) for s in found.tolist()]
-
-    def first_support(self, w: int, target: int) -> Optional[tuple[int, ...]]:
-        """The lex-first support of size w summing to target, or None."""
-        found = self._matches(w, target)
-        if isinstance(found, list):
-            return min(found) if found else None
-        if not len(found):
-            return None
-        # narrow to the smallest entry column by column: no full sort
-        for j in range(w):
-            found = found[found[:, j] == found[:, j].min()]
-        return tuple(found[0].tolist())
 
 
 def _searcher(m: np.ndarray) -> _WeightSearch:
@@ -867,9 +846,9 @@ def min_weight_solution(
         return np.zeros(m.shape[1], dtype=np.uint8), 0
     search = _searcher(m)
     for w in range(1, max_weight + 1):
-        support = search.first_support(w, target)
-        if support is not None:
-            return _support_to_vector(support, m.shape[1]), w
+        found = search.supports(w, target)
+        if found:
+            return _support_to_vector(found[0], m.shape[1]), w
     return None
 
 

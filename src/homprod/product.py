@@ -68,32 +68,24 @@ def minimal_complex(h) -> ChainComplex:
     return ChainComplex([h], j_min=0)
 
 
-def single_product(
-    a: ChainComplex, b: Optional[ChainComplex] = None
-) -> ChainComplex:
-    """Homological product of two length-1 complexes (default: a with itself)."""
-    if b is None:
-        b = a
-    if a.length != 1 or b.length != 1:
+def single_product(a: ChainComplex) -> ChainComplex:
+    """Homological product of a length-1 complex with itself."""
+    if a.length != 1:
         raise ValueError("single_product expects length-1 complexes")
-    return _tensor(a, b)
+    return _tensor(a, a)
 
 
-def double_product(
-    a: ChainComplex, b: Optional[ChainComplex] = None
-) -> ChainComplex:
-    """Homological product of two length-2 complexes (default: a with itself).
+def double_product(a: ChainComplex) -> ChainComplex:
+    """Homological product of a length-2 complex with itself.
 
     Only the product is validated: a factor with d.d != 0 gives the
     product a nonzero composition too.
     """
-    if b is None:
-        b = a
-    if a.length != 2 or b.length != 2:
+    if a.length != 2:
         raise ValueError("double_product expects length-2 complexes")
-    if a.j_min != -1 or b.j_min != -1:
+    if a.j_min != -1:
         raise ValueError("double_product expects levels -1..1")
-    return _tensor(a, b)
+    return _tensor(a, a)
 
 
 def _tensor(x: ChainComplex, y: ChainComplex) -> ChainComplex:
@@ -165,8 +157,8 @@ def product_params(a: ChainComplex, stages: int = 2) -> ProductParams:
     and "d_-1^T", and the metacheck-level ones (the single-shot distance)
     "d_1" and "d_-2^T".
 
-    Derivation.  single_product(x, y) and double_product(x, y) are both
-    x (x) y* (see the module docstring): level m holds x_i (x) y_j over
+    Derivation.  _tensor(x, y), behind both products, builds x (x) y*
+    (see the module docstring): level m holds x_i (x) y_j over
     i - j = m.  So level m has size sum n_i(x) n_j(y) and, by the Kunneth
     formula over a field, Betti number sum k_i(x) k_j(y) over i - j = m,
     since the homology of y* at level -j is the cohomology of y at level

@@ -185,8 +185,10 @@ def certify_map(
 
     The syndrome range x < threshold is enumerated exhaustively; a
     counterexample is a concrete minimum-weight preimage heavier than
-    bound(x).  Out-of-range weights up to x_max are profiled for
-    information only.
+    bound(x).  When a syndrome has no preimage within the search budget,
+    the counterexample is gf2.solve's preimage instead: every preimage
+    of it, the minimum included, is then heavier than the bound.
+    Out-of-range weights up to x_max are profiled for information only.
     """
     delta = gf2.as_bin(delta)
     if math.isinf(threshold):
@@ -205,7 +207,9 @@ def certify_map(
             continue
         w = profile.worst[x]
         if Fraction(w) > bound(x):
-            r = gf2.solve(delta, profile.worst_syndrome[x])
+            s = profile.worst_syndrome[x]
+            found = gf2.min_weight_solution(delta, s, preimage_budget)
+            r = found[0] if found is not None else gf2.solve(delta, s)
             verdict = Verdict(
                 "counterexample",
                 f"syndrome weight {x} needs preimage weight {w} > {bound.name}({x})",

@@ -404,7 +404,8 @@ class BarrierBound:
     def satisfied_by(self, barrier: int) -> bool:
         if self.w <= 0:
             return True
-        return self.bound.inverse_at_least(barrier, self.w)
+        # barrier >= f^{-1}(w), tested exactly as f(barrier) >= w
+        return self.bound(barrier) >= self.w
 
 
 def barrier_bound(

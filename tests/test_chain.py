@@ -300,3 +300,9 @@ class TestSerialization:
         gf2.write_pcm(d / "delta_1.pcm", gf2.identity(2))
         with pytest.raises(chain.ValidationError):
             chain.load_complex(d)
+        # a valid complex under a manifest with another qubit level
+        gf2.write_pcm(d / "delta_1.pcm", gf2.zeros(2, 2))
+        chain.load_complex(d)
+        (d / "manifest.txt").write_text("LEVELS 0 2 QUBIT_LEVEL 7\n")
+        with pytest.raises(ValueError, match="bad manifest .*manifest.txt"):
+            chain.load_complex(d)

@@ -554,6 +554,19 @@ class TestSweepAndRounds:
         payload = json.loads(out.read_text())
         assert payload["seed"] == 11 and payload["sampled"] is True
 
+    @pytest.mark.parametrize("flag", ["--emax", "--umax"])
+    def test_sampled_sweep_past_the_lengths(self, tmp_path, rep2_build, flag, capsys):
+        # 50 exceeds both the 33 qubits and the 40 checks: such weights are
+        # out of contract, so only smaller draws are decoded
+        out = tmp_path / "sweep.json"
+        assert run(
+            "sweep", "--complex", rep2_build, flag, "50", "--samples", "5",
+            "--dq", "4", "--t", "2", "--json", str(out), "--quiet",
+        ) == 0
+        payload = json.loads(out.read_text())
+        assert payload["pairs_tested"] == 5 and payload["violations"] == []
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_rounds(self, tmp_path, rep2_build):
         sched = tmp_path / "sched.json"
         sched.write_text(json.dumps([{"e_support": [3], "f_support": [], "u_support": []}]))

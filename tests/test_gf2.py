@@ -532,9 +532,6 @@ class TestWeightSearch:
             expected = [_brute_supports(m, b, w) for w in range(7)]
             for w in range(7):
                 assert search.supports(w, target) == expected[w]
-                assert search.first_support(w, target) == (
-                    expected[w][0] if expected[w] else None
-                )
             listed = gf2.all_solutions_up_to_weight(m, b, 6)
             assert [tuple(np.flatnonzero(v)) for v in listed] == [
                 s for per_weight in expected for s in per_weight
@@ -608,10 +605,14 @@ class TestWeightSearch:
             mp.setattr(gf2, "_ARRAY_MIN_RIGHT_HALVES", threshold)
             search = gf2._WeightSearch(m)
             target = gf2._target_int(b)
+            expected = [_brute_supports(m, b, w) for w in range(7)]
             for w in range(7):
-                expected = _brute_supports(m, b, w)
-                assert search.supports(w, target) == expected
-                assert search.first_support(w, target) == (expected[0] if expected else None)
+                assert search.supports(w, target) == expected[w]
+            first = next((s for per_weight in expected for s in per_weight), None)
+            found = gf2.min_weight_solution(m, b, 6)
+            assert (found is None) == (first is None)
+            if found is not None:
+                assert (tuple(np.flatnonzero(found[0])), found[1]) == (first, len(first))
 
     def test_pivot_row_bounds_the_lookups(self):
         # a nonzero weight-2 query on the 241-qubit Z checks looks up only

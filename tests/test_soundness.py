@@ -119,6 +119,18 @@ class TestProfile:
                     first_worst, worst = s, w
             assert worst == prof.worst[x]
             assert (syndrome == first_worst).all()
+            assert gf2.weight(prof.verdict.counterexample) == prof.worst[x]
+
+    def test_counterexample_is_a_minimum_weight_preimage(self):
+        # the first worst weight-1 syndrome has a weight-3 preimage with all
+        # free variables zero, and a weight-2 one
+        delta = single([[1, 1, 1, 1, 0], [1, 1, 0, 0, 1], [1, 0, 1, 1, 1]]).delta(0)
+        prof = soundness.certify_map(delta, 4, bounds.LINEAR)
+        assert prof.verdict.kind == "counterexample"
+        assert "needs preimage weight 2" in prof.verdict.detail
+        r = prof.verdict.counterexample
+        assert gf2.weight(r) == 2
+        assert (gf2.mat_vec(delta, r) == prof.worst_syndrome[1]).all()
 
     def test_image_first_matches_error_first(self, tilde_rep3):
         delta = tilde_rep3.delta(0).T
