@@ -445,6 +445,8 @@ def _support_vector(entry: dict, key: str, length: int, k: int) -> np.ndarray:
                 f"schedule round {k}: {key} index {i!r} is not an integer "
                 f"in 1..{length}"
             )
+        if v[i - 1]:
+            raise InputError(f"schedule round {k}: {key} index {i} is given twice")
         v[i - 1] = 1
     return v
 
@@ -464,6 +466,9 @@ def cmd_rounds(args: argparse.Namespace) -> int:
     for k, entry in enumerate(raw, 1):
         if not isinstance(entry, dict):
             raise InputError(f"schedule round {k} is not an object")
+        for key in entry:
+            if key not in ("e_support", "f_support", "u_support"):
+                raise InputError(f"schedule round {k}: unknown key {key!r}")
         e = _support_vector(entry, "e_support", code.n, k)
         f = _support_vector(entry, "f_support", code.n, k)
         u = _support_vector(entry, "u_support", m, k)

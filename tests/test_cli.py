@@ -567,6 +567,28 @@ class TestSweepAndRounds:
         assert payload["pairs_tested"] == 5 and payload["violations"] == []
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "h, argv, code, digest",
+        [
+            (REP2, ["--umax", "1", "--emax", "1", "--dq", "4", "--t", "2"], 0,
+             "2f9a24f1e7edda38e2fd5c2f5f0a6669aef7c5b237c3f92c18ce22bbb2bb1b4a"),
+            # a qubit budget of 6 admits pairs the decoder cannot contain:
+            # four residual_bound violations
+            (REP2, ["--umax", "1", "--emax", "3", "--samples", "300", "--seed", "1",
+                    "--dq", "12", "--t", "2"], 4,
+             "814fa46e1f9e7ab328a65f3ae178a8c0964de62c169bd7d788cb94bbb45d2d88"),
+            (REP3, ["--umax", "1", "--emax", "2", "--samples", "300", "--seed", "1"], 0,
+             "7663163cf080a057821f336869f6e74bf4ba7f421226c124002b2198fb8f8548"),
+        ],
+        ids=["d33-exhaustive", "d33-sampled-violations", "d241-sampled"],
+    )
+    def test_sweep_json_is_pinned(self, tmp_path, h, argv, code, digest):
+        out = tmp_path / "sweep.json"
+        assert run(
+            "sweep", "--complex", built(tmp_path, h), *argv, "--json", str(out), "--quiet"
+        ) == code
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     def test_rounds(self, tmp_path, rep2_build):
         sched = tmp_path / "sched.json"
         sched.write_text(json.dumps([{"e_support": [3], "f_support": [], "u_support": []}]))
@@ -604,6 +626,8 @@ class TestSweepAndRounds:
             ([{"u_support": [1]}, {"u_support": [41]}], "round 2: u_support index 41"),
             ([{"e_support": 3}], "e_support is not a list"),
             ({"e_support": [3]}, "JSON array"),
+            ([{"e_suport": [1]}, {"u_support": [2]}], "round 1: unknown key 'e_suport'"),
+            ([{"e_support": [1, 1]}], "round 1: e_support index 1 is given twice"),
         ],
     )
     def test_rounds_rejects_bad_schedule(

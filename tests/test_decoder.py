@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import os
 import subprocess
@@ -477,3 +478,51 @@ class TestMultiRound:
         records = decoder.simulate_rounds(code241, budget241(), schedule, max_weight=6)
         assert all(r.in_contract for r in records)
         assert all(r.residual_bounded for r in records)
+
+    def test_rounds_on_486_are_pinned(self, code486, monkeypatch):
+        # the 486-qubit code's syndrome-level homology makes each of these
+        # u a metacheck failure: in contract (rounds 0 and 2) and out of it
+        # (round 3).  A failed round applies no recovery, so round 0's X
+        # error carries into round 1's syndrome; the digest covers every
+        # syndrome decoded and every record.
+        decoded = []
+        real = decoder.single_shot_decode
+
+        def spy(code, s, *args, **kwargs):
+            result = real(code, s, *args, **kwargs)
+            decoded.append((s.z_part.tobytes() + s.x_part.tobytes(), result.metacheck_failure))
+            return result
+
+        monkeypatch.setattr(decoder, "single_shot_decode", spy)
+
+        def pauli(x=(), z=()):
+            e, f = np.zeros(486, dtype=np.uint8), np.zeros(486, dtype=np.uint8)
+            e[list(x)], f[list(z)] = 1, 1
+            return PauliError(e, f)
+
+        def u(*bits):
+            v = np.zeros(648, dtype=np.uint8)
+            v[list(bits)] = 1
+            return v
+
+        schedule = [
+            (pauli(x=[5]), u(162, 163)),
+            (pauli(), u()),
+            (pauli(), u(227, 520, 538)),
+            (pauli(z=[100]), u(241, 242)),
+            (pauli(), u(7)),
+            (pauli(x=[300]), u()),
+        ]
+        budget = decoder.SingleShotBudget(4, Fraction(19, 2), bounds.LINEAR)
+        records = decoder.simulate_rounds(code486, budget, schedule, max_weight=6)
+        assert [failed for _, failed in decoded] == [True, False, True, True, False, False]
+        assert [r.in_contract for r in records] == [True, True, True, False, True, True]
+        assert [r.residual_bounded for r in records] == [False, True, False, None, True, True]
+        assert decoded[1][0] == code486.syndrome(pauli(x=[5])).z_part.tobytes() + bytes(324)
+        digest = hashlib.sha256()
+        for s_bytes, _ in decoded:
+            digest.update(s_bytes)
+        digest.update(json.dumps([r.to_json() for r in records], sort_keys=True).encode())
+        assert digest.hexdigest() == (
+            "ff59e7e21280e56e4e003f3ee242e227e8c461c45e0c44312c02d7eec7977761"
+        )

@@ -29,3 +29,28 @@ def test_no_assert_statements_in_the_package():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_every_name_the_benchmark_calls_resolves():
+    # perfbench/workloads.py calls the package as `<module>.<name>` after a
+    # `from homprod import <module>`; a renamed or deleted name would only
+    # fail there, in a benchmark run, so check each one resolves here
+    layers = {"gf2", "chain", "product", "css", "decoder", "soundness", "cli"}
+    path = pathlib.Path(__file__).parents[1] / "perfbench" / "workloads.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    used = sorted(
+        {
+            (node.value.id, node.attr)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in layers
+        }
+    )
+    assert len(used) >= 12
+    missing = [
+        f"{module}.{name}"
+        for module, name in used
+        if not hasattr(importlib.import_module(f"homprod.{module}"), name)
+    ]
+    assert missing == []
