@@ -419,10 +419,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     stored = load_stored(args.complex)
     code = _code_with_metachecks(stored.complex_, "sweep")
     budget = Parameters(stored, args.max_weight, d_q=args.dq, t=args.t).budget(args.f)
-    limits = decoder.SweepLimits(
-        u_max=args.umax, e_max=args.emax, samples=args.samples, seed=args.seed
+    report = decoder.adversarial_sweep(
+        code, budget, args.umax, args.emax, args.samples, args.seed, args.max_weight
     )
-    report = decoder.adversarial_sweep(code, budget, limits, max_weight=args.max_weight)
     payload = {"budget": budget.to_json(), **report.to_json()}
     text = (
         f"swept {report.pairs_tested} in-contract pairs "

@@ -11,13 +11,19 @@ overlap with one of the code's syndrome-level obstruction rows
 (CssCode.syndrome_obstructions, computed once per code); a code with no
 homology at levels 1 and -1 (d_ss infinite, such as the 241-qubit code)
 has none, so its decodes never fail and pay nothing for the test.
+
+Sweeps and multi-round runs share one round step: flip the measurement
+error u into the error's syndrome and decode, searching the residual to a
+given budget.  The exhaustive sweep lists only pairs the contract admits:
+admission only shrinks as either weight grows, so each weight loop stops
+at the heaviest weight the budget accepts.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -34,12 +40,12 @@ __all__ = [
     "RepairOutcome",
     "DecodeResult",
     "SingleShotBudget",
-    "SweepLimits",
     "SweepReport",
     "RoundRecord",
     "repair_syndrome",
     "single_shot_decode",
     "single_shot_budget",
+    "split_measurement_error",
     "adversarial_sweep",
     "simulate_rounds",
 ]
@@ -126,6 +132,15 @@ def split_measurement_error(code: CssCode, u: np.ndarray) -> Syndrome:
     return Syndrome(u[:mz], u[mz:])
 
 
+def _solve(m: np.ndarray, target: np.ndarray, max_weight: int, what: str) -> np.ndarray:
+    """Minimum-weight x with m x = target; BudgetExhausted names `what`
+    when none has weight <= max_weight."""
+    found = gf2.min_weight_solution(m, target, max_weight)
+    if found is None:
+        raise BudgetExhausted(f"no {what} within weight {max_weight}")
+    return found[0]
+
+
 def repair_syndrome(code: CssCode, s: Syndrome, max_weight: int) -> RepairOutcome:
     """Minimum-weight flip set making the syndrome metacheck-consistent.
 
@@ -138,32 +153,13 @@ def repair_syndrome(code: CssCode, s: Syndrome, max_weight: int) -> RepairOutcom
     """
     if not code.has_metachecks:
         raise ValueError("repair needs a code with metachecks")
-    found_z = gf2.min_weight_solution(
-        code.z_metachecks, gf2.mat_vec(code.z_metachecks, s.z_part), max_weight
+    mz, mx = code.z_metachecks, code.x_metachecks
+    s_rec = Syndrome(
+        _solve(mz, gf2.mat_vec(mz, s.z_part), max_weight, "Z-side syndrome repair"),
+        _solve(mx, gf2.mat_vec(mx, s.x_part), max_weight, "X-side syndrome repair"),
     )
-    if found_z is None:
-        raise BudgetExhausted(f"no Z-side syndrome repair within weight {max_weight}")
-    found_x = gf2.min_weight_solution(
-        code.x_metachecks, gf2.mat_vec(code.x_metachecks, s.x_part), max_weight
-    )
-    if found_x is None:
-        raise BudgetExhausted(f"no X-side syndrome repair within weight {max_weight}")
-    s_rec = Syndrome(found_z[0], found_x[0])
     # the repaired syndrome passes every metacheck by construction
     return RepairOutcome(s_rec, code.obstructed(s.compose(s_rec)))
-
-
-def _min_weight_pauli(code: CssCode, repaired: Syndrome, max_weight: int) -> PauliError:
-    """Minimum-weight Pauli with a syndrome already known to lie in the
-    image: one increasing-weight search per side, so minimality is certain
-    whenever both succeed."""
-    found_e = gf2.min_weight_solution(code.z_checks, repaired.z_part, max_weight)
-    if found_e is None:
-        raise BudgetExhausted(f"no X-part recovery within weight {max_weight}")
-    found_f = gf2.min_weight_solution(code.x_checks, repaired.x_part, max_weight)
-    if found_f is None:
-        raise BudgetExhausted(f"no Z-part recovery within weight {max_weight}")
-    return PauliError(found_e[0], found_f[0])
 
 
 def single_shot_decode(
@@ -177,31 +173,32 @@ def single_shot_decode(
     error is known (sweeps know it, field deployments do not)."""
     outcome = repair_syndrome(code, s, max_weight)
     if outcome.metacheck_failure:
-        return DecodeResult(
-            outcome.s_rec, PauliError.identity(code.n), True, None, False
-        )
-    # repair_syndrome has already checked that the repaired syndrome lies
-    # in the image, so only the per-side searches remain
-    e_rec = _min_weight_pauli(code, s.compose(outcome.s_rec), max_weight)
+        return DecodeResult(outcome.s_rec, PauliError.identity(code.n), True, None, False)
+    # repair_syndrome has already checked that the repaired syndrome lies in
+    # the image, so one increasing-weight search per side remains, and
+    # minimality is certain whenever both succeed
+    repaired = s.compose(outcome.s_rec)
+    e_rec = PauliError(
+        _solve(code.z_checks, repaired.z_part, max_weight, "X-part recovery"),
+        _solve(code.x_checks, repaired.x_part, max_weight, "Z-part recovery"),
+    )
     residual_wt: Optional[int] = None
     if true_error is not None:
-        residual = true_error.compose(e_rec)
         budget = residual_budget if residual_budget is not None else max_weight
-        residual_wt = pauli_min_weight(code, residual, budget)
+        residual_wt = pauli_min_weight(code, true_error.compose(e_rec), budget)
     return DecodeResult(outcome.s_rec, e_rec, False, residual_wt, True)
 
 
+def _decode_round(
+    code: CssCode, error: PauliError, u: np.ndarray, budget: int, max_weight: int
+) -> DecodeResult:
+    """One round: decode the error's syndrome with u flipped into it, and
+    search the residual to weight budget."""
+    s = code.syndrome(error).compose(split_measurement_error(code, u))
+    return single_shot_decode(code, s, max_weight, true_error=error, residual_budget=budget)
+
+
 # -- adversarial sweeps --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SweepLimits:
-    """Enumeration caps for (E, u) pairs; samples=None means exhaustive."""
-
-    u_max: int
-    e_max: int
-    samples: Optional[int] = None
-    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -229,138 +226,103 @@ class SweepReport:
         return not self.violations
 
     def to_json(self) -> dict:
-        return {
-            "pairs_tested": self.pairs_tested,
-            "sampled": self.sampled,
-            "seed": self.seed,
-            "repairs_bounded_by_u": self.repairs_bounded_by_u,
-            "violations": [
-                {
-                    "kind": v.kind,
-                    "u_support": list(v.u_support),
-                    "e_support": list(v.e_support),
-                    "f_support": list(v.f_support),
-                    "detail": v.detail,
-                }
-                for v in self.violations
-            ],
-        }
+        return {**asdict(self), "repairs_bounded_by_u": self.repairs_bounded_by_u}
 
 
-def _pauli_from_typed_support(
-    n: int, support: tuple[int, ...], types: tuple[int, ...]
-) -> PauliError:
-    e = np.zeros(n, dtype=np.uint8)
-    f = np.zeros(n, dtype=np.uint8)
-    for q, t in zip(support, types):
-        if t in (0, 2):
-            e[q] = 1
-        if t in (1, 2):
-            f[q] = 1
+def _typed_pauli(n: int, support: tuple[int, ...], types: tuple[int, ...]) -> PauliError:
+    """The Pauli acting on each qubit of support as X (type 0), Z (1) or Y (2)."""
+    e, f = np.zeros(n, dtype=np.uint8), np.zeros(n, dtype=np.uint8)
+    e[[q for q, t in zip(support, types) if t != 1]] = 1
+    f[[q for q, t in zip(support, types) if t != 0]] = 1
     return PauliError(e, f)
 
 
-def _iter_errors_exhaustive(n: int, e_max: int):
-    """Every Pauli of weight <= e_max; a qubit's type is 0 (X), 1 (Z) or 2 (Y)."""
-    yield PauliError.identity(n)
-    for w in range(1, e_max + 1):
-        for support in itertools.combinations(range(n), w):
-            for types in itertools.product((0, 1, 2), repeat=w):
-                yield _pauli_from_typed_support(n, support, types)
+def _exhaustive_pairs(code: CssCode, budget: SingleShotBudget, u_max: int, e_max: int):
+    """Every admitted (E, u) with |u| <= u_max and wt(E) <= e_max: u in
+    (weight, lex) order, and for each u every Pauli in (weight, support,
+    type) order.  admits only shrinks as either weight grows, so the error
+    weights stop at the heaviest one admitted with |u|, and the u weights
+    at the first that admits no error at all."""
+    m = code.num_z_checks + code.num_x_checks
+    for uw in range(min(u_max, m) + 1):
+        weights = range(min(e_max, code.n) + 1)
+        e_weights = list(itertools.takewhile(lambda ew: budget.admits(uw, ew), weights))
+        if not e_weights:
+            return
+        for u_support in itertools.combinations(range(m), uw):
+            u = np.zeros(m, dtype=np.uint8)
+            u[list(u_support)] = 1
+            for ew in e_weights:
+                for support in itertools.combinations(range(code.n), ew):
+                    for types in itertools.product((0, 1, 2), repeat=ew):
+                        yield _typed_pauli(code.n, support, types), u
 
 
-def _check_pair(
-    code: CssCode,
-    budget: SingleShotBudget,
-    error: PauliError,
-    u: np.ndarray,
-    max_weight: int,
-    violations: list[Violation],
-) -> None:
-    """Decode one in-contract pair and append its violations."""
-    u_syn = split_measurement_error(code, u)
-    u_weight = int(u.sum())
-    s = code.syndrome(error).compose(u_syn)
-    allowed = budget.bound(2 * u_weight)
-    residual_budget = int(allowed)  # floor; the residual weight is integral
-    e_supp = tuple(np.flatnonzero(error.e).tolist())
-    f_supp = tuple(np.flatnonzero(error.f).tolist())
-    u_supp = tuple(np.flatnonzero(u).tolist())
-    result = single_shot_decode(
-        code, s, max_weight, true_error=error, residual_budget=residual_budget
-    )
-    if result.metacheck_failure:
-        violations.append(
-            Violation("metacheck_failure", u_supp, e_supp, f_supp,
-                      "repair left the syndrome outside the image")
-        )
+def _sampled_pairs(code: CssCode, budget: SingleShotBudget, u_max: int, e_max: int, seed: int):
+    """Seeded (E, u) draws, endless: a u weight and an error weight, each
+    uniform up to its cap, then uniform supports and per-qubit types.  A
+    weight above its length draws no vector and is skipped.  Nothing at all
+    when the budget refuses the empty pair: admits only shrinks as the
+    weights grow, so it would refuse every draw."""
+    if not budget.admits(0, 0):
         return
-    if result.s_rec.weight() > u_weight:
-        violations.append(
-            Violation(
-                "repair_exceeds_u",
-                u_supp,
-                e_supp,
-                f_supp,
-                f"|s_rec| = {result.s_rec.weight()} > |u| = {u_weight}",
-            )
-        )
-    if result.residual_min_weight is None:
-        violations.append(
-            Violation(
-                "residual_bound",
-                u_supp,
-                e_supp,
-                f_supp,
-                f"residual min-weight exceeds f(2|u|) = {allowed}",
-            )
-        )
+    m = code.num_z_checks + code.num_x_checks
+    rng = np.random.default_rng(seed)
+    while True:
+        uw = int(rng.integers(0, u_max + 1))
+        if uw > m:
+            continue
+        u = np.zeros(m, dtype=np.uint8)
+        if uw:
+            u[rng.choice(m, size=uw, replace=False)] = 1
+        ew = int(rng.integers(0, e_max + 1))
+        if ew > code.n:
+            continue
+        support = tuple(sorted(rng.choice(code.n, size=ew, replace=False).tolist())) if ew else ()
+        types = tuple(int(i) for i in rng.integers(0, 3, size=ew))
+        yield _typed_pauli(code.n, support, types), u
 
 
 def adversarial_sweep(
     code: CssCode,
     budget: SingleShotBudget,
-    limits: SweepLimits,
+    u_max: int,
+    e_max: int,
+    samples: Optional[int] = None,
+    seed: int = 0,
     max_weight: int = 6,
 ) -> SweepReport:
-    """Decode every (or a seeded sample of) in-contract (E, u) pair and
-    record each residual exceeding the bound.  Expected outcome: none."""
-    m = code.num_z_checks + code.num_x_checks
+    """Decode every (or, given samples, a seeded sample of) in-contract
+    (E, u) pair with |u| <= u_max and wt(E) <= e_max, and record each
+    violation of the guarantee.  Expected outcome: none."""
+    if samples is None:
+        stream = _exhaustive_pairs(code, budget, u_max, e_max)
+    else:
+        stream = _sampled_pairs(code, budget, u_max, e_max, seed)
     violations: list[Violation] = []
     pairs = 0
-    if limits.samples is None:
-        for u in gf2._vectors_up_to_weight(m, limits.u_max):
-            u_weight = int(u.sum())
-            if not u_weight < budget.measurement_budget:
-                continue
-            for error in _iter_errors_exhaustive(code.n, limits.e_max):
-                if not budget.admits(u_weight, error.weight()):
-                    continue
-                pairs += 1
-                _check_pair(code, budget, error, u, max_weight, violations)
-    elif budget.admits(0, 0):
-        # admits only shrinks as the weights grow: a budget that refuses the
-        # empty pair refuses every pair, and rejection sampling would spin
-        rng = np.random.default_rng(limits.seed)
-        while pairs < limits.samples:
-            uw = int(rng.integers(0, limits.u_max + 1))
-            # a weight above the length draws no vector: out of contract
-            if uw > m:
-                continue
-            u = np.zeros(m, dtype=np.uint8)
-            if uw:
-                u[rng.choice(m, size=uw, replace=False)] = 1
-            ew = int(rng.integers(0, limits.e_max + 1))
-            if ew > code.n:
-                continue
-            support = tuple(sorted(rng.choice(code.n, size=ew, replace=False).tolist())) if ew else ()
-            types = tuple(int(i) for i in rng.integers(0, 3, size=ew))
-            error = _pauli_from_typed_support(code.n, support, types)
-            if not budget.admits(int(u.sum()), error.weight()):
-                continue
-            pairs += 1
-            _check_pair(code, budget, error, u, max_weight, violations)
-    return SweepReport(pairs, violations, limits.samples is not None, limits.seed)
+    for error, u in stream:
+        if samples is not None and pairs >= samples:
+            break
+        u_weight = int(u.sum())
+        if not budget.admits(u_weight, error.weight()):
+            continue
+        pairs += 1
+        allowed = budget.bound(2 * u_weight)
+        # floor; the residual weight is integral
+        result = _decode_round(code, error, u, int(allowed), max_weight)
+        supports = tuple(tuple(np.flatnonzero(v).tolist()) for v in (u, error.e, error.f))
+        if result.metacheck_failure:
+            detail = "repair left the syndrome outside the image"
+            violations.append(Violation("metacheck_failure", *supports, detail))
+            continue
+        if result.s_rec.weight() > u_weight:
+            detail = f"|s_rec| = {result.s_rec.weight()} > |u| = {u_weight}"
+            violations.append(Violation("repair_exceeds_u", *supports, detail))
+        if result.residual_min_weight is None:
+            detail = f"residual min-weight exceeds f(2|u|) = {allowed}"
+            violations.append(Violation("residual_bound", *supports, detail))
+    return SweepReport(pairs, violations, samples is not None, seed)
 
 
 # -- multi-round containment ----------------------------------------------------
@@ -372,7 +334,7 @@ _RESIDUAL_SEARCH_CAP = 6
 
 @dataclass(frozen=True)
 class RoundRecord:
-    round_index: int
+    round: int
     u_weight: int
     new_error_weight: int
     in_contract: bool
@@ -380,14 +342,7 @@ class RoundRecord:
     residual_bounded: Optional[bool]
 
     def to_json(self) -> dict:
-        return {
-            "round": self.round_index,
-            "u_weight": self.u_weight,
-            "new_error_weight": self.new_error_weight,
-            "in_contract": self.in_contract,
-            "residual_min_weight": self.residual_min_weight,
-            "residual_bounded": self.residual_bounded,
-        }
+        return asdict(self)
 
 
 def simulate_rounds(
@@ -401,7 +356,9 @@ def simulate_rounds(
 
     A round is in contract when f(2|u_t|) + f(2|u_{t-1}|) + wt(E_t) stays
     below the qubit budget; out-of-contract rounds run anyway but carry no
-    assertion.
+    assertion.  A metacheck-failure round applies no recovery (its e_rec is
+    the identity) and reports no residual weight, so the full error carries
+    over and an in-contract failure counts as unbounded.
     """
     records: list[RoundRecord] = []
     residual = PauliError.identity(code.n)
@@ -411,29 +368,11 @@ def simulate_rounds(
         u_weight = int(u.sum())
         in_contract = budget.admits(u_weight, new_error.weight(), prev_u_weight)
         total = new_error.compose(residual)
-        s = code.syndrome(total).compose(split_measurement_error(code, u))
         allowed = budget.bound(2 * u_weight)
-        cap = max(int(allowed), _RESIDUAL_SEARCH_CAP)
-        result = single_shot_decode(
-            code, s, max_weight, true_error=total, residual_budget=cap
-        )
-        if result.metacheck_failure:
-            records.append(
-                RoundRecord(idx, u_weight, new_error.weight(), in_contract, None, False if in_contract else None)
-            )
-            # no recovery applied this round; the full error carries over
-            residual = total
-            prev_u_weight = u_weight
-            continue
+        result = _decode_round(code, total, u, max(int(allowed), _RESIDUAL_SEARCH_CAP), max_weight)
         residual = total.compose(result.e_rec)
         found = result.residual_min_weight
-        bounded: Optional[bool]
-        if in_contract:
-            bounded = found is not None and found <= allowed
-        else:
-            bounded = None
-        records.append(
-            RoundRecord(idx, u_weight, new_error.weight(), in_contract, found, bounded)
-        )
+        bounded = (found is not None and found <= allowed) if in_contract else None
+        records.append(RoundRecord(idx, u_weight, new_error.weight(), in_contract, found, bounded))
         prev_u_weight = u_weight
     return records

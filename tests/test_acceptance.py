@@ -14,7 +14,6 @@ import pytest
 
 from homprod import bounds, chain, cli, css, decoder, gf2, product, soundness, stab
 from homprod.chain import ChainComplex, Distance
-from homprod.decoder import SweepLimits
 
 REP2 = gf2.as_bin([[1, 1]])
 REP3 = gf2.as_bin([[1, 1, 0], [0, 1, 1]])
@@ -345,7 +344,7 @@ def test_criterion_07_partial_decoder_properties(tilde_rep2, tilde_rep3):
 
 def test_criterion_08_decoder_guarantee(code33, code241):
     report33 = decoder.adversarial_sweep(
-        code33, budget33(), SweepLimits(u_max=1, e_max=1), max_weight=6
+        code33, budget33(), u_max=1, e_max=1, max_weight=6
     )
     assert not report33.sampled
     assert report33.pairs_tested == 100
@@ -355,7 +354,7 @@ def test_criterion_08_decoder_guarantee(code33, code241):
     report241 = decoder.adversarial_sweep(
         code241,
         budget241(),
-        SweepLimits(u_max=1, e_max=2, samples=10_000, seed=2026),
+        u_max=1, e_max=2, samples=10_000, seed=2026,
         max_weight=6,
     )
     assert report241.pairs_tested == 10_000

@@ -12,7 +12,6 @@ import pytest
 from homprod import bounds, chain, css, decoder, gf2, product
 from homprod.chain import ChainComplex, Distance
 from homprod.css import PauliError
-from homprod.decoder import SweepLimits
 
 REP2 = [[1, 1]]
 REP3 = [[1, 1, 0], [0, 1, 1]]
@@ -399,7 +398,7 @@ class TestBudget:
 class TestAdversarialSweep:
     def test_exhaustive_33(self, code33):
         report = decoder.adversarial_sweep(
-            code33, budget33(), SweepLimits(u_max=1, e_max=1), max_weight=6
+            code33, budget33(), u_max=1, e_max=1, max_weight=6
         )
         assert report.pairs_tested == 100  # identity + 3 Paulis on 33 qubits
         assert report.ok
@@ -409,7 +408,7 @@ class TestAdversarialSweep:
         report = decoder.adversarial_sweep(
             code241,
             budget241(),
-            SweepLimits(u_max=1, e_max=2, samples=300, seed=7),
+            u_max=1, e_max=2, samples=300, seed=7,
             max_weight=6,
         )
         assert report.pairs_tested == 300
@@ -419,18 +418,26 @@ class TestAdversarialSweep:
     def test_sampled_budget_admitting_nothing(self, code33, deadline):
         # rejection sampling used to spin forever when no pair is in contract
         budget = decoder.SingleShotBudget(0, 0, bounds.CUBIC_OVER_4)
-        limits = SweepLimits(u_max=1, e_max=1, samples=3, seed=1)
         with deadline(10):
-            report = decoder.adversarial_sweep(code33, budget, limits)
+            report = decoder.adversarial_sweep(code33, budget, 1, 1, samples=3, seed=1)
         assert report.pairs_tested == 0 and report.ok
         assert report.sampled and report.seed == 1
 
     def test_sampled_deterministic(self, code241):
-        kw = dict(max_weight=6)
-        lim = SweepLimits(u_max=1, e_max=2, samples=50, seed=3)
-        a = decoder.adversarial_sweep(code241, budget241(), lim, **kw)
-        b = decoder.adversarial_sweep(code241, budget241(), lim, **kw)
+        kw = dict(u_max=1, e_max=2, samples=50, seed=3, max_weight=6)
+        a = decoder.adversarial_sweep(code241, budget241(), **kw)
+        b = decoder.adversarial_sweep(code241, budget241(), **kw)
         assert a.to_json() == b.to_json()
+
+    @pytest.mark.parametrize("u_max, e_max", [(1, 4), (20, 1)], ids=["emax4", "umax20"])
+    def test_exhaustive_stops_at_the_contract(self, code33, deadline, u_max, e_max):
+        # the contract (p = 1, q = 2, f = x^3/4) admits |u| = 0 with
+        # wt(E) <= 1 and no |u| >= 1, so higher caps add no pair; a sweep
+        # that listed every Pauli up to weight 4, or every u up to weight
+        # 20, and filtered each pair would run for minutes
+        with deadline(10):
+            report = decoder.adversarial_sweep(code33, budget33(), u_max, e_max)
+        assert report.to_json() == decoder.adversarial_sweep(code33, budget33(), 1, 1).to_json()
 
 
 class TestMultiRound:
