@@ -420,7 +420,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     code = _code_with_metachecks(stored.complex_, "sweep")
     budget = Parameters(stored, args.max_weight, d_q=args.dq, t=args.t).budget(args.f)
     report = decoder.adversarial_sweep(
-        code, budget, args.umax, args.emax, args.samples, args.seed, args.max_weight
+        code, budget, args.umax, args.emax,
+        samples=args.samples, seed=args.seed, max_weight=args.max_weight,
     )
     payload = {"budget": budget.to_json(), **report.to_json()}
     text = (
