@@ -26,9 +26,10 @@ middle over half tables of column combinations (see _WeightSearch).  A
 query that enumerates up to 384 right halves looks them up in a Python
 dict keyed by the exact packed column sum: the many shallow decoding
 queries pay per-call overhead, and a dict lookup has the least.  A
-nonzero weight-2 or weight-3 target draws its one right column from the
-columns on its highest set bit, not from all of them, and the kernel's
-supports of each weight are kept with the search.  A larger query runs
+nonzero weight-2 or weight-3 target draws its columns from pivot rows
+(the columns on its highest set bit, then on the remainder's), so it
+needs only the one-column table, and the kernel's supports of each
+weight are kept with the search.  A larger query runs
 on sorted numpy arrays keyed by a 64-bit linear sketch of the column
 sum, a fixed-size block of right halves at a time; every candidate is
 verified against the exact sum, so a sketch collision costs work, never
@@ -340,7 +341,9 @@ def kernel_basis(m) -> list[np.ndarray]:
     m = as_bin(m)
     n = m.shape[1]
     red, pivots = _rref(m)
-    free = np.setdiff1d(np.arange(n), pivots)
+    is_free = np.ones(n, dtype=bool)
+    is_free[pivots] = False
+    free = np.flatnonzero(is_free)
     basis = np.zeros((free.size, n), dtype=np.uint8)
     basis[np.arange(free.size), free] = 1
     # free column f's vector takes red[row, f] at the pivot of each row
@@ -546,11 +549,16 @@ class _WeightSearch:
     C(n, right):
 
     * up to _ARRAY_MIN_RIGHT_HALVES, a dict from the packed column sum (a
-      Python int) to its combinations.  A nonzero target with a one-column
-      right half (w = 2 or 3) draws that column only from the columns on
-      the target's highest set bit, since every support has one there; the
-      other queries loop over all their right halves.  This is the path of
-      the many shallow decoding queries, whose cost is per-call overhead.
+      Python int) to its combinations.  A nonzero target of weight 2 or 3
+      (a one-column right half) is drawn from pivot rows: every support
+      has a column on the target's highest set bit, so one column comes
+      from that bit's columns, and for weight 3 a second from the columns
+      on the highest bit of what remains (or, when nothing remains, the
+      other two are a pair of equal columns, supports(2, 0)); the last is
+      looked up in the one-column table.  Only zero targets and weights of
+      4 and up build a larger left table and loop over all their right
+      halves.  This is the path of the many shallow decoding queries,
+      whose cost is per-call overhead.
     * above it, the left table is one sorted uint64 array of composite
       keys: the 64-bit linear _sketch of a combination's column sum, with
       its low bits replaced by the combination's code (its indices,
@@ -585,6 +593,10 @@ class _WeightSearch:
         self._kernel: dict[int, list[tuple[int, ...]]] = {}
         # bits per index in a combination code: n itself must fit
         self._index_bits = self.n.bit_length()
+        # the most ones in two columns, found on the first weight-3 draw; it
+        # is set here because an attribute added later would slow every
+        # attribute read of the shallow queries
+        self._pair_reach: Optional[int] = None
 
     def _padded(self, ints: list[int]) -> np.ndarray:
         """Packed column sums as rows of whole uint64 words, zero-padded."""
@@ -657,6 +669,46 @@ class _WeightSearch:
         for j in range(size - 1, -1, -1):
             yield ((codes >> np.uint64(j * self._index_bits)) & self._code_mask(1)).astype(np.intp)
 
+    def _drawn(
+        self, w: int, target: int, table: dict[int, list[tuple[int, ...]]]
+    ) -> list[tuple[int, ...]]:
+        """Supports of size w = 2 or 3 summing to a nonzero target, drawn
+        from pivot rows, the last column looked up in the one-column table."""
+        cols = self.cols
+        # every support has a column on the target's highest set bit
+        top = self._bit_columns(target.bit_length() - 1)
+        if w == 2:
+            # and its other column is not on it: each pair is drawn once
+            out = []
+            for c in top:
+                for (b,) in table.get(target ^ cols[c], ()):
+                    out.append((b, c) if b < c else (c, b))
+            return out
+        # after a column a on that bit, the other two sum to rest =
+        # target ^ a: one of them is on rest's highest set bit and the
+        # other is looked up, or, if rest is 0, they are a pair of equal
+        # columns.  A support with 3 columns on the target's highest bit
+        # is drawn 3 times.  Two columns sum to at most twice the
+        # heaviest column's ones, which on sparse checks rules out most a
+        reach = self._pair_reach
+        if reach is None:
+            reach = self._pair_reach = 2 * max((v.bit_count() for v in cols), default=0)
+        found = set()
+        for a in top:
+            rest = target ^ cols[a]
+            if rest.bit_count() > reach:
+                continue
+            if rest:
+                for b in self._bit_columns(rest.bit_length() - 1):
+                    for (c,) in table.get(rest ^ cols[b], ()):
+                        if a != b and a != c:
+                            found.add(tuple(sorted((a, b, c))))
+            else:
+                for b, c in self.supports(2, 0):
+                    if a != b and a != c:
+                        found.add(tuple(sorted((a, b, c))))
+        return list(found)
+
     def _matches(self, w: int, target: int) -> list[tuple[int, ...]]:
         """Supports of size w summing to target, as ascending tuples in no
         particular order."""
@@ -666,23 +718,18 @@ class _WeightSearch:
         left = w - right
         if right and math.comb(self.n, right) > _ARRAY_MIN_RIGHT_HALVES:
             return self._array_matches(left, right, target)
+        if right == 1 and target:
+            # drawn from pivot rows (_drawn), one column looked up
+            left = 1
         table = self._hashed.get(left)
         if table is None:
             _reserve(self.n, left, _DICT_ENTRY_BYTES)
             table = self._hashed[left] = _combinations_by_sum(self.cols, left)
         if right == 0:
             return list(table.get(target, ()))
-        cols = self.cols
         if right == 1 and target:
-            # every support has a column on the target's highest set bit:
-            # draw the right column from that bit's columns, the others from
-            # the left table; a support with 3 columns on it is drawn 3 times
-            out = set()
-            for c in self._bit_columns(target.bit_length() - 1):
-                for lc in table.get(target ^ cols[c], ()):
-                    if c not in lc:
-                        out.add(tuple(sorted(lc + (c,))))
-            return list(out)
+            return self._drawn(w, target, table)
+        cols = self.cols
         out = []
         for rc in itertools.combinations(range(self.n), right):
             acc = target

@@ -71,6 +71,17 @@ def single_x(n, q):
     return PauliError.x_only(e)
 
 
+def fresh_python(code, *flags):
+    """Run code in a new interpreter that imports this homprod."""
+    src = os.path.dirname(os.path.dirname(css.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    )}
+    return subprocess.run(
+        [sys.executable, *flags, "-c", code], env=env, capture_output=True, text=True
+    )
+
+
 class TestRepairSyndrome:
     def test_clean_syndrome_needs_no_repair(self, code241):
         err = single_x(241, 17)
@@ -212,6 +223,29 @@ class TestSingleShotDecode:
             )
             assert res.residual_min_weight is not None
             assert res.residual_min_weight <= 2
+
+    def test_first_decode_imports_nothing(self):
+        # a measurement error alone leaves a weight-1 residual, so both coset
+        # annihilators are built (np.setdiff1d there would import numpy.ma).
+        # pytest may hold numpy.ma already: a fresh interpreter decodes
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from homprod import chain, css, decoder, gf2, product\n"
+            "h = gf2.as_bin([[1, 1, 0], [0, 1, 1]])\n"
+            "tilde = product.single_product(chain.ChainComplex([h], j_min=0))\n"
+            "code = css.from_complex(product.double_product(tilde))\n"
+            "u = np.zeros(code.num_z_checks + code.num_x_checks, dtype=np.uint8)\n"
+            "u[119] = 1\n"
+            "before = set(sys.modules)\n"
+            "res = decoder.single_shot_decode(code, decoder.split_measurement_error(code, u), 6,\n"
+            "    true_error=css.PauliError.identity(code.n), residual_budget=2)\n"
+            "new = sorted(set(sys.modules) - before)\n"
+            "print(res.residual_min_weight, new, 'numpy.ma' in sys.modules)\n"
+        )
+        proc = fresh_python(code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split("\n") == ["1 [] False", ""]
 
     def test_determinism(self, code241):
         err = single_x(241, 99)
@@ -359,12 +393,8 @@ class TestSyndromeObstructions:
             "    raise SystemExit(7 if 'Betti number is 5' in str(exc) else 1)\n"
             "raise SystemExit(1)\n"
         )
-        src = os.path.dirname(os.path.dirname(css.__file__))
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p
-        )}
-        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env)
-        assert proc.returncode == 7
+        proc = fresh_python(code, "-O")
+        assert proc.returncode == 7, proc.stderr
 
 
 class TestBudget:
@@ -414,6 +444,18 @@ class TestAdversarialSweep:
         assert report.pairs_tested == 300
         assert report.ok
         assert report.sampled and report.seed == 7
+
+    def test_shallow_sweep_builds_no_pair_table(self):
+        # in contract, |u| <= 1 and |E| <= 2: every nonzero query up to
+        # weight 3 draws from pivot rows and needs only the one-column table
+        code = css.from_complex(double(REP3))  # fresh: nothing cached yet
+        report = decoder.adversarial_sweep(
+            code, budget241(), u_max=1, e_max=2, samples=300, seed=1
+        )
+        assert report.pairs_tested == 300 and report.ok
+        for m in (code.z_checks, code.x_checks):
+            search = gf2._searcher(m)
+            assert 2 not in search._hashed and not search._sorted
 
     def test_sampled_budget_admitting_nothing(self, code33, deadline):
         # rejection sampling used to spin forever when no pair is in contract

@@ -599,6 +599,21 @@ class TestWeightSearch:
     @example(case=(bits([[0, 0, 0, 0], [1, 1, 0, 0], [0, 1, 1, 1]]), bits([1, 1, 0])))
     # columns 0, 1 and 2 all on the target's highest bit: one support, drawn 3 times
     @example(case=(bits([[1, 1, 1, 0], [1, 0, 0, 1], [0, 1, 0, 1]]), bits([1, 1, 1])))
+    # column 0 is the target and columns 1 and 2 are equal: {0, 1, 2} leaves
+    # rest = 0 after column 0, a pair of equal columns
+    @example(case=(bits([[1, 0, 0], [1, 1, 1], [0, 1, 1]]), bits([1, 1, 0])))
+    # column 1 is zero: {1, 2, 4} and {1, 3, 4} look it up; {0, 2, 3} leaves rest = 0
+    @example(case=(bits([[1, 0, 0, 0, 1], [1, 0, 1, 1, 0], [0, 0, 1, 1, 1]]), bits([1, 1, 0])))
+    # {0, 1, 2} has three columns on the target's highest bit; {3, 4, 5}
+    # leaves rest = 0 after column 3
+    @example(
+        case=(bits([[1, 1, 1, 1, 0, 0], [1, 0, 1, 0, 1, 1], [0, 1, 1, 0, 1, 1]]), bits([1, 0, 0]))
+    )
+    # {0, 1, 2}: columns 1 and 2 are disjoint and as heavy as any, so the
+    # rest after column 0 has twice the heaviest column's ones
+    @example(
+        case=(bits([[1, 0, 0], [0, 1, 0], [0, 1, 0], [0, 0, 1], [0, 0, 1]]), bits([1, 1, 1, 1, 1]))
+    )
     def test_sparse_nonzero_targets_equal_brute_force(self, threshold, case):
         m, b = case
         with pytest.MonkeyPatch.context() as mp:
@@ -616,7 +631,8 @@ class TestWeightSearch:
 
     def test_pivot_row_bounds_the_lookups(self):
         # a nonzero weight-2 query on the 241-qubit Z checks looks up only
-        # the columns on the target's highest set bit, not all 241
+        # the columns on the target's highest set bit, not all 241; a
+        # weight-3 one draws from two pivot rows and builds no pair table
         from homprod import chain, css, product
 
         tilde = product.single_product(chain.ChainComplex([bits([[1, 1, 0], [0, 1, 1]])], j_min=0))
@@ -629,7 +645,14 @@ class TestWeightSearch:
         search.supports(1, target)  # builds the one-column table
         table = search._hashed[1] = _CountingDict(search._hashed[1])
         assert (17, 200) in search.supports(2, target)
-        assert 0 < table.gets <= int(z.sum(axis=1).max())
+        row_weight = int(z.sum(axis=1).max())
+        assert 0 < table.gets <= row_weight
+        v[100] = 1
+        target = gf2._target_int(gf2.mat_vec(z, v))
+        table.gets = 0
+        assert (17, 100, 200) in search.supports(3, target)
+        assert 0 < table.gets <= row_weight**2
+        assert 2 not in search._hashed and not search._sorted
 
     def test_kernel_supports_are_kept_and_handed_out_fresh(self):
         m = bits([[1, 1, 0, 0, 1], [0, 1, 1, 0, 0], [0, 0, 1, 1, 1]])
