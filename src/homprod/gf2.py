@@ -593,10 +593,12 @@ class _WeightSearch:
         self._kernel: dict[int, list[tuple[int, ...]]] = {}
         # bits per index in a combination code: n itself must fit
         self._index_bits = self.n.bit_length()
-        # the most ones in two columns, found on the first weight-3 draw; it
-        # is set here because an attribute added later would slow every
-        # attribute read of the shallow queries
+        # the most ones in two columns, found on the first weight-3 draw, and
+        # the columns as _padded word rows, made on the first array query
+        # (_column_words); both are set here because an attribute added later
+        # would slow every attribute read of the shallow queries
         self._pair_reach: Optional[int] = None
+        self._words: Optional[np.ndarray] = None
 
     def _padded(self, ints: list[int]) -> np.ndarray:
         """Packed column sums as rows of whole uint64 words, zero-padded."""
@@ -604,9 +606,10 @@ class _WeightSearch:
         pad = 8 * (width - self._nbytes)
         return _int_rows([v << pad for v in ints], width).view(np.uint64)
 
-    @functools.cached_property
-    def _words(self) -> np.ndarray:
-        return self._padded(self.cols)
+    def _column_words(self) -> np.ndarray:
+        if self._words is None:
+            self._words = self._padded(self.cols)
+        return self._words
 
     def _bit_columns(self, bit: int) -> list[int]:
         """The columns whose int has this bit set, ascending."""
@@ -630,7 +633,7 @@ class _WeightSearch:
                     f"codes of {size} indices below {self.n} need "
                     f"{size * self._index_bits} bits, leaving too few for the sketch"
                 )
-            sketches = _sketch(self._words.view(np.uint8))
+            sketches = _sketch(self._column_words().view(np.uint8))
             keys = (sketches & ~self._code_mask(1)) | np.arange(self.n, dtype=np.uint64)
             for longer in range(2, size + 1):
                 keys = self._extended(keys, longer, sketches)
@@ -746,6 +749,7 @@ class _WeightSearch:
 
     def _array_matches(self, left: int, right: int, target: int) -> list[tuple[int, ...]]:
         keys = self._sorted_table(left)
+        words = self._column_words()
         target_words = self._padded([target])
         target_sketch = _sketch(target_words.view(np.uint8))[0]
         left_mask, right_mask = self._code_mask(left), self._code_mask(right)
@@ -790,7 +794,7 @@ class _WeightSearch:
             counts[longer] -= lo[longer]
             candidates = int(counts.sum())
             need = held * (left + right) * np.dtype(np.intp).itemsize + candidates * (
-                _CANDIDATE_BYTES + _CANDIDATE_WORD_BYTES * self._words.shape[1]
+                _CANDIDATE_BYTES + _CANDIDATE_WORD_BYTES * words.shape[1]
             )
             _require_under_cap(
                 need,
@@ -816,7 +820,7 @@ class _WeightSearch:
             sums = np.repeat(target_words, ordered.sum(), axis=0)
             for codes, size in halves:
                 for column in self._columns(codes, size):
-                    sums ^= self._words[column]
+                    sums ^= words[column]
             exact = ~sums.any(axis=1)
             del sums
             supports = np.column_stack(

@@ -453,11 +453,6 @@ def _side_conditions(r: np.ndarray, d: np.ndarray, s: np.ndarray) -> list[bool]:
     ]
 
 
-def _assert_m_preserved(state: PartialDecodeState, d_high, d_low) -> None:
-    if not (gf2.mat_mul(gf2.mat_mul(d_high, state.r_b), d_low) == state.m).all():
-        raise AssertionError("middle-block transform failed to preserve M")
-
-
 def _shrink_side(r: list[int], d: list[int], s: list[int], step) -> list[int]:
     """Loops 1-3 of partial_decode: r is R_b, d is d_low, s is S_L.
 
@@ -527,11 +522,14 @@ def partial_decode(
 
     The loops run on int rows (see _shrink_side): R_b, S_L and S_R are
     converted once, the maps' int rows are memoised on the maps, and R_b's
-    rows are transposed once at each switch of side.  The last pass transforms
-    nothing, so its two running products are R_b d_low and d_high R_b of
-    the final R_b, which the state keeps.  With check_every_step,
-    M = d_high @ R_b @ d_low is recomputed in full from R_b as it stands
-    after every single transform.
+    rows are transposed once at each switch of side.  The last pass
+    transforms nothing, so its running product d_high R_b is that of the
+    final R_b; R_b d_low is formed once more from the final R_b's rows.
+    The state keeps both.  At the end of every run, d_high @ R_b @ d_low
+    of the final R_b is checked against M on those int rows, and an
+    explicit AssertionError (which python -O keeps) reports a mismatch.
+    With check_every_step, M is also recomputed in full from R_b as it
+    stands after every single transform.
     """
     d_high = gf2.as_bin(d_high)
     d_low = gf2.as_bin(d_low)
@@ -576,22 +574,25 @@ def partial_decode(
 
     while True:
         fired = sum(counters)
-        products = []
         for side, (d, s) in enumerate(sides):
-            products.append(_shrink_side(rows, d, s, functools.partial(step, side)))
+            # on side 2, the rows of (d_high R_b)^T
+            product_rows = _shrink_side(rows, d, s, functools.partial(step, side))
             rows = gf2._transpose_ints(rows, n_0)
         passes += 1
         if sum(counters) == fired:
             break
         if passes > guard:
             raise AssertionError("outer pass failed to reach a fixed point")
+    rb_d_low = gf2._mul_rows(rows, low)
+    if gf2._mul_rows(high, rb_d_low) != m:
+        raise AssertionError("middle-block transform failed to preserve M")
     return PartialDecodeState(
         gf2._int_matrix(rows, n_0),
         s_l,
         s_r,
         gf2._int_matrix(m, n_m1),
-        gf2._int_matrix(products[0], n_m1),
-        gf2._int_matrix(products[1], n_1).T.copy(),
+        gf2._int_matrix(rb_d_low, n_m1),
+        gf2._int_matrix(product_rows, n_1).T.copy(),
         counters,
         passes,
     )
@@ -618,6 +619,21 @@ class DoubleWitness:
     state: Optional[PartialDecodeState]
 
 
+def _qubit_map_preimage(qubit_map: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The plain solver's preimage of s; PreimageError when there is none."""
+    r = gf2.get_solver(qubit_map).solve(s)
+    if r is None:
+        raise PreimageError("syndrome is not in the image of the qubit map")
+    return r
+
+
+def _terms(q: np.ndarray) -> list[RemainderTerm]:
+    """q's nonzero rows as remainder terms; none is looked for when q is 0."""
+    if not q.any():
+        return []
+    return [RemainderTerm(q[i].copy(), i) for i in np.flatnonzero(q.any(axis=1))]
+
+
 def double_product_preimage(
     h,
     tilde: ChainComplex,
@@ -633,9 +649,26 @@ def double_product_preimage(
     assemble.  The cubic bound |r| <= |s|^3 / 4 is guaranteed for
     |s| < threshold; outside that range the remainder pieces can fall
     outside the single product's image, in which case the plain solver
-    supplies a correct (unbounded) witness.  Every solver is memoised on
-    a map of tilde or breve, so repeated calls on one pair of complexes
-    eliminate each map once.
+    supplies a correct (unbounded) witness.
+
+    Each check runs once, as an explicit raise that python -O keeps:
+    the metachecks first (PreimageError); middle-block solvability here;
+    M = d_high R_b d_low at the end of partial_decode, on its int rows;
+    each remainder term's quadratic bound inside single_product_preimage;
+    then r solves s, and the cubic bound.  The qubit map itself is solved
+    only where its answer is used: for the fallback witness, and when a
+    stage fails (the middle-block solve, a partial_decode precondition, a
+    remainder term or the final check), to raise PreimageError("syndrome
+    is not in the image of the qubit map") first when s is outside the
+    image.  Otherwise the stage raises its own error; a remainder term
+    without a preimage inside the guaranteed range breaks the paper's
+    guarantee and is an AssertionError.  A witness is returned only once
+    it solves s, which proves that s is in the image.
+
+    Every solver is memoised on a map of tilde or breve, so repeated calls
+    on one pair of complexes eliminate each map at most once, and the
+    qubit map only on a failure or a fallback.  The returned witness and
+    its state share no memory with the caller's s.
     """
     h = gf2.as_bin(h)
     s = gf2.as_bin(s).reshape(-1)
@@ -657,67 +690,70 @@ def double_product_preimage(
         raise ValueError("syndrome length does not match the double product's checks")
     if gf2.mat_vec(breve.delta(1), s).any():
         raise PreimageError("syndrome fails the metachecks")
-    breve_solver = gf2.get_solver(breve.delta(0))
-    plain = breve_solver.solve(s)
-    if plain is None:
-        raise PreimageError("syndrome is not in the image of the qubit map")
-    s_l_mat = gf2.reshape_vector(s[:len_l], n_0, n_m1)
-    s_r_mat = gf2.reshape_vector(s[len_l:], n_1, n_0)
+    qubit_map = breve.delta(0)
+    # the state keeps S_L and S_R: copies, apart from the caller's s and
+    # without a third array that views of one copy would need
+    s_l_mat = s[:len_l].reshape(n_0, n_m1).copy()
+    s_r_mat = s[len_l:].reshape(n_1, n_0).copy()
     x = gf2.weight(s)
     guaranteed = threshold is not None and x < threshold
 
     mid_solver = gf2.memo(
         d_high, "mid_map_solver", lambda d: gf2.Gf2Solver(np.kron(d, d_low.T))
     )
-    m_mat = gf2.mat_mul(d_high, s_l_mat)
-    r_b0 = mid_solver.solve(gf2.flatten_matrix(m_mat))
+    r_b0 = mid_solver.solve(gf2.mat_mul(d_high, s_l_mat).reshape(-1))
     if r_b0 is None:
+        # here and at each failure below: PreimageError if s is not an image
+        _qubit_map_preimage(qubit_map, s)
         raise AssertionError("middle-block equation must be solvable for image syndromes")
-    state = partial_decode(
-        gf2.reshape_vector(r_b0, n_0, n_0), s_l_mat, s_r_mat, d_high, d_low,
-        check_every_step=False,
-    )
-    _assert_m_preserved(state, d_high, d_low)
-
-    q_l = s_l_mat ^ state.rb_d_low
-    q_r = s_r_mat ^ state.d_high_rb
-    left_terms = [
-        RemainderTerm(q_l[:, j].copy(), j) for j in np.flatnonzero(q_l.any(axis=0))
-    ]
-    right_terms = [
-        RemainderTerm(q_r[i].copy(), i) for i in np.flatnonzero(q_r.any(axis=1))
-    ]
-    r_a_mat = gf2.zeros(n_m1, n_m1)
-    r_c_mat = gf2.zeros(n_1, n_1)
     try:
-        for term in left_terms:
-            # each leftover column lives in ker(d_high) and, inside the
-            # guaranteed range, below the product distance, so it has a
-            # bounded preimage under the lowest map
-            witness = single_product_preimage(
-                h, term.vector, "from_redundancy", threshold, tilde=tilde
-            )
-            r_a_mat[:, term.index] = witness.r
-        for term in right_terms:
-            witness = single_product_preimage(
-                h, term.vector, "from_checks", threshold, tilde=tilde
-            )
-            r_c_mat[term.index, :] = witness.r
-    except PreimageError:
-        if guaranteed:
-            raise
-        return DoubleWitness(
-            plain, None, None, None, False, True, left_terms, right_terms, None
+        state = partial_decode(
+            r_b0.reshape(n_0, n_0), s_l_mat, s_r_mat, d_high, d_low,
+            check_every_step=False,
         )
-    r = np.concatenate([m.reshape(-1) for m in (r_a_mat, state.r_b, r_c_mat)])
-    if not (gf2.mat_vec(breve.delta(0), r) == s).all():
+    except ValueError:
+        # a precondition, which every image syndrome meets
+        _qubit_map_preimage(qubit_map, s)
+        raise
+
+    # each leftover column lives in ker(d_high) and, inside the guaranteed
+    # range, below the product distance, so it has a bounded preimage under
+    # the lowest map; each leftover row likewise under the highest
+    left_terms = _terms((s_l_mat ^ state.rb_d_low).T)
+    right_terms = _terms(s_r_mat ^ state.d_high_rb)
+    r = np.zeros(sizes[2], dtype=np.uint8)
+    # r's three blocks are views of it, so a kept witness holds each bit once
+    a_end = n_m1 * n_m1
+    b_end = a_end + n_0 * n_0
+    r_a, r_b, r_c = r[:a_end], r[a_end:b_end], r[b_end:]
+    r_b.reshape(n_0, n_0)[:] = state.r_b
+    # a left term fills a column of R_a, a right term a row of R_c
+    for terms, map_side, block in (
+        (left_terms, "from_redundancy", r_a.reshape(n_m1, n_m1).T),
+        (right_terms, "from_checks", r_c.reshape(n_1, n_1)),
+    ):
+        for term in terms:
+            try:
+                witness = single_product_preimage(
+                    h, term.vector, map_side, threshold, tilde=tilde
+                )
+            except PreimageError as exc:
+                plain = _qubit_map_preimage(qubit_map, s)
+                if guaranteed:
+                    raise AssertionError(
+                        f"the {map_side} remainder term at index {term.index} has no "
+                        "preimage, although the syndrome is in the image and inside "
+                        "the guaranteed range"
+                    ) from exc
+                return DoubleWitness(
+                    plain, None, None, None, False, True, left_terms, right_terms, None
+                )
+            block[term.index] = witness.r
+    if not (gf2.mat_vec(qubit_map, r) == s).all():
+        _qubit_map_preimage(qubit_map, s)
         raise AssertionError("assembled witness does not solve the qubit map")
     if guaranteed and Fraction(gf2.weight(r)) > CUBIC_OVER_4(x):
         raise AssertionError("cubic bound violated inside the guaranteed range")
-    # views of r's three blocks, so a kept witness holds each bit once
-    r_a, r_b, r_c = np.split(r, [n_m1 * n_m1, n_m1 * n_m1 + n_0 * n_0])
     return DoubleWitness(
         r, r_a, r_b, r_c, guaranteed, False, left_terms, right_terms, state
     )
-
-

@@ -544,6 +544,19 @@ class TestWeightSearch:
                 assert tuple(np.flatnonzero(found[0])) == first
                 assert found[1] == len(first)
 
+    def test_queries_add_no_attribute(self):
+        # an attribute added after __init__ slows every later attribute read
+        # of that searcher, so what the queries make lazily fills attributes
+        # that __init__ already set
+        m = np.random.default_rng(7).integers(0, 2, size=(12, 40), dtype=np.uint8)
+        search = gf2._WeightSearch(m)
+        before = list(vars(search))
+        assert math.comb(search.n, 2) > gf2._ARRAY_MIN_RIGHT_HALVES
+        search.supports(4, 0)  # the array path
+        search.supports(3, gf2._target_int(m[:, 0] ^ m[:, 1] ^ m[:, 2]))  # drawn
+        assert search._words is not None and search._pair_reach is not None
+        assert list(vars(search)) == before
+
     def test_241_qubit_blocks_equal_one_block(self):
         # the deep queries of the benchmark's seed-1 rounds run: the first
         # round's residual is one X error, decoded from a flip of check bit

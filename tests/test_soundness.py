@@ -52,6 +52,32 @@ def breve_rep2(tilde_rep2):
     return product.double_product(tilde_rep2)
 
 
+@pytest.fixture
+def solver_builds(monkeypatch):
+    """The shape of each matrix a new Gf2Solver eliminates, in order."""
+    builds = []
+    real = gf2.Gf2Solver.__init__
+
+    def counting(self, m):
+        builds.append(m.shape)
+        real(self, m)
+
+    monkeypatch.setattr(gf2.Gf2Solver, "__init__", counting)
+    return builds
+
+
+@pytest.fixture(scope="module")
+def cyclic3_non_image():
+    """The single product of cyclic(3), and a weight-3 syndrome of its
+    double product that passes the metachecks but is outside the image."""
+    tilde = single(cyclic(3))
+    breve = product.double_product(tilde)
+    witness = chain.homological_distance(breve, 1, 3).witness
+    s = np.concatenate([witness, np.zeros(breve.size(1) - witness.shape[0], dtype=np.uint8)])
+    assert not gf2.mat_vec(breve.delta(1), s).any()
+    return tilde, s
+
+
 class TestProfile:
     def test_zero_syndrome_entry(self, tilde_rep3):
         prof = soundness.profile_map(tilde_rep3.delta(0).T, 2, 4)
@@ -289,6 +315,50 @@ class TestSingleProductPreimage:
             "    soundness.partial_decode(\n"
             "        r_b, s_l, s_r, tilde.delta(0), tilde.delta(-1),\n"
             "        check_every_step=True,\n"
+            "    )\n"
+            "except AssertionError as exc:\n"
+            "    raise SystemExit(7 if 'failed to preserve M' in str(exc) else 1)\n"
+            "raise SystemExit(1)\n"
+        )
+        src = os.path.dirname(os.path.dirname(soundness.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p
+        )}
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code, str(inputs)], env=env
+        )
+        assert proc.returncode == 7
+
+    def test_partial_decode_end_check_survives_optimize_flag(self, tilde_rep2, tmp_path):
+        # with check_every_step off, an entry of R_b flipped once, outside
+        # any transform, is caught by the check of M at the end of the run,
+        # an explicit raise that -O keeps
+        rng = np.random.default_rng(159)
+        state = make_error_state(tilde_rep2, rng, int(rng.integers(1, 14)))
+        inputs = tmp_path / "state.npz"
+        np.savez(inputs, *state)
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from homprod import product, soundness\n"
+            "from homprod.chain import ChainComplex\n"
+            "h = np.array([[1, 1]], dtype=np.uint8)\n"
+            "tilde = product.single_product(ChainComplex([h], j_min=0))\n"
+            "r_b, s_l, s_r = np.load(sys.argv[1]).values()\n"
+            "real = soundness._shrink_side\n"
+            "# entry (0, 0) of the side's int rows: column 0 is the highest bit\n"
+            "top = 1 << (8 * -(-r_b.shape[1] // 8) - 1)\n"
+            "calls = []\n"
+            "def wrong(r, *args):\n"
+            "    if not calls:\n"
+            "        r[0] ^= top\n"
+            "    calls.append(1)\n"
+            "    return real(r, *args)\n"
+            "soundness._shrink_side = wrong\n"
+            "try:\n"
+            "    soundness.partial_decode(\n"
+            "        r_b, s_l, s_r, tilde.delta(0), tilde.delta(-1),\n"
+            "        check_every_step=False,\n"
             "    )\n"
             "except AssertionError as exc:\n"
             "    raise SystemExit(7 if 'failed to preserve M' in str(exc) else 1)\n"
@@ -662,21 +732,13 @@ class TestDoubleProductPreimage:
         with pytest.raises(ValueError, match=r"levels -2\.\.2.* is not the double product of"):
             soundness.double_product_preimage(REP2, tilde_rep2, breve, s, threshold=2)
 
-    def test_each_map_eliminated_once(self, monkeypatch):
-        # breve's qubit map, the middle-block map and tilde's two
-        # middle-level maps: one elimination each, however many syndromes
+    def test_each_map_eliminated_once(self, solver_builds):
+        # the middle-block map and tilde's two middle-level maps: one
+        # elimination each, however many syndromes; the qubit map none,
+        # since no syndrome here fails or falls back
         tilde = single(REP3)
         breve = product.double_product(tilde)
-        builds = []
-        real = gf2.Gf2Solver.__init__
-
-        def counting(self, m):
-            builds.append(m.shape)
-            real(self, m)
-
-        monkeypatch.setattr(gf2.Gf2Solver, "__init__", counting)
         rng = np.random.default_rng(5)
-        fallbacks = 0
         for _ in range(60):
             r0 = np.zeros(241, dtype=np.uint8)
             r0[rng.choice(241, size=int(rng.integers(1, 3)), replace=False)] = 1
@@ -684,9 +746,77 @@ class TestDoubleProductPreimage:
             out = soundness.double_product_preimage(
                 REP3, tilde, breve, s, threshold=3
             )
-            fallbacks += out.used_fallback
-        assert fallbacks < 60
-        assert sorted(builds) == sorted([(156, 241), (36, 169), (13, 6), (13, 6)])
+            assert not out.used_fallback
+        assert solver_builds == [(36, 169), (13, 6), (13, 6)]
+
+    def test_qubit_map_eliminated_once_for_non_image(self, solver_builds, cyclic3_non_image):
+        # a non-image syndrome needs the qubit map's solver to be told
+        # apart from a broken construction; it is built on the first call
+        # and memoised for the next
+        tilde, s = cyclic3_non_image
+        breve = product.double_product(tilde)
+        for _ in range(2):
+            with pytest.raises(soundness.PreimageError, match="image of the qubit map"):
+                soundness.double_product_preimage(cyclic(3), tilde, breve, s, threshold=3)
+        assert solver_builds.count(breve.delta(0).shape) == 1
+
+    def test_non_image_caught_by_the_final_check(self, monkeypatch, cyclic3_non_image):
+        # with every remainder term given a zero witness, the assembled r
+        # reaches the final check, which fails; the syndrome is then found
+        # outside the image, and that is the error raised
+        tilde, s = cyclic3_non_image
+        breve = product.double_product(tilde)
+        sides = []
+
+        def zero_witness(h, vector, map_side, threshold, *, tilde):
+            sides.append(map_side)
+            n = tilde.size(-1) if map_side == "from_redundancy" else tilde.size(1)
+            return soundness.SingleWitness(np.zeros(n, dtype=np.uint8), False, 0)
+
+        monkeypatch.setattr(soundness, "single_product_preimage", zero_witness)
+        with pytest.raises(soundness.PreimageError, match="image"):
+            soundness.double_product_preimage(cyclic(3), tilde, breve, s, threshold=3)
+        assert sides  # every term passed, so only the final check was left
+
+    def test_missing_remainder_preimage_breaks_the_guarantee(self, monkeypatch):
+        # rep-4, t = 4: a single X error on qubit 0 has a syndrome of weight 3
+        # and one remainder term.  Inside the guaranteed range, an image
+        # syndrome's terms all have preimages, so a term without one is a
+        # fault of the construction, not of the input; outside it, the
+        # witness falls back to the plain solver
+        rep4 = gf2.as_bin([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]])
+        tilde = single(rep4)
+        breve = product.double_product(tilde)
+        s = gf2.mat_vec(breve.delta(0), np.eye(1, breve.size(0), 0, dtype=np.uint8)[0])
+        out = soundness.double_product_preimage(rep4, tilde, breve, s, threshold=4)
+        assert gf2.weight(s) == 3 and out.bound_guaranteed
+        assert not out.right_terms and len(out.left_terms) == 1
+
+        def no_preimage(*args, **kwargs):
+            raise soundness.PreimageError("syndrome is not in the image of the selected map")
+
+        monkeypatch.setattr(soundness, "single_product_preimage", no_preimage)
+        index = out.left_terms[0].index
+        with pytest.raises(
+            AssertionError, match=f"from_redundancy remainder term at index {index}"
+        ):
+            soundness.double_product_preimage(rep4, tilde, breve, s, threshold=4)
+        fallback = soundness.double_product_preimage(rep4, tilde, breve, s, threshold=3)
+        assert fallback.used_fallback and not fallback.bound_guaranteed
+        assert (gf2.mat_vec(breve.delta(0), fallback.r) == s).all()
+
+    def test_outputs_share_no_memory_with_the_syndrome(self, tilde_rep3):
+        breve = product.double_product(tilde_rep3)
+        r0 = np.zeros(241, dtype=np.uint8)
+        r0[[0, 210]] = 1
+        s = gf2.mat_vec(breve.delta(0), r0)
+        out = soundness.double_product_preimage(REP3, tilde_rep3, breve, s, threshold=3)
+        assert out.left_terms and out.right_terms and not out.used_fallback
+        kept = [out.r, out.r_a, out.r_b, out.r_c] + [
+            getattr(out.state, name) for name in ("r_b", "s_l", "s_r", "m", "rb_d_low", "d_high_rb")
+        ] + [term.vector for term in out.left_terms + out.right_terms]
+        assert not any(np.shares_memory(a, s) for a in kept)
+        assert np.shares_memory(out.r_a, out.r) and np.shares_memory(out.r_c, out.r)
 
 
 def _feed(digest, *values):
