@@ -711,7 +711,7 @@ def make_parser() -> argparse.ArgumentParser:
     # the global flags, shared by the top level and every command; SUPPRESS
     # leaves a flag unset unless given, so main's namespace holds the defaults
     common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
-    common.add_argument("--seed", type=int, help="RNG seed, recorded in outputs")
+    common.add_argument("--seed", type=_at_least(0), help="RNG seed, recorded in outputs")
     common.add_argument(
         "--max-weight", type=_at_least(1), help="enumeration budget for distances and decoding"
     )
@@ -811,6 +811,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         return args.func(args)
     except (InputError, css.NotACssComplex) as exc:
         print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except OSError as exc:
+        # every read is wrapped as an InputError, so this is a failed write
+        print(f"input error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except decoder.BudgetExhausted as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)

@@ -22,22 +22,19 @@ deterministic.  Support sets are reported 1-based.
 
 The weight-ordered searches (min_weight_solution,
 all_solutions_up_to_weight, kernel_vectors_by_weight) meet in the
-middle over half tables of column combinations (see _WeightSearch).  A
-query that enumerates up to 384 right halves looks them up in a Python
-dict keyed by the exact packed column sum: the many shallow decoding
-queries pay per-call overhead, and a dict lookup has the least.  A
-nonzero weight-2 or weight-3 target draws its columns from pivot rows
-(the columns on its highest set bit, then on the remainder's), so it
-needs only the one-column table, and the kernel's supports of each
-weight are kept with the search.  A larger query runs
-on sorted numpy arrays keyed by a 64-bit linear sketch of the column
-sum, a fixed-size block of right halves at a time; every candidate is
-verified against the exact sum, so a sketch collision costs work, never
-a wrong answer.  Both paths return support tuples, which
-_WeightSearch.supports sorts into (weight, lex) order.  A table whose
-estimated size exceeds a memory cap is never built, and a block whose
-candidates, with the supports found before it, would exceed the cap is
-never expanded: the search raises BudgetExhausted.
+middle (see _WeightSearch) over sorted numpy half tables keyed by a
+64-bit linear sketch of the column sum, a fixed-size block of right
+halves at a time; every candidate is verified against the exact sum, so
+a sketch collision costs work, never a wrong answer.  The shallow
+decoding queries, whose cost is per-call overhead, use a dict from each
+column to its indices instead: weight-1 lookups, pivot-row draws of
+nonzero weight-2 and weight-3 targets, and pairs of equal columns.
+Every path returns support tuples, which _WeightSearch.supports sorts
+into (weight, lex) order, and the kernel's supports of each weight are
+kept with the search.  A table whose estimated size exceeds a memory
+cap is never built, and a block whose candidates, with the supports
+found before it, would exceed the cap is never expanded: the search
+raises BudgetExhausted.
 """
 
 from __future__ import annotations
@@ -434,27 +431,21 @@ class BudgetExhausted(RuntimeError):
     """An enumeration or memory budget ran out before any admissible solution."""
 
 
-# A query that enumerates more right halves than this runs on sorted numpy
-# half tables, a block of right halves at a time; a smaller one looks its
-# right halves up in a Python dict.  Looping over all right halves costs
-# about 0.35 us per half on the dict path; the array path about 100 us per
-# query plus a little per half.  So weight-2 and weight-3 loops cost the
-# same on both near 384 halves (the dict path wins at 256, the array path
-# at 512).  Nonzero weight-2 and weight-3 targets skip the loop, so this
-# governs zero targets and wider right halves, table1's zero-target
-# queries among them.  Below it sit the shallow queries that dominate
-# decoding.
-_ARRAY_MIN_RIGHT_HALVES = 384
+# Pivot draws and equal-column pairs run on matrices of at most this many
+# columns.  On a dense matrix with more, a draw costs |bit columns|^2
+# lookups per query, and the sorted tables amortise that better.
+_DRAW_MAX_COLUMNS = 384
 
 # Largest half table a search may build, in estimated bytes (C(n, k) entries
 # times the bytes per entry below); a larger one raises BudgetExhausted.
 _TABLE_BYTES_MAX = 1 << 30
-# Peak bytes per entry, measured with tracemalloc: a dict entry holds a
-# tuple, a list slot and its share of the dict (230-245 bytes); an array
-# entry holds one 8-byte key, and building the table in place peaks at
-# 8.1-9.6 bytes per entry (the shorter key list it is extended from).  A
-# query on it adds one block's temporaries, under 0.9 MB (5.6 bytes per
-# entry of a C(100, 3) table, 0.4 of a C(241, 3) one), and its candidates.
+# Peak bytes per entry, measured with tracemalloc: an index entry holds a
+# column index, a list and its share of the dict (116-147 bytes on dense
+# matrices of 241-2,000 columns); an array entry holds one 8-byte key, and
+# building the table in place peaks at 8.1-9.6 bytes per entry (the shorter
+# key list it is extended from).  A query on it adds one block's
+# temporaries, under 0.9 MB (5.6 bytes per entry of a C(100, 3) table, 0.4
+# of a C(241, 3) one), and its candidates.
 _DICT_ENTRY_BYTES = 256
 _ARRAY_ENTRY_BYTES = 10
 # Peak bytes per candidate of a block of an array query (a left half whose
@@ -523,55 +514,38 @@ def _reserve(n: int, size: int, entry_bytes: int) -> None:
     _require_under_cap(entries * entry_bytes, what)
 
 
-def _combinations_by_sum(
-    cols: list[int], size: int
-) -> dict[int, list[tuple[int, ...]]]:
-    table: dict[int, list[tuple[int, ...]]] = {}
-    for combo in itertools.combinations(range(len(cols)), size):
-        acc = 0
-        for j in combo:
-            acc ^= cols[j]
-        table.setdefault(acc, []).append(combo)
-    return table
-
-
 class _WeightSearch:
     """Supports S with |S| = w whose columns sum to a target, by meet in the middle.
 
-    A size-w support splits into a left half of ceil(w/2) columns and a
-    right half of the rest, every left index below every right one.  The
-    left halves come from a table of all column combinations of that size,
-    built once per size and memoised with the search; the right halves are
-    enumerated per query, and each asks the table for the left halves whose
-    column sum is the target's plus its own.
+    The shallow queries, whose cost is per-call overhead, use the index: a
+    dict from a column's packed int (a Python int) to its indices.
 
-    The path follows the number of right halves a query enumerates,
-    C(n, right):
+    * Weight 1 is one lookup.
+    * On up to _DRAW_MAX_COLUMNS columns, a nonzero target of weight 2 or
+      3 is drawn from pivot rows: every support has a column on the
+      target's highest set bit, so one column comes from that bit's
+      columns, and for weight 3 a second from the columns on the highest
+      bit of what remains (or, when nothing remains, the other two are a
+      pair of equal columns, supports(2, 0)); the last is looked up.  The
+      weight-2 kernel supports are the pairs inside each group of equal
+      columns.
 
-    * up to _ARRAY_MIN_RIGHT_HALVES, a dict from the packed column sum (a
-      Python int) to its combinations.  A nonzero target of weight 2 or 3
-      (a one-column right half) is drawn from pivot rows: every support
-      has a column on the target's highest set bit, so one column comes
-      from that bit's columns, and for weight 3 a second from the columns
-      on the highest bit of what remains (or, when nothing remains, the
-      other two are a pair of equal columns, supports(2, 0)); the last is
-      looked up in the one-column table.  Only zero targets and weights of
-      4 and up build a larger left table and loop over all their right
-      halves.  This is the path of the many shallow decoding queries,
-      whose cost is per-call overhead.
-    * above it, the left table is one sorted uint64 array of composite
-      keys: the 64-bit linear _sketch of a combination's column sum, with
-      its low bits replaced by the combination's code (its indices,
-      _index_bits each, first index highest, so codes order like lex
-      order).  A sum's sketch is the XOR of its columns' sketches, so the
-      right halves are keyed a block at a time (slices of the right table,
-      sorted the same way), and the left halves whose sketch matches one
-      right half are one searchsorted range.  Each candidate is then
-      checked for index order and verified against the exact packed
-      column sum, so a sketch collision costs work, never a wrong answer.
-      Only the tables and one block's temporaries are held at once.
+    Every other query splits a size-w support into a left half of
+    ceil(w/2) columns and a right half of the rest, every left index below
+    every right one.  Each half size has one sorted uint64 array of
+    composite keys, built once and memoised with the search: the 64-bit
+    linear _sketch of a combination's column sum, with its low bits
+    replaced by the combination's code (its indices, _index_bits each,
+    first index highest, so codes order like lex order).  A sum's sketch
+    is the XOR of its columns' sketches, so the right halves are keyed a
+    block at a time (slices of the right table), and the left halves whose
+    sketch matches one right half are one searchsorted range.  Each
+    candidate is then checked for index order and verified against the
+    exact packed column sum, so a sketch collision costs work, never a
+    wrong answer.  Only the tables and one block's temporaries are held
+    at once.
 
-    Both paths return a list of ascending support tuples in no set order,
+    Every path returns a list of ascending support tuples in no set order,
     which supports, the one query entry, sorts into lex order.
 
     Before a table is built its size is estimated, and before a block's
@@ -585,7 +559,6 @@ class _WeightSearch:
         # column j of m as the big-endian int of its packed bytes
         self.cols = _row_ints(m.T)
         self._nbytes = -(-m.shape[0] // 8)
-        self._hashed: dict[int, dict[int, list[tuple[int, ...]]]] = {}
         self._sorted: dict[int, np.ndarray] = {}
         # bit of the column ints -> the columns that have it, ascending
         self._by_bit: dict[int, list[int]] = {}
@@ -593,10 +566,12 @@ class _WeightSearch:
         self._kernel: dict[int, list[tuple[int, ...]]] = {}
         # bits per index in a combination code: n itself must fit
         self._index_bits = self.n.bit_length()
-        # the most ones in two columns, found on the first weight-3 draw, and
+        # the index (_column_index), built on the first query that needs it;
+        # the most ones in two columns, found on the first weight-3 draw; and
         # the columns as _padded word rows, made on the first array query
-        # (_column_words); both are set here because an attribute added later
+        # (_column_words).  All are set here because an attribute added later
         # would slow every attribute read of the shallow queries
+        self._index: Optional[dict[int, list[int]]] = None
         self._pair_reach: Optional[int] = None
         self._words: Optional[np.ndarray] = None
 
@@ -605,6 +580,16 @@ class _WeightSearch:
         width = -(-self._nbytes // 8) * 8
         pad = 8 * (width - self._nbytes)
         return _int_rows([v << pad for v in ints], width).view(np.uint64)
+
+    def _column_index(self) -> dict[int, list[int]]:
+        """Each column's int -> the indices of the columns equal to it, ascending."""
+        if self._index is None:
+            _reserve(self.n, 1, _DICT_ENTRY_BYTES)
+            index: dict[int, list[int]] = {}
+            for j, v in enumerate(self.cols):
+                index.setdefault(v, []).append(j)
+            self._index = index
+        return self._index
 
     def _column_words(self) -> np.ndarray:
         if self._words is None:
@@ -672,11 +657,9 @@ class _WeightSearch:
         for j in range(size - 1, -1, -1):
             yield ((codes >> np.uint64(j * self._index_bits)) & self._code_mask(1)).astype(np.intp)
 
-    def _drawn(
-        self, w: int, target: int, table: dict[int, list[tuple[int, ...]]]
-    ) -> list[tuple[int, ...]]:
+    def _drawn(self, w: int, target: int, index: dict[int, list[int]]) -> list[tuple[int, ...]]:
         """Supports of size w = 2 or 3 summing to a nonzero target, drawn
-        from pivot rows, the last column looked up in the one-column table."""
+        from pivot rows, the last column looked up in the index."""
         cols = self.cols
         # every support has a column on the target's highest set bit
         top = self._bit_columns(target.bit_length() - 1)
@@ -684,7 +667,7 @@ class _WeightSearch:
             # and its other column is not on it: each pair is drawn once
             out = []
             for c in top:
-                for (b,) in table.get(target ^ cols[c], ()):
+                for b in index.get(target ^ cols[c], ()):
                     out.append((b, c) if b < c else (c, b))
             return out
         # after a column a on that bit, the other two sum to rest =
@@ -703,7 +686,7 @@ class _WeightSearch:
                 continue
             if rest:
                 for b in self._bit_columns(rest.bit_length() - 1):
-                    for (c,) in table.get(rest ^ cols[b], ()):
+                    for c in index.get(rest ^ cols[b], ()):
                         if a != b and a != c:
                             found.add(tuple(sorted((a, b, c))))
             else:
@@ -717,37 +700,21 @@ class _WeightSearch:
         particular order."""
         if w == 0:
             return [()] if target == 0 else []
-        right = w // 2
-        left = w - right
-        if right and math.comb(self.n, right) > _ARRAY_MIN_RIGHT_HALVES:
-            return self._array_matches(left, right, target)
-        if right == 1 and target:
-            # drawn from pivot rows (_drawn), one column looked up
-            left = 1
-        table = self._hashed.get(left)
-        if table is None:
-            _reserve(self.n, left, _DICT_ENTRY_BYTES)
-            table = self._hashed[left] = _combinations_by_sum(self.cols, left)
-        if right == 0:
-            return list(table.get(target, ()))
-        if right == 1 and target:
-            return self._drawn(w, target, table)
-        cols = self.cols
-        out = []
-        for rc in itertools.combinations(range(self.n), right):
-            acc = target
-            for j in rc:
-                acc ^= cols[j]
-            matches = table.get(acc)
-            if not matches:
-                continue
-            first_rc = rc[0]
-            for lc in matches:
-                if lc[-1] < first_rc:
-                    out.append(lc + rc)
-        return out
+        if w == 1:
+            return [(j,) for j in self._column_index().get(target, ())]
+        if w <= 3 and self.n <= _DRAW_MAX_COLUMNS:
+            if target:
+                return self._drawn(w, target, self._column_index())
+            if w == 2:
+                pairs = []
+                for group in self._column_index().values():
+                    pairs.extend(itertools.combinations(group, 2))
+                return pairs
+        return self._array_matches(w - w // 2, w // 2, target)
 
     def _array_matches(self, left: int, right: int, target: int) -> list[tuple[int, ...]]:
+        if left + right > self.n:
+            return []  # no support has more than n columns
         keys = self._sorted_table(left)
         words = self._column_words()
         target_words = self._padded([target])
@@ -986,18 +953,22 @@ def parse_pcm(text: str) -> np.ndarray:
     if len(header) != 2:
         raise ValueError(f"bad .pcm header: {lines[0]!r}")
     rows, cols = int(header[0]), int(header[1])
-    m = zeros(rows, cols)
+    if rows < 0 or cols < 0:
+        raise ValueError(f"bad .pcm header: {lines[0]!r}")
+    # the header is trusted only once every row it promises is read
     if len(lines) < rows + 1:
         raise ValueError(f"expected {rows} rows, found {len(lines) - 1}")
-    for i in range(rows):
-        line = lines[i + 1]
+    body = lines[1 : rows + 1]
+    for i, line in enumerate(body, start=1):
         if len(line) != cols or set(line) - {"0", "1"}:
-            raise ValueError(f"bad .pcm row {i + 1}: {line!r}")
-        if cols:
-            m[i] = np.frombuffer(line.encode(), dtype=np.uint8) - ord("0")
+            raise ValueError(f"bad .pcm row {i}: {line!r}")
     for k, line in enumerate(lines[rows + 1 :], start=rows + 2):
         if line.strip():
             raise ValueError(f"unexpected .pcm line {k} after {rows} rows: {line!r}")
+    m = zeros(rows, cols)
+    if cols:
+        for i, line in enumerate(body):
+            m[i] = np.frombuffer(line.encode(), dtype=np.uint8) - ord("0")
     return m
 
 

@@ -178,6 +178,38 @@ def test_rank_zero_input_is_an_input_error(tmp_path, capsys, pcm, argv):
     assert "Traceback" not in err
 
 
+def test_header_beyond_the_rows_is_an_input_error(tmp_path, capsys):
+    p = tmp_path / "h.pcm"
+    p.write_text("1000000000 1000000000\n0101\n")
+    capsys.readouterr()
+    code = run("build", "--classical", str(p), "--out", str(tmp_path / "out"), "--quiet")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "input error" in err and "expected 1000000000 rows, found 1" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table1", "--json", "{missing}/out.json"],
+        ["build", "--classical", "{pcm}", "--out", "{file}/out"],
+    ],
+    ids=["table1_json_in_missing_dir", "build_out_under_a_file"],
+)
+def test_unwritable_output_is_an_input_error(tmp_path, capsys, rep2_pcm, argv):
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    paths = {"missing": tmp_path / "missing", "pcm": rep2_pcm, "file": a_file}
+    argv = [arg.format(**paths) for arg in argv]
+    capsys.readouterr()
+    code = run(*argv, "--quiet")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "input error: cannot write output" in err and argv[-1] in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -501,6 +533,7 @@ COUNT_FLAGS = [
     ("profile", "--xmax", 0, ["--map", "z", "--budget", "2"]),
     ("profile", "--budget", 0, ["--map", "z", "--xmax", "2"]),
     ("certify", "--xmax", 0, ["--map", "z"]),
+    ("sweep", "--seed", 0, ["--samples", "1"]),
 ]
 
 

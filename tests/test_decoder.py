@@ -447,7 +447,7 @@ class TestAdversarialSweep:
 
     def test_shallow_sweep_builds_no_pair_table(self):
         # in contract, |u| <= 1 and |E| <= 2: every nonzero query up to
-        # weight 3 draws from pivot rows and needs only the one-column table
+        # weight 3 draws from pivot rows and needs only the index
         code = css.from_complex(double(REP3))  # fresh: nothing cached yet
         report = decoder.adversarial_sweep(
             code, budget241(), u_max=1, e_max=2, samples=300, seed=1
@@ -455,7 +455,7 @@ class TestAdversarialSweep:
         assert report.pairs_tested == 300 and report.ok
         for m in (code.z_checks, code.x_checks):
             search = gf2._searcher(m)
-            assert 2 not in search._hashed and not search._sorted
+            assert not search._sorted
 
     def test_sampled_budget_admitting_nothing(self, code33, deadline):
         # rejection sampling used to spin forever when no pair is in contract

@@ -513,12 +513,12 @@ class TestWeightSearch:
     @pytest.mark.parametrize(
         "patches",
         [
-            {"_ARRAY_MIN_RIGHT_HALVES": -1},
-            {"_ARRAY_MIN_RIGHT_HALVES": 1 << 62},
-            {"_ARRAY_MIN_RIGHT_HALVES": -1, "_sketch": _zero_sketch},
-            {"_ARRAY_MIN_RIGHT_HALVES": -1, "_QUERY_BLOCK_HALVES": 1},
+            {"_DRAW_MAX_COLUMNS": -1},
+            {"_DRAW_MAX_COLUMNS": 1 << 62},
+            {"_DRAW_MAX_COLUMNS": -1, "_sketch": _zero_sketch},
+            {"_DRAW_MAX_COLUMNS": -1, "_QUERY_BLOCK_HALVES": 1},
         ],
-        ids=["arrays", "dicts", "arrays-colliding-sketch", "arrays-one-half-blocks"],
+        ids=["arrays", "draws", "arrays-colliding-sketch", "arrays-one-half-blocks"],
     )
     @given(search_case())
     @settings(max_examples=60)
@@ -551,10 +551,11 @@ class TestWeightSearch:
         m = np.random.default_rng(7).integers(0, 2, size=(12, 40), dtype=np.uint8)
         search = gf2._WeightSearch(m)
         before = list(vars(search))
-        assert math.comb(search.n, 2) > gf2._ARRAY_MIN_RIGHT_HALVES
+        assert search.n <= gf2._DRAW_MAX_COLUMNS
         search.supports(4, 0)  # the array path
         search.supports(3, gf2._target_int(m[:, 0] ^ m[:, 1] ^ m[:, 2]))  # drawn
         assert search._words is not None and search._pair_reach is not None
+        assert search._index is not None
         assert list(vars(search)) == before
 
     def test_241_qubit_blocks_equal_one_block(self):
@@ -592,19 +593,20 @@ class TestWeightSearch:
         monkeypatch.setattr(gf2, "_SKETCH_BLOCK_BYTES", 8)  # one row per block
         assert (gf2._sketch(a) == whole).all()
 
-    def test_path_follows_right_half_count(self, monkeypatch):
-        monkeypatch.setattr(gf2, "_ARRAY_MIN_RIGHT_HALVES", 10)
+    def test_path_follows_right_half_count(self):
+        # only one-column right halves (weight 2 and 3) are ever drawn or
+        # paired through the index; a zero weight-3 target runs on the arrays
         search = gf2._WeightSearch(gf2.identity(6))
-        search.supports(3, 0)  # C(6, 1) = 6 right halves: dict
-        assert list(search._hashed) == [2] and not search._sorted
-        search.supports(4, 0)  # C(6, 2) = 15 right halves: arrays
-        assert list(search._sorted) == [2]
-        search.supports(1, 1)  # one (empty) right half: always a dict lookup
-        assert sorted(search._hashed) == [1, 2] and list(search._sorted) == [2]
+        search.supports(3, 0)
+        assert sorted(search._sorted) == [1, 2] and search._index is None
+        search.supports(1, 1)  # always an index lookup
+        assert sorted(search._sorted) == [1, 2] and search._index == {
+            1 << (7 - j): [j] for j in range(6)
+        }
 
 
     @pytest.mark.parametrize(
-        "threshold", [-1, 1 << 62], ids=["arrays", "dicts"]
+        "threshold", [-1, 1 << 62], ids=["arrays", "draws"]
     )
     @given(sparse_search_case())
     @settings(max_examples=60)
@@ -630,7 +632,7 @@ class TestWeightSearch:
     def test_sparse_nonzero_targets_equal_brute_force(self, threshold, case):
         m, b = case
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(gf2, "_ARRAY_MIN_RIGHT_HALVES", threshold)
+            mp.setattr(gf2, "_DRAW_MAX_COLUMNS", threshold)
             search = gf2._WeightSearch(m)
             target = gf2._target_int(b)
             expected = [_brute_supports(m, b, w) for w in range(7)]
@@ -655,17 +657,24 @@ class TestWeightSearch:
         v = np.zeros(241, dtype=np.uint8)
         v[[17, 200]] = 1
         target = gf2._target_int(gf2.mat_vec(z, v))
-        search.supports(1, target)  # builds the one-column table
-        table = search._hashed[1] = _CountingDict(search._hashed[1])
+        search.supports(1, target)  # builds the index
+        index = search._index = _CountingDict(search._index)
         assert (17, 200) in search.supports(2, target)
         row_weight = int(z.sum(axis=1).max())
-        assert 0 < table.gets <= row_weight
+        assert 0 < index.gets <= row_weight
         v[100] = 1
         target = gf2._target_int(gf2.mat_vec(z, v))
-        table.gets = 0
+        index.gets = 0
         assert (17, 100, 200) in search.supports(3, target)
-        assert 0 < table.gets <= row_weight**2
-        assert 2 not in search._hashed and not search._sorted
+        assert 0 < index.gets <= row_weight**2
+        assert not search._sorted
+
+    def test_weights_above_the_column_count_find_nothing(self):
+        # a support of w > n columns cannot exist; its half codes would not
+        # fit the sketch's low bits either
+        search = gf2._WeightSearch(gf2.zeros(2, 13))
+        assert search.supports(26, 0) == [] and not search._sorted
+        assert search.supports(13, 0) == [tuple(range(13))]
 
     def test_kernel_supports_are_kept_and_handed_out_fresh(self):
         m = bits([[1, 1, 0, 0, 1], [0, 1, 1, 0, 0], [0, 0, 1, 1, 1]])
@@ -705,7 +714,14 @@ class TestMemoryCap:
         search = gf2._WeightSearch(gf2.zeros(1, 40))
         search._sorted_table(2)
         with pytest.raises(gf2.BudgetExhausted, match="608400 candidates"):
-            list(gf2.kernel_vectors_by_weight(gf2.zeros(1, 40), 4))
+            search.supports(4, 0)
+
+    def test_zero_target_weight_3_output_is_capped(self, monkeypatch):
+        # every triple of an all-zero row sums to zero: the C(60, 2) pair
+        # table is small, but its 106200 candidates are not
+        monkeypatch.setattr(gf2, "_TABLE_BYTES_MAX", 1 << 20)
+        with pytest.raises(gf2.BudgetExhausted, match="106200 candidates"):
+            gf2._WeightSearch(gf2.zeros(1, 60)).supports(3, 0)
 
     def test_array_peaks_stay_within_the_entry_estimate(self):
         # the cap's estimate is an upper bound: building a table of 161700
@@ -843,6 +859,19 @@ class TestPcmFormat:
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
             gf2.parse_pcm("2 2\n10\n2x\n")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # a 10^18-entry matrix is never allocated for a one-row file
+            ("1000000000 1000000000\n0101\n", "expected 1000000000 rows, found 1"),
+            ("-1 2\n", "bad .pcm header: '-1 2'"),
+        ],
+        ids=["more_rows_than_lines", "negative_rows"],
+    )
+    def test_header_is_checked_against_the_rows_before_allocating(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            gf2.parse_pcm(text)
 
     def test_blank_lines_after_the_rows_parse(self):
         assert gf2.parse_pcm("2 0\n\n\n").shape == (2, 0)
