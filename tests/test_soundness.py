@@ -23,6 +23,18 @@ PINNED_DIGEST = "2b493c50b307a28cd89ab40e844274332d113e3ffdacd489f6a65ade888246a
 # digests over every output of the witness batches of TestWitnessDigests
 PINNED_DOUBLE_DIGEST = "049c7d29c465561cb7eb1a7cfc12710267283b6e794631359639ac7131ce60c6"
 PINNED_SINGLE_DIGEST = "0b90c099294bf934f867bbd783693864a29e95e9f70067e429c9171050253f72"
+# sha256 over the items, in order, of pauli_weight_table on the seeded
+# corpus of TestCertifyChecks.test_pauli_weight_tables_are_pinned
+PINNED_PAULI_TABLE_DIGEST = "6383ae1694f56c11a7d8206789d12dfa8d168fb3b8bdda628b801c91ade99f6b"
+# the five-qubit code's checks XZZXI, IXZZX, XIXZZ and ZXIXZ (X half | Z half)
+FIVE_QUBIT = gf2.as_bin(
+    [
+        [1, 0, 0, 1, 0, 0, 1, 1, 0, 0],
+        [0, 1, 0, 0, 1, 0, 0, 1, 1, 0],
+        [1, 0, 1, 0, 0, 0, 0, 0, 1, 1],
+        [0, 1, 0, 1, 0, 1, 0, 0, 0, 1],
+    ]
+)
 
 
 def cyclic(length):
@@ -883,7 +895,58 @@ class TestWitnessDigests:
         assert digest.hexdigest() == PINNED_SINGLE_DIGEST
 
 
+def reference_pauli_weight_table(checks):
+    """The per-Pauli loop pauli_weight_table ran before it took whole
+    arrays: Paulis in base-4 order (digit q of qubit q: 1 X, 2 Z, 3 Y),
+    each syndrome keeping its first least weight."""
+    checks = gf2.as_bin(checks)
+    n = checks.shape[1] // 2
+    cx, cz = checks[:, :n].astype(np.int64), checks[:, n:].astype(np.int64)
+    table = {}
+    for code in range(4**n):
+        e = np.zeros(n, dtype=np.int64)
+        f = np.zeros(n, dtype=np.int64)
+        c = code
+        weight = 0
+        for q in range(n):
+            p = c & 3
+            c >>= 2
+            if p:
+                weight += 1
+                if p in (1, 3):
+                    e[q] = 1
+                if p in (2, 3):
+                    f[q] = 1
+        key = ((cx @ f + cz @ e) & 1).astype(np.uint8).tobytes()
+        if key not in table or weight < table[key]:
+            table[key] = weight
+    return table
+
+
 class TestCertifyChecks:
+    def test_pauli_weight_tables_are_pinned(self):
+        rng = np.random.default_rng(1805)
+        corpus = [
+            rng.integers(0, 2, size=(int(rng.integers(1, n + 2)), 2 * n), dtype=np.uint8)
+            for n in (2, 3, 4, 5, 6, 7, 2, 3, 4, 5, 6)
+        ]
+        corpus += [gf2.zeros(0, 6), FIVE_QUBIT]
+        digest = hashlib.sha256()
+        for checks in corpus:
+            digest.update(repr(checks.shape).encode() + checks.tobytes())
+            for key, w in soundness.pauli_weight_table(checks).items():
+                digest.update(key + bytes([w]))
+        assert digest.hexdigest() == PINNED_PAULI_TABLE_DIGEST
+
+    def test_pauli_weight_table_matches_reference(self):
+        rng = np.random.default_rng(7)
+        for _ in range(40):
+            n = int(rng.integers(1, 5))
+            checks = rng.integers(0, 2, size=(int(rng.integers(0, 2 * n + 1)), 2 * n), dtype=np.uint8)
+            got = soundness.pauli_weight_table(checks)
+            want = reference_pauli_weight_table(checks)
+            assert list(got.items()) == list(want.items())
+
     def test_diagonalized_frames_linear_sound(self):
         hamming = gf2.as_bin(
             [[1, 0, 1, 0, 1, 0, 1], [0, 1, 1, 0, 0, 1, 1], [0, 0, 0, 1, 1, 1, 1]]

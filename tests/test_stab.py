@@ -313,6 +313,13 @@ class TestBarrierBound:
 
 # sha256 over every output of the seeded corpus below (see TestStabDigest)
 PINNED_STAB_DIGEST = "abfc8479142cd374087df10d0b5c92a2ebec2d744eac1889fe335d0724017d73"
+# sha256 of diagonalize's generators, permutation and local maps on the Z
+# and X checks of Table I rows 1-3 (see TestStabDigest.test_table1_frames)
+PINNED_TABLE1_FRAME_DIGESTS = {
+    "row1": "b84d3b4808978e72d1a0379a32e2605d4e661ffc64d86cba4f26eb9fbf70a7b1",
+    "row2": "b5f39338bf0cbb8ce321d203211784c5758002b839931fa1685450237d847358",
+    "row3": "c5990cde6747b1088ca5de10d117a49346485e7a8b6521da2aa97d126a41af7c",
+}
 
 # per-qubit local Cliffords on (x, z) bit pairs: the six invertible 2 x 2 maps
 LOCAL_CLIFFORDS = [
@@ -395,6 +402,17 @@ def _outcome(call, *args, **kwargs):
         return f"ValueError: {exc}"
 
 
+def _feed(digest, *values):
+    """Feed strings, arrays and JSON values to a digest."""
+    for v in values:
+        if isinstance(v, str):
+            digest.update(v.encode())
+        elif isinstance(v, np.ndarray):
+            digest.update(repr(v.shape).encode() + v.astype(np.uint8).tobytes())
+        else:
+            digest.update(json.dumps(v, sort_keys=True).encode())
+
+
 class TestStabDigest:
     """Every output of stab over a seeded corpus, pinned: barriers of every
     sector (or their ValueError messages), diagonal frames, frame
@@ -404,13 +422,7 @@ class TestStabDigest:
         digest = hashlib.sha256()
 
         def feed(*values):
-            for v in values:
-                if isinstance(v, str):
-                    digest.update(v.encode())
-                elif isinstance(v, np.ndarray):
-                    digest.update(repr(v.shape).encode() + v.astype(np.uint8).tobytes())
-                else:
-                    digest.update(json.dumps(v, sort_keys=True).encode())
+            _feed(digest, *values)
 
         rng = np.random.default_rng(1805)
         corpus = [random_css_checks(rng) for _ in range(120)]
@@ -442,6 +454,18 @@ class TestStabDigest:
         feed(_outcome(singular.to_original_frame, np.zeros(2 * diag.n, dtype=np.uint8)))
         assert errors > 100
         assert digest.hexdigest() == PINNED_STAB_DIGEST
+
+    @pytest.mark.parametrize("name", sorted(PINNED_TABLE1_FRAME_DIGESTS))
+    def test_table1_frames(self, name):
+        # the diagonal frame of a Table I double product's Z and X checks
+        from homprod import cli
+
+        _, breve = cli.build_stages(ChainComplex([cli.TABLE1_INPUTS[name]], j_min=0))
+        code = css.from_complex(breve)
+        diag = stab.diagonalize(stab.SymplecticChecks.from_css(code.z_checks, code.x_checks))
+        digest = hashlib.sha256()
+        _feed(digest, diag.generators, diag.qubit_permutation, [m.tolist() for m in diag.local_maps])
+        assert digest.hexdigest() == PINNED_TABLE1_FRAME_DIGESTS[name]
 
     def test_css_sectors_match_reference(self):
         rng = np.random.default_rng(9)
