@@ -605,7 +605,7 @@ def cmd_diag(args: argparse.Namespace) -> int:
     _write_json(os.path.join(args.out, "frame.json"), frame, args.seed)
     verdict = soundness.certify_checks(
         diag.generators, math.inf, bounds.LINEAR
-    ) if diag.n <= 7 else None
+    ) if diag.n <= soundness.PAULI_TABLE_MAX_QUBITS else None
     payload = {
         "generators": diag.num_generators,
         "logical": diag.num_logical,

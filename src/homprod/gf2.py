@@ -550,8 +550,9 @@ class _WeightSearch:
 
     Before a table is built its size is estimated, and before a block's
     candidates are expanded their size is, with the supports found so far;
-    above _TABLE_BYTES_MAX the search raises BudgetExhausted instead of
-    running out of memory.
+    a weight-3 draw charges its supports after each first column.  Above
+    _TABLE_BYTES_MAX the search raises BudgetExhausted instead of running
+    out of memory.
     """
 
     def __init__(self, m: np.ndarray) -> None:
@@ -693,6 +694,7 @@ class _WeightSearch:
                 for b, c in self.supports(2, 0):
                     if a != b and a != c:
                         found.add(tuple(sorted((a, b, c))))
+            _require_under_cap(len(found) * _DICT_ENTRY_BYTES, "a weight-3 pivot draw")
         return list(found)
 
     def _matches(self, w: int, target: int) -> list[tuple[int, ...]]:

@@ -37,6 +37,7 @@ __all__ = [
     "profile_map",
     "profile_map_error_first",
     "certify_map",
+    "PAULI_TABLE_MAX_QUBITS",
     "pauli_weight_table",
     "certify_checks",
     "SingleWitness",
@@ -222,46 +223,39 @@ def certify_map(
 
 # -- Pauli-space soundness (general stabiliser checks) --------------------------
 
+# pauli_weight_table holds all 4^n Paulis in one array (4^7 x 14 int64 entries
+# is 1.8 MB), so it takes at most this many qubits
+PAULI_TABLE_MAX_QUBITS = 7
+
 
 def pauli_weight_table(checks: np.ndarray) -> dict[bytes, int]:
     """Min Pauli weight per syndrome, brute-forced over all Paulis.
 
-    checks is an m x 2n symplectic matrix (X half | Z half).  Only
-    feasible for small n; the table is exact.
+    checks is an m x 2n symplectic matrix (X half | Z half), with n at
+    most PAULI_TABLE_MAX_QUBITS; the table is exact.  Syndromes are keyed
+    in the order they first occur over the Paulis in base-4 order (digit q
+    of a Pauli is qubit q: 1 = X, 2 = Z, 3 = Y).
     """
     checks = gf2.as_bin(checks)
-    m, two_n = checks.shape
-    n = two_n // 2
-    cx, cz = checks[:, :n].astype(np.int64), checks[:, n:].astype(np.int64)
-    table: dict[bytes, int] = {}
-    for code in range(4**n):
-        e = np.zeros(n, dtype=np.int64)
-        f = np.zeros(n, dtype=np.int64)
-        c = code
-        weight = 0
-        for q in range(n):
-            p = c & 3
-            c >>= 2
-            if p:
-                weight += 1
-                if p in (1, 3):
-                    e[q] = 1
-                if p in (2, 3):
-                    f[q] = 1
-        syndrome = ((cx @ f + cz @ e) & 1).astype(np.uint8)
-        key = syndrome.tobytes()
-        if key not in table or weight < table[key]:
-            table[key] = weight
-    return table
+    n = checks.shape[1] // 2
+    if n > PAULI_TABLE_MAX_QUBITS:
+        raise ValueError(
+            f"the brute-force Pauli weight table is limited to {PAULI_TABLE_MAX_QUBITS} qubits"
+        )
+    digits = (np.arange(4**n)[:, None] >> 2 * np.arange(n)) & 3
+    # each Pauli's Z half first, so that it meets the checks' X half
+    products = np.hstack([digits >> 1, digits & 1]) @ checks.T.astype(np.int64)
+    syndromes = (products & 1).astype(np.uint8)
+    keys, first, which = np.unique(syndromes, axis=0, return_index=True, return_inverse=True)
+    least = np.full(len(keys), n)
+    np.minimum.at(least, which, np.count_nonzero(digits, axis=1))
+    return {keys[k].tobytes(): int(least[k]) for k in np.argsort(first)}
 
 
 def certify_checks(
     checks: np.ndarray, threshold: float, bound: PolyBound
 ) -> Verdict:
     """Exhaustively certify (threshold, bound)-soundness of a Pauli check set."""
-    checks = gf2.as_bin(checks)
-    if checks.shape[1] // 2 > 7:
-        raise ValueError("brute-force Pauli certification is limited to 7 qubits")
     table = pauli_weight_table(checks)
     for key, w in table.items():
         s = np.frombuffer(key, dtype=np.uint8)

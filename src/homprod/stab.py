@@ -37,15 +37,6 @@ __all__ = [
     "pauli_vector_weight",
 ]
 
-# single-qubit frame maps on (x, z) bit pairs; any relabelling of
-# {X, Y, Z} is a product of the two swaps recorded in the log
-_FRAME_MAPS = {
-    "identity": np.array([[1, 0], [0, 1]], dtype=np.uint8),
-    "swap_xz": np.array([[0, 1], [1, 0]], dtype=np.uint8),  # Hadamard-like
-    "swap_xy": np.array([[1, 0], [1, 1]], dtype=np.uint8),  # fixes Z
-}
-
-
 def pauli_vector_weight(v: np.ndarray) -> int:
     v = gf2.as_bin(v).reshape(-1)
     n = v.shape[0] // 2
@@ -168,57 +159,46 @@ def diagonalize(checks: SymplecticChecks) -> DiagonalizedChecks:
     g = reduced[: len(pivots)].copy()
     r = g.shape[0]
     perm = list(range(n))
-    local = [_FRAME_MAPS["identity"].copy() for _ in range(n)]
-
-    def apply_local(pos: int, name: str) -> None:
-        m = _FRAME_MAPS[name]
-        pair = g[:, [pos, n + pos]].T
-        new_pair = gf2.mat_mul(m, pair)
-        g[:, pos] = new_pair[0]
-        g[:, n + pos] = new_pair[1]
-        local[pos] = gf2.mat_mul(m, local[pos])
+    # per position, the map on original (x, z) bit pairs: a product of the
+    # two frame changes below, which between them relabel {X, Y, Z} any way
+    local = np.repeat(np.eye(2, dtype=np.uint8)[None], n, axis=0)
 
     for i in range(r):
         # the first qubit from i on that a row from i on acts on, and that row
-        acts = g[i:, i:n] | g[i:, n + i :]
-        hit = acts.any(axis=0)
-        if not hit.any():
+        for q in range(i, n):
+            acts = g[i:, q] | g[i:, n + q]
+            if acts.any():
+                break
+        else:
             raise AssertionError(
                 "no pivot available; independent commuting rows must act "
                 "on an unused qubit"
             )
-        q = i + int(hit.argmax())
-        row = i + int(acts[:, q - i].argmax())
+        row = i + int(acts.argmax())
         if q != i:
-            g[:, [i, q]] = g[:, [q, i]]
-            g[:, [n + i, n + q]] = g[:, [n + q, n + i]]
+            g[:, [i, q, n + i, n + q]] = g[:, [q, i, n + q, n + i]]
             perm[i], perm[q] = perm[q], perm[i]
-            local[i], local[q] = local[q], local[i]
+            local[[i, q]] = local[[q, i]]
         if row != i:
             g[[i, row]] = g[[row, i]]
-        x_bit, z_bit = int(g[i, i]), int(g[i, n + i])
-        if (x_bit, z_bit) == (0, 1):
-            apply_local(i, "swap_xz")
-        elif (x_bit, z_bit) == (1, 1):
-            apply_local(i, "swap_xy")
-        if not (g[i, i] == 1 and g[i, n + i] == 0):
-            raise AssertionError(f"pivot {i} is not a pure X after the local swap")
-        hits = np.flatnonzero(g[:, i])
-        for other in hits:
-            if other != i:
-                g[other] ^= g[i]
+        # a pivot Z becomes X (swap x and z), a pivot Y becomes X (z ^= x)
+        if not g[i, i]:
+            g[:, [i, n + i]] = g[:, [n + i, i]]
+            local[i] = local[i, ::-1]
+        elif g[i, n + i]:
+            g[:, n + i] ^= g[:, i]
+            local[i, 1] ^= local[i, 0]
+        hits = g[:, i].nonzero()[0]
+        g[hits[hits != i]] ^= g[i]
 
     # later eliminations may turn earlier pivots into Y; restore pure X
-    for i in range(r):
-        if g[i, n + i]:
-            apply_local(i, "swap_xy")
-    for i in range(r):
-        if not (g[i, i] == 1 and g[i, n + i] == 0):
-            raise AssertionError(f"pivot {i} is not a pure X in the final frame")
-        if any(g[j, i] for j in range(r) if j != i):
-            raise AssertionError(f"pivot column {i} is not cleared in the final frame")
+    ys = np.flatnonzero(g[:, n : n + r].diagonal())
+    g[:, n + ys] ^= g[:, ys]
+    local[ys, 1] ^= local[ys, 0]
+    if (g[:, :r] != np.eye(r, dtype=np.uint8)).any() or g[:, n : n + r].diagonal().any():
+        raise AssertionError("the final frame is not one pure X pivot per generator")
     g.setflags(write=False)
-    return DiagonalizedChecks(g, n, perm, local, checks)
+    return DiagonalizedChecks(g, n, perm, list(local), checks)
 
 
 def pure_error_preimage(diag: DiagonalizedChecks, s) -> np.ndarray:

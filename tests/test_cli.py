@@ -871,6 +871,23 @@ class TestStabCommands:
         ) == 0
         assert json.loads(bar.read_text())["barrier"] == 1
 
+    def test_diag_certifies_up_to_the_pauli_table_limit(self, tmp_path):
+        # the diagonal frame is certified linearly sound on 7 qubits; on 8
+        # the brute force is out of reach and soundness is null
+        for n, soundness_kind in ((7, "certified"), (8, None)):
+            h = np.eye(n - 1, n, dtype=np.uint8) ^ np.eye(n - 1, n, k=1, dtype=np.uint8)
+            checks = stab.SymplecticChecks.from_css(h, gf2.zeros(0, n))
+            checks_pcm = tmp_path / f"checks{n}.pcm"
+            gf2.write_pcm(checks_pcm, checks.matrix)
+            out, report = tmp_path / f"diag{n}", tmp_path / f"diag{n}.json"
+            assert run(
+                "diag", "--checks", str(checks_pcm), "--out", str(out),
+                "--json", str(report), "--quiet",
+            ) == 0
+            payload = json.loads(report.read_text())
+            assert payload["generators"] == n - 1
+            assert payload["soundness"] == soundness_kind
+
     def test_barrier_rejects_oversize(self, tmp_path):
         h = np.zeros((8, 9), dtype=np.uint8)
         for i in range(8):

@@ -723,6 +723,14 @@ class TestMemoryCap:
         with pytest.raises(gf2.BudgetExhausted, match="106200 candidates"):
             gf2._WeightSearch(gf2.zeros(1, 60)).supports(3, 0)
 
+    def test_weight_3_draw_output_is_capped(self, monkeypatch):
+        # every triple of an all-ones row sums to its one bit: C(120, 3) =
+        # 280840 supports drawn from pivot rows, charged as they are found
+        monkeypatch.setattr(gf2, "_TABLE_BYTES_MAX", 1 << 20)
+        search = gf2._WeightSearch(np.ones((1, 120), dtype=np.uint8))
+        with pytest.raises(gf2.BudgetExhausted, match="weight-3 pivot draw"):
+            search.supports(3, 1 << 7)
+
     def test_array_peaks_stay_within_the_entry_estimate(self):
         # the cap's estimate is an upper bound: building a table of 161700
         # entries, and its heaviest query (target zero, where every right

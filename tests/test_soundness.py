@@ -938,6 +938,13 @@ class TestCertifyChecks:
                 digest.update(key + bytes([w]))
         assert digest.hexdigest() == PINNED_PAULI_TABLE_DIGEST
 
+    def test_tables_stop_at_the_qubit_limit(self):
+        checks = gf2.zeros(1, 2 * (soundness.PAULI_TABLE_MAX_QUBITS + 1))
+        with pytest.raises(ValueError, match="limited to 7 qubits"):
+            soundness.pauli_weight_table(checks)
+        with pytest.raises(ValueError, match="limited to 7 qubits"):
+            soundness.certify_checks(checks, 2, bounds.LINEAR)
+
     def test_pauli_weight_table_matches_reference(self):
         rng = np.random.default_rng(7)
         for _ in range(40):
