@@ -25,6 +25,8 @@ PINNED_DOUBLE_DIGEST = "049c7d29c465561cb7eb1a7cfc12710267283b6e794631359639ac71
 PINNED_SINGLE_DIGEST = "0b90c099294bf934f867bbd783693864a29e95e9f70067e429c9171050253f72"
 # sha256 over the items, in order, of pauli_weight_table on the seeded
 # corpus of TestCertifyChecks.test_pauli_weight_tables_are_pinned
+# sha256 over every profile_map output of TestProfileDigest
+PINNED_PROFILE_DIGEST = "2a34a3d2480542f152f2e0f5c2967f5a299e80c55f12751cb52114e307e70b3c"
 PINNED_PAULI_TABLE_DIGEST = "6383ae1694f56c11a7d8206789d12dfa8d168fb3b8bdda628b801c91ade99f6b"
 # the five-qubit code's checks XZZXI, IXZZX, XIXZZ and ZXIXZ (X half | Z half)
 FIVE_QUBIT = gf2.as_bin(
@@ -979,3 +981,25 @@ class TestCertifyChecks:
         checks = stab.SymplecticChecks.from_css(code.z_checks, code.x_checks)
         verdict = soundness.certify_checks(checks.matrix, math.inf, bounds.PolyBound(1, Fraction(1, 4)))
         assert verdict.kind == "counterexample"
+
+
+class TestProfileDigest:
+    """profile_map's worst preimage weights and the bytes of every worst
+    syndrome, pinned: any change to the image listing's (weight, lex) order
+    or to the preimage search changes the digest."""
+
+    def test_worst_and_worst_syndromes(self, breve_rep2):
+        from homprod import cli
+
+        digest = hashlib.sha256()
+        rows = [
+            cli.build_stages(ChainComplex([cli.TABLE1_INPUTS[name]], j_min=0))[1]
+            for name in ("row1", "row2")
+        ]
+        for breve, x_max in [(breve_rep2, 4)] + [(b, 3) for b in rows]:
+            for delta in (breve.delta(0), breve.delta(-1).T, breve.delta(0).T, breve.delta(-1)):
+                prof = soundness.profile_map(delta, x_max, 4)
+                _feed(digest, [[x, w] for x, w in sorted(prof.worst.items())])
+                for x, s in sorted(prof.worst_syndrome.items()):
+                    _feed(digest, [x], s)
+        assert digest.hexdigest() == PINNED_PROFILE_DIGEST
