@@ -5,8 +5,9 @@ certify, diag, barrier, table1, pipeline.  JSON is the canonical machine
 output; text tables are derived views.  Outputs embed the seed and are
 byte-stable for fixed inputs and seed.
 
-Exit codes: 0 success, 2 input error, 3 enumeration budget exhausted,
-4 a certification counterexample or contract violation was found.
+Exit codes: 0 success, 2 input error, 3 enumeration budget or memory
+exhausted, 4 a certification counterexample or contract violation was
+found.
 """
 
 from __future__ import annotations
@@ -818,6 +819,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_INPUT
     except decoder.BudgetExhausted as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    except MemoryError as exc:
+        # numpy's _ArrayMemoryError is one: an allocation no cap foresaw
+        print(f"memory exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except ContractViolation as exc:
         print(f"contract violation: {exc}", file=sys.stderr)

@@ -99,26 +99,12 @@ def _transposed(m: np.ndarray) -> np.ndarray:
     return gf2._from_support(m.shape[::-1], *gf2._support(m.T))
 
 
-def _obstruction_rows(h: np.ndarray, m: Optional[np.ndarray], betti: int) -> np.ndarray:
-    """Rows spanning ker(h^T) modulo m's row space (see
-    CssCode.syndrome_obstructions), read-only; there must be `betti`.
-
-    ker(h^T) is spanned by the rows of h's solver transform past its rank.
-    m's rows, in it because m h = 0, are eliminated first, so the kernel
-    rows that still take a new pivot are those outside m's row space.
-    """
-    solver = gf2.get_solver(h)
-    kernel = [int.from_bytes(row.tobytes(), "big") for row in solver.transform[solver.rank :]]
-    meta = [] if m is None else gf2._row_ints(m)
-    meta_leads = {v.bit_length() for v in gf2._eliminate(meta)[0]}
-    rows = [v for v in gf2._eliminate(meta + kernel)[0] if v.bit_length() not in meta_leads]
+def _cokernel_rows(h: np.ndarray, known: Optional[np.ndarray], betti: int, what: str) -> np.ndarray:
+    """gf2.cokernel_rows(h, known), which must hold `betti` rows."""
+    rows = gf2.cokernel_rows(h, known)
     if len(rows) != betti:
-        raise AssertionError(
-            f"{len(rows)} syndrome obstruction rows, but the Betti number is {betti}"
-        )
-    out = gf2._int_matrix(rows, h.shape[0])
-    out.setflags(write=False)
-    return out
+        raise AssertionError(f"{len(rows)} {what} rows, but the Betti number is {betti}")
+    return rows
 
 
 class CssCode:
@@ -202,9 +188,10 @@ class CssCode:
         (d_ss infinite, as on the 241-qubit code) has no rows and never
         fails.  Computed once per code.
         """
-        return (
-            _obstruction_rows(self.z_checks, self.z_metachecks, betti_number(self._complex, 1)),
-            _obstruction_rows(self.x_checks, self.x_metachecks, betti_number(self._complex, -1)),
+        sides = ((self.z_checks, self.z_metachecks, 1), (self.x_checks, self.x_metachecks, -1))
+        return tuple(
+            _cokernel_rows(h, m, betti_number(self._complex, j), "syndrome obstruction")
+            for h, m, j in sides
         )
 
     def obstructed(self, s: Syndrome) -> bool:
@@ -227,12 +214,25 @@ class CssCode:
         """Read-only matrix B whose kernel is the stabiliser span on one side.
 
         side "x": X-error vectors are stabiliser-equivalent iff they have
-        the same image under B (the span of X-type stabilisers is the
-        column space of x_checks^T, i.e. ker B).  side "z" mirrors.
-        Memoised on the check matrix.
+        the same image under B.  The X-type stabilisers span x_checks' row
+        space, which is ker B when B's rows span ker(x_checks): B is the Z
+        checks stacked over k Z logical representatives, the rows of
+        ker(x_checks) = {y : y d_-1 = 0} outside the Z checks' span.  side
+        "z" mirrors: the X checks over k X logicals.  Memoised on the
+        check matrix.
         """
-        span = self.x_checks if side == "x" else self.z_checks
-        return gf2.memo(span, "annihilator", gf2.annihilator)
+        if side == "x":
+            span, checks, h = self.x_checks, self.z_checks, self._complex.delta(-1)
+        else:
+            span, checks, h = self.z_checks, self.x_checks, self.z_checks.T
+
+        def build(_) -> np.ndarray:
+            logicals = _cokernel_rows(h, checks, betti_number(self._complex, 0), "logical")
+            ann = np.vstack([checks, logicals])
+            ann.setflags(write=False)
+            return ann
+
+        return gf2.memo(span, "annihilator", build)
 
 
 def from_complex(complex_: ChainComplex) -> CssCode:

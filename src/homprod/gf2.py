@@ -2,9 +2,10 @@
 
 Matrices are row-major uint8 arrays with entries in {0, 1}; they are
 the interchange format at every API boundary.  Elimination (rank,
-kernel_basis, annihilator, Gf2Solver) runs on rows held as Python ints,
-column 0 in the highest bit, inserted one by one into an XOR basis keyed
-by leading bit (see _eliminate): the maps eliminated here are sparse
+Gf2Solver and cokernel_rows, which reads every image, coset and
+obstruction off a solver) runs on rows held as Python ints, column 0 in
+the highest bit, inserted one by one into an XOR basis keyed by leading
+bit (see _eliminate): the maps eliminated here are sparse
 boundary maps and products of them, whose rows meet few pivots, so a
 row costs a few int XORs where a column step of a packed array costs
 several numpy calls.  Those maps hold a few ones per row, so the
@@ -55,11 +56,9 @@ __all__ = [
     "product_is_zero",
     "mat_vec",
     "rank",
-    "kernel_basis",
-    "annihilator",
-    "solve",
     "Gf2Solver",
     "get_solver",
+    "cokernel_rows",
     "memo",
     "BudgetExhausted",
     "min_weight_solution",
@@ -333,33 +332,6 @@ def _rref(m: np.ndarray) -> tuple[np.ndarray, list[int]]:
     return _int_matrix(basis, m.shape[1]), pivots
 
 
-def kernel_basis(m) -> list[np.ndarray]:
-    """Basis of {v : Mv = 0}, one vector per free column, ascending order."""
-    m = as_bin(m)
-    n = m.shape[1]
-    red, pivots = _rref(m)
-    is_free = np.ones(n, dtype=bool)
-    is_free[pivots] = False
-    free = np.flatnonzero(is_free)
-    basis = np.zeros((free.size, n), dtype=np.uint8)
-    basis[np.arange(free.size), free] = 1
-    # free column f's vector takes red[row, f] at the pivot of each row
-    basis[:, pivots] = red[:, free].T
-    return list(basis)
-
-
-def annihilator(m) -> np.ndarray:
-    """Read-only matrix B with ker(B) = row space of m: rows span ker(m).
-
-    B owns its memory, so facts memoised on it (see memo) are kept.
-    """
-    m = as_bin(m)
-    basis = kernel_basis(m)
-    ann = np.array(basis, dtype=np.uint8).reshape(len(basis), m.shape[1]).copy()
-    ann.setflags(write=False)
-    return ann
-
-
 class Gf2Solver:
     """Reusable solver for Mx = b: one elimination, many right-hand sides.
 
@@ -419,9 +391,24 @@ def get_solver(m) -> Gf2Solver:
     return memo(as_bin(m), "solver", Gf2Solver)
 
 
-def solve(m, b) -> Optional[np.ndarray]:
-    """One-shot Mx = b solve; see Gf2Solver for the repeated-use path."""
-    return Gf2Solver(m).solve(b)
+def cokernel_rows(h, known=None) -> np.ndarray:
+    """Rows that, with known's rows, span the left null space {y : y h = 0}.
+
+    known's rows must each satisfy row . h = 0.  The left null space is
+    spanned by the rows of h's solver transform past its rank (see
+    Gf2Solver); eliminated after known's rows, those that still take a new
+    pivot lie outside known's row space, and they are returned, as a
+    read-only matrix with h.shape[0] columns that owns its memory, so
+    facts memoised on it (see memo) are kept.
+    """
+    solver = get_solver(h)
+    kernel = [int.from_bytes(row.tobytes(), "big") for row in solver.transform[solver.rank :]]
+    known_rows = [] if known is None else _row_ints(as_bin(known))
+    known_leads = {v.bit_length() for v in _eliminate(known_rows)[0]}
+    rows = [v for v in _eliminate(known_rows + kernel)[0] if v.bit_length() not in known_leads]
+    out = _int_matrix(rows, solver.shape[0])
+    out.setflags(write=False)
+    return out
 
 
 # -- weight-ordered search ---------------------------------------------------
@@ -550,9 +537,10 @@ class _WeightSearch:
 
     Before a table is built its size is estimated, and before a block's
     candidates are expanded their size is, with the supports found so far;
-    a weight-3 draw charges its supports after each first column.  Above
-    _TABLE_BYTES_MAX the search raises BudgetExhausted instead of running
-    out of memory.
+    so is the number of pairs of equal columns before they are listed.  A
+    weight-3 draw charges its supports after each first column, and a
+    weight-2 draw once drawn.  Above _TABLE_BYTES_MAX the search raises
+    BudgetExhausted instead of running out of memory.
     """
 
     def __init__(self, m: np.ndarray) -> None:
@@ -670,6 +658,8 @@ class _WeightSearch:
             for c in top:
                 for b in index.get(target ^ cols[c], ()):
                     out.append((b, c) if b < c else (c, b))
+            # at most C(_DRAW_MAX_COLUMNS, 2) pairs, so they are charged once
+            _require_under_cap(len(out) * _DICT_ENTRY_BYTES, "a weight-2 pivot draw")
             return out
         # after a column a on that bit, the other two sum to rest =
         # target ^ a: one of them is on rest's highest set bit and the
@@ -708,10 +698,10 @@ class _WeightSearch:
             if target:
                 return self._drawn(w, target, self._column_index())
             if w == 2:
-                pairs = []
-                for group in self._column_index().values():
-                    pairs.extend(itertools.combinations(group, 2))
-                return pairs
+                groups = self._column_index().values()
+                pairs = sum(math.comb(len(group), 2) for group in groups)
+                _require_under_cap(pairs * _DICT_ENTRY_BYTES, f"{pairs} pairs of equal columns")
+                return [pair for group in groups for pair in itertools.combinations(group, 2)]
         return self._array_matches(w - w // 2, w // 2, target)
 
     def _array_matches(self, left: int, right: int, target: int) -> list[tuple[int, ...]]:

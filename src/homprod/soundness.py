@@ -119,10 +119,10 @@ def profile_map(
     from this profile is a certificate, not a sample.
     """
     delta = gf2.as_bin(delta)
-    ann = gf2.annihilator(delta.T)  # ker(ann) = im(delta)
     worst: dict[int, int] = {0: 0}
     worst_syndrome: dict[int, np.ndarray] = {}
-    for s in gf2.kernel_vectors_by_weight(ann, x_max):
+    # the image of delta is the kernel of its cokernel rows
+    for s in gf2.kernel_vectors_by_weight(gf2.cokernel_rows(delta), x_max):
         x = gf2.weight(s)
         found = gf2.min_weight_solution(delta, s, preimage_budget)
         w = found[1] if found is not None else preimage_budget + 1
@@ -187,8 +187,9 @@ def certify_map(
     The syndrome range x < threshold is enumerated exhaustively; a
     counterexample is a concrete minimum-weight preimage heavier than
     bound(x).  When a syndrome has no preimage within the search budget,
-    the counterexample is gf2.solve's preimage instead: every preimage
-    of it, the minimum included, is then heavier than the bound.
+    the counterexample is the preimage gf2.get_solver(delta) gives (free
+    variables zero) instead: every preimage of it, the minimum included,
+    is then heavier than the bound.
     Out-of-range weights up to x_max are profiled for information only.
     """
     delta = gf2.as_bin(delta)
@@ -210,7 +211,7 @@ def certify_map(
         if Fraction(w) > bound(x):
             s = profile.worst_syndrome[x]
             found = gf2.min_weight_solution(delta, s, preimage_budget)
-            r = found[0] if found is not None else gf2.solve(delta, s)
+            r = found[0] if found is not None else gf2.get_solver(delta).solve(s)
             verdict = Verdict(
                 "counterexample",
                 f"syndrome weight {x} needs preimage weight {w} > {bound.name}({x})",

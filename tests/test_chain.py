@@ -240,7 +240,7 @@ class TestHomologicalDistance:
         w = d.witness
         assert gf2.weight(w) == d.value
         assert not gf2.mat_vec(s.delta(0), w).any()
-        assert gf2.solve(s.delta(-1), w) is None
+        assert gf2.Gf2Solver(s.delta(-1)).solve(w) is None
 
 
 class TestCohomologicalDistance:

@@ -153,6 +153,21 @@ class TestBuild:
     def test_missing_input(self, tmp_path):
         assert run("build", "--classical", str(tmp_path / "nope.pcm"), "--out", "x") == 2
 
+    def test_build_out_of_memory_exits_3(self, tmp_path, rep2_pcm, capsys, monkeypatch):
+        # numpy reports a failed allocation as _ArrayMemoryError, a MemoryError
+        from numpy._core._exceptions import _ArrayMemoryError
+
+        def exhausted(tilde):
+            raise _ArrayMemoryError((1 << 40,), np.dtype(np.uint8))
+
+        monkeypatch.setattr(product, "double_product", exhausted)
+        capsys.readouterr()
+        out = tmp_path / "b"
+        assert run("build", "--classical", rep2_pcm, "--stages", "2", "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("memory exhausted: ") and "1.00 TiB" in err
+        assert "Traceback" not in err
+
 
 @pytest.mark.parametrize(
     "pcm", ["0 0\n", "0 3\n", "2 0\n\n\n", "1 3\n000\n"],

@@ -8,6 +8,8 @@ from homprod import chain, css, gf2, product
 from homprod.chain import ChainComplex
 from homprod.css import PauliError, Syndrome
 
+from dense_reference import dense_kernel
+
 REP2 = [[1, 1]]
 REP3 = [[1, 1, 0], [0, 1, 1]]
 CYC3 = [[1, 1, 0], [0, 1, 1], [1, 0, 1]]
@@ -94,6 +96,23 @@ class TestMemo:
             span = code33.x_checks if side == "x" else code33.z_checks
             assert not gf2.mat_mul(ann, span.T).any()
             assert gf2.rank(ann) + gf2.rank(span) == code33.n
+
+    @pytest.mark.parametrize("h", [REP2, REP3, CYC3], ids=["n33", "n241", "n486"])
+    def test_coset_annihilator_is_checks_over_k_logicals(self, h):
+        complex_ = double(h)
+        code = css.from_complex(complex_)
+        k = chain.betti_number(complex_, 0)
+        for side, span, checks in (
+            ("x", code.x_checks, code.z_checks),
+            ("z", code.z_checks, code.x_checks),
+        ):
+            ann = code.coset_annihilator(side)
+            # the checks, then k logicals
+            assert ann.shape == (checks.shape[0] + k, code.n)
+            assert np.array_equal(ann[: checks.shape[0]], checks)
+            # the same row space as a dense basis of ker(span)
+            kernel = dense_kernel(span)
+            assert gf2.rank(ann) == len(kernel) == gf2.rank(np.vstack([ann, kernel]))
 
     def test_transposed_checks_are_read_only_owners(self, complex241, code241):
         pairs = [

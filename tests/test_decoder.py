@@ -13,6 +13,8 @@ from homprod import bounds, chain, css, decoder, gf2, product
 from homprod.chain import ChainComplex, Distance
 from homprod.css import PauliError
 
+from dense_reference import dense_kernel
+
 REP2 = [[1, 1]]
 REP3 = [[1, 1, 0], [0, 1, 1]]
 CYC3 = [[1, 1, 0], [0, 1, 1], [1, 0, 1]]
@@ -168,16 +170,16 @@ class TestQubitDecode:
 class TestSingleShotDecode:
     def test_no_image_test_and_obstruction_rows_built_once(self, monkeypatch):
         built = []
-        real_rows = css._obstruction_rows
+        real_rows = gf2.cokernel_rows
 
-        def counting(h, m, betti):
-            built.append(h.shape)
-            return real_rows(h, m, betti)
+        def counting(h, known=None):
+            built.append((h.shape, known))
+            return real_rows(h, known)
 
         def refused(self, b):
             raise AssertionError("decode made an image test")
 
-        monkeypatch.setattr(css, "_obstruction_rows", counting)
+        monkeypatch.setattr(gf2, "cokernel_rows", counting)
         monkeypatch.setattr(gf2.Gf2Solver, "in_image", refused)
         code = css.from_complex(double(REP3))  # fresh: nothing cached yet
         m = code.num_z_checks + code.num_x_checks
@@ -187,7 +189,8 @@ class TestSingleShotDecode:
             s = code.syndrome(err).compose(decoder.split_measurement_error(code, u))
             decoder.single_shot_decode(code, s, 6, true_error=err, residual_budget=2)
         # one build per side, on the first decode
-        assert built == [code.z_checks.shape, code.x_checks.shape]
+        assert [shape for shape, _ in built] == [code.z_checks.shape, code.x_checks.shape]
+        assert built[0][1] is code.z_metachecks and built[1][1] is code.x_metachecks
 
     def test_zero_syndrome(self, code33):
         res = decoder.single_shot_decode(
@@ -339,8 +342,8 @@ class TestSyndromeObstructions:
         # metacheck-consistent syndromes: an error's syndrome plus, on each
         # side with probability 1/2, a random vector of ker M
         rng = np.random.default_rng(1805)
-        z_kernel = np.array(gf2.kernel_basis(code486.z_metachecks))
-        x_kernel = np.array(gf2.kernel_basis(code486.x_metachecks))
+        z_kernel = dense_kernel(code486.z_metachecks)
+        x_kernel = dense_kernel(code486.x_metachecks)
         solvers = gf2.get_solver(code486.z_checks), gf2.get_solver(code486.x_checks)
         flags = []
         for _ in range(300):

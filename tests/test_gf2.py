@@ -10,6 +10,8 @@ from hypothesis.extra.numpy import arrays
 
 from homprod import gf2
 
+from dense_reference import dense_kernel, dense_rref
+
 
 def bits(rows):
     return np.array(rows, dtype=np.uint8)
@@ -42,7 +44,7 @@ class TestRank:
 
     @given(bin_matrix())
     def test_rank_nullity(self, m):
-        assert gf2.rank(m) + len(gf2.kernel_basis(m)) == m.shape[1]
+        assert gf2.rank(m) + len(gf2.cokernel_rows(m.T)) == m.shape[1]
 
     @given(bin_matrix())
     def test_rank_transpose(self, m):
@@ -50,34 +52,21 @@ class TestRank:
 
 
 class TestKernel:
+    """The kernel {v : m v = 0}, read as the rows y with y m^T = 0."""
+
     def test_forced_by_dimension(self):
-        (v,) = gf2.kernel_basis(bits([[1, 1]]))
-        assert v.tolist() == [1, 1]
+        assert gf2.cokernel_rows(bits([[1, 1]]).T).tolist() == [[1, 1]]
 
     def test_identity_empty(self):
-        assert gf2.kernel_basis(gf2.identity(3)) == []
+        assert gf2.cokernel_rows(gf2.identity(3).T).shape == (0, 3)
 
     def test_repetition_codeword(self):
-        (v,) = gf2.kernel_basis(bits([[1, 1, 0], [0, 1, 1]]))
-        assert v.tolist() == [1, 1, 1]
+        assert gf2.cokernel_rows(bits([[1, 1, 0], [0, 1, 1]]).T).tolist() == [[1, 1, 1]]
 
     @given(bin_matrix())
     def test_members_annihilate(self, m):
-        for v in gf2.kernel_basis(m):
+        for v in gf2.cokernel_rows(m.T):
             assert not gf2.mat_vec(m, v).any()
-
-    @given(bin_matrix(max_rows=8, max_cols=10))
-    def test_one_vector_per_free_column(self, m):
-        # reference: free column f's vector is red[row, f] at each row's pivot
-        red, pivots = gf2._rref(m)
-        expected = []
-        for f in (c for c in range(m.shape[1]) if c not in pivots):
-            v = np.zeros(m.shape[1], dtype=np.uint8)
-            v[f] = 1
-            for row, p in enumerate(pivots):
-                v[p] = red[row, f]
-            expected.append(v.tolist())
-        assert [v.tolist() for v in gf2.kernel_basis(m)] == expected
 
 
 @st.composite
@@ -95,8 +84,7 @@ def product_pair(draw):
     kind = draw(st.sampled_from(["random", "zero", "last_column"]))
     if kind == "random":
         return a, draw(arrays(np.uint8, (k, c), elements=st.integers(0, 1))), kind
-    kernel = gf2.kernel_basis(a)
-    basis = np.array(kernel, dtype=np.uint8).reshape(len(kernel), k)
+    basis = dense_kernel(a)
     coeffs = draw(arrays(np.uint8, (basis.shape[0], c), elements=st.integers(0, 1)))
     b = np.ascontiguousarray(gf2.mat_mul(basis.T, coeffs))
     if kind == "last_column" and c and a.any():
@@ -147,24 +135,24 @@ class TestProductIsZero:
 class TestSolve:
     def test_identity(self):
         b = bits([1, 0, 1])
-        assert gf2.solve(gf2.identity(3), b).tolist() == [1, 0, 1]
+        assert gf2.Gf2Solver(gf2.identity(3)).solve(b).tolist() == [1, 0, 1]
 
     def test_free_variables_zero(self):
-        x = gf2.solve(bits([[1, 1]]), bits([1]))
+        x = gf2.Gf2Solver(bits([[1, 1]])).solve(bits([1]))
         assert x.tolist() == [1, 0]
 
     def test_no_solution(self):
-        assert gf2.solve(gf2.zeros(2, 3), bits([1, 0])) is None
+        assert gf2.Gf2Solver(gf2.zeros(2, 3)).solve(bits([1, 0])) is None
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            gf2.solve(gf2.zeros(2, 3), bits([1, 0, 1]))
+            gf2.Gf2Solver(gf2.zeros(2, 3)).solve(bits([1, 0, 1]))
 
     @given(bin_matrix(), st.data())
     def test_solution_when_consistent(self, m, data):
         x0 = bits(data.draw(st.lists(st.integers(0, 1), min_size=m.shape[1], max_size=m.shape[1])))
         b = gf2.mat_vec(m, x0)
-        x = gf2.solve(m, b)
+        x = gf2.Gf2Solver(m).solve(b)
         assert x is not None
         assert (gf2.mat_vec(m, x) == b).all()
 
@@ -249,23 +237,37 @@ def wide_matrix(draw):
     return (rng.random((rows, cols)) < density).astype(np.uint8)
 
 
-def dense_rref(m):
-    """Reference elimination, one column at a time on a dense uint8 copy:
-    the nonzero rows of the reduced row echelon form and their pivots."""
-    a = m.copy()
-    pivots = []
-    for c in range(a.shape[1]):
-        r = len(pivots)
-        below = np.flatnonzero(a[r:, c])
-        if not below.size:
-            continue
-        p = r + below[0]
-        a[[r, p]] = a[[p, r]]
-        for i in np.flatnonzero(a[:, c]):
-            if i != r:
-                a[i] ^= a[r]
-        pivots.append(c)
-    return a[: len(pivots)], pivots
+class TestCokernelRows:
+    def test_known_rows_leave_nothing(self):
+        h = bits([[1, 1, 0], [0, 1, 1]]).T
+        assert gf2.cokernel_rows(h, bits([[1, 1, 1]])).shape == (0, 3)
+
+    @settings(max_examples=150, deadline=None)
+    @given(wide_matrix(), st.integers(0, 2**32 - 1))
+    @example(gf2.zeros(0, 5), 0)
+    @example(gf2.zeros(5, 0), 0)
+    @example(np.ones((4, 0), dtype=np.uint8), 1)
+    def test_against_dense_reference(self, h, seed):
+        # known: None, or random sums of the reference left null space,
+        # as many as its dimension plus two, so some depend on others
+        null = dense_kernel(h.T)
+        rng = np.random.default_rng(seed)
+        known = None
+        if seed % 3:
+            mix = rng.integers(0, 2, (int(rng.integers(0, len(null) + 3)), len(null)), dtype=np.uint8)
+            known = gf2.mat_mul(mix, null)
+        rows = gf2.cokernel_rows(h, known)
+        assert rows.dtype == np.uint8 and rows.shape[1] == h.shape[0]
+        assert rows.base is None and not rows.flags.writeable
+        assert not gf2.mat_mul(rows, h).any()
+        known = gf2.zeros(0, h.shape[0]) if known is None else known
+        # with known, they span the left null space, of dimension rows(h) - rank(h)
+        dim = h.shape[0] - len(dense_rref(h)[1])
+        assert len(null) == dim
+        spanned = np.vstack([known, rows])
+        assert gf2.rank(spanned) == gf2.rank(np.vstack([spanned, null])) == dim
+        # independent of each other and of known's span
+        assert gf2.rank(spanned) == gf2.rank(known) + len(rows)
 
 
 class TestEliminationAgainstReference:
@@ -273,18 +275,12 @@ class TestEliminationAgainstReference:
     @given(wide_matrix(), st.integers(0, 2**32 - 1))
     def test_every_output_matches(self, m, seed):
         rows, cols = m.shape
-        red, pivots = dense_rref(m)
+        _, pivots = dense_rref(m)
         assert gf2.rank(m) == len(pivots) == gf2.rank(m.T)
-        # one kernel vector per free column, read off the reference form
-        kernel = []
-        for f in (c for c in range(cols) if c not in pivots):
-            v = np.zeros(cols, dtype=np.uint8)
-            v[f] = 1
-            v[pivots] = red[:, f]
-            kernel.append(v)
-        got = gf2.kernel_basis(m)
-        assert len(got) == len(kernel)
-        assert all(g.dtype == np.uint8 and np.array_equal(g, v) for g, v in zip(got, kernel))
+        # the kernel, as rows that annihilate m's transpose, spans the reference's
+        kernel = dense_kernel(m)
+        got = gf2.cokernel_rows(m.T)
+        assert len(got) == len(kernel) == gf2.rank(np.vstack([got, kernel]))
         solver = gf2.Gf2Solver(m)
         assert solver.rank == len(pivots)
         assert solver.pivot_index.tolist() == pivots
@@ -357,8 +353,7 @@ class TestSupportLayer:
     @given(wide_matrix(), st.integers(0, 2**32 - 1))
     def test_consumers_agree_with_dense_references(self, m, seed):
         rng = np.random.default_rng(seed)
-        found = gf2.kernel_basis(m)
-        kernel = np.array(found, dtype=np.uint8).reshape(len(found), m.shape[1])
+        kernel = dense_kernel(m)
         coeffs = rng.integers(0, 2, (kernel.shape[0], 5), dtype=np.uint8)
         # m @ in_kernel = 0, and in_kernel.T @ m.T = 0
         in_kernel = gf2.mat_mul(kernel.T, coeffs)
@@ -724,12 +719,31 @@ class TestMemoryCap:
             gf2._WeightSearch(gf2.zeros(1, 60)).supports(3, 0)
 
     def test_weight_3_draw_output_is_capped(self, monkeypatch):
-        # every triple of an all-ones row sums to its one bit: C(120, 3) =
-        # 280840 supports drawn from pivot rows, charged as they are found
+        # 40 columns each of 100, 010 and 001: every triple of one of each
+        # sums to 111, 64000 supports drawn from pivot rows, charged as they
+        # are found (an all-ones row stops earlier, at its pairs of equal
+        # columns; see below)
         monkeypatch.setattr(gf2, "_TABLE_BYTES_MAX", 1 << 20)
-        search = gf2._WeightSearch(np.ones((1, 120), dtype=np.uint8))
+        search = gf2._WeightSearch(np.repeat(gf2.identity(3), 40, axis=1))
         with pytest.raises(gf2.BudgetExhausted, match="weight-3 pivot draw"):
-            search.supports(3, 1 << 7)
+            search.supports(3, 0b111 << 5)
+
+    @pytest.mark.parametrize("row", [0, 1], ids=["zeros", "ones"])
+    def test_equal_column_pairs_are_capped(self, monkeypatch, row):
+        # 120 equal columns: C(120, 2) = 7140 pairs sum to zero, counted
+        # before they are listed
+        monkeypatch.setattr(gf2, "_TABLE_BYTES_MAX", 1 << 20)
+        search = gf2._WeightSearch(np.full((1, 120), row, dtype=np.uint8))
+        with pytest.raises(gf2.BudgetExhausted, match="7140 pairs of equal columns"):
+            search.supports(2, 0)
+
+    def test_weight_2_draw_output_is_capped(self, monkeypatch):
+        # 70 ones then 70 zeros: each one column pairs with each zero column
+        # to sum to the one bit: 4900 supports, charged once drawn
+        monkeypatch.setattr(gf2, "_TABLE_BYTES_MAX", 1 << 20)
+        search = gf2._WeightSearch(bits([[1] * 70 + [0] * 70]))
+        with pytest.raises(gf2.BudgetExhausted, match="weight-2 pivot draw"):
+            search.supports(2, 1 << 7)
 
     def test_array_peaks_stay_within_the_entry_estimate(self):
         # the cap's estimate is an upper bound: building a table of 161700

@@ -150,7 +150,7 @@ class TestProfile:
             x = gf2.weight(syndrome)
             budget = prof.preimage_budget
             first_worst, worst = None, -1
-            for s in gf2.kernel_vectors_by_weight(gf2.annihilator(delta.T), x):
+            for s in gf2.kernel_vectors_by_weight(gf2.cokernel_rows(delta), x):
                 if gf2.weight(s) != x:
                     continue
                 found = gf2.min_weight_solution(delta, s, budget)
