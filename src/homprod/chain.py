@@ -1,10 +1,14 @@
 """Chain complexes over GF(2).
 
-A complex is an ordered list of boundary maps d_j : C_j -> C_{j+1} for
+A complex is a tuple of boundary maps d_j : C_j -> C_{j+1} for
 j = j_min .. j_max-1, with adjacent maps composing to zero.  Level 0 is
 the qubit (or bit) level.  Missing maps at either end are treated as
 zero matrices of the appropriate shape, so homology is defined at every
 level including the endpoints.
+
+A ChainComplex is valid by construction: its constructor checks each
+adjacent pair once and raises ValidationError on the first fault, so no
+caller can hold, build on or save an invalid complex.
 """
 
 from __future__ import annotations
@@ -60,9 +64,6 @@ class Distance:
         return {"value": v, "status": self.status}
 
 
-_UNCHECKED = object()
-
-
 def _frozen(b) -> np.ndarray:
     """A read-only 0/1 array that owns its memory, so no caller can change a
     map behind the memos: b itself if it is one (a product's map, another
@@ -80,21 +81,24 @@ def _frozen(b) -> np.ndarray:
 class ChainComplex:
     """Boundary maps d_{j_min} .. d_{j_max-1} with the qubit level at 0.
 
-    The maps are read-only 0/1 arrays (see _frozen), so the validation
-    result memoised here and the ranks memoised on each map (gf2.memo)
-    always describe them.
+    Valid by construction: the constructor runs validate once and raises
+    ValidationError on a fault.  The maps are a tuple of read-only 0/1
+    arrays (see _frozen), so the complex stays valid and the ranks
+    memoised on each map (gf2.memo) always describe them.
     """
 
     def __init__(self, boundaries, j_min: int = 0) -> None:
         if not boundaries:
             raise ValueError("a complex needs at least one boundary map")
-        self.boundaries = [_frozen(b) for b in boundaries]
+        self.boundaries = tuple(_frozen(b) for b in boundaries)
         self.j_min = j_min
         # the zero maps out of the end levels, held like the others so each
         # call returns the same read-only array and the memos on it hold
         self._below = _frozen(gf2.zeros(self.size(j_min), 0))
         self._above = _frozen(gf2.zeros(0, self.size(self.j_max)))
-        self._fault = _UNCHECKED
+        fault = validate(self)
+        if fault is not None:
+            raise ValidationError(fault)
 
     @property
     def j_max(self) -> int:
@@ -149,14 +153,9 @@ def validate(complex_: ChainComplex) -> Optional[str]:
 
     Checks that adjacent maps have matching dimensions and compose to
     zero, asking gf2.product_is_zero of each pair (the products are never
-    formed).  Computed once per complex and memoised.
+    formed).  The ChainComplex constructor runs it once on each complex,
+    which is therefore valid by construction.
     """
-    if complex_._fault is _UNCHECKED:
-        complex_._fault = _first_fault(complex_)
-    return complex_._fault
-
-
-def _first_fault(complex_: ChainComplex) -> Optional[str]:
     for j in range(complex_.j_min, complex_.j_max - 1):
         lower = complex_.delta(j)
         upper = complex_.delta(j + 1)
@@ -168,13 +167,6 @@ def _first_fault(complex_: ChainComplex) -> Optional[str]:
         if not gf2.product_is_zero(upper, lower):
             return f"composition d_{j + 1} d_{j} is nonzero"
     return None
-
-
-def require_valid(complex_: ChainComplex) -> ChainComplex:
-    fault = validate(complex_)
-    if fault is not None:
-        raise ValidationError(fault)
-    return complex_
 
 
 def betti_number(complex_: ChainComplex, j: int) -> int:
@@ -197,8 +189,6 @@ def _distance_search(
     homology_dim: int,
     max_weight: int,
 ) -> Distance:
-    if homology_dim < 0:
-        raise AssertionError("negative homology dimension; complex is invalid")
     if homology_dim == 0:
         return Distance(math.inf, "exact")
     # the image is eliminated at the first cycle found, so a search that finds
@@ -283,4 +273,4 @@ def load_complex(dirpath) -> ChainComplex:
         gf2.read_pcm(os.path.join(dirpath, f"delta_{j}.pcm"))
         for j in range(j_min, j_max)
     ]
-    return require_valid(ChainComplex(boundaries, j_min=j_min))
+    return ChainComplex(boundaries, j_min=j_min)

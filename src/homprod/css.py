@@ -23,7 +23,6 @@ from .chain import (
     betti_number,
     cohomological_distance,
     homological_distance,
-    require_valid,
 )
 
 __all__ = [
@@ -110,7 +109,7 @@ def _cokernel_rows(h: np.ndarray, known: Optional[np.ndarray], betti: int, what:
 class CssCode:
     """Checks and metachecks of a CSS code read off a chain complex.
 
-    Built only from a complex, which is validated (once, memoised): its
+    Built only from a complex, which is valid by construction: its
     d.d = 0 is what makes the checks commute and the metachecks
     annihilate them, so the code repeats none of those products.  The
     X-side matrices are transposes of the complex's maps, copied on first
@@ -118,7 +117,6 @@ class CssCode:
     """
 
     def __init__(self, complex_: ChainComplex) -> None:
-        require_valid(complex_)
         if complex_.length not in (2, 4):
             raise NotACssComplex(
                 f"need a length-2 or length-4 complex with qubits at level 0, "
@@ -236,7 +234,7 @@ class CssCode:
 
 
 def from_complex(complex_: ChainComplex) -> CssCode:
-    """Read checks (and metachecks, when present) off a validated complex."""
+    """Read checks (and metachecks, when present) off a complex."""
     return CssCode(complex_)
 
 
@@ -336,7 +334,7 @@ def code_report(complex_: ChainComplex) -> CodeReport:
     exact reduced rational.  The distances are qubit_distance and
     single_shot_distance.
     """
-    from_complex(complex_)  # validates, and rejects a non-CSS complex
+    from_complex(complex_)  # rejects a non-CSS complex
     from .product import redundancy as _redundancy
 
     # Z checks are the rows of d_0, X checks the columns of d_-1

@@ -260,24 +260,20 @@ def _exhaustive_pairs(code: CssCode, budget: SingleShotBudget, u_max: int, e_max
 
 def _sampled_pairs(code: CssCode, budget: SingleShotBudget, u_max: int, e_max: int, seed: int):
     """Seeded (E, u) draws, endless: a u weight and an error weight, each
-    uniform up to its cap, then uniform supports and per-qubit types.  A
-    weight above its length draws no vector and is skipped.  Nothing at all
-    when the budget refuses the empty pair: admits only shrinks as the
-    weights grow, so it would refuse every draw."""
+    uniform up to its cap or its vector's length, whichever is smaller,
+    then uniform supports and per-qubit types.  Nothing at all when the
+    budget refuses the empty pair: admits only shrinks as the weights
+    grow, so it would refuse every draw."""
     if not budget.admits(0, 0):
         return
     m = code.num_z_checks + code.num_x_checks
     rng = np.random.default_rng(seed)
     while True:
-        uw = int(rng.integers(0, u_max + 1))
-        if uw > m:
-            continue
+        uw = int(rng.integers(0, min(u_max, m) + 1))
         u = np.zeros(m, dtype=np.uint8)
         if uw:
             u[rng.choice(m, size=uw, replace=False)] = 1
-        ew = int(rng.integers(0, e_max + 1))
-        if ew > code.n:
-            continue
+        ew = int(rng.integers(0, min(e_max, code.n) + 1))
         support = tuple(sorted(rng.choice(code.n, size=ew, replace=False).tolist())) if ew else ()
         types = tuple(int(i) for i in rng.integers(0, 3, size=ew))
         yield _typed_pauli(code.n, support, types), u

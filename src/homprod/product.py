@@ -40,7 +40,6 @@ from .chain import (
     betti_number,
     homological_distance,
     cohomological_distance,
-    require_valid,
 )
 
 __all__ = [
@@ -76,11 +75,7 @@ def single_product(a: ChainComplex) -> ChainComplex:
 
 
 def double_product(a: ChainComplex) -> ChainComplex:
-    """Homological product of a length-2 complex with itself.
-
-    Only the product is validated: a factor with d.d != 0 gives the
-    product a nonzero composition too.
-    """
+    """Homological product of a length-2 complex with itself."""
     if a.length != 2:
         raise ValueError("double_product expects length-2 complexes")
     if a.j_min != -1:
@@ -89,7 +84,8 @@ def double_product(a: ChainComplex) -> ChainComplex:
 
 
 def _tensor(x: ChainComplex, y: ChainComplex) -> ChainComplex:
-    """x (x) y*, by the block rule of the module docstring, validated.
+    """x (x) y*, by the block rule of the module docstring, as a complex
+    that is valid by construction like its factors.
 
     Each map is built from its support: for each one (r, c) of an n_r x n_c
     factor map d, kron(d, I_n) has ones at (r*n + b, c*n + b), b < n, and
@@ -124,7 +120,7 @@ def _tensor(x: ChainComplex, y: ChainComplex) -> ChainComplex:
                 cols.append(start[i, j] + (a * n_r + r).ravel())
         shape = (size[m + 1], size[m])
         maps.append(gf2._from_support(shape, np.concatenate(rows), np.concatenate(cols)))
-    return require_valid(ChainComplex(maps, j_min=min(levels)))
+    return ChainComplex(maps, j_min=min(levels))
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,10 @@ import signal
 import pytest
 from hypothesis import settings
 
+from homprod import css, product
+
+from codes import CYC3, REP2, REP3, double, single
+
 # exhaustive GF(2) searches have high per-example variance (cache warmup,
 # machine load); correctness is what the properties check, not latency
 settings.register_profile("homprod", deadline=None)
@@ -29,3 +33,41 @@ def deadline():
             signal.signal(signal.SIGALRM, previous)
 
     return limit
+
+
+# the products and codes several modules test, built once per module
+
+
+@pytest.fixture(scope="module")
+def tilde_rep2():
+    return single(REP2)
+
+
+@pytest.fixture(scope="module")
+def breve_rep2(tilde_rep2):
+    return product.double_product(tilde_rep2)
+
+
+@pytest.fixture(scope="module")
+def tilde_rep3():
+    return single(REP3)
+
+
+@pytest.fixture(scope="module")
+def breve_rep3(tilde_rep3):
+    return product.double_product(tilde_rep3)
+
+
+@pytest.fixture(scope="module")
+def code33(breve_rep2):
+    return css.from_complex(breve_rep2)
+
+
+@pytest.fixture(scope="module")
+def code241(breve_rep3):
+    return css.from_complex(breve_rep3)
+
+
+@pytest.fixture(scope="module")
+def code486():
+    return css.from_complex(double(CYC3))

@@ -1,7 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
-Budgets and tolerances are pinned here; nothing is deferred to runtime
-calibration.  Run with `pytest tests/test_acceptance.py -v -s`.
+Budgets and tolerances are pinned here and in codes.py; nothing is
+deferred to runtime calibration.  Run with
+`pytest tests/test_acceptance.py -v -s`.
 """
 
 import itertools
@@ -10,72 +11,17 @@ import time
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
 from homprod import bounds, chain, cli, css, decoder, gf2, product, soundness, stab
-from homprod.chain import ChainComplex, Distance
 
-REP2 = gf2.as_bin([[1, 1]])
-REP3 = gf2.as_bin([[1, 1, 0], [0, 1, 1]])
+from codes import CYC3, REP2, REP3, budget241, budget33, complex_of
+
 REP4 = gf2.as_bin([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]])
-CYC3 = gf2.as_bin([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
 SIX_TWO = cli.TABLE1_INPUTS["row4"]
 
 
 def ok(criterion: int, name: str) -> None:
     print(f"ACCEPTANCE {criterion:>2} ({name}): PASS")
-
-
-def complex_of(h):
-    return ChainComplex([gf2.as_bin(h)], j_min=0)
-
-
-@pytest.fixture(scope="module")
-def tilde_rep2():
-    return product.single_product(complex_of(REP2))
-
-
-@pytest.fixture(scope="module")
-def breve_rep2(tilde_rep2):
-    return product.double_product(tilde_rep2)
-
-
-@pytest.fixture(scope="module")
-def tilde_rep3():
-    return product.single_product(complex_of(REP3))
-
-
-@pytest.fixture(scope="module")
-def breve_rep3(tilde_rep3):
-    return product.double_product(tilde_rep3)
-
-
-@pytest.fixture(scope="module")
-def code33(breve_rep2):
-    return css.from_complex(breve_rep2)
-
-
-@pytest.fixture(scope="module")
-def code241(breve_rep3):
-    return css.from_complex(breve_rep3)
-
-
-def budget33():
-    return decoder.single_shot_budget(
-        Distance(math.inf, "exact"),  # no finite single-shot distance
-        Distance(2, "exact"),  # soundness threshold of the rep-2 input
-        Distance(4, "exact"),  # exact distance, enumerated on 33 qubits
-        bounds.CUBIC_OVER_4,
-    )
-
-
-def budget241():
-    return decoder.single_shot_budget(
-        Distance(math.inf, "exact"),
-        Distance(3, "exact"),
-        Distance(9, "external"),  # witnessed <= 9; equality is an external result
-        bounds.CUBIC_OVER_4,
-    )
 
 
 def test_criterion_01_table_reproduction():

@@ -418,6 +418,22 @@ class TestDecode:
         payload = json.loads(out.read_text())
         assert payload["e_rec_x_support"] == [8]  # 1-based
 
+    def test_budget_exhausted_exits_3(self, tmp_path, capsys, rep2_build):
+        # X on two qubits has no weight-1 recovery, so --max-weight 1 runs
+        # out of budget and --max-weight 2 decodes it
+        code = css.from_complex(chain.load_complex(rep2_build))
+        err = np.zeros(33, dtype=np.uint8)
+        err[[22, 28]] = 1
+        s = code.syndrome(css.PauliError.x_only(err))
+        syn = tmp_path / "syn.pcm"
+        gf2.write_pcm(syn, np.concatenate([s.z_part, s.x_part]).reshape(1, -1))
+        argv = ["decode", "--complex", rep2_build, "--syndrome", str(syn), "--quiet"]
+        capsys.readouterr()
+        assert run(*argv, "--max-weight", "1") == 3
+        err_text = capsys.readouterr().err
+        assert err_text == "budget exhausted: no X-part recovery within weight 1\n"
+        assert run(*argv, "--max-weight", "2") == 0
+
 
 @pytest.fixture()
 def rep2_single(tmp_path, rep2_pcm):
@@ -441,6 +457,30 @@ def test_single_product_is_an_input_error(tmp_path, capsys, rep2_single, command
     assert run(command, "--complex", rep2_single, *extra, "--quiet") == 2
     err = capsys.readouterr().err
     assert "input error" in err and "metachecks" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "complex_fixture, argv, message",
+    [
+        ("rep2_build", ["profile", "--map", "q"], "map must be one of z, x, zt, xt"),
+        ("rep2_build", ["rounds", "--schedule", "missing.json"], "cannot read schedule"),
+        ("rep2_unbased", ["witness", "--syndrome", "s.pcm"], "needs classical.pcm"),
+        ("rep2_single", ["witness", "--map", "z", "--syndrome", "s.pcm"], "need --map zt or xt"),
+    ],
+    ids=["profile_map", "rounds_unreadable", "witness_unbased", "witness_map"],
+)
+def test_guarded_input_is_an_input_error(
+    tmp_path, capsys, request, complex_fixture, argv, message
+):
+    complex_dir = request.getfixturevalue(complex_fixture)
+    # level 0 of the rep-2 single product: a syndrome of the right length
+    gf2.write_pcm(tmp_path / "s.pcm", gf2.zeros(1, 5))
+    argv = [str(tmp_path / a) if a.endswith((".json", ".pcm")) else a for a in argv]
+    capsys.readouterr()
+    assert run(*argv, "--complex", complex_dir, "--quiet") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and message in err
     assert "Traceback" not in err
 
 
@@ -676,6 +716,7 @@ class TestSweepAndRounds:
             ({"e_support": [3]}, "JSON array"),
             ([{"e_suport": [1]}, {"u_support": [2]}], "round 1: unknown key 'e_suport'"),
             ([{"e_support": [1, 1]}], "round 1: e_support index 1 is given twice"),
+            ([], "schedule is empty"),
         ],
     )
     def test_rounds_rejects_bad_schedule(
@@ -902,6 +943,16 @@ class TestStabCommands:
             payload = json.loads(report.read_text())
             assert payload["generators"] == n - 1
             assert payload["soundness"] == soundness_kind
+
+    def test_diag_rejects_non_commuting_checks(self, tmp_path, capsys):
+        # X and Z on the same qubit anticommute
+        p = tmp_path / "checks.pcm"
+        gf2.write_pcm(p, gf2.as_bin([[1, 0, 0, 0], [0, 0, 1, 0]]))
+        capsys.readouterr()
+        assert run("diag", "--checks", str(p), "--out", str(tmp_path / "diag"), "--quiet") == 2
+        err = capsys.readouterr().err
+        assert err == "input error: check rows do not commute\n"
+        assert not (tmp_path / "diag").exists()
 
     def test_barrier_rejects_oversize(self, tmp_path):
         h = np.zeros((8, 9), dtype=np.uint8)

@@ -4,10 +4,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from homprod import chain, css, gf2, product
+from homprod import chain, css, gf2
 from homprod.chain import ChainComplex
 from homprod.css import PauliError, Syndrome
 
+from codes import double, single
 from dense_reference import dense_kernel
 
 REP2 = [[1, 1]]
@@ -21,32 +22,9 @@ SIX_TWO = [
 ]
 
 
-def single(h):
-    return product.single_product(ChainComplex([gf2.as_bin(h)], j_min=0))
-
-
-def double(h):
-    return product.double_product(single(h))
-
-
 @pytest.fixture(scope="module")
 def code13():
     return css.from_complex(single(REP3))
-
-
-@pytest.fixture(scope="module")
-def complex241():
-    return double(REP3)
-
-
-@pytest.fixture(scope="module")
-def code241(complex241):
-    return css.from_complex(complex241)
-
-
-@pytest.fixture(scope="module")
-def code33():
-    return css.from_complex(double(REP2))
 
 
 class TestFromComplex:
@@ -81,9 +59,9 @@ class TestFromComplex:
         assert code.n == 33 and code.has_metachecks
 
     def test_rejects_invalid_complex(self):
-        bad = ChainComplex([gf2.identity(2), gf2.identity(2)], j_min=-1)
-        with pytest.raises(chain.ValidationError):
-            css.from_complex(bad)
+        # an invalid complex cannot be built, so no code is read off one
+        with pytest.raises(chain.ValidationError, match="composition d_0 d_-1 is nonzero"):
+            css.from_complex(ChainComplex([gf2.identity(2), gf2.identity(2)], j_min=-1))
 
 
 class TestMemo:
@@ -114,10 +92,10 @@ class TestMemo:
             kernel = dense_kernel(span)
             assert gf2.rank(ann) == len(kernel) == gf2.rank(np.vstack([ann, kernel]))
 
-    def test_transposed_checks_are_read_only_owners(self, complex241, code241):
+    def test_transposed_checks_are_read_only_owners(self, breve_rep3, code241):
         pairs = [
-            (code241.x_checks, complex241.delta(-1)),
-            (code241.x_metachecks, complex241.delta(-2)),
+            (code241.x_checks, breve_rep3.delta(-1)),
+            (code241.x_metachecks, breve_rep3.delta(-2)),
         ]
         for held, source in pairs:
             assert held.base is None and held.flags.c_contiguous
@@ -275,17 +253,17 @@ class TestPauliMinWeight:
 
 
 class TestCodeReport:
-    def test_rep3_double(self, complex241):
-        rep = css.code_report(complex241)
+    def test_rep3_double(self, breve_rep3):
+        rep = css.code_report(breve_rep3)
         assert rep.n == 241
         assert rep.k == 1
         assert rep.max_check_weight == 6
         assert rep.mean_check_weight == Fraction(190, 39)
         assert round(float(rep.mean_check_weight), 5) == 4.87179
         assert rep.redundancy == Fraction(13, 10)
-        d_ss = css.single_shot_distance(complex241, 3)
+        d_ss = css.single_shot_distance(breve_rep3, 3)
         assert math.isinf(d_ss.value) and d_ss.is_exact()
-        assert css.qubit_distance(complex241, 3).status == "lower_bound"
+        assert css.qubit_distance(breve_rep3, 3).status == "lower_bound"
 
     def test_six_two_double(self):
         breve = double(SIX_TWO)
@@ -341,8 +319,8 @@ class TestCodeReport:
         assert rep.mean_check_weight == Fraction(3 + 0 + 2 + 0, 4)
         assert rep.max_qubit_degree == 2
 
-    def test_check_weight_invariants(self, complex241, code241):
-        rep = css.code_report(complex241)
+    def test_check_weight_invariants(self, breve_rep3, code241):
+        rep = css.code_report(breve_rep3)
         weights = np.concatenate(
             [code241.z_checks.sum(axis=1), code241.x_checks.sum(axis=1)]
         )

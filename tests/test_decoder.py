@@ -13,52 +13,12 @@ from homprod import bounds, chain, css, decoder, gf2, product
 from homprod.chain import ChainComplex, Distance
 from homprod.css import PauliError
 
+from codes import budget241, budget33, double
 from dense_reference import dense_kernel
 
 REP2 = [[1, 1]]
 REP3 = [[1, 1, 0], [0, 1, 1]]
 CYC3 = [[1, 1, 0], [0, 1, 1], [1, 0, 1]]
-
-
-def double(h):
-    return product.double_product(
-        product.single_product(ChainComplex([gf2.as_bin(h)], j_min=0))
-    )
-
-
-@pytest.fixture(scope="module")
-def code33():
-    return css.from_complex(double(REP2))
-
-
-@pytest.fixture(scope="module")
-def code241():
-    return css.from_complex(double(REP3))
-
-
-@pytest.fixture(scope="module")
-def code486():
-    return css.from_complex(double(CYC3))
-
-
-def budget33():
-    # 33-qubit patch: d_ss infinite, soundness threshold 2, exact distance 4
-    return decoder.single_shot_budget(
-        Distance(math.inf, "exact"),
-        Distance(2, "exact"),
-        Distance(4, "exact"),
-        bounds.CUBIC_OVER_4,
-    )
-
-
-def budget241():
-    # distance 9 is an external result; our own witness confirms <= 9
-    return decoder.single_shot_budget(
-        Distance(math.inf, "exact"),
-        Distance(3, "exact"),
-        Distance(9, "external"),
-        bounds.CUBIC_OVER_4,
-    )
 
 
 def unit_u(m, i):
@@ -82,6 +42,12 @@ def fresh_python(code, *flags):
     return subprocess.run(
         [sys.executable, *flags, "-c", code], env=env, capture_output=True, text=True
     )
+
+
+class TestSplitMeasurementError:
+    def test_wrong_length_is_refused(self, code33):
+        with pytest.raises(ValueError, match="does not match check count"):
+            decoder.split_measurement_error(code33, np.zeros(39, dtype=np.uint8))
 
 
 class TestRepairSyndrome:
@@ -483,6 +449,14 @@ class TestAdversarialSweep:
         with deadline(10):
             report = decoder.adversarial_sweep(code33, budget33(), u_max, e_max)
         assert report.to_json() == decoder.adversarial_sweep(code33, budget33(), 1, 1).to_json()
+
+    def test_sampled_caps_are_bounded_by_the_lengths(self, code33, deadline):
+        # 40 checks: a u cap above 40 draws as 40 does, instead of rejecting
+        # every over-long draw (at 100,000, about 2,400 rejections per pair)
+        with deadline(5):
+            report = decoder.adversarial_sweep(code33, budget33(), 100000, 1, samples=50, seed=1)
+        expected = decoder.adversarial_sweep(code33, budget33(), 40, 1, samples=50, seed=1)
+        assert report.to_json() == expected.to_json()
 
 
 class TestMultiRound:

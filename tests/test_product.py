@@ -11,10 +11,9 @@ from hypothesis.extra.numpy import arrays
 from homprod import chain, cli, gf2, product
 from homprod.chain import ChainComplex
 
-REP2 = gf2.as_bin([[1, 1]])
-REP3 = gf2.as_bin([[1, 1, 0], [0, 1, 1]])
+from codes import CYC3, REP2, REP3, complex_of
+
 REP4 = gf2.as_bin([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]])
-CYC3 = gf2.as_bin([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
 SIX_TWO = gf2.as_bin(
     [
         [1, 1, 0, 0, 0, 0],
@@ -57,10 +56,6 @@ KUNNETH_CODES = {
 }
 
 SMALL_DOUBLE = ["rep2", "rep3", "cyc3", "parity4", "five_two", "redundant5"]
-
-
-def complex_of(h):
-    return ChainComplex([gf2.as_bin(h)], j_min=0)
 
 
 class TestMinimalComplex:
@@ -158,10 +153,9 @@ class TestDoubleProduct:
             product.double_product(complex_of(REP3))
 
     def test_rejects_invalid_factor(self):
-        # only the product is validated; the factor's d.d != 0 carries over
-        bad = ChainComplex([gf2.identity(2), gf2.identity(2)], j_min=-1)
-        with pytest.raises(chain.ValidationError):
-            product.double_product(bad)
+        # an invalid factor cannot be built, so no product is taken of one
+        with pytest.raises(chain.ValidationError, match="composition d_0 d_-1 is nonzero"):
+            product.double_product(ChainComplex([gf2.identity(2), gf2.identity(2)], j_min=-1))
 
 
 

@@ -12,8 +12,7 @@ import pytest
 from homprod import bounds, chain, gf2, product, soundness, stab
 from homprod.chain import ChainComplex
 
-REP2 = gf2.as_bin([[1, 1]])
-REP3 = gf2.as_bin([[1, 1, 0], [0, 1, 1]])
+from codes import REP2, REP3, single
 
 # partial_decode's counter totals and digest over the seeded batch of
 # TestPartialDecode.test_pinned_batch_digest: a change to any loop's order
@@ -45,25 +44,6 @@ def cyclic(length):
         h[i, i] = 1
         h[i, (i + 1) % length] = 1
     return h
-
-
-def single(h):
-    return product.single_product(ChainComplex([gf2.as_bin(h)], j_min=0))
-
-
-@pytest.fixture(scope="module")
-def tilde_rep3():
-    return single(REP3)
-
-
-@pytest.fixture(scope="module")
-def tilde_rep2():
-    return single(REP2)
-
-
-@pytest.fixture(scope="module")
-def breve_rep2(tilde_rep2):
-    return product.double_product(tilde_rep2)
 
 
 @pytest.fixture
@@ -121,6 +101,15 @@ class TestProfile:
         assert prof.worst == {0: 0, 1: 1, 2: 2, 3: 3}
         assert prof.preimage_budget == 4
         assert prof.verdict.certified
+
+    def test_infinite_threshold_profiles_every_weight(self, tilde_rep2):
+        # the 5 x 2 zt map: no syndrome is heavier than its 5 rows, so an
+        # infinite threshold reads as rows + 1
+        delta = tilde_rep2.delta(0).T
+        unbounded = soundness.certify_map(delta, math.inf, bounds.QUADRATIC_OVER_4)
+        capped = soundness.certify_map(delta, delta.shape[0] + 1, bounds.QUADRATIC_OVER_4)
+        assert unbounded.worst == capped.worst == {0: 0, 3: 1, 4: 2}
+        assert unbounded.verdict.certified and capped.verdict.certified
 
     def test_certify_counterexample_carries_witness(self):
         s = single(cyclic(3))
