@@ -85,7 +85,11 @@ class ChainComplex:
     ValidationError on a fault.  The maps are a tuple of read-only 0/1
     arrays (see _frozen), so the complex stays valid and the ranks
     memoised on each map (gf2.memo) always describe them.
+    factor, read-only, is the complex a product squares, set by product;
+    None for a complex built or loaded any other way.
     """
+
+    _factor: Optional[ChainComplex] = None
 
     def __init__(self, boundaries, j_min: int = 0) -> None:
         if not boundaries:
@@ -99,6 +103,10 @@ class ChainComplex:
         fault = validate(self)
         if fault is not None:
             raise ValidationError(fault)
+
+    @property
+    def factor(self) -> Optional[ChainComplex]:
+        return self._factor
 
     @property
     def j_max(self) -> int:

@@ -18,7 +18,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -83,31 +82,30 @@ TABLE1_EXPECTED = {
 }
 
 
-def build_stages(base: ChainComplex, stages: int = 2) -> tuple[ChainComplex, ...]:
-    """The single product of base and, for two stages, the double product of that."""
-    built = (product.single_product(base),)
-    if stages == 2:
-        built += (product.double_product(built[0]),)
-    return built
+def build_stages(base: ChainComplex, stages: int = 2) -> ChainComplex:
+    """The single product of base or, for two stages, the double product of
+    that, whose factor is the single product."""
+    tilde = product.single_product(base)
+    return product.double_product(tilde) if stages == 2 else tilde
 
 
-def save_stages(out: str, base: ChainComplex, stages: int) -> tuple[ChainComplex, ...]:
-    """build_stages of base, written to out: the last product, stage1/ beside
-    a double product, and the checks as classical.pcm."""
+def save_stages(out: str, base: ChainComplex, stages: int) -> ChainComplex:
+    """build_stages of base, written to out: the product, its factor as
+    stage1/ beside a double product, and the checks as classical.pcm."""
     built = build_stages(base, stages)
     if stages == 2:
-        chain.save_complex(os.path.join(out, "stage1"), built[0])
-    chain.save_complex(out, built[-1])
+        chain.save_complex(os.path.join(out, "stage1"), built.factor)
+    chain.save_complex(out, built)
     gf2.write_pcm(os.path.join(out, "classical.pcm"), base.delta(0))
     return built
 
 
 def run_table1_row(name: str) -> dict:
     base = ChainComplex([TABLE1_INPUTS[name]], j_min=0)
-    tilde, breve = build_stages(base)
+    breve = build_stages(base)
     report = css.code_report(breve)
     # a full search is out of reach at these sizes; weight 2 checks the closed form
-    params = Parameters(Stored(breve, base, tilde), floor_weight=2)
+    params = Parameters(breve, floor_weight=2)
     computed = {
         "n_q": report.n,
         "k_q": report.k,
@@ -206,7 +204,7 @@ def _load_base(path: str, allow_redundant: bool) -> ChainComplex:
 
 def cmd_build(args: argparse.Namespace) -> int:
     base = _load_base(args.classical, args.allow_redundant)
-    final = save_stages(args.out, base, args.stages)[-1]
+    final = save_stages(args.out, base, args.stages)
     computed = {
         "level_sizes": {str(j): final.size(j) for j in final.levels()},
         "level_bettis": {
@@ -238,31 +236,21 @@ def _load_complex(path: str) -> ChainComplex:
 # -- provenance and parameters ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Stored:
-    """A complex with, when known, the classical code it is built from (base,
-    the length-1 complex of the checks H) and the single product of that (tilde)."""
-
-    complex_: ChainComplex
-    base: Optional[ChainComplex] = None
-    tilde: Optional[ChainComplex] = None
-
-
-def load_stored(path: str) -> Stored:
-    """The complex stored at path, with its base when classical.pcm sits beside
-    it: an input error unless the base rebuilds every stored map bit for bit."""
+def load_stored(path: str) -> ChainComplex:
+    """The complex stored at path.  With classical.pcm beside it, the
+    product rebuilt from those checks, whose factor is set: an input error
+    unless it equals every stored map bit for bit."""
     complex_ = _load_complex(path)
     pcm = os.path.join(path, "classical.pcm")
     if not os.path.exists(pcm):
-        return Stored(complex_)
+        return complex_
     base = ChainComplex([_load_classical(pcm)], j_min=0)
     built = build_stages(base, complex_.length // 2)
-    last = built[-1]
-    if (last.j_min, last.length) != (complex_.j_min, complex_.length) or not all(
-        np.array_equal(a, b) for a, b in zip(last.boundaries, complex_.boundaries)
+    if (built.j_min, built.length) != (complex_.j_min, complex_.length) or not all(
+        np.array_equal(a, b) for a, b in zip(built.boundaries, complex_.boundaries)
     ):
         raise InputError(f"{pcm!r} does not build the complex stored beside it")
-    return Stored(complex_, base, built[0])
+    return built
 
 
 def _agreeing(name: str, closed: Distance, floor: Distance) -> Distance:
@@ -277,29 +265,38 @@ def _agreeing(name: str, closed: Distance, floor: Distance) -> Distance:
 
 
 class Parameters:
-    """d_q, d_ss and the soundness threshold t for every command, each worked
-    out on first use; a d_q or t given here is used as it is.  With a base,
-    d_q and d_ss are exact from product.product_params, and a disagreement
-    with the enumeration to floor_weight, or a double product's d_q above a
-    verified logical witness, raises ContractViolation (an explicit raise,
-    kept by python -O); t is min(d(H), d(H^T)).  Without a base, d_q and
-    d_ss are the enumeration results and t must be given."""
+    """d_q, d_ss and the soundness threshold t of a complex for every command,
+    each worked out on first use; a d_q or t given here is used as it is.
+    For a product of checks H (see base), d_q and d_ss are exact from
+    product.product_params, and a disagreement with the enumeration to
+    floor_weight, or a double product's d_q above a verified logical
+    witness, raises ContractViolation (an explicit raise, kept by python
+    -O); t is min(d(H), d(H^T)).  Otherwise d_q and d_ss are the
+    enumeration results and t must be given."""
 
     def __init__(
-        self, stored: Stored, floor_weight: int, d_q: Optional[int] = None, t: Optional[int] = None
+        self, complex_: ChainComplex, floor_weight: int, d_q: Optional[int] = None, t: Optional[int] = None
     ) -> None:
-        self.stored, self.floor_weight = stored, floor_weight
+        self.complex_, self.floor_weight = complex_, floor_weight
         self._given_d_q, self._given_t = d_q, t
 
     @functools.cached_property
+    def base(self) -> Optional[ChainComplex]:
+        """The complex of the checks H, read down the factors, or None."""
+        base = self.complex_.factor
+        while base is not None and base.length > 1:
+            base = base.factor
+        return base
+
+    @functools.cached_property
     def closed(self) -> Optional[product.ProductParams]:
-        s = self.stored
-        return None if s.base is None else product.product_params(s.base, s.complex_.length // 2)
+        base = self.base
+        return None if base is None else product.product_params(base, self.complex_.length // 2)
 
     @functools.cached_property
     def classical(self) -> tuple[Distance, Distance]:
         """d(H) and d(H^T), each exact."""
-        base = self.stored.base
+        base = self.base
         return (
             chain.homological_distance(base, 0, max(base.size(0), 1)),
             chain.cohomological_distance(base, 0, max(base.size(1), 1)),
@@ -309,7 +306,7 @@ class Parameters:
     def t(self) -> Distance:
         if self._given_t is not None:
             return Distance(float(self._given_t), "exact")
-        if self.stored.base is None:
+        if self.base is None:
             raise InputError(
                 "no soundness threshold: pass --t or keep classical.pcm beside the complex"
             )
@@ -318,17 +315,16 @@ class Parameters:
     @functools.cached_property
     def witness_weight(self) -> Optional[int]:
         """Weight of a verified qubit-level logical of a double product, or None."""
-        s = self.stored
-        if s.base is None or s.complex_.length != 4 or math.isinf(self.classical[0].value):
+        if self.base is None or self.complex_.length != 4 or math.isinf(self.classical[0].value):
             return None
-        found = product.double_distance_witness(s.tilde, s.complex_, int(self.classical[0].value))
+        found = product.double_distance_witness(self.complex_, int(self.classical[0].value))
         return None if found is None else gf2.weight(found)
 
     @functools.cached_property
     def d_q(self) -> Distance:
         if self._given_d_q is not None:
             return Distance(float(self._given_d_q), "external")
-        floor = css.qubit_distance(self.stored.complex_, self.floor_weight)
+        floor = css.qubit_distance(self.complex_, self.floor_weight)
         if self.closed is None:
             return floor
         closed = self.closed.distances
@@ -342,8 +338,8 @@ class Parameters:
 
     @functools.cached_property
     def d_ss(self) -> Distance:
-        floor = css.single_shot_distance(self.stored.complex_, self.floor_weight)
-        if self.closed is None or self.stored.complex_.length != 4:
+        floor = css.single_shot_distance(self.complex_, self.floor_weight)
+        if self.closed is None or self.complex_.length != 4:
             return floor
         closed = self.closed.distances
         return _agreeing("d_ss", css.combine_distances(closed["d_1"], closed["d_-2^T"]), floor)
@@ -358,9 +354,9 @@ class Parameters:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    stored = load_stored(args.complex)
-    rep = css.code_report(stored.complex_)
-    payload = Parameters(stored, args.max_weight).report_json(rep)
+    complex_ = load_stored(args.complex)
+    rep = css.code_report(complex_)
+    payload = Parameters(complex_, args.max_weight).report_json(rep)
     text = (
         f"[[{rep.n}, {rep.k}]]  d_q: {payload['d_q']}  d_ss: {payload['d_ss']}\n"
         f"max check weight {rep.max_check_weight}, "
@@ -417,9 +413,9 @@ def _support_1based(v: np.ndarray) -> list[int]:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    stored = load_stored(args.complex)
-    code = _code_with_metachecks(stored.complex_, "sweep")
-    budget = Parameters(stored, args.max_weight, d_q=args.dq, t=args.t).budget(args.f)
+    complex_ = load_stored(args.complex)
+    code = _code_with_metachecks(complex_, "sweep")
+    budget = Parameters(complex_, args.max_weight, d_q=args.dq, t=args.t).budget(args.f)
     report = decoder.adversarial_sweep(
         code, budget, args.umax, args.emax,
         samples=args.samples, seed=args.seed, max_weight=args.max_weight,
@@ -453,8 +449,8 @@ def _support_vector(entry: dict, key: str, length: int, k: int) -> np.ndarray:
 
 
 def cmd_rounds(args: argparse.Namespace) -> int:
-    stored = load_stored(args.complex)
-    code = _code_with_metachecks(stored.complex_, "rounds")
+    complex_ = load_stored(args.complex)
+    code = _code_with_metachecks(complex_, "rounds")
     try:
         with open(args.schedule, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -477,7 +473,7 @@ def cmd_rounds(args: argparse.Namespace) -> int:
     if not schedule:
         raise InputError("schedule is empty")
     schedule = [schedule[k % len(schedule)] for k in range(args.rounds)]
-    budget = Parameters(stored, args.max_weight, d_q=args.dq, t=args.t).budget(args.f)
+    budget = Parameters(complex_, args.max_weight, d_q=args.dq, t=args.t).budget(args.f)
     records = decoder.simulate_rounds(
         code, budget, schedule, max_weight=args.max_weight
     )
@@ -526,9 +522,9 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
-    stored = load_stored(args.complex)
-    delta = _select_map(stored.complex_, args.map)
-    t = Parameters(stored, args.max_weight, t=args.t).t
+    complex_ = load_stored(args.complex)
+    delta = _select_map(complex_, args.map)
+    t = Parameters(complex_, args.max_weight, t=args.t).t
     profile = soundness.certify_map(delta, t.value, args.f, x_max=args.xmax)
     payload = profile.to_json()
     emit(args, payload, f"verdict: {profile.verdict.kind} ({profile.verdict.detail})")
@@ -536,32 +532,39 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
 
 def cmd_witness(args: argparse.Namespace) -> int:
-    stored = load_stored(args.complex)
-    if stored.base is None:
+    complex_ = load_stored(args.complex)
+    params = Parameters(complex_, args.max_weight, t=args.t)
+    if params.base is None:
         raise InputError("witness generation needs classical.pcm beside the complex")
-    h = stored.base.delta(0)
+    h = params.base.delta(0)
     s = gf2.flatten_matrix(_load_classical(args.syndrome))
     # a single product's syndromes sit at its middle level, a double's at level 1
-    level = 0 if stored.complex_.length == 2 else 1
-    if s.shape[0] != stored.complex_.size(level):
+    level = 0 if complex_.length == 2 else 1
+    if s.shape[0] != complex_.size(level):
         raise InputError(
             f"syndrome has {s.shape[0]} bits, but level {level} of the complex "
-            f"has {stored.complex_.size(level)}"
+            f"has {complex_.size(level)}"
         )
-    t = Parameters(stored, args.max_weight, t=args.t).t
+    # the witness bounds are proven only below min(d(H), d(H^T)); above it a
+    # remainder term inside the claimed range can have no preimage
+    d_h, d_ht = params.classical
+    if args.t is not None and args.t > min(d_h.value, d_ht.value):
+        raise InputError(
+            f"--t {args.t} is above the proven threshold min(d(H), d(H^T)) = "
+            f"min({d_h.to_json()['value']}, {d_ht.to_json()['value']})"
+        )
+    t = params.t
     threshold = None if math.isinf(t.value) else int(t.value)
     try:
-        # the loader admits a base only beside its single or double product
-        if stored.complex_.length == 2:
+        # the loader sets a factor only on a single or double product
+        if complex_.length == 2:
             side = {"xt": "from_redundancy", "zt": "from_checks"}.get(args.map)
             if side is None:
                 raise InputError("single-product witnesses need --map zt or xt")
-            out = soundness.single_product_preimage(
-                h, s, side, threshold, tilde=stored.complex_
-            )
+            out = soundness.single_product_preimage(h, s, side, threshold, tilde=complex_)
         else:
             out = soundness.double_product_preimage(
-                h, stored.tilde, stored.complex_, s, threshold=threshold
+                h, complex_.factor, complex_, s, threshold=threshold
             )
     except soundness.PreimageError as exc:
         raise InputError(str(exc)) from exc
@@ -650,9 +653,9 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
             f"check matrix {args.classical!r} has k = 0 (rank(H) = n = {h.shape[1]}): "
             "it has no nonzero codeword"
         )
-    tilde, breve = save_stages(args.out, base, 2)
+    breve = save_stages(args.out, base, 2)
 
-    params = Parameters(Stored(breve, base, tilde), min(args.max_weight, 3))
+    params = Parameters(breve, min(args.max_weight, 3))
     report = css.code_report(breve)
     cube = bounds.CUBIC_OVER_4
     budget = params.budget(cube)

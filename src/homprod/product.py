@@ -85,7 +85,8 @@ def double_product(a: ChainComplex) -> ChainComplex:
 
 def _tensor(x: ChainComplex, y: ChainComplex) -> ChainComplex:
     """x (x) y*, by the block rule of the module docstring, as a complex
-    that is valid by construction like its factors.
+    that is valid by construction like its factors.  A square, x (x) x*,
+    records x as its factor; any other product has none.
 
     Each map is built from its support: for each one (r, c) of an n_r x n_c
     factor map d, kron(d, I_n) has ones at (r*n + b, c*n + b), b < n, and
@@ -120,7 +121,10 @@ def _tensor(x: ChainComplex, y: ChainComplex) -> ChainComplex:
                 cols.append(start[i, j] + (a * n_r + r).ravel())
         shape = (size[m + 1], size[m])
         maps.append(gf2._from_support(shape, np.concatenate(rows), np.concatenate(cols)))
-    return ChainComplex(maps, j_min=min(levels))
+    out = ChainComplex(maps, j_min=min(levels))
+    if x is y:
+        out._factor = x
+    return out
 
 
 @dataclass(frozen=True)
@@ -229,31 +233,26 @@ def _redundancy(sizes: dict[int, int], k0: int) -> Fraction:
     return Fraction(sizes[1] + sizes[-1], sizes[0] - k0)
 
 
-def double_distance_witness(
-    tilde: ChainComplex, breve: ChainComplex, max_weight: int = 6
-) -> Optional[np.ndarray]:
-    """A qubit-level logical of the double product in product form.
+def double_distance_witness(breve: ChainComplex, max_weight: int = 6) -> Optional[np.ndarray]:
+    """A qubit-level logical of the double product breve in product form.
 
     Full enumeration at the double product's scale is hopeless, so the
     candidates are outer products of a minimum-weight middle-level cycle
-    with a minimum-weight middle-level cocycle of the input complex;
-    their weights multiply.  Returns a verified nontrivial-cycle witness,
-    or None when the search floor finds nothing.
+    with a minimum-weight middle-level cocycle of breve.factor, the
+    complex it squares; their weights multiply.  Returns a verified
+    nontrivial-cycle witness, or None when the search floor finds nothing.
     """
+    tilde = breve.factor
+    if tilde is None or tilde.length != 2:
+        raise ValueError(f"{breve!r} is not a double product")
     cycle = homological_distance(tilde, 0, max_weight)
     cocycle = cohomological_distance(tilde, -1, max_weight)
     if cycle.witness is None or cocycle.witness is None:
         return None
-    block = np.outer(cycle.witness, cocycle.witness).astype(np.uint8)
-    n_a = tilde.size(-1) ** 2
-    n_c = tilde.size(1) ** 2
-    r = np.concatenate(
-        [
-            np.zeros(n_a, dtype=np.uint8),
-            gf2.flatten_matrix(block),
-            np.zeros(n_c, dtype=np.uint8),
-        ]
-    )
+    # the outer product fills the middle block of level 0, tilde_0 (x) tilde_0
+    start = tilde.size(-1) ** 2
+    r = np.zeros(breve.size(0), dtype=np.uint8)
+    r[start : start + tilde.size(0) ** 2] = np.outer(cycle.witness, cocycle.witness).ravel()
     if gf2.mat_vec(breve.delta(0), r).any():
         return None
     if gf2.get_solver(breve.delta(-1)).in_image(r):

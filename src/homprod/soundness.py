@@ -296,21 +296,14 @@ class SingleWitness:
     reductions: int
 
 
-def _require_levels(
-    c: ChainComplex, j_min: int, sizes: list[int], what: Callable[[], str]
-) -> None:
-    """Raise ValueError naming what c should be, what(), unless it spans
-    levels j_min.. with these sizes, read from its maps' shapes.  The name
-    is built only on failure: a repr can cost more than the check."""
-    shapes = [(n_out, n_in) for n_in, n_out in zip(sizes, sizes[1:])]
-    if c.j_min != j_min or [m.shape for m in c.boundaries] != shapes:
-        raise ValueError(f"{c!r} is not {what()}")
-
-
-def _require_single_product(h: np.ndarray, tilde: ChainComplex) -> None:
-    n1, n0 = h.shape
-    sizes = [n0 * n1, n0 * n0 + n1 * n1, n1 * n0]
-    _require_levels(tilde, -1, sizes, lambda: f"the single product of a {n1}x{n0} matrix")
+def _checks_of(tilde: ChainComplex, h: np.ndarray) -> np.ndarray:
+    """h as tilde.factor holds it, a read-only owner that the memos hold on;
+    ValueError unless tilde is the single product of checks equal to h."""
+    base = tilde.factor
+    if base is None or base.length != 1 or not np.array_equal(base.boundaries[0], h):
+        n1, n0 = h.shape
+        raise ValueError(f"{tilde!r} is not the single product of a {n1}x{n0} matrix equal to h")
+    return base.boundaries[0]
 
 
 def _single_map_pieces(h: np.ndarray, tilde: ChainComplex, map_side: str):
@@ -382,17 +375,16 @@ def single_product_preimage(
     bound flag is dropped.
 
     tilde is the single product of h, built here when not given; pass it
-    to reuse the solvers memoised on its maps.
+    to reuse the solvers memoised on its maps.  h is read from its factor,
+    and ValueError raised unless the two are equal.
     """
     h = gf2.as_bin(h)
-    n1, n0 = h.shape
-    s = gf2.as_bin(s).reshape(-1)
-    if s.shape[0] != n0 * n0 + n1 * n1:
-        raise ValueError("syndrome length does not match the product's middle level")
     if tilde is None:
         tilde = product.single_product(ChainComplex([h], j_min=0))
-    else:
-        _require_single_product(h, tilde)
+    h = _checks_of(tilde, h)
+    s = gf2.as_bin(s).reshape(-1)
+    if s.shape[0] != tilde.size(0):
+        raise ValueError("syndrome length does not match the product's middle level")
     the_map, shape, col_test, row_test = _single_map_pieces(h, tilde, map_side)
     r0 = gf2.get_solver(the_map).solve(s)
     if r0 is None:
@@ -660,28 +652,22 @@ def double_product_preimage(
     guarantee and is an AssertionError.  A witness is returned only once
     it solves s, which proves that s is in the image.
 
-    Every solver is memoised on a map of tilde or breve, so repeated calls
-    on one pair of complexes eliminate each map at most once, and the
-    qubit map only on a failure or a fallback.  The returned witness and
-    its state share no memory with the caller's s.
+    tilde is the single product of h and breve that of tilde, as their
+    factors record (ValueError otherwise); h is read from tilde.factor.
+    Every solver is memoised on h or a map of tilde or breve, so repeated
+    calls on one pair of complexes eliminate each map at most once, and
+    the qubit map only on a failure or a fallback.  The returned witness
+    and its state share no memory with the caller's s.
     """
-    h = gf2.as_bin(h)
+    h = _checks_of(tilde, gf2.as_bin(h))
+    if breve.factor is not tilde:
+        raise ValueError(f"{breve!r} is not the double product of {tilde!r}")
     s = gf2.as_bin(s).reshape(-1)
-    _require_single_product(h, tilde)
     d_low, d_high = tilde.delta(-1), tilde.delta(0)
     n_0, n_m1 = d_low.shape
     n_1 = d_high.shape[0]
     len_l = n_0 * n_m1
-    # levels -2..2 of tilde (x) tilde*: sum of n_i n_j over i - j = level
-    sizes = [
-        n_m1 * n_1,
-        n_m1 * n_0 + n_0 * n_1,
-        n_m1**2 + n_0**2 + n_1**2,
-        len_l + n_1 * n_0,
-        n_1 * n_m1,
-    ]
-    _require_levels(breve, -2, sizes, lambda: f"the double product of {tilde!r}")
-    if s.shape[0] != sizes[3]:
+    if s.shape[0] != breve.size(1):
         raise ValueError("syndrome length does not match the double product's checks")
     if gf2.mat_vec(breve.delta(1), s).any():
         raise PreimageError("syndrome fails the metachecks")
@@ -693,8 +679,10 @@ def double_product_preimage(
     x = gf2.weight(s)
     guaranteed = threshold is not None and x < threshold
 
+    # the middle-block map is built from both of tilde's maps, so it is
+    # memoised on h, which they are a function of
     mid_solver = gf2.memo(
-        d_high, "mid_map_solver", lambda d: gf2.Gf2Solver(np.kron(d, d_low.T))
+        h, "mid_map_solver", lambda _: gf2.Gf2Solver(np.kron(d_high, d_low.T))
     )
     r_b0 = mid_solver.solve(gf2.mat_mul(d_high, s_l_mat).reshape(-1))
     if r_b0 is None:
@@ -716,7 +704,7 @@ def double_product_preimage(
     # the lowest map; each leftover row likewise under the highest
     left_terms = _terms((s_l_mat ^ state.rb_d_low).T)
     right_terms = _terms(s_r_mat ^ state.d_high_rb)
-    r = np.zeros(sizes[2], dtype=np.uint8)
+    r = np.zeros(breve.size(0), dtype=np.uint8)
     # r's three blocks are views of it, so a kept witness holds each bit once
     a_end = n_m1 * n_m1
     b_end = a_end + n_0 * n_0

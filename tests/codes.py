@@ -1,7 +1,10 @@
-"""Classical codes, their products and the decoder budgets that several
-test modules share; conftest.py holds the fixtures built from them."""
+"""Classical codes, their products, the decoder budgets and the
+middle-block helpers that several test modules share; conftest.py holds
+the fixtures built from them."""
 
 import math
+
+import numpy as np
 
 from homprod import bounds, decoder, gf2, product
 from homprod.chain import ChainComplex, Distance
@@ -39,3 +42,54 @@ def budget241():
         Distance(9, "external"),  # witnessed <= 9; equality is an external result
         bounds.CUBIC_OVER_4,
     )
+
+
+def make_error_state(tilde, rng, weight):
+    """A partial-decode input triple harvested from an actual error."""
+    n_m1, n_0, n_1 = tilde.size(-1), tilde.size(0), tilde.size(1)
+    r_a = gf2.zeros(n_m1, n_m1)
+    r_b = gf2.zeros(n_0, n_0)
+    r_c = gf2.zeros(n_1, n_1)
+    total = n_m1 * n_m1 + n_0 * n_0 + n_1 * n_1
+    for flat in rng.choice(total, size=weight, replace=False):
+        if flat < n_m1 * n_m1:
+            r_a[flat // n_m1, flat % n_m1] ^= 1
+        elif flat < n_m1 * n_m1 + n_0 * n_0:
+            flat -= n_m1 * n_m1
+            r_b[flat // n_0, flat % n_0] ^= 1
+        else:
+            flat -= n_m1 * n_m1 + n_0 * n_0
+            r_c[flat // n_1, flat % n_1] ^= 1
+    d_low, d_high = tilde.delta(-1), tilde.delta(0)
+    s_l = gf2.mat_mul(d_low, r_a) ^ gf2.mat_mul(r_b, d_low)
+    s_r = gf2.mat_mul(d_high, r_b) ^ gf2.mat_mul(r_c, d_high)
+    return r_b, s_l, s_r
+
+
+def check_partial_properties(state, tilde):
+    d_low, d_high = tilde.delta(-1), tilde.delta(0)
+    # correctness and the declared support conditions
+    assert (gf2.mat_mul(gf2.mat_mul(d_high, state.r_b), d_low) == state.m).all()
+    assert all(state.support_conditions(d_high, d_low))
+    # middle block no heavier than the product of syndrome block weights
+    assert gf2.weight(state.r_b) <= gf2.weight(state.s_l) * gf2.weight(state.s_r)
+    # left remainder: kernel columns confined to the left block's supports
+    q_l = state.s_l ^ gf2.mat_mul(state.r_b, d_low)
+    assert gf2.row_support(q_l) <= gf2.row_support(state.s_l)
+    assert gf2.col_support(q_l) <= gf2.col_support(state.s_l)
+    w_l = gf2.weight(state.s_l)
+    cols = [q_l[:, j] for j in np.flatnonzero(q_l.any(axis=0))]
+    assert len(cols) <= w_l
+    for alpha in cols:
+        assert gf2.weight(alpha) <= w_l
+        assert not gf2.mat_vec(d_high, alpha).any()
+    # right remainder: mirrored
+    q_r = state.s_r ^ gf2.mat_mul(d_high, state.r_b)
+    assert gf2.row_support(q_r) <= gf2.row_support(state.s_r)
+    assert gf2.col_support(q_r) <= gf2.col_support(state.s_r)
+    w_r = gf2.weight(state.s_r)
+    rows = [q_r[i] for i in np.flatnonzero(q_r.any(axis=1))]
+    assert len(rows) <= w_r
+    for beta in rows:
+        assert gf2.weight(beta) <= w_r
+        assert not gf2.mat_vec(d_low.T, beta).any()

@@ -6,7 +6,10 @@ from hypothesis import settings
 
 from homprod import css, product
 
-from codes import CYC3, REP2, REP3, double, single
+# codes.py holds shared assertion helpers: rewrite them as in a test module
+pytest.register_assert_rewrite("codes")
+
+from codes import CYC3, REP2, REP3, double, single  # noqa: E402
 
 # exhaustive GF(2) searches have high per-example variance (cache warmup,
 # machine load); correctness is what the properties check, not latency

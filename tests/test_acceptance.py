@@ -14,7 +14,9 @@ import numpy as np
 
 from homprod import bounds, chain, cli, css, decoder, gf2, product, soundness, stab
 
-from codes import CYC3, REP2, REP3, budget241, budget33, complex_of
+from codes import (
+    CYC3, REP2, REP3, budget241, budget33, check_partial_properties, complex_of, make_error_state,
+)
 
 REP4 = gf2.as_bin([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]])
 SIX_TWO = cli.TABLE1_INPUTS["row4"]
@@ -224,65 +226,19 @@ def test_criterion_06_cubic_constructive_bound(
     ok(6, f"cubic constructive bound ({in_range} in-range samples)")
 
 
-def _middle_block_properties(state, tilde):
-    d_low, d_high = tilde.delta(-1), tilde.delta(0)
-    assert (gf2.mat_mul(gf2.mat_mul(d_high, state.r_b), d_low) == state.m).all()
-    conditions = state.support_conditions(d_high, d_low)
-    assert all(conditions), f"support conditions failed: {conditions}"
-    w_l, w_r = gf2.weight(state.s_l), gf2.weight(state.s_r)
-    assert gf2.weight(state.r_b) <= w_l * w_r
-    q_l = state.s_l ^ gf2.mat_mul(state.r_b, d_low)
-    assert gf2.row_support(q_l) <= gf2.row_support(state.s_l)
-    assert gf2.col_support(q_l) <= gf2.col_support(state.s_l)
-    cols = [q_l[:, j] for j in np.flatnonzero(q_l.any(axis=0))]
-    assert len(cols) <= w_l
-    for alpha in cols:
-        assert gf2.weight(alpha) <= w_l
-        assert not gf2.mat_vec(d_high, alpha).any()
-    q_r = state.s_r ^ gf2.mat_mul(d_high, state.r_b)
-    assert gf2.row_support(q_r) <= gf2.row_support(state.s_r)
-    assert gf2.col_support(q_r) <= gf2.col_support(state.s_r)
-    rows = [q_r[i] for i in np.flatnonzero(q_r.any(axis=1))]
-    assert len(rows) <= w_r
-    for beta in rows:
-        assert gf2.weight(beta) <= w_r
-        assert not gf2.mat_vec(d_low.T, beta).any()
-
-
-def _random_error_state(tilde, rng, weight):
-    n_m1, n_0, n_1 = tilde.size(-1), tilde.size(0), tilde.size(1)
-    r_a = gf2.zeros(n_m1, n_m1)
-    r_b = gf2.zeros(n_0, n_0)
-    r_c = gf2.zeros(n_1, n_1)
-    total = n_m1 * n_m1 + n_0 * n_0 + n_1 * n_1
-    for flat in rng.choice(total, size=weight, replace=False):
-        if flat < n_m1 * n_m1:
-            r_a[flat // n_m1, flat % n_m1] ^= 1
-        elif flat < n_m1 * n_m1 + n_0 * n_0:
-            flat -= n_m1 * n_m1
-            r_b[flat // n_0, flat % n_0] ^= 1
-        else:
-            flat -= n_m1 * n_m1 + n_0 * n_0
-            r_c[flat // n_1, flat % n_1] ^= 1
-    d_low, d_high = tilde.delta(-1), tilde.delta(0)
-    s_l = gf2.mat_mul(d_low, r_a) ^ gf2.mat_mul(r_b, d_low)
-    s_r = gf2.mat_mul(d_high, r_b) ^ gf2.mat_mul(r_c, d_high)
-    return r_b, s_l, s_r
-
-
 def test_criterion_07_partial_decoder_properties(tilde_rep2, tilde_rep3):
     rng = np.random.default_rng(7)
     instances = 0
     for tilde, count, wmax in ((tilde_rep2, 700, 6), (tilde_rep3, 300, 5)):
         for _ in range(count):
-            r_b, s_l, s_r = _random_error_state(
+            r_b, s_l, s_r = make_error_state(
                 tilde, rng, int(rng.integers(1, wmax))
             )
             state = soundness.partial_decode(
                 r_b, s_l, s_r, tilde.delta(0), tilde.delta(-1),
                 check_every_step=True,  # M is asserted after every transform
             )
-            _middle_block_properties(state, tilde)
+            check_partial_properties(state, tilde)
             instances += 1
     assert instances >= 1000
     ok(7, f"partial decoder properties ({instances} instances)")

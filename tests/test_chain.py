@@ -284,6 +284,12 @@ class TestSerialization:
         for j in range(s.j_min, s.j_max):
             assert (loaded.delta(j) == s.delta(j)).all()
 
+    def test_a_loaded_complex_has_no_factor(self, tmp_path):
+        # whatever it was saved from: a loaded complex has no provenance
+        s = product.single_product(rep3_minimal())
+        chain.save_complex(tmp_path / "c", s)
+        assert s.factor is not None and chain.load_complex(tmp_path / "c").factor is None
+
     def test_manifest_contents(self, tmp_path):
         chain.save_complex(tmp_path / "c", rep3_minimal())
         text = (tmp_path / "c" / "manifest.txt").read_text()

@@ -820,6 +820,16 @@ class TestOneCodeReport:
         assert searches == [2]
 
 
+def test_load_stored_rebuilds_the_product_with_its_factors(rep3_build):
+    complex_ = cli.load_stored(rep3_build)
+    classical = gf2.read_pcm(os.path.join(rep3_build, "classical.pcm"))
+    assert (complex_.factor.factor.delta(0) == classical).all()
+    stored = chain.load_complex(rep3_build)
+    assert all((a == b).all() for a, b in zip(complex_.boundaries, stored.boundaries))
+    os.remove(os.path.join(rep3_build, "classical.pcm"))
+    assert cli.load_stored(rep3_build).factor is None
+
+
 class TestSoundnessCommands:
     @pytest.mark.parametrize(
         "argv", [["certify", "--map", "z"], ["witness", "--syndrome", "s.pcm"]],
@@ -888,6 +898,27 @@ class TestSoundnessCommands:
             err = capsys.readouterr().err
             assert err.startswith("input error: syndrome has 12 bits")
             assert "Traceback" not in err
+
+    def test_witness_t_above_the_proven_threshold_is_an_input_error(
+        self, tmp_path, capsys, rep3_build
+    ):
+        # rep-3: d(H) = 3, d(H^T) = inf.  At --t 100 this syndrome's remainder
+        # terms have no preimage although they sit inside the claimed range
+        breve = chain.load_complex(rep3_build)
+        r = np.zeros(breve.size(0), dtype=np.uint8)
+        r[[91, 158, 183]] = 1
+        s = gf2.mat_vec(breve.delta(0), r)
+        assert gf2.weight(s) == 10
+        syn = tmp_path / "syn.pcm"
+        gf2.write_pcm(syn, s.reshape(1, -1))
+        argv = ["witness", "--complex", rep3_build, "--syndrome", str(syn), "--quiet"]
+        capsys.readouterr()
+        assert run(*argv, "--t", "100") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: --t 100 is above the proven threshold")
+        assert "min(3, inf)" in err and "Traceback" not in err
+        assert run(*argv, "--t", "4") == 2
+        assert run(*argv, "--t", "3") == 0
 
     def test_witness_single(self, tmp_path, rep2_pcm):
         out_dir = tmp_path / "rep2s"
@@ -1038,7 +1069,7 @@ class TestTable1:
 
         monkeypatch.setattr(gf2.Gf2Solver, "__init__", counting)
         monkeypatch.setattr(gf2.Gf2Solver, "in_image", asking)
-        witness = product.double_distance_witness(tilde, breve, max_weight=3)
+        witness = product.double_distance_witness(breve, max_weight=3)
         assert witness is not None and gf2.weight(witness) == 9
         assert not any(builds)
         assert asked[-1] is solver
@@ -1176,11 +1207,11 @@ class TestCheckedDq:
     @pytest.fixture()
     def rep2_d_q(self, monkeypatch):
         base = ChainComplex([REP2], j_min=0)
-        tilde, breve = cli.build_stages(base)
+        breve = cli.build_stages(base)
 
         def d_q(floor):
             monkeypatch.setattr(css, "qubit_distance", lambda complex_, max_weight: floor)
-            return cli.Parameters(cli.Stored(breve, base, tilde), 4).d_q
+            return cli.Parameters(breve, 4).d_q
 
         return d_q
 
@@ -1194,10 +1225,10 @@ class TestCheckedDq:
         code = (
             "from homprod import chain, cli, css, gf2\n"
             "base = chain.ChainComplex([gf2.as_bin([[1, 1]])], j_min=0)\n"
-            "tilde, breve = cli.build_stages(base)\n"
+            "breve = cli.build_stages(base)\n"
             "css.qubit_distance = lambda c, w: chain.Distance(5, 'lower_bound')\n"
             "try:\n"
-            "    cli.Parameters(cli.Stored(breve, base, tilde), 4).d_q\n"
+            "    cli.Parameters(breve, 4).d_q\n"
             "except cli.ContractViolation:\n"
             "    raise SystemExit(7)\n"
         )

@@ -288,7 +288,7 @@ class TestCodeReport:
     def test_table1_row_report_copies_no_transpose(self, monkeypatch):
         from homprod import cli
 
-        _, breve = cli.build_stages(ChainComplex([cli.TABLE1_INPUTS["row4"]], j_min=0))
+        breve = cli.build_stages(ChainComplex([cli.TABLE1_INPUTS["row4"]], j_min=0))
         copies = []
         real = css._transposed
 

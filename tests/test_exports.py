@@ -1,5 +1,6 @@
 import ast
 import importlib
+import inspect
 import pathlib
 
 import pytest
@@ -31,21 +32,28 @@ def test_no_assert_statements_in_the_package():
     assert found == []
 
 
+LAYERS = {"gf2", "chain", "product", "css", "decoder", "soundness", "cli"}
+
+
+def _benchmark_tree() -> ast.Module:
+    path = pathlib.Path(__file__).parents[1] / "perfbench" / "workloads.py"
+    return ast.parse(path.read_text(encoding="utf-8"), str(path))
+
+
+def _is_layer_name(node) -> bool:
+    return (
+        isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in LAYERS
+    )
+
+
 def test_every_name_the_benchmark_calls_resolves():
     # perfbench/workloads.py calls the package as `<module>.<name>` after a
     # `from homprod import <module>`; a renamed or deleted name would only
     # fail there, in a benchmark run, so check each one resolves here
-    layers = {"gf2", "chain", "product", "css", "decoder", "soundness", "cli"}
-    path = pathlib.Path(__file__).parents[1] / "perfbench" / "workloads.py"
-    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
     used = sorted(
-        {
-            (node.value.id, node.attr)
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute)
-            and isinstance(node.value, ast.Name)
-            and node.value.id in layers
-        }
+        {(node.value.id, node.attr) for node in ast.walk(_benchmark_tree()) if _is_layer_name(node)}
     )
     assert len(used) >= 12
     missing = [
@@ -54,3 +62,27 @@ def test_every_name_the_benchmark_calls_resolves():
         if not hasattr(importlib.import_module(f"homprod.{module}"), name)
     ]
     assert missing == []
+
+
+def test_every_call_the_benchmark_makes_binds():
+    # likewise for each `<module>.<name>(...)` call's arity and keyword
+    # names: a changed signature fails here, not in a benchmark run
+    calls = [
+        node
+        for node in ast.walk(_benchmark_tree())
+        if isinstance(node, ast.Call) and _is_layer_name(node.func)
+    ]
+    assert len(calls) >= 14
+    unbound = []
+    for call in calls:
+        module, name = call.func.value.id, call.func.attr
+        assert not any(isinstance(a, ast.Starred) for a in call.args)
+        assert all(k.arg is not None for k in call.keywords)
+        obj = getattr(importlib.import_module(f"homprod.{module}"), name)
+        try:
+            inspect.signature(obj).bind(
+                *[None] * len(call.args), **{k.arg: None for k in call.keywords}
+            )
+        except TypeError as exc:
+            unbound.append(f"{module}.{name} at line {call.lineno}: {exc}")
+    assert unbound == []

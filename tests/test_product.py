@@ -123,6 +123,17 @@ class TestSingleProduct:
         with pytest.raises(ValueError):
             product.single_product(s)
 
+    def test_a_product_records_the_complex_it_squares(self):
+        a = complex_of(REP3)
+        tilde = product.single_product(a)
+        assert a.factor is None
+        assert tilde.factor is a
+        assert product.double_product(tilde).factor is tilde
+        # a product of two different complexes squares neither
+        assert product._tensor(a, complex_of(REP2)).factor is None
+        with pytest.raises(AttributeError):
+            tilde.factor = a
+
 
 class TestDoubleProduct:
     def test_rep3(self):
@@ -436,9 +447,9 @@ class TestProductDistances:
     @pytest.mark.parametrize("name", sorted(cli.TABLE1_INPUTS))
     def test_equals_table1_witness(self, name):
         base = complex_of(cli.TABLE1_INPUTS[name])
-        tilde, breve = cli.build_stages(base)
+        breve = cli.build_stages(base)
         d = chain.homological_distance(base, 0, base.size(0))
-        witness = product.double_distance_witness(tilde, breve, max_weight=int(d.value))
+        witness = product.double_distance_witness(breve, max_weight=int(d.value))
         assert witness is not None
         closed = product.product_params(base).distances
         assert closed["d_0"].value == closed["d_-1^T"].value == gf2.weight(witness)

@@ -12,7 +12,7 @@ import pytest
 from homprod import bounds, chain, gf2, product, soundness, stab
 from homprod.chain import ChainComplex
 
-from codes import REP2, REP3, single
+from codes import REP2, REP3, check_partial_properties, make_error_state, single
 
 # partial_decode's counter totals and digest over the seeded batch of
 # TestPartialDecode.test_pinned_batch_digest: a change to any loop's order
@@ -249,6 +249,19 @@ class TestSingleProductPreimage:
                     given.reductions,
                 )
 
+    def test_rejects_tilde_of_other_checks_of_the_same_shape(self, tilde_rep3):
+        # the paper's bounds are proved only for tilde = single_product(H)
+        h = gf2.as_bin([[1, 0, 1], [1, 1, 0]])
+        rng = np.random.default_rng(28)
+        for side, delta in (
+            ("from_checks", tilde_rep3.delta(0).T),
+            ("from_redundancy", tilde_rep3.delta(-1)),
+        ):
+            for _ in range(20):
+                s = gf2.mat_vec(delta, rng.integers(0, 2, size=delta.shape[1], dtype=np.uint8))
+                with pytest.raises(ValueError, match="single product"):
+                    soundness.single_product_preimage(h, s, side, 3, tilde=tilde_rep3)
+
     def test_rejects_mismatched_tilde(self, tilde_rep2, tilde_rep3):
         zero = np.zeros(13, dtype=np.uint8)
         for wrong in (tilde_rep2, product.double_product(tilde_rep2)):
@@ -375,57 +388,6 @@ class TestSingleProductPreimage:
             [sys.executable, "-O", "-c", code, str(inputs)], env=env
         )
         assert proc.returncode == 7
-
-
-def make_error_state(tilde, rng, weight):
-    """A partial-decode input triple harvested from an actual error."""
-    n_m1, n_0, n_1 = tilde.size(-1), tilde.size(0), tilde.size(1)
-    r_a = gf2.zeros(n_m1, n_m1)
-    r_b = gf2.zeros(n_0, n_0)
-    r_c = gf2.zeros(n_1, n_1)
-    total = n_m1 * n_m1 + n_0 * n_0 + n_1 * n_1
-    for flat in rng.choice(total, size=weight, replace=False):
-        if flat < n_m1 * n_m1:
-            r_a[flat // n_m1, flat % n_m1] ^= 1
-        elif flat < n_m1 * n_m1 + n_0 * n_0:
-            flat -= n_m1 * n_m1
-            r_b[flat // n_0, flat % n_0] ^= 1
-        else:
-            flat -= n_m1 * n_m1 + n_0 * n_0
-            r_c[flat // n_1, flat % n_1] ^= 1
-    d_low, d_high = tilde.delta(-1), tilde.delta(0)
-    s_l = gf2.mat_mul(d_low, r_a) ^ gf2.mat_mul(r_b, d_low)
-    s_r = gf2.mat_mul(d_high, r_b) ^ gf2.mat_mul(r_c, d_high)
-    return r_b, s_l, s_r
-
-
-def check_partial_properties(state, tilde):
-    d_low, d_high = tilde.delta(-1), tilde.delta(0)
-    # correctness and the declared support conditions
-    assert (gf2.mat_mul(gf2.mat_mul(d_high, state.r_b), d_low) == state.m).all()
-    assert all(state.support_conditions(d_high, d_low))
-    # middle block no heavier than the product of syndrome block weights
-    assert gf2.weight(state.r_b) <= gf2.weight(state.s_l) * gf2.weight(state.s_r)
-    # left remainder: kernel columns confined to the left block's supports
-    q_l = state.s_l ^ gf2.mat_mul(state.r_b, d_low)
-    assert gf2.row_support(q_l) <= gf2.row_support(state.s_l)
-    assert gf2.col_support(q_l) <= gf2.col_support(state.s_l)
-    w_l = gf2.weight(state.s_l)
-    cols = [q_l[:, j] for j in np.flatnonzero(q_l.any(axis=0))]
-    assert len(cols) <= w_l
-    for alpha in cols:
-        assert gf2.weight(alpha) <= w_l
-        assert not gf2.mat_vec(d_high, alpha).any()
-    # right remainder: mirrored
-    q_r = state.s_r ^ gf2.mat_mul(d_high, state.r_b)
-    assert gf2.row_support(q_r) <= gf2.row_support(state.s_r)
-    assert gf2.col_support(q_r) <= gf2.col_support(state.s_r)
-    w_r = gf2.weight(state.s_r)
-    rows = [q_r[i] for i in np.flatnonzero(q_r.any(axis=1))]
-    assert len(rows) <= w_r
-    for beta in rows:
-        assert gf2.weight(beta) <= w_r
-        assert not gf2.mat_vec(d_low.T, beta).any()
 
 
 def reference_partial_decode(r_b, s_l, s_r, d_high, d_low):
@@ -650,6 +612,15 @@ class TestPartialDecode:
             )
 
 
+def _error_syndromes(breve, rng, count):
+    """Syndromes of count seeded weight-2 qubit errors of breve."""
+    n = breve.size(0)
+    for _ in range(count):
+        r0 = np.zeros(n, dtype=np.uint8)
+        r0[rng.choice(n, size=2, replace=False)] = 1
+        yield gf2.mat_vec(breve.delta(0), r0)
+
+
 class TestDoubleProductPreimage:
     def test_zero(self, tilde_rep2, breve_rep2):
         zero = np.zeros(breve_rep2.size(1), dtype=np.uint8)
@@ -734,6 +705,29 @@ class TestDoubleProductPreimage:
         s = gf2.mat_vec(breve.delta(0), np.eye(1, 241, 7, dtype=np.uint8)[0])
         with pytest.raises(ValueError, match=r"levels -2\.\.2.* is not the double product of"):
             soundness.double_product_preimage(REP2, tilde_rep2, breve, s, threshold=2)
+
+    def test_rejects_checks_tilde_is_not_built_from(self, tilde_rep3, breve_rep3):
+        # same shape as rep-3's checks: only tilde's factor tells them apart
+        h = gf2.as_bin([[1, 0, 1], [1, 1, 0]])
+        for s in _error_syndromes(breve_rep3, np.random.default_rng(28), 20):
+            with pytest.raises(ValueError, match="not the single product"):
+                soundness.double_product_preimage(h, tilde_rep3, breve_rep3, s, threshold=3)
+
+    def test_refuses_a_complex_that_shares_a_map_with_tilde(self):
+        # a fresh tilde, so that no memo on it is warm; other shares tilde's
+        # d_0 array, so a solver memoised on d_0 alone would serve both
+        tilde = single(REP3)
+        other = ChainComplex([tilde.delta(-1)[:, ::-1], tilde.delta(0)], j_min=-1)
+        assert other.delta(0) is tilde.delta(0)
+        rng = np.random.default_rng(28)
+        breve_other = product.double_product(other)
+        for s in _error_syndromes(breve_other, rng, 50):
+            with pytest.raises(ValueError, match="not the single product"):
+                soundness.double_product_preimage(REP3, other, breve_other, s, threshold=3)
+        breve = product.double_product(tilde)
+        for s in _error_syndromes(breve, rng, 50):
+            out = soundness.double_product_preimage(REP3, tilde, breve, s, threshold=3)
+            assert (gf2.mat_vec(breve.delta(0), out.r) == s).all()
 
     def test_each_map_eliminated_once(self, solver_builds):
         # the middle-block map and tilde's two middle-level maps: one
@@ -982,7 +976,7 @@ class TestProfileDigest:
 
         digest = hashlib.sha256()
         rows = [
-            cli.build_stages(ChainComplex([cli.TABLE1_INPUTS[name]], j_min=0))[1]
+            cli.build_stages(ChainComplex([cli.TABLE1_INPUTS[name]], j_min=0))
             for name in ("row1", "row2")
         ]
         for breve, x_max in [(breve_rep2, 4)] + [(b, 3) for b in rows]:

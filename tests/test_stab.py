@@ -462,7 +462,7 @@ class TestStabDigest:
         # the diagonal frame of a Table I double product's Z and X checks
         from homprod import cli
 
-        _, breve = cli.build_stages(ChainComplex([cli.TABLE1_INPUTS[name]], j_min=0))
+        breve = cli.build_stages(ChainComplex([cli.TABLE1_INPUTS[name]], j_min=0))
         code = css.from_complex(breve)
         diag = stab.diagonalize(stab.SymplecticChecks.from_css(code.z_checks, code.x_checks))
         digest = hashlib.sha256()
