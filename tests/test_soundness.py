@@ -22,6 +22,10 @@ PINNED_DIGEST = "2b493c50b307a28cd89ab40e844274332d113e3ffdacd489f6a65ade888246a
 # digests over every output of the witness batches of TestWitnessDigests
 PINNED_DOUBLE_DIGEST = "049c7d29c465561cb7eb1a7cfc12710267283b6e794631359639ac7131ce60c6"
 PINNED_SINGLE_DIGEST = "0b90c099294bf934f867bbd783693864a29e95e9f70067e429c9171050253f72"
+# digest over the states and remainder terms of the same double-product batches
+PINNED_STATE_TERMS_DIGEST = "73c745b75f562714971328d303d65fdfdfdf74e7ba23e9ae91dfd297463af50c"
+# the matrices a PartialDecodeState holds
+STATE_MATRICES = ("r_b", "s_l", "s_r", "m", "rb_d_low", "d_high_rb")
 # sha256 over the items, in order, of pauli_weight_table on the seeded
 # corpus of TestCertifyChecks.test_pauli_weight_tables_are_pinned
 # sha256 over every profile_map output of TestProfileDigest
@@ -584,7 +588,7 @@ class TestPartialDecode:
                     )
                     for flag in (True, False)
                 )
-                for name in ("r_b", "s_l", "s_r", "m", "rb_d_low", "d_high_rb"):
+                for name in STATE_MATRICES:
                     assert (getattr(checked, name) == getattr(unchecked, name)).all()
                 assert checked.loop_counters == unchecked.loop_counters
                 assert checked.passes == unchecked.passes
@@ -810,7 +814,7 @@ class TestDoubleProductPreimage:
         out = soundness.double_product_preimage(REP3, tilde_rep3, breve, s, threshold=3)
         assert out.left_terms and out.right_terms and not out.used_fallback
         kept = [out.r, out.r_a, out.r_b, out.r_c] + [
-            getattr(out.state, name) for name in ("r_b", "s_l", "s_r", "m", "rb_d_low", "d_high_rb")
+            getattr(out.state, name) for name in STATE_MATRICES
         ] + [term.vector for term in out.left_terms + out.right_terms]
         assert not any(np.shares_memory(a, s) for a in kept)
         assert np.shares_memory(out.r_a, out.r) and np.shares_memory(out.r_c, out.r)
@@ -831,9 +835,11 @@ class TestWitnessDigests:
     """Every output of both witness constructions over seeded batches, pinned:
     a change to any loop, tie-break or counter changes a digest."""
 
-    def test_double_product_batches(self, tilde_rep2, breve_rep2, tilde_rep3):
-        digest = hashlib.sha256()
-        fallbacks = 0
+    @staticmethod
+    def double_witnesses(tilde_rep2, breve_rep2, tilde_rep3):
+        """The double-product witness of every syndrome of both batches: all
+        errors of weight 0-2 on rep-2's 33 qubits (t = 2), then 400 seeded
+        errors of weight 1-3 on rep-3's 241 qubits (t = 3)."""
         breve_rep3 = product.double_product(tilde_rep3)
         batches = [
             (REP2, tilde_rep2, breve_rep2, 2,
@@ -848,16 +854,41 @@ class TestWitnessDigests:
                 r0 = np.zeros(n, dtype=np.uint8)
                 r0[list(support)] = 1
                 s = gf2.mat_vec(breve.delta(0), r0)
-                out = soundness.double_product_preimage(h, tilde, breve, s, threshold=t)
-                state = out.state
-                _feed(
-                    digest, out.r, out.r_a, out.r_b, out.r_c,
-                    [out.bound_guaranteed, out.used_fallback],
-                    None if state is None else state.loop_counters + [state.passes],
-                )
-                fallbacks += out.used_fallback
+                yield soundness.double_product_preimage(h, tilde, breve, s, threshold=t)
+
+    def test_double_product_batches(self, tilde_rep2, breve_rep2, tilde_rep3):
+        digest = hashlib.sha256()
+        fallbacks = 0
+        for out in self.double_witnesses(tilde_rep2, breve_rep2, tilde_rep3):
+            state = out.state
+            _feed(
+                digest, out.r, out.r_a, out.r_b, out.r_c,
+                [out.bound_guaranteed, out.used_fallback],
+                None if state is None else state.loop_counters + [state.passes],
+            )
+            fallbacks += out.used_fallback
         assert fallbacks > 0
         assert digest.hexdigest() == PINNED_DOUBLE_DIGEST
+
+    def test_double_product_states_and_terms(self, tilde_rep2, breve_rep2, tilde_rep3):
+        # the state's six matrices and every remainder term, which the
+        # digest above reaches only through r
+        digest = hashlib.sha256()
+        terms = 0
+        for out in self.double_witnesses(tilde_rep2, breve_rep2, tilde_rep3):
+            state = out.state
+            if state is None:
+                _feed(digest, None)
+            else:
+                for name in STATE_MATRICES:
+                    matrix = getattr(state, name)
+                    _feed(digest, list(matrix.shape), matrix)
+            _feed(digest, [len(out.left_terms), len(out.right_terms)])
+            for term in out.left_terms + out.right_terms:
+                _feed(digest, [term.index], term.vector)
+            terms += len(out.left_terms) + len(out.right_terms)
+        assert terms > 0
+        assert digest.hexdigest() == PINNED_STATE_TERMS_DIGEST
 
     def test_single_product_batches(self):
         digest = hashlib.sha256()
