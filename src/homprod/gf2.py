@@ -225,6 +225,7 @@ def _row_ints(m: np.ndarray) -> list[int]:
 
     A read-only m is packed from its memoised support; a writable one has
     none to keep, so its dense rows are packed directly, one scan either way.
+    Rows of at most 64 columns are then read at once, as big-endian words.
     """
     if m.flags.writeable:
         packed = np.packbits(m, axis=1)
@@ -232,6 +233,11 @@ def _row_ints(m: np.ndarray) -> list[int]:
         rows, cols = _support(m)
         packed = np.zeros((m.shape[0], -(-m.shape[1] // 8)), dtype=np.uint8)
         np.bitwise_or.at(packed, (rows, cols >> 3), (128 >> (cols & 7)).astype(np.uint8))
+    nbytes = packed.shape[1]
+    if nbytes <= 8:
+        words = np.zeros((m.shape[0], 8), dtype=np.uint8)
+        words[:, 8 - nbytes :] = packed
+        return words.view(">u8").ravel().tolist()
     return [int.from_bytes(row.tobytes(), "big") for row in packed]
 
 
@@ -242,8 +248,15 @@ def _int_rows(ints: list[int], nbytes: int) -> np.ndarray:
 
 
 def _int_matrix(ints: list[int], cols: int) -> np.ndarray:
-    """Int rows that hold `cols` columns back to a uint8 matrix."""
-    return np.unpackbits(_int_rows(ints, -(-cols // 8)), axis=1, count=cols)
+    """Int rows that hold `cols` columns back to a uint8 matrix that owns
+    its memory; rows of at most 64 columns are written at once, as
+    big-endian words."""
+    nbytes = -(-cols // 8)
+    if nbytes <= 8:
+        packed = np.array(ints, dtype=">u8").view(np.uint8).reshape(-1, 8)[:, 8 - nbytes :]
+    else:
+        packed = _int_rows(ints, nbytes)
+    return np.unpackbits(packed, axis=1, count=cols)
 
 
 def _mul_rows(a: list[int], b: list[int]) -> list[int]:

@@ -322,8 +322,8 @@ def _single_map_pieces(h: np.ndarray, tilde: ChainComplex, map_side: str):
 
 
 def _reduce_reshaped(
-    r_mat: np.ndarray, col_test: np.ndarray, row_test: np.ndarray
-) -> tuple[np.ndarray, int]:
+    rows: list[int], col_test: np.ndarray, row_test: np.ndarray
+) -> tuple[list[int], int]:
     """Cancel intersecting kernel column/row pairs by rank-one updates.
 
     While some column a = R[:, j] lies in ker(col_test), some row b = R[i]
@@ -332,12 +332,10 @@ def _reduce_reshaped(
     image constraints are untouched.  Pairs are chosen smallest row
     index first, then smallest column index.
 
-    R runs as int rows (gf2's convention).  The kernel tests read the
-    products ct = col_test R and rt = R row_test^T, formed once: the
-    update changes them by outer(ct[:, j], b) and outer(a, rt[i]), and a
-    chosen pair has ct[:, j] = 0 and rt[i] = 0, so both stay as they are.
+    R's int rows change in place and are returned with the step count.
+    ct = col_test R and rt = R row_test^T are formed once: the update
+    adds outer(ct[:, j], b) and outer(a, rt[i]), zero for a chosen pair.
     """
-    rows = gf2._row_ints(r_mat)
     kernel_cols = ~_any_row(gf2._mul_rows(_rows(col_test), rows))
     kernel_rows = [i for i, v in enumerate(gf2._mul_rows(rows, _rows(row_test.T))) if not v]
     steps = 0
@@ -353,7 +351,7 @@ def _reduce_reshaped(
             if v >> bit & 1:
                 rows[k] = v ^ b
         steps += 1
-    return gf2._int_matrix(rows, r_mat.shape[1]), steps
+    return rows, steps
 
 
 def single_product_preimage(
@@ -385,14 +383,17 @@ def single_product_preimage(
     s = gf2.as_bin(s).reshape(-1)
     if s.shape[0] != tilde.size(0):
         raise ValueError("syndrome length does not match the product's middle level")
+    return _single_preimage(h, tilde, s, map_side, threshold)
+
+
+def _single_preimage(h, tilde, s, map_side, threshold) -> SingleWitness:
+    """single_product_preimage of checked inputs."""
     the_map, shape, col_test, row_test = _single_map_pieces(h, tilde, map_side)
     r0 = gf2.get_solver(the_map).solve(s)
     if r0 is None:
         raise PreimageError("syndrome is not in the image of the selected map")
-    r_mat, steps = _reduce_reshaped(
-        gf2.reshape_vector(r0, *shape), col_test, row_test
-    )
-    r = gf2.flatten_matrix(r_mat)
+    rows, steps = _reduce_reshaped(gf2._row_ints(r0.reshape(shape)), col_test, row_test)
+    r = gf2._int_matrix(rows, shape[1]).reshape(-1)
     if not (gf2.mat_vec(the_map, r) == s).all():
         raise AssertionError("reduced witness no longer solves the selected map")
     x = gf2.weight(s)
@@ -405,23 +406,32 @@ def single_product_preimage(
 # -- constructive witness: double product ---------------------------------------
 
 
-@dataclass
+def _held_matrix(k: int):
+    def read(state):
+        held = state._held[k]
+        if isinstance(held, list):
+            held = state._held[k] = gf2._int_matrix(held, state._cols[k])
+        return held
+
+    return property(read)
+
+
 class PartialDecodeState:
     """Bookkeeping for the middle-block reduction of the double product.
 
     rb_d_low and d_high_rb are the products R_b d_low and d_high R_b of
     the final R_b: S_L + R_b d_low and S_R + d_high R_b are the leftover
-    blocks that the single-product witnesses solve.
+    blocks that the single-product witnesses solve.  The six matrices
+    are int rows until first read, then uint8 arrays.
     """
 
-    r_b: np.ndarray
-    s_l: np.ndarray
-    s_r: np.ndarray
-    m: np.ndarray
-    rb_d_low: np.ndarray
-    d_high_rb: np.ndarray
-    loop_counters: list[int] = field(default_factory=lambda: [0] * 6)
-    passes: int = 0
+    __slots__ = ("_held", "_cols", "loop_counters", "passes")
+    r_b, s_l, s_r, m, rb_d_low, d_high_rb = map(_held_matrix, range(6))
+
+    def __init__(self, held, cols, loop_counters, passes):
+        self._held, self._cols = held, cols
+        self.loop_counters = loop_counters
+        self.passes = passes
 
     def support_conditions(self, d_high: np.ndarray, d_low: np.ndarray) -> list[bool]:
         """The six terminal support conditions, in pseudocode order."""
@@ -507,16 +517,10 @@ def partial_decode(
     transposed problem: d_high @ R_b = (R_b^T @ d_high^T)^T, so
     (R_b^T, d_high^T, S_R^T) takes the place of (R_b, d_low, S_L).
 
-    The loops run on int rows (see _shrink_side): R_b, S_L and S_R are
-    converted once, the maps' int rows are memoised on the maps, and R_b's
-    rows are transposed once at each switch of side.  The last pass
-    transforms nothing, so its running product d_high R_b is that of the
-    final R_b; R_b d_low is formed once more from the final R_b's rows.
-    The state keeps both.  At the end of every run, d_high @ R_b @ d_low
-    of the final R_b is checked against M on those int rows, and an
-    explicit AssertionError (which python -O keeps) reports a mismatch.
-    With check_every_step, M is also recomputed in full from R_b as it
-    stands after every single transform.
+    The inputs become int rows once, and the loops run there (see
+    _shrink_side).  d_high @ R_b @ d_low is checked against M at the end
+    by an explicit raise that python -O keeps, and with check_every_step
+    after every transform too.
     """
     d_high = gf2.as_bin(d_high)
     d_low = gf2.as_bin(d_low)
@@ -531,9 +535,16 @@ def partial_decode(
             f"dimension mismatch: R_b {r_b.shape}, S_L {s_l.shape}, S_R {s_r.shape}, "
             f"d_high {d_high.shape}, d_low {d_low.shape}"
         )
-    low, high = _rows(d_low), _rows(d_high)
     rows, sl, sr = gf2._row_ints(r_b), gf2._row_ints(s_l), gf2._row_ints(s_r)
-    m = gf2._mul_rows(high, sl)
+    m = gf2._mul_rows(_rows(d_high), sl)
+    return _partial_decode(rows, sl, sr, m, d_high, d_low, check_every_step)
+
+
+def _partial_decode(rows, sl, sr, m, d_high, d_low, check_every_step) -> PartialDecodeState:
+    """partial_decode on int rows of R_b, S_L, S_R and M = d_high S_L."""
+    n_1, n_0 = d_high.shape
+    n_m1 = d_low.shape[1]
+    low, high = _rows(d_low), _rows(d_high)
     if m != gf2._mul_rows(sr, low):
         raise ValueError("precondition failed: d_high @ S_L != S_R @ d_low")
     if m != gf2._mul_rows(high, gf2._mul_rows(rows, low)):
@@ -573,15 +584,10 @@ def partial_decode(
     rb_d_low = gf2._mul_rows(rows, low)
     if gf2._mul_rows(high, rb_d_low) != m:
         raise AssertionError("middle-block transform failed to preserve M")
+    d_high_rb = gf2._transpose_ints(product_rows, n_1)
     return PartialDecodeState(
-        gf2._int_matrix(rows, n_0),
-        s_l,
-        s_r,
-        gf2._int_matrix(m, n_m1),
-        gf2._int_matrix(rb_d_low, n_m1),
-        gf2._int_matrix(product_rows, n_1).T.copy(),
-        counters,
-        passes,
+        [rows, sl, sr, m, rb_d_low, d_high_rb], (n_0, n_m1, n_0, n_m1, n_m1, n_0),
+        counters, passes,
     )
 
 
@@ -614,13 +620,6 @@ def _qubit_map_preimage(qubit_map: np.ndarray, s: np.ndarray) -> np.ndarray:
     return r
 
 
-def _terms(q: np.ndarray) -> list[RemainderTerm]:
-    """q's nonzero rows as remainder terms; none is looked for when q is 0."""
-    if not q.any():
-        return []
-    return [RemainderTerm(q[i].copy(), i) for i in np.flatnonzero(q.any(axis=1))]
-
-
 def double_product_preimage(
     h,
     tilde: ChainComplex,
@@ -633,31 +632,25 @@ def double_product_preimage(
     Pipeline: solve the reshaped middle-block equation for any R_b, run
     partial_decode to shrink its support, then solve each remainder
     column (rows on the right side) with the single-product witnesses and
-    assemble.  The cubic bound |r| <= |s|^3 / 4 is guaranteed for
-    |s| < threshold; outside that range the remainder pieces can fall
-    outside the single product's image, in which case the plain solver
-    supplies a correct (unbounded) witness.
+    assemble.  S_L, S_R, M and the remainders are int rows.  The cubic
+    bound |r| <= |s|^3 / 4 is guaranteed for |s| < threshold; outside
+    that range the remainder pieces can fall outside the single product's
+    image, where the plain solver supplies a correct (unbounded) witness.
 
-    Each check runs once, as an explicit raise that python -O keeps:
-    the metachecks first (PreimageError); middle-block solvability here;
-    M = d_high R_b d_low at the end of partial_decode, on its int rows;
-    each remainder term's quadratic bound inside single_product_preimage;
-    then r solves s, and the cubic bound.  The qubit map itself is solved
-    only where its answer is used: for the fallback witness, and when a
-    stage fails (the middle-block solve, a partial_decode precondition, a
-    remainder term or the final check), to raise PreimageError("syndrome
-    is not in the image of the qubit map") first when s is outside the
-    image.  Otherwise the stage raises its own error; a remainder term
-    without a preimage inside the guaranteed range breaks the paper's
-    guarantee and is an AssertionError.  A witness is returned only once
-    it solves s, which proves that s is in the image.
+    Each check is an explicit raise that python -O keeps: the metachecks
+    (PreimageError); middle-block solvability; partial_decode's
+    preconditions and M; each term's solution and quadratic bound; r
+    solves s; the cubic bound.  The qubit map is solved only for the
+    fallback witness and when a stage fails, to raise PreimageError
+    ("syndrome is not in the image of the qubit map") first when s is
+    outside the image; otherwise the stage's error stands, and a term
+    without a preimage inside the guaranteed range is an AssertionError.
+    A witness is returned only once it solves s.
 
     tilde is the single product of h and breve that of tilde, as their
-    factors record (ValueError otherwise); h is read from tilde.factor.
-    Every solver is memoised on h or a map of tilde or breve, so repeated
-    calls on one pair of complexes eliminate each map at most once, and
-    the qubit map only on a failure or a fallback.  The returned witness
-    and its state share no memory with the caller's s.
+    factors record (ValueError otherwise); h is read from tilde.factor,
+    once per call.  Every solver is memoised on h or a map of tilde or
+    breve.  The witness and its state share no memory with s.
     """
     h = _checks_of(tilde, gf2.as_bin(h))
     if breve.factor is not tilde:
@@ -672,10 +665,9 @@ def double_product_preimage(
     if gf2.mat_vec(breve.delta(1), s).any():
         raise PreimageError("syndrome fails the metachecks")
     qubit_map = breve.delta(0)
-    # the state keeps S_L and S_R: copies, apart from the caller's s and
-    # without a third array that views of one copy would need
-    s_l_mat = s[:len_l].reshape(n_0, n_m1).copy()
-    s_r_mat = s[len_l:].reshape(n_1, n_0).copy()
+    sl = gf2._row_ints(s[:len_l].reshape(n_0, n_m1))
+    sr = gf2._row_ints(s[len_l:].reshape(n_1, n_0))
+    m = gf2._mul_rows(_rows(d_high), sl)
     x = gf2.weight(s)
     guaranteed = threshold is not None and x < threshold
 
@@ -684,32 +676,40 @@ def double_product_preimage(
     mid_solver = gf2.memo(
         h, "mid_map_solver", lambda _: gf2.Gf2Solver(np.kron(d_high, d_low.T))
     )
-    r_b0 = mid_solver.solve(gf2.mat_mul(d_high, s_l_mat).reshape(-1))
+    r_b0 = mid_solver.solve(gf2._int_matrix(m, n_m1).reshape(-1))
     if r_b0 is None:
         # here and at each failure below: PreimageError if s is not an image
         _qubit_map_preimage(qubit_map, s)
         raise AssertionError("middle-block equation must be solvable for image syndromes")
     try:
-        state = partial_decode(
-            r_b0.reshape(n_0, n_0), s_l_mat, s_r_mat, d_high, d_low,
-            check_every_step=False,
+        state = _partial_decode(
+            gf2._row_ints(r_b0.reshape(n_0, n_0)), sl, sr, m, d_high, d_low, False
         )
     except ValueError:
         # a precondition, which every image syndrome meets
         _qubit_map_preimage(qubit_map, s)
         raise
 
-    # each leftover column lives in ker(d_high) and, inside the guaranteed
-    # range, below the product distance, so it has a bounded preimage under
-    # the lowest map; each leftover row likewise under the highest
-    left_terms = _terms((s_l_mat ^ state.rb_d_low).T)
-    right_terms = _terms(s_r_mat ^ state.d_high_rb)
+    # inside the guaranteed range each column of Q_L = S_L + R_b d_low lies
+    # in ker(d_high), below the product distance, so has a bounded preimage
+    # under the lowest map; each row of Q_R = S_R + d_high R_b likewise
+    # under the highest; all of them n_0 wide
+    rows, _, _, _, rb_d_low, d_high_rb = state._held
+    q_l = [a ^ b for a, b in zip(sl, rb_d_low)]
+    q_l = gf2._transpose_ints(q_l, n_m1) if any(q_l) else []
+    q_r = [a ^ b for a, b in zip(sr, d_high_rb)]
+    left = [i for i, v in enumerate(q_l) if v]
+    right = [i for i, v in enumerate(q_r) if v]
+    bits = gf2._int_matrix(rows + [q_l[i] for i in left] + [q_r[i] for i in right], n_0)
+    vectors = bits[n_0:].copy()  # holds no row of R_b
+    left_terms = [RemainderTerm(v, i) for v, i in zip(vectors, left)]
+    right_terms = [RemainderTerm(v, i) for v, i in zip(vectors[len(left):], right)]
     r = np.zeros(breve.size(0), dtype=np.uint8)
     # r's three blocks are views of it, so a kept witness holds each bit once
     a_end = n_m1 * n_m1
     b_end = a_end + n_0 * n_0
     r_a, r_b, r_c = r[:a_end], r[a_end:b_end], r[b_end:]
-    r_b.reshape(n_0, n_0)[:] = state.r_b
+    r_b.reshape(n_0, n_0)[:] = bits[:n_0]
     # a left term fills a column of R_a, a right term a row of R_c
     for terms, map_side, block in (
         (left_terms, "from_redundancy", r_a.reshape(n_m1, n_m1).T),
@@ -717,9 +717,7 @@ def double_product_preimage(
     ):
         for term in terms:
             try:
-                witness = single_product_preimage(
-                    h, term.vector, map_side, threshold, tilde=tilde
-                )
+                witness = _single_preimage(h, tilde, term.vector, map_side, threshold)
             except PreimageError as exc:
                 plain = _qubit_map_preimage(qubit_map, s)
                 if guaranteed:

@@ -1,8 +1,11 @@
-"""Classical codes, their products, the decoder budgets and the
-middle-block helpers that several test modules share; conftest.py holds
-the fixtures built from them."""
+"""Classical codes, their products, the decoder budgets, the
+middle-block helpers and the fresh-interpreter runner that several test
+modules share; conftest.py holds the fixtures built from them."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 
@@ -12,6 +15,18 @@ from homprod.chain import ChainComplex, Distance
 REP2 = gf2.as_bin([[1, 1]])
 REP3 = gf2.as_bin([[1, 1, 0], [0, 1, 1]])
 CYC3 = gf2.as_bin([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+
+
+def fresh_python(code, *flags, argv=()):
+    """Run code in a new interpreter that imports this homprod, with the
+    interpreter's flags and then the script's arguments argv."""
+    src = os.path.dirname(os.path.dirname(gf2.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    )}
+    return subprocess.run(
+        [sys.executable, *flags, "-c", code, *argv], env=env, capture_output=True, text=True
+    )
 
 
 def complex_of(h):

@@ -5,8 +5,6 @@ import hashlib
 import io
 import json
 import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -15,6 +13,8 @@ from hypothesis import strategies as st
 
 from homprod import cli, chain, css, gf2, product, stab
 from homprod.chain import ChainComplex
+
+from codes import fresh_python
 
 REP2 = gf2.as_bin([[1, 1]])
 REP3 = gf2.as_bin([[1, 1, 0], [0, 1, 1]])
@@ -1232,9 +1232,5 @@ class TestCheckedDq:
             "except cli.ContractViolation:\n"
             "    raise SystemExit(7)\n"
         )
-        src = os.path.join(os.path.dirname(os.path.dirname(cli.__file__)))
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p
-        )}
-        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env)
+        proc = fresh_python(code, "-O")
         assert proc.returncode == 7

@@ -1,9 +1,6 @@
 import hashlib
 import json
 import math
-import os
-import subprocess
-import sys
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +10,7 @@ from homprod import bounds, chain, css, decoder, gf2, product
 from homprod.chain import ChainComplex, Distance
 from homprod.css import PauliError
 
-from codes import budget241, budget33, double
+from codes import budget241, budget33, double, fresh_python
 from dense_reference import dense_kernel
 
 REP2 = [[1, 1]]
@@ -31,17 +28,6 @@ def single_x(n, q):
     e = np.zeros(n, dtype=np.uint8)
     e[q] = 1
     return PauliError.x_only(e)
-
-
-def fresh_python(code, *flags):
-    """Run code in a new interpreter that imports this homprod."""
-    src = os.path.dirname(os.path.dirname(css.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p
-    )}
-    return subprocess.run(
-        [sys.executable, *flags, "-c", code], env=env, capture_output=True, text=True
-    )
 
 
 class TestSplitMeasurementError:

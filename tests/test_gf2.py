@@ -316,6 +316,38 @@ def packed_row_ints(m):
     return [int.from_bytes(row.tobytes(), "big") for row in np.packbits(m, axis=1)]
 
 
+@st.composite
+def word_edge_matrix(draw):
+    """A 0/1 matrix of 0-8 rows and 0-130 columns, drawn often at widths
+    around a byte or a 64-bit word, with all-zero and all-one rows."""
+    rows = draw(st.integers(0, 8))
+    cols = draw(st.one_of(
+        st.sampled_from([0, 1, 7, 8, 9, 63, 64, 65, 127, 128, 129, 130]), st.integers(0, 130)
+    ))
+    density = draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return (rng.random((rows, cols)) < density).astype(np.uint8)
+
+
+class TestIntRows:
+    """_row_ints and _int_matrix, both ways, against ints built bit by bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @example(np.ones((3, 64), dtype=np.uint8), False)
+    @example(np.ones((2, 65), dtype=np.uint8), True)
+    @given(word_edge_matrix(), st.booleans())
+    def test_round_trip_against_dense_reference(self, m, writable):
+        width = 8 * -(-m.shape[1] // 8)
+        # column j at bit width - 1 - j, every padding bit zero
+        want = [sum(int(b) << (width - 1 - j) for j, b in enumerate(row)) for row in m]
+        ints = gf2._row_ints(m if writable else read_only(m))
+        assert ints == want and all(type(v) is int for v in ints)
+        back = gf2._int_matrix(ints, m.shape[1])
+        assert back.dtype == np.uint8 and back.shape == m.shape
+        assert back.base is None and back.flags.c_contiguous and back.flags.writeable
+        assert back.tolist() == m.tolist()
+
+
 class TestSupportLayer:
     """Facts read from supports equal the same facts read from dense arrays."""
 

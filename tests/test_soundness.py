@@ -1,9 +1,6 @@
 import hashlib
 import itertools
 import math
-import os
-import subprocess
-import sys
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +9,7 @@ import pytest
 from homprod import bounds, chain, gf2, product, soundness, stab
 from homprod.chain import ChainComplex
 
-from codes import REP2, REP3, check_partial_properties, make_error_state, single
+from codes import REP2, REP3, check_partial_properties, fresh_python, make_error_state, single
 
 # partial_decode's counter totals and digest over the seeded batch of
 # TestPartialDecode.test_pinned_batch_digest: a change to any loop's order
@@ -284,10 +281,9 @@ class TestSingleProductPreimage:
             "s = np.zeros(13, dtype=np.uint8)\n"
             "raised = 0\n"
             "real = soundness._reduce_reshaped\n"
-            "def wrong(r_mat, col_test, row_test):\n"
-            "    r_mat = r_mat.copy()\n"
-            "    r_mat[0, 0] ^= 1\n"
-            "    return r_mat, 0\n"
+            "def wrong(rows, col_test, row_test):\n"
+            "    # entry (0, 0) of 3-column int rows: column 0 is bit 7\n"
+            "    return [rows[0] ^ 128] + rows[1:], 0\n"
             "soundness._reduce_reshaped = wrong\n"
             "try:\n"
             "    soundness.single_product_preimage(h, s, 'from_checks')\n"
@@ -301,11 +297,7 @@ class TestSingleProductPreimage:
             "    raised += 1\n"
             "raise SystemExit(7 if raised == 2 else 1)\n"
         )
-        src = os.path.dirname(os.path.dirname(soundness.__file__))
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p
-        )}
-        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env)
+        proc = fresh_python(code, "-O")
         assert proc.returncode == 7
 
     def test_partial_decode_check_survives_optimize_flag(self, tilde_rep2, tmp_path):
@@ -340,13 +332,7 @@ class TestSingleProductPreimage:
             "    raise SystemExit(7 if 'failed to preserve M' in str(exc) else 1)\n"
             "raise SystemExit(1)\n"
         )
-        src = os.path.dirname(os.path.dirname(soundness.__file__))
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p
-        )}
-        proc = subprocess.run(
-            [sys.executable, "-O", "-c", code, str(inputs)], env=env
-        )
+        proc = fresh_python(code, "-O", argv=[str(inputs)])
         assert proc.returncode == 7
 
     def test_partial_decode_end_check_survives_optimize_flag(self, tilde_rep2, tmp_path):
@@ -384,13 +370,7 @@ class TestSingleProductPreimage:
             "    raise SystemExit(7 if 'failed to preserve M' in str(exc) else 1)\n"
             "raise SystemExit(1)\n"
         )
-        src = os.path.dirname(os.path.dirname(soundness.__file__))
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p
-        )}
-        proc = subprocess.run(
-            [sys.executable, "-O", "-c", code, str(inputs)], env=env
-        )
+        proc = fresh_python(code, "-O", argv=[str(inputs)])
         assert proc.returncode == 7
 
 
@@ -472,7 +452,8 @@ class TestAgainstDenseReferences:
             h = (rng.integers(0, 2, (n1, k)) @ rng.integers(0, 2, (k, n0)) % 2).astype(np.uint8)
             for shape, col_test, row_test in (((n1, n0), h.T, h), ((n0, n1), h, h.T)):
                 r_mat = rng.integers(0, 2, shape, dtype=np.uint8)
-                got, steps = soundness._reduce_reshaped(r_mat, col_test, row_test)
+                rows, steps = soundness._reduce_reshaped(gf2._row_ints(r_mat), col_test, row_test)
+                got = gf2._int_matrix(rows, shape[1])
                 want, want_steps = reference_reduce_reshaped(r_mat, col_test, row_test)
                 assert got.tolist() == want.tolist() and steps == want_steps
                 steps_seen.add(steps)
@@ -769,12 +750,12 @@ class TestDoubleProductPreimage:
         breve = product.double_product(tilde)
         sides = []
 
-        def zero_witness(h, vector, map_side, threshold, *, tilde):
+        def zero_witness(h, tilde, vector, map_side, threshold):
             sides.append(map_side)
             n = tilde.size(-1) if map_side == "from_redundancy" else tilde.size(1)
             return soundness.SingleWitness(np.zeros(n, dtype=np.uint8), False, 0)
 
-        monkeypatch.setattr(soundness, "single_product_preimage", zero_witness)
+        monkeypatch.setattr(soundness, "_single_preimage", zero_witness)
         with pytest.raises(soundness.PreimageError, match="image"):
             soundness.double_product_preimage(cyclic(3), tilde, breve, s, threshold=3)
         assert sides  # every term passed, so only the final check was left
@@ -796,7 +777,7 @@ class TestDoubleProductPreimage:
         def no_preimage(*args, **kwargs):
             raise soundness.PreimageError("syndrome is not in the image of the selected map")
 
-        monkeypatch.setattr(soundness, "single_product_preimage", no_preimage)
+        monkeypatch.setattr(soundness, "_single_preimage", no_preimage)
         index = out.left_terms[0].index
         with pytest.raises(
             AssertionError, match=f"from_redundancy remainder term at index {index}"
@@ -805,6 +786,57 @@ class TestDoubleProductPreimage:
         fallback = soundness.double_product_preimage(rep4, tilde, breve, s, threshold=3)
         assert fallback.used_fallback and not fallback.bound_guaranteed
         assert (gf2.mat_vec(breve.delta(0), fallback.r) == s).all()
+
+    # rep-3's double product, and the syndrome of an X error on qubit q
+    DOUBLE_REP3 = (
+        "import numpy as np\n"
+        "from homprod import gf2, product, soundness\n"
+        "from homprod.chain import ChainComplex\n"
+        "h = gf2.as_bin([[1, 1, 0], [0, 1, 1]])\n"
+        "tilde = product.single_product(ChainComplex([h], j_min=0))\n"
+        "breve = product.double_product(tilde)\n"
+        "def syndrome(q):\n"
+        "    return gf2.mat_vec(breve.delta(0), np.eye(1, breve.size(0), q, dtype=np.uint8)[0])\n"
+    )
+
+    def test_cubic_bound_survives_optimize_flag(self):
+        # |s| = 2 < t = 3, so the bound is checked, by an explicit raise
+        code = self.DOUBLE_REP3 + (
+            "s = syndrome(120)\n"
+            "if gf2.weight(s) != 2:\n"
+            "    raise SystemExit(1)\n"
+            "soundness.CUBIC_OVER_4 = lambda x: -1\n"
+            "try:\n"
+            "    soundness.double_product_preimage(h, tilde, breve, s, threshold=3)\n"
+            "except AssertionError as exc:\n"
+            "    raise SystemExit(7 if 'cubic bound violated' in str(exc) else 1)\n"
+            "raise SystemExit(1)\n"
+        )
+        proc = fresh_python(code, "-O")
+        assert proc.returncode == 7, proc.stderr
+
+    def test_final_check_survives_optimize_flag(self):
+        # qubit 0's syndrome has one left remainder term; its witness,
+        # corrupted after its own check, is caught when r is checked
+        # against the qubit map, by an explicit raise
+        code = self.DOUBLE_REP3 + (
+            "real = soundness._single_preimage\n"
+            "calls = []\n"
+            "def corrupt(*args):\n"
+            "    witness = real(*args)\n"
+            "    witness.r[0] ^= 1\n"
+            "    calls.append(1)\n"
+            "    return witness\n"
+            "soundness._single_preimage = corrupt\n"
+            "try:\n"
+            "    soundness.double_product_preimage(h, tilde, breve, syndrome(0), threshold=3)\n"
+            "except AssertionError as exc:\n"
+            "    message = 'assembled witness does not solve the qubit map'\n"
+            "    raise SystemExit(7 if calls and str(exc) == message else 1)\n"
+            "raise SystemExit(1)\n"
+        )
+        proc = fresh_python(code, "-O")
+        assert proc.returncode == 7, proc.stderr
 
     def test_outputs_share_no_memory_with_the_syndrome(self, tilde_rep3):
         breve = product.double_product(tilde_rep3)
