@@ -627,7 +627,7 @@ def cmd_diag(args: argparse.Namespace) -> int:
 def cmd_barrier(args: argparse.Namespace) -> int:
     checks = _load_checks(args.checks)
     try:
-        report = stab.energy_barrier(checks, args.sector, n_limit=args.n_limit)
+        report = stab.energy_barrier(checks, args.sector)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     payload = report.to_json()
@@ -793,7 +793,6 @@ def make_parser() -> argparse.ArgumentParser:
     p = add("barrier", "exact energy barrier by bottleneck search", cmd_barrier)
     p.add_argument("--checks", required=True)
     p.add_argument("--sector", choices=("x", "z", "full"), default="x")
-    p.add_argument("--n-limit", type=int, default=8)
 
     add("table1", "reproduce the four reference double products", cmd_table1)
 

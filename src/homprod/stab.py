@@ -265,107 +265,98 @@ class EnergyReport:
         }
 
 
-def _canonical_reducer(span_rows: np.ndarray):
-    """Reduce vectors to canonical coset representatives of a row space."""
-    if span_rows.shape[0] == 0:
-        return lambda v: v
-    reduced, pivots = gf2._rref(span_rows)
-    basis = reduced[: len(pivots)]
-
-    def reduce(v: np.ndarray) -> np.ndarray:
-        out = v.copy()
-        for row_idx, p in enumerate(pivots):
-            if out[p]:
-                out ^= basis[row_idx]
-        return out
-
-    return reduce
+# Peak bytes per visited class of an energy-barrier search besides its two
+# ints (the class, 2n bits, and its syndrome, a bit per check; CPython holds
+# 30 bits in 4 bytes), measured with tracemalloc: the class's entry in the
+# dict of walk maxima, its heap tuple (stale ones included) and, once it
+# pops, its last step.  Table I row 1, both sectors, and the first 400,000
+# classes of rows 2 and 3, X sector, peaked at 129-171 bytes a class; the
+# 33-qubit double product's 829-1,067 classes, both sectors, at 178-193.
+_CLASS_BYTES = 200
 
 
-def _bottleneck_search(start, neighbours, cost, is_target):
-    """Min over walks of the max node cost, plus one witness walk."""
-    start_key = start.tobytes()
-    best = {start_key: int(cost(start))}
-    prev: dict[bytes, tuple[bytes, tuple]] = {}
-    heap = [(best[start_key], start_key, start)]
-    target_hit = None
-    while heap:
-        d, key, node = heapq.heappop(heap)
-        if d > best.get(key, float("inf")):
-            continue
-        if is_target(node):
-            target_hit = (key, node)
-            break
-        for step, nxt in neighbours(node):
-            nkey = nxt.tobytes()
-            nd = max(d, int(cost(nxt)))
-            if nd < best.get(nkey, float("inf")):
-                best[nkey] = nd
-                prev[nkey] = (key, step)
-                heapq.heappush(heap, (nd, nkey, nxt))
-    if target_hit is None:
-        raise ValueError("no walk reaches a nontrivial ground state")
-    key, node = target_hit
-    steps = []
-    while key != start_key:
-        key, step = prev[key]
-        steps.append(step)
-    steps.reverse()
-    return best[node.tobytes()], steps, node
-
-
-def energy_barrier(
-    checks: SymplecticChecks, sector: str = "x", n_limit: int = 8
-) -> EnergyReport:
+def energy_barrier(checks: SymplecticChecks, sector: str = "x") -> EnergyReport:
     """Exact energy barrier by bottleneck search over error classes.
 
     Every sector walks 2n-bit Pauli vectors; the sector picks the steps:
     single-qubit X for "x", Z for "z", and X, Z or Y for "full".  Nodes
     are error classes modulo the check rows that act only where the steps
     act (the X-type rows for "x", the Z-type rows for "z", every row for
-    "full"), each held as its canonical representative; node cost is the
-    number of violated checks.  The barrier is the smallest achievable
-    walk maximum, walking from the trivial class to any zero-syndrome
-    class outside that span.
+    "full"), each held as its canonical representative, zero at every
+    pivot of the reduced span, an int in gf2's row convention; node cost
+    is the number of violated checks.  The barrier is the smallest
+    achievable walk maximum, walking from the trivial class to any
+    zero-syndrome class outside that span.  Ties pop in order of
+    representative, which fixes the walk returned.
+
+    Reduction is linear and a representative holds no pivot bit, so a
+    step is two precomputed ints: its reduced vector, XORed into the
+    class, and the checks it flips, XORed into the syndrome.  The visited
+    classes are charged against gf2's memory cap; a search past it raises
+    BudgetExhausted naming the class count.
     """
     n = checks.n
     if sector not in ("x", "z", "full"):
         raise ValueError("sector must be 'x', 'z', or 'full'")
-    if sector == "full":
-        if n > min(n_limit, 5):
-            raise ValueError("full-sector walks are limited to 5 qubits")
-    elif n > n_limit:
-        raise ValueError(f"{n} qubits exceeds the sector search limit {n_limit}")
-    elif not checks.is_css():
+    if sector != "full" and not checks.is_css():
         raise ValueError("sector barriers need a CSS-split check set")
     rows = checks.matrix
     if sector == "x":
         rows = rows[~rows[:, n:].any(axis=1)]
     elif sector == "z":
         rows = rows[~rows[:, :n].any(axis=1)]
-    reduce = _canonical_reducer(rows)
-    # each step letter with the halves it flips: x at q, z at n + q
-    steps = [(p, p != "Z", p != "X") for p in {"x": "X", "z": "Z", "full": "XZY"}[sector]]
+    basis, _ = gf2._eliminate(gf2._row_ints(rows), reduced=True)
+    # column c of a 2n-bit row is bit top - c; X on qubit q flips the checks
+    # with Z on q (column n + q of the matrix), Z flips those with X on q
+    top = 8 * -(-2 * n // 8) - 1
+    columns = gf2._row_ints(checks.matrix.T.copy())
+    steps = []
+    for q in range(n):
+        x, z = 1 << (top - q), 1 << (top - n - q)
+        by_letter = {
+            "X": (x, columns[n + q]),
+            "Z": (z, columns[q]),
+            "Y": (x ^ z, columns[q] ^ columns[n + q]),
+        }
+        for letter in {"x": "X", "z": "Z", "full": "XZY"}[sector]:
+            vector, flips = by_letter[letter]
+            for row in basis:  # a reduced row holds one pivot, its lead
+                if vector >> (row.bit_length() - 1) & 1:
+                    vector ^= row
+            steps.append((vector, flips, (q + 1, letter)))
 
-    def neighbours(v):
-        for q in range(n):
-            for letter, flip_x, flip_z in steps:
-                step = v.copy()
-                if flip_x:
-                    step[q] ^= 1
-                if flip_z:
-                    step[n + q] ^= 1
-                yield (q + 1, letter), reduce(step)
-
-    def cost(v):
-        return np.count_nonzero(checks.syndrome(v))
-
-    def is_target(v):
-        return cost(v) == 0 and v.any()
-
-    start = np.zeros(2 * n, dtype=np.uint8)
-    barrier, walk, node = _bottleneck_search(start, neighbours, cost, is_target)
-    return EnergyReport(barrier, walk, sector, pauli_vector_weight(node))
+    best = {0: 0}
+    # a class's last step is kept once it pops: the entry that pops is the
+    # one its best walk maximum pushed, and it pops once
+    prev: dict[int, tuple] = {}
+    heap = [(0, 0, 0, 0, None)]  # (walk maximum, class, syndrome, last class, step)
+    class_bytes = _CLASS_BYTES + 4 * (2 * n + checks.num_checks) // 30
+    most = gf2._TABLE_BYTES_MAX // class_bytes
+    while heap:
+        d, v, syndrome, u, last = heapq.heappop(heap)
+        if d > best[v]:
+            continue
+        prev[v] = (u, last)
+        if not syndrome and v:
+            break
+        for vector, flips, step in steps:
+            w, s = v ^ vector, syndrome ^ flips
+            nd = max(d, s.bit_count())
+            if nd < best.get(w, nd + 1):
+                best[w] = nd
+                heapq.heappush(heap, (nd, w, s, v, step))
+        if len(best) > most:
+            gf2._require_under_cap(
+                len(best) * class_bytes, f"an energy-barrier search of {len(best)} classes"
+            )
+    else:
+        raise ValueError("no walk reaches a nontrivial ground state")
+    walk, node = [], v
+    while node:
+        node, step = prev[node]
+        walk.append(step)
+    x, z = v >> (top + 1 - n), v >> (top + 1 - 2 * n)
+    return EnergyReport(d, walk[::-1], sector, ((x | z) & ((1 << n) - 1)).bit_count())
 
 
 @dataclass(frozen=True)

@@ -379,7 +379,7 @@ def _largest_certified_threshold(delta, bound, t_cap):
     return best
 
 
-def test_criterion_11_energy_barriers():
+def test_criterion_11_energy_barriers(breve_rep2, breve_rep3):
     quad = bounds.QUADRATIC_OVER_4
     # open repetition chains: barrier exactly 1, bound honest and satisfied
     for n in range(3, 9):
@@ -418,4 +418,26 @@ def test_criterion_11_energy_barriers():
     )
     assert bound.w == 1
     assert bound.satisfied_by(report.barrier)
+
+    # double products: cubic soundness below t = min(d(H), d(H^T)), with the
+    # exact d_q of the closed form
+    cube = bounds.CUBIC_OVER_4
+    for h, breve, sectors, barrier in ((REP2, breve_rep2, "xz", 2), (REP3, breve_rep3, "x", 4)):
+        base = complex_of(h)
+        t = css.combine_distances(
+            chain.homological_distance(base, 0, h.shape[1]),
+            chain.cohomological_distance(base, 0, h.shape[0]),
+        )
+        closed = product.product_params(base).distances
+        d_q = css.combine_distances(closed["d_0"], closed["d_-1^T"])
+        assert t.is_exact() and d_q.is_exact()
+        code = css.from_complex(breve)
+        checks = stab.SymplecticChecks.from_css(code.z_checks, code.x_checks)
+        bound = stab.barrier_bound(
+            int(d_q.value), int(t.value), cube, int(checks.qubit_degrees().max())
+        )
+        for sector in sectors:
+            report = stab.energy_barrier(checks, sector)
+            assert (checks.n, report.barrier) == (breve.size(0), barrier)
+            assert bound.satisfied_by(report.barrier)
     ok(11, "energy barrier bound")

@@ -985,14 +985,18 @@ class TestStabCommands:
         assert err == "input error: check rows do not commute\n"
         assert not (tmp_path / "diag").exists()
 
-    def test_barrier_rejects_oversize(self, tmp_path):
-        h = np.zeros((8, 9), dtype=np.uint8)
-        for i in range(8):
-            h[i, i] = h[i, i + 1] = 1
-        checks = stab.SymplecticChecks.from_css(h, gf2.zeros(0, 9))
-        p = tmp_path / "big.pcm"
-        gf2.write_pcm(p, checks.matrix)
-        assert run("barrier", "--checks", str(p), "--sector", "x", "--quiet") == 2
+    def test_barrier_exits_3_only_past_the_cap(self, tmp_path, capsys, monkeypatch):
+        h = np.eye(8, 9, dtype=np.uint8) ^ np.eye(8, 9, k=1, dtype=np.uint8)
+        p, out = tmp_path / "chain9.pcm", tmp_path / "bar.json"
+        gf2.write_pcm(p, stab.SymplecticChecks.from_css(h, gf2.zeros(0, 9)).matrix)
+        assert run("barrier", "--checks", str(p), "--json", str(out), "--quiet") == 0
+        assert json.loads(out.read_text())["barrier"] == 1
+        monkeypatch.setattr(gf2, "_TABLE_BYTES_MAX", 4 * stab._CLASS_BYTES)
+        capsys.readouterr()
+        assert run("barrier", "--checks", str(p), "--quiet") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("budget exhausted: an energy-barrier search of ")
+        assert err.endswith(f"above the {4 * stab._CLASS_BYTES}-byte cap\n")
 
 
 class TestTable1:

@@ -2,6 +2,7 @@ import ast
 import importlib
 import inspect
 import pathlib
+import tomllib
 
 import pytest
 
@@ -15,6 +16,18 @@ def test_every_export_resolves(name):
     module = importlib.import_module(f"homprod.{name}")
     missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
     assert missing == []
+
+
+def test_console_script_resolves_to_cli_main():
+    # the `homprod` command pyproject.toml installs; a renamed entry point
+    # would only fail once installed
+    path = pathlib.Path(__file__).parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(path.read_text(encoding="utf-8"))["project"]["scripts"]
+    assert scripts == {"homprod": "homprod.cli:main"}
+    module, _, attr = scripts["homprod"].partition(":")
+    from homprod import cli
+
+    assert getattr(importlib.import_module(module), attr) is cli.main
 
 
 def test_no_assert_statements_in_the_package():

@@ -1,7 +1,9 @@
 import dataclasses
 import hashlib
+import heapq
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -222,7 +224,7 @@ class TestLowWeightLogical:
 
 
 class TestEnergyBarrier:
-    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 9])
     def test_ising_chain_barrier_is_one(self, n):
         checks = stab.SymplecticChecks.from_css(rep_chain(n), gf2.zeros(0, n))
         report = stab.energy_barrier(checks, "x")
@@ -252,20 +254,26 @@ class TestEnergyBarrier:
         assert report.barrier >= 1
         self._replay(checks, report, "full")
 
-    def test_rejects_oversize(self):
+    def test_search_past_the_cap_raises(self, monkeypatch):
         checks = stab.SymplecticChecks.from_css(rep_chain(9), gf2.zeros(0, 9))
-        with pytest.raises(ValueError):
-            stab.energy_barrier(checks, "x", n_limit=8)
+        cap = 4 * stab._CLASS_BYTES
+        monkeypatch.setattr(gf2, "_TABLE_BYTES_MAX", cap)
+        with pytest.raises(gf2.BudgetExhausted) as info:
+            stab.energy_barrier(checks, "x")
+        found = re.fullmatch(
+            r"an energy-barrier search of (\d+) classes needs about (\d+) bytes, "
+            rf"above the {cap}-byte cap",
+            str(info.value),
+        )
+        classes, need = int(found[1]), int(found[2])
+        assert cap < need and classes * stab._CLASS_BYTES <= need
 
     @staticmethod
     def _replay(checks, report, sector):
         """The witness walk reaches a zero-syndrome nontrivial class while
         never exceeding the claimed barrier."""
         n = checks.n
-        if sector == "x":
-            state = np.zeros(2 * n, dtype=np.uint8)
-        else:
-            state = np.zeros(2 * n, dtype=np.uint8)
+        state = np.zeros(2 * n, dtype=np.uint8)
         peak = 0
         for qubit, letter in report.walk:
             q = qubit - 1
@@ -358,13 +366,99 @@ def scrambled(checks, rng):
     return stab.SymplecticChecks(m)
 
 
-def reference_css_barrier(checks, sector, n_limit=8):
+def _canonical_reducer(span_rows: np.ndarray):
+    """Reduce vectors to canonical coset representatives of a row space."""
+    if span_rows.shape[0] == 0:
+        return lambda v: v
+    reduced, pivots = gf2._rref(span_rows)
+    basis = reduced[: len(pivots)]
+
+    def reduce(v: np.ndarray) -> np.ndarray:
+        out = v.copy()
+        for row_idx, p in enumerate(pivots):
+            if out[p]:
+                out ^= basis[row_idx]
+        return out
+
+    return reduce
+
+
+def _bottleneck_search(start, neighbours, cost, is_target):
+    """Min over walks of the max node cost, plus one witness walk."""
+    start_key = start.tobytes()
+    best = {start_key: int(cost(start))}
+    prev: dict[bytes, tuple[bytes, tuple]] = {}
+    heap = [(best[start_key], start_key, start)]
+    target_hit = None
+    while heap:
+        d, key, node = heapq.heappop(heap)
+        if d > best.get(key, float("inf")):
+            continue
+        if is_target(node):
+            target_hit = (key, node)
+            break
+        for step, nxt in neighbours(node):
+            nkey = nxt.tobytes()
+            nd = max(d, int(cost(nxt)))
+            if nd < best.get(nkey, float("inf")):
+                best[nkey] = nd
+                prev[nkey] = (key, step)
+                heapq.heappush(heap, (nd, nkey, nxt))
+    if target_hit is None:
+        raise ValueError("no walk reaches a nontrivial ground state")
+    key, node = target_hit
+    steps = []
+    while key != start_key:
+        key, step = prev[key]
+        steps.append(step)
+    steps.reverse()
+    return best[node.tobytes()], steps, node
+
+
+def reference_barrier(checks, sector):
+    """The search energy_barrier ran on 0/1 arrays, with no size limit:
+    2n-bit Pauli vectors keyed by their bytes, each step copied, flipped
+    and reduced, node cost a fresh syndrome."""
+    n = checks.n
+    if sector not in ("x", "z", "full"):
+        raise ValueError("sector must be 'x', 'z', or 'full'")
+    if sector != "full" and not checks.is_css():
+        raise ValueError("sector barriers need a CSS-split check set")
+    rows = checks.matrix
+    if sector == "x":
+        rows = rows[~rows[:, n:].any(axis=1)]
+    elif sector == "z":
+        rows = rows[~rows[:, :n].any(axis=1)]
+    reduce = _canonical_reducer(rows)
+    # each step letter with the halves it flips: x at q, z at n + q
+    steps = [(p, p != "Z", p != "X") for p in {"x": "X", "z": "Z", "full": "XZY"}[sector]]
+
+    def neighbours(v):
+        for q in range(n):
+            for letter, flip_x, flip_z in steps:
+                step = v.copy()
+                if flip_x:
+                    step[q] ^= 1
+                if flip_z:
+                    step[n + q] ^= 1
+                yield (q + 1, letter), reduce(step)
+
+    def cost(v):
+        return np.count_nonzero(checks.syndrome(v))
+
+    def is_target(v):
+        return cost(v) == 0 and v.any()
+
+    start = np.zeros(2 * n, dtype=np.uint8)
+    barrier, walk, node = _bottleneck_search(start, neighbours, cost, is_target)
+    return stab.EnergyReport(barrier, walk, sector, stab.pauli_vector_weight(node))
+
+
+def reference_css_barrier(checks, sector):
     """The CSS-sector search energy_barrier ran before all sectors shared
     one path: n-bit X (or Z) vectors modulo the X-type (Z-type) stabiliser
     supports, node cost the Z-type (X-type) checks they violate."""
     n = checks.n
-    if n > n_limit:
-        raise ValueError(f"{n} qubits exceeds the sector search limit {n_limit}")
     if not checks.is_css():
         raise ValueError("sector barriers need a CSS-split check set")
     x_rows = checks.matrix[:, :n]
@@ -378,7 +472,7 @@ def reference_css_barrier(checks, sector, n_limit=8):
         span = z_rows[~is_x_type]
     span = span.reshape(-1, n)
     detect = detect.reshape(-1, n)
-    reduce = stab._canonical_reducer(span)
+    reduce = _canonical_reducer(span)
     letter = "X" if sector == "x" else "Z"
 
     def neighbours(e):
@@ -394,7 +488,7 @@ def reference_css_barrier(checks, sector, n_limit=8):
         return cost(e) == 0 and e.any()
 
     start = np.zeros(n, dtype=np.uint8)
-    barrier, steps, node = stab._bottleneck_search(start, neighbours, cost, is_target)
+    barrier, steps, node = _bottleneck_search(start, neighbours, cost, is_target)
     return stab.EnergyReport(barrier, steps, sector, int(node.sum()))
 
 
@@ -499,3 +593,18 @@ class TestStabDigest:
                     assert got == want
                 else:
                     assert got.to_json() == want.to_json()
+
+    def test_all_sectors_match_reference(self):
+        # every sector on the whole corpus, full-sector walks on 6-8 qubits
+        # included
+        large_full = 0
+        for checks in _stab_corpus()[0]:
+            for sector in ("x", "z", "full"):
+                want = _outcome(reference_barrier, checks, sector)
+                got = _outcome(stab.energy_barrier, checks, sector)
+                if isinstance(want, str):
+                    assert got == want
+                else:
+                    assert got.to_json() == want.to_json()
+                large_full += sector == "full" and checks.n > 5
+        assert large_full == 45
