@@ -28,7 +28,6 @@ __all__ = [
     "ValidationError",
     "validate",
     "betti_number",
-    "cobetti_number",
     "homological_distance",
     "cohomological_distance",
     "save_complex",
@@ -182,13 +181,6 @@ def betti_number(complex_: ChainComplex, j: int) -> int:
     complex_._check_level(j)
     nullity = complex_.size(j) - complex_.rank(j)
     return nullity - complex_.rank(j - 1)
-
-
-def cobetti_number(complex_: ChainComplex, j: int) -> int:
-    """dim ker(d_{j-1}^T) - rank(d_j^T); equals betti_number by duality."""
-    complex_._check_level(j)
-    nullity = complex_.size(j) - complex_.rank(j - 1)
-    return nullity - complex_.rank(j)
 
 
 def _distance_search(

@@ -33,6 +33,7 @@ __all__ = [
     "CodeReport",
     "from_complex",
     "pauli_min_weight",
+    "combine_distances",
     "qubit_distance",
     "single_shot_distance",
     "code_report",
@@ -49,16 +50,6 @@ class PauliError:
     @staticmethod
     def identity(n: int) -> "PauliError":
         return PauliError(np.zeros(n, dtype=np.uint8), np.zeros(n, dtype=np.uint8))
-
-    @staticmethod
-    def x_only(e) -> "PauliError":
-        e = gf2.as_bin(e).reshape(-1)
-        return PauliError(e, np.zeros_like(e))
-
-    @staticmethod
-    def z_only(f) -> "PauliError":
-        f = gf2.as_bin(f).reshape(-1)
-        return PauliError(np.zeros_like(f), f)
 
     def compose(self, other: "PauliError") -> "PauliError":
         return PauliError(self.e ^ other.e, self.f ^ other.f)
@@ -82,9 +73,6 @@ class Syndrome:
 
     def compose(self, other: "Syndrome") -> "Syndrome":
         return Syndrome(self.z_part ^ other.z_part, self.x_part ^ other.x_part)
-
-    def is_zero(self) -> bool:
-        return not (self.z_part.any() or self.x_part.any())
 
 
 class NotACssComplex(ValueError):
@@ -163,17 +151,6 @@ class CssCode:
             gf2.mat_vec(self.x_checks, error.f),
         )
 
-    def metasyndrome(self, s: Syndrome) -> np.ndarray:
-        """Block-diagonal metacheck application; zero on every real syndrome."""
-        if not self.has_metachecks:
-            raise ValueError("code has no metachecks")
-        return np.concatenate(
-            [
-                gf2.mat_vec(self.z_metachecks, s.z_part),
-                gf2.mat_vec(self.x_metachecks, s.x_part),
-            ]
-        )
-
     @functools.cached_property
     def syndrome_obstructions(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only obstruction rows of the Z and X syndrome sides.
@@ -200,13 +177,6 @@ class CssCode:
             (len(z_rows) and gf2.mat_vec(z_rows, s.z_part).any())
             or (len(x_rows) and gf2.mat_vec(x_rows, s.x_part).any())
         )
-
-    def in_syndrome_image(self, s: Syndrome) -> bool:
-        """Is s = syndrome(E) for some Pauli E?  Exactly when s passes every
-        metacheck and no obstruction row has odd overlap with it."""
-        if self.has_metachecks and self.metasyndrome(s).any():
-            return False
-        return not self.obstructed(s)
 
     def coset_annihilator(self, side: str) -> np.ndarray:
         """Read-only matrix B whose kernel is the stabiliser span on one side.

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import gf2
 from .bounds import PolyBound
-from .chain import Distance
+from .chain import DEFAULT_DISTANCE_BUDGET, Distance
 from .css import CssCode, PauliError, Syndrome, pauli_min_weight
 from .gf2 import BudgetExhausted
 
@@ -40,6 +40,7 @@ __all__ = [
     "RepairOutcome",
     "DecodeResult",
     "SingleShotBudget",
+    "Violation",
     "SweepReport",
     "RoundRecord",
     "repair_syndrome",
@@ -57,10 +58,6 @@ Number = Union[Fraction, float]
 class RepairOutcome:
     s_rec: Syndrome
     metacheck_failure: bool
-
-    @property
-    def repaired_weight(self) -> int:
-        return self.s_rec.weight()
 
 
 @dataclass(frozen=True)
@@ -286,7 +283,7 @@ def adversarial_sweep(
     e_max: int,
     samples: Optional[int] = None,
     seed: int = 0,
-    max_weight: int = 6,
+    max_weight: int = DEFAULT_DISTANCE_BUDGET,
 ) -> SweepReport:
     """Decode every (or, given samples, a seeded sample of) in-contract
     (E, u) pair with |u| <= u_max and wt(E) <= e_max, and record each
@@ -345,7 +342,7 @@ def simulate_rounds(
     code: CssCode,
     budget: SingleShotBudget,
     schedule: list[tuple[PauliError, np.ndarray]],
-    max_weight: int = 6,
+    max_weight: int = DEFAULT_DISTANCE_BUDGET,
 ) -> list[RoundRecord]:
     """Iterate decoding over a schedule of (new physical error, measurement
     error) rounds, carrying the residual forward.

@@ -19,7 +19,7 @@ same int rows, multiplied and transposed by _mul_rows and _transpose_ints.
 
 Pivoting is always left-to-right over columns and tie-breaks are
 lexicographic (smallest support indices first), so every routine is
-deterministic.  Support sets are reported 1-based.
+deterministic.
 
 The weight-ordered searches (min_weight_solution,
 all_solutions_up_to_weight, kernel_vectors_by_weight) meet in the
@@ -64,10 +64,7 @@ __all__ = [
     "min_weight_solution",
     "all_solutions_up_to_weight",
     "kernel_vectors_by_weight",
-    "reshape_vector",
     "flatten_matrix",
-    "col_support",
-    "row_support",
     "weight",
     "read_pcm",
     "write_pcm",
@@ -829,15 +826,6 @@ def _support_to_vector(support: tuple[int, ...], n: int) -> np.ndarray:
     return v
 
 
-def _vectors_up_to_weight(n: int, max_weight: int) -> Iterator[np.ndarray]:
-    """The zero vector, then every length-n vector of weight 1..max_weight in
-    (weight, lex) order of support, each a fresh array."""
-    yield np.zeros(n, dtype=np.uint8)
-    for w in range(1, max_weight + 1):
-        for support in itertools.combinations(range(n), w):
-            yield _support_to_vector(support, n)
-
-
 def _search_inputs(m, b, max_weight: int) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """m and b (unless None) as uint8, after the checks every search shares."""
     m = as_bin(m)
@@ -896,36 +884,11 @@ def kernel_vectors_by_weight(m, max_weight: int) -> Iterator[np.ndarray]:
             yield _support_to_vector(support, m.shape[1])
 
 
-# -- reshaping and supports --------------------------------------------------
-
-
-def reshape_vector(v, rows: int, cols: int) -> np.ndarray:
-    """Reshape a length rows*cols vector to a rows x cols matrix.
-
-    Index convention: entry (i, j) of the result is component i*cols + j
-    of v, i.e. the left tensor factor is the major index.  Under this
-    convention kron(M, N) @ v flattens to M @ V @ N.T.
-    """
-    v = as_bin(v).reshape(-1)
-    if v.shape[0] != rows * cols:
-        raise ValueError(f"cannot reshape length {v.shape[0]} to {rows}x{cols}")
-    return v.reshape(rows, cols).copy()
+# -- flattening --------------------------------------------------------------
 
 
 def flatten_matrix(v: np.ndarray) -> np.ndarray:
     return as_bin(v).reshape(-1).copy()
-
-
-def col_support(m) -> frozenset[int]:
-    """1-based indices of columns with at least one nonzero entry."""
-    m = as_bin(m)
-    return frozenset(int(c) + 1 for c in np.nonzero(m.any(axis=0))[0])
-
-
-def row_support(m) -> frozenset[int]:
-    """1-based indices of rows with at least one nonzero entry."""
-    m = as_bin(m)
-    return frozenset(int(r) + 1 for r in np.nonzero(m.any(axis=1))[0])
 
 
 # -- .pcm text format ---------------------------------------------------------

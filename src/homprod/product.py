@@ -49,6 +49,7 @@ __all__ = [
     "ProductParams",
     "product_params",
     "redundancy",
+    "double_distance_witness",
 ]
 
 
@@ -233,7 +234,7 @@ def _redundancy(sizes: dict[int, int], k0: int) -> Fraction:
     return Fraction(sizes[1] + sizes[-1], sizes[0] - k0)
 
 
-def double_distance_witness(breve: ChainComplex, max_weight: int = 6) -> Optional[np.ndarray]:
+def double_distance_witness(breve: ChainComplex, max_weight: int) -> Optional[np.ndarray]:
     """A qubit-level logical of the double product breve in product form.
 
     Full enumeration at the double product's scale is hopeless, so the

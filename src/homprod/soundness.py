@@ -35,7 +35,6 @@ __all__ = [
     "Verdict",
     "PreimageError",
     "profile_map",
-    "profile_map_error_first",
     "certify_map",
     "PAULI_TABLE_MAX_QUBITS",
     "pauli_weight_table",
@@ -72,18 +71,17 @@ class SoundnessProfile:
     worst[x] is the largest "minimum |r| with d r = s" over all syndromes
     s in the image with |s| = x; entries equal to budget+1 mean the
     minimum exceeded the preimage search budget.  worst_syndrome[x] is
-    the first such s in (weight, lex) order that reaches worst[x] (kept
-    by the image-first profile only, and not part of to_json).
+    the first such s in (weight, lex) order that reaches worst[x] (not
+    part of to_json).
     """
 
     worst: dict[int, int]
     preimage_budget: int
     x_max: int
-    domain: str
+    worst_syndrome: dict[int, np.ndarray] = field(repr=False)
     threshold: Optional[float] = None
     bound: Optional[PolyBound] = None
     verdict: Optional[Verdict] = None
-    worst_syndrome: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
 
     def to_json(self) -> dict:
         out = {
@@ -92,7 +90,7 @@ class SoundnessProfile:
             },
             "preimage_budget": self.preimage_budget,
             "x_max": self.x_max,
-            "domain": self.domain,
+            "domain": f"all image syndromes of weight <= {self.x_max}",
         }
         if self.threshold is not None:
             out["threshold"] = (
@@ -129,51 +127,7 @@ def profile_map(
         if w > worst.get(x, 0):
             worst[x] = w
             worst_syndrome[x] = s
-    return SoundnessProfile(
-        worst,
-        preimage_budget,
-        x_max,
-        domain=f"all image syndromes of weight <= {x_max}",
-        worst_syndrome=worst_syndrome,
-    )
-
-
-def profile_map_error_first(delta, w_domain_max: Optional[int] = None) -> SoundnessProfile:
-    """Definition-shaped profile: enumerate errors r, then their syndromes.
-
-    Only for tiny domains (full space when the domain dimension is at
-    most 20, else all r with |r| <= w_domain_max); used to cross-check
-    the image-first computation.
-    """
-    delta = gf2.as_bin(delta)
-    n = delta.shape[1]
-    if n <= 20 and w_domain_max is None:
-        rs = (
-            np.array([(code >> i) & 1 for i in range(n)], dtype=np.uint8)
-            for code in range(2**n)
-        )
-        domain = "full error space"
-    elif w_domain_max is not None:
-        rs = gf2._vectors_up_to_weight(n, w_domain_max)
-        domain = f"all errors of weight <= {w_domain_max}"
-    else:
-        raise ValueError("domain too large; pass w_domain_max")
-    best: dict[bytes, int] = {}
-    weights: dict[bytes, int] = {}
-    for r in rs:
-        s = gf2.mat_vec(delta, r)
-        key = s.tobytes()
-        w = gf2.weight(r)
-        if key not in best or w < best[key]:
-            best[key] = w
-            weights[key] = gf2.weight(s)
-    worst: dict[int, int] = {}
-    for key, w in best.items():
-        x = weights[key]
-        if w > worst.get(x, -1):
-            worst[x] = w
-    budget = max(worst.values(), default=0)
-    return SoundnessProfile(worst, budget, max(weights.values(), default=0), domain)
+    return SoundnessProfile(worst, preimage_budget, x_max, worst_syndrome)
 
 
 def certify_map(
@@ -432,22 +386,6 @@ class PartialDecodeState:
         self._held, self._cols = held, cols
         self.loop_counters = loop_counters
         self.passes = passes
-
-    def support_conditions(self, d_high: np.ndarray, d_low: np.ndarray) -> list[bool]:
-        """The six terminal support conditions, in pseudocode order."""
-        return _side_conditions(self.r_b, d_low, self.s_l) + _side_conditions(
-            self.r_b.T, d_high.T, self.s_r.T
-        )
-
-
-def _side_conditions(r: np.ndarray, d: np.ndarray, s: np.ndarray) -> list[bool]:
-    """Conditions 1-3 for (R_b, d_low, S_L); 4-6 for the transposes."""
-    rd = gf2.mat_mul(r, d)
-    return [
-        gf2.row_support(rd) <= gf2.row_support(s),
-        gf2.col_support(rd) <= gf2.col_support(s),
-        gf2.row_support(rd) == gf2.row_support(r),
-    ]
 
 
 def _shrink_side(r: list[int], d: list[int], s: list[int], step) -> list[int]:

@@ -103,7 +103,6 @@ class DiagonalizedChecks:
     n: int
     qubit_permutation: list[int]  # position -> original qubit
     local_maps: list[np.ndarray]  # per position, applied to original (x, z)
-    source: SymplecticChecks
 
     @property
     def num_generators(self) -> int:
@@ -198,7 +197,7 @@ def diagonalize(checks: SymplecticChecks) -> DiagonalizedChecks:
     if (g[:, :r] != np.eye(r, dtype=np.uint8)).any() or g[:, n : n + r].diagonal().any():
         raise AssertionError("the final frame is not one pure X pivot per generator")
     g.setflags(write=False)
-    return DiagonalizedChecks(g, n, perm, list(local), checks)
+    return DiagonalizedChecks(g, n, perm, list(local))
 
 
 def pure_error_preimage(diag: DiagonalizedChecks, s) -> np.ndarray:
@@ -265,9 +264,9 @@ class EnergyReport:
         }
 
 
-# Peak bytes per visited class of an energy-barrier search besides its two
-# ints (the class, 2n bits, and its syndrome, a bit per check; CPython holds
-# 30 bits in 4 bytes), measured with tracemalloc: the class's entry in the
+# Peak bytes per visited class of an energy-barrier search besides the
+# payload of its two ints, the class and its syndrome (CPython holds 30 bits
+# in 4 bytes; see energy_barrier), measured with tracemalloc: the class's entry in the
 # dict of walk maxima, its heap tuple (stale ones included) and, once it
 # pops, its last step.  Table I row 1, both sectors, and the first 400,000
 # classes of rows 2 and 3, X sector, peaked at 129-171 bytes a class; the
@@ -292,8 +291,11 @@ def energy_barrier(checks: SymplecticChecks, sector: str = "x") -> EnergyReport:
     Reduction is linear and a representative holds no pivot bit, so a
     step is two precomputed ints: its reduced vector, XORed into the
     class, and the checks it flips, XORed into the syndrome.  The visited
-    classes are charged against gf2's memory cap; a search past it raises
-    BudgetExhausted naming the class count.
+    classes are charged against gf2's memory cap, each for the widest
+    class and syndrome ints the steps' XORs can make, the bit lengths of
+    the OR of the step vectors and of the step flips (a Z-sector class
+    holds no X bit, so it is about half as wide as an X-sector one).  A
+    search past the cap raises BudgetExhausted naming the class count.
     """
     n = checks.n
     if sector not in ("x", "z", "full"):
@@ -311,6 +313,7 @@ def energy_barrier(checks: SymplecticChecks, sector: str = "x") -> EnergyReport:
     top = 8 * -(-2 * n // 8) - 1
     columns = gf2._row_ints(checks.matrix.T.copy())
     steps = []
+    class_bits = syndrome_bits = 0  # the OR of every step's vector, and of its flips
     for q in range(n):
         x, z = 1 << (top - q), 1 << (top - n - q)
         by_letter = {
@@ -324,13 +327,15 @@ def energy_barrier(checks: SymplecticChecks, sector: str = "x") -> EnergyReport:
                 if vector >> (row.bit_length() - 1) & 1:
                     vector ^= row
             steps.append((vector, flips, (q + 1, letter)))
+            class_bits |= vector
+            syndrome_bits |= flips
 
     best = {0: 0}
     # a class's last step is kept once it pops: the entry that pops is the
     # one its best walk maximum pushed, and it pops once
     prev: dict[int, tuple] = {}
     heap = [(0, 0, 0, 0, None)]  # (walk maximum, class, syndrome, last class, step)
-    class_bytes = _CLASS_BYTES + 4 * (2 * n + checks.num_checks) // 30
+    class_bytes = _CLASS_BYTES + 4 * (class_bits.bit_length() + syndrome_bits.bit_length()) // 30
     most = gf2._TABLE_BYTES_MAX // class_bytes
     while heap:
         d, v, syndrome, u, last = heapq.heappop(heap)

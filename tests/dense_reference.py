@@ -1,5 +1,6 @@
-"""Dense reference elimination shared by the tests: one column at a time on
-a uint8 copy, independent of the library's int-row elimination."""
+"""Dense references shared by the tests: elimination one column at a time on
+a uint8 copy, independent of the library's int-row elimination, and the
+counts and profiles built on it or on plain enumeration."""
 
 import numpy as np
 
@@ -32,3 +33,26 @@ def dense_kernel(m):
     basis[np.arange(len(free)), free] = 1
     basis[:, pivots] = red[:, free].T
     return basis
+
+
+def cobetti(complex_, j):
+    """dim ker(d_{j-1}^T) - rank(d_j^T), from the kernels of the transposed
+    maps: the cohomology count that equals the Betti number by duality."""
+    up, down = complex_.delta(j).T, complex_.delta(j - 1).T
+    return len(dense_kernel(down)) - (up.shape[1] - len(dense_kernel(up)))
+
+
+def error_first_profile(delta):
+    """Largest minimum preimage weight per syndrome weight, by the definition:
+    every r of the full 2^n error space, then its syndrome delta r."""
+    n = delta.shape[1]
+    best = {}
+    for code in range(2**n):
+        r = np.array([(code >> i) & 1 for i in range(n)], dtype=np.uint8)
+        key = ((delta.astype(np.int64) @ r) % 2).astype(np.uint8).tobytes()
+        best[key] = min(best.get(key, n), int(r.sum()))
+    worst = {}
+    for key, w in best.items():
+        x = sum(key)
+        worst[x] = max(worst.get(x, 0), w)
+    return worst

@@ -17,6 +17,7 @@ from homprod import bounds, chain, cli, css, decoder, gf2, product, soundness, s
 from codes import (
     CYC3, REP2, REP3, budget241, budget33, check_partial_properties, complex_of, make_error_state,
 )
+from dense_reference import cobetti
 
 REP4 = gf2.as_bin([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]])
 SIX_TWO = cli.TABLE1_INPUTS["row4"]
@@ -115,7 +116,7 @@ def test_criterion_03_kunneth_duality():
         for j in tilde.levels():
             assert tilde.size(j) == pred.level_sizes[j]
             assert chain.betti_number(tilde, j) == pred.level_bettis[j]
-            assert chain.betti_number(tilde, j) == chain.cobetti_number(tilde, j)
+            assert chain.betti_number(tilde, j) == cobetti(tilde, j)
         assert pred.redundancy == product.redundancy(tilde)
     for idx in SMALL_DOUBLE_INDICES:
         base = complex_of(KUNNETH_CODES[idx])
@@ -124,7 +125,7 @@ def test_criterion_03_kunneth_duality():
         for j in breve.levels():
             assert breve.size(j) == pred.level_sizes[j]
             assert chain.betti_number(breve, j) == pred.level_bettis[j]
-            assert chain.betti_number(breve, j) == chain.cobetti_number(breve, j)
+            assert chain.betti_number(breve, j) == cobetti(breve, j)
         assert pred.redundancy == product.redundancy(breve)
     ok(3, "Kunneth and duality")
 
@@ -272,11 +273,8 @@ def test_criterion_09_multi_round_containment(code33, code241):
     for _ in range(10):
         e = np.zeros(33, dtype=np.uint8)
         e[int(rng.integers(0, 33))] = 1
-        err = (
-            css.PauliError.x_only(e)
-            if rng.integers(0, 2)
-            else css.PauliError.z_only(e)
-        )
+        z = np.zeros_like(e)
+        err = css.PauliError(e, z) if rng.integers(0, 2) else css.PauliError(z, e)
         schedule.append((err, np.zeros(40, dtype=np.uint8)))
     records = decoder.simulate_rounds(code33, budget33(), schedule, max_weight=6)
     assert len(records) == 10
@@ -293,7 +291,7 @@ def test_criterion_09_multi_round_containment(code33, code241):
             u[int(rng.integers(0, 312))] = 1
         else:
             e[int(rng.integers(0, 241))] = 1
-        schedule.append((css.PauliError.x_only(e), u))
+        schedule.append((css.PauliError(e, np.zeros_like(e)), u))
     records = decoder.simulate_rounds(code241, budget241(), schedule, max_weight=6)
     assert all(r.in_contract for r in records)
     assert all(r.residual_bounded for r in records)

@@ -407,7 +407,7 @@ class TestDecode:
         code = css.from_complex(complex_)
         err = np.zeros(33, dtype=np.uint8)
         err[7] = 1
-        s = code.syndrome(css.PauliError.x_only(err))
+        s = code.syndrome(css.PauliError(err, np.zeros_like(err)))
         syn = tmp_path / "syn.pcm"
         gf2.write_pcm(syn, np.concatenate([s.z_part, s.x_part]).reshape(1, -1))
         out = tmp_path / "dec.json"
@@ -424,7 +424,7 @@ class TestDecode:
         code = css.from_complex(chain.load_complex(rep2_build))
         err = np.zeros(33, dtype=np.uint8)
         err[[22, 28]] = 1
-        s = code.syndrome(css.PauliError.x_only(err))
+        s = code.syndrome(css.PauliError(err, np.zeros_like(err)))
         syn = tmp_path / "syn.pcm"
         gf2.write_pcm(syn, np.concatenate([s.z_part, s.x_part]).reshape(1, -1))
         argv = ["decode", "--complex", rep2_build, "--syndrome", str(syn), "--quiet"]

@@ -18,6 +18,20 @@ def test_every_export_resolves(name):
     assert missing == []
 
 
+@pytest.mark.parametrize("name", MODULES)
+def test_every_public_definition_is_exported(name):
+    # a public function or class a module defines is part of its API
+    module = importlib.import_module(f"homprod.{name}")
+    defined = {
+        attr
+        for attr, obj in vars(module).items()
+        if not attr.startswith("_")
+        and (inspect.isfunction(obj) or inspect.isclass(obj))
+        and obj.__module__ == module.__name__
+    }
+    assert sorted(defined - set(module.__all__)) == []
+
+
 def test_console_script_resolves_to_cli_main():
     # the `homprod` command pyproject.toml installs; a renamed entry point
     # would only fail once installed

@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from homprod import gf2
 
+from codes import cols_of, rows_of
 from dense_reference import dense_kernel, dense_rref
 
 
@@ -805,22 +806,17 @@ class TestMemoryCap:
 
 
 class TestReshape:
-    def test_zero(self):
-        assert not gf2.reshape_vector(gf2.zeros(1, 6)[0], 2, 3).any()
-
     def test_unit_vector_placement(self):
-        v = np.zeros(6, dtype=np.uint8)
-        v[1 * 3 + 2] = 1  # tensor index (1, 2) of a 2x3 grid
-        m = gf2.reshape_vector(v, 2, 3)
-        assert m[1, 2] == 1 and m.sum() == 1
+        # entry (i, j) of a rows x cols matrix flattens to index i*cols + j,
+        # where kron puts the product of the i-th and j-th unit vectors
+        m = gf2.zeros(2, 3)
+        m[1, 2] = 1
+        v = gf2.flatten_matrix(m)
+        assert (v == np.kron(np.eye(2, dtype=np.uint8)[1], np.eye(3, dtype=np.uint8)[2])).all()
 
     def test_round_trip(self):
         v = bits([1, 0, 1, 1, 0, 0])
-        assert (gf2.flatten_matrix(gf2.reshape_vector(v, 2, 3)) == v).all()
-
-    def test_mismatch(self):
-        with pytest.raises(ValueError):
-            gf2.reshape_vector(bits([1, 0, 1]), 2, 2)
+        assert (gf2.flatten_matrix(v.reshape(2, 3)) == v).all()
 
     @given(st.integers(0, 2**24 - 1), st.integers(0, 2**11 - 1), st.integers(0, 2**15 - 1))
     @settings(max_examples=40)
@@ -829,14 +825,14 @@ class TestReshape:
         a = bits([[(acode >> (3 * i + j)) & 1 for j in range(3)] for i in range(3)])[:2, :]
         b = bits([[(bcode >> (5 * i + j)) & 1 for j in range(5)] for i in range(3)])[:, :4]
         v = bits([(vcode >> i) & 1 for i in range(12)])  # 3 cols of a * 4 cols of b
-        lhs = gf2.flatten_matrix(
-            gf2.mat_mul(gf2.mat_mul(a, gf2.reshape_vector(v, 3, 4)), b.T)
-        )
+        lhs = gf2.flatten_matrix(gf2.mat_mul(gf2.mat_mul(a, v.reshape(3, 4)), b.T))
         rhs = gf2.mat_vec(np.kron(a, b), v)
         assert (lhs == rhs).all()
 
 
 class TestSupports:
+    # the row and column supports that the partial-decode support conditions
+    # compare (tests/codes.py): a swapped axis would weaken that check
     def test_worked_example(self):
         x = bits(
             [
@@ -845,31 +841,19 @@ class TestSupports:
                 [0, 0, 0, 1, 1, 0],
             ]
         )
-        assert gf2.col_support(x) == frozenset({1, 2, 4, 5})
-        assert gf2.row_support(x) == frozenset({1, 2, 3})
+        assert cols_of(x) == {0, 1, 3, 4}
+        assert rows_of(x) == {0, 1, 2}
 
     def test_zero(self):
-        assert gf2.col_support(gf2.zeros(2, 3)) == frozenset()
-        assert gf2.row_support(gf2.zeros(2, 3)) == frozenset()
+        assert cols_of(gf2.zeros(2, 3)) == rows_of(gf2.zeros(2, 3)) == set()
 
     def test_identity(self):
-        assert gf2.col_support(gf2.identity(3)) == frozenset({1, 2, 3})
-        assert gf2.row_support(gf2.identity(3)) == frozenset({1, 2, 3})
+        assert cols_of(gf2.identity(3)) == rows_of(gf2.identity(3)) == {0, 1, 2}
 
     @given(bin_matrix())
     def test_support_bounded_by_weight(self, m):
-        assert len(gf2.col_support(m)) <= gf2.weight(m)
-        assert len(gf2.row_support(m)) <= gf2.weight(m)
-
-    def test_vectors_up_to_weight(self):
-        vectors = list(gf2._vectors_up_to_weight(4, 2))
-        supports = [tuple(np.flatnonzero(v)) for v in vectors]
-        assert supports == [
-            (), *itertools.combinations(range(4), 1), *itertools.combinations(range(4), 2)
-        ]
-        assert all(v.dtype == np.uint8 and v.shape == (4,) for v in vectors)
-        vectors[0][:] = 1  # each vector is a fresh array
-        assert [tuple(np.flatnonzero(v)) for v in vectors[1:]] == supports[1:]
+        assert len(cols_of(m)) <= gf2.weight(m)
+        assert len(rows_of(m)) <= gf2.weight(m)
 
 
 class TestPcmFormat:

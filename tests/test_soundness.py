@@ -10,6 +10,7 @@ from homprod import bounds, chain, gf2, product, soundness, stab
 from homprod.chain import ChainComplex
 
 from codes import REP2, REP3, check_partial_properties, fresh_python, make_error_state, single
+from dense_reference import error_first_profile
 
 # partial_decode's counter totals and digest over the seeded batch of
 # TestPartialDecode.test_pinned_batch_digest: a change to any loop's order
@@ -162,18 +163,15 @@ class TestProfile:
         assert gf2.weight(r) == 2
         assert (gf2.mat_vec(delta, r) == prof.worst_syndrome[1]).all()
 
-    def test_image_first_matches_error_first(self, tilde_rep3):
-        delta = tilde_rep3.delta(0).T
-        a = soundness.profile_map(delta, 6, 10)
-        b = soundness.profile_map_error_first(delta)
-        for x, w in a.worst.items():
-            assert b.worst[x] == w
-
-    def test_error_first_to_full_weight_is_the_full_space(self, tilde_rep3):
-        delta = tilde_rep3.delta(0).T
-        full = soundness.profile_map_error_first(delta)
-        bounded = soundness.profile_map_error_first(delta, w_domain_max=delta.shape[1])
-        assert bounded.worst == full.worst
+    def test_image_first_matches_error_first(self, tilde_rep2, tilde_rep3):
+        # both maps into the middle level of each single product: the
+        # image-first profile to every syndrome weight, with a budget every
+        # preimage meets, equals the full error space's profile both ways
+        for tilde in (tilde_rep2, tilde_rep3):
+            for delta in (tilde.delta(0).T, tilde.delta(-1)):
+                x_max, n = delta.shape
+                profile = soundness.profile_map(delta, x_max, n)
+                assert profile.worst == error_first_profile(delta)
 
 
 class TestSingleProductPreimage:

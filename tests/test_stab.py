@@ -268,6 +268,26 @@ class TestEnergyBarrier:
         classes, need = int(found[1]), int(found[2])
         assert cap < need and classes * stab._CLASS_BYTES <= need
 
+    def test_z_classes_are_charged_less_than_x_classes(self, monkeypatch, code33):
+        # a Z-sector class has no X bits, and its syndrome covers only the
+        # X-type checks, which from_css stacks after the Z-type ones
+        checks = stab.SymplecticChecks.from_css(code33.z_checks, code33.x_checks)
+        cap = 100 * stab._CLASS_BYTES
+        monkeypatch.setattr(gf2, "_TABLE_BYTES_MAX", cap)
+        per_class = {}
+        for sector in ("x", "z"):
+            with pytest.raises(gf2.BudgetExhausted) as info:
+                stab.energy_barrier(checks, sector)
+            found = re.fullmatch(
+                r"an energy-barrier search of (\d+) classes needs about (\d+) bytes, "
+                rf"above the {cap}-byte cap",
+                str(info.value),
+            )
+            classes, need = int(found[1]), int(found[2])
+            assert cap < need and need % classes == 0
+            per_class[sector] = need // classes
+        assert stab._CLASS_BYTES < per_class["z"] < per_class["x"]
+
     @staticmethod
     def _replay(checks, report, sector):
         """The witness walk reaches a zero-syndrome nontrivial class while
