@@ -15,7 +15,7 @@ memoised on read-only matrices and handed over with each product map
 and its transpose (_from_support): no dense map is scanned or packed.
 mat_mul forms products through float64 BLAS, faster for small dense ones.
 The constructive witnesses (soundness) keep their small matrices in the
-same int rows, multiplied and transposed by _mul_rows and _transpose_ints.
+same int rows: _mul_rows, _transpose_ints and _column_sum act on them.
 
 Pivoting is always left-to-right over columns and tie-breaks are
 lexicographic (smallest support indices first), so every routine is
@@ -254,6 +254,36 @@ def _int_matrix(ints: list[int], cols: int) -> np.ndarray:
     else:
         packed = _int_rows(ints, nbytes)
     return np.unpackbits(packed, axis=1, count=cols)
+
+
+def _ones(rows: list[int], cols: int) -> list[int]:
+    """The flat (row-major) indices of the ones of int rows of `cols` columns."""
+    width = 8 * -(-cols // 8)
+    out = []
+    for k, v in enumerate(rows):
+        while v:
+            low = v & -v
+            out.append(k * cols + width - low.bit_length())
+            v ^= low
+    return out
+
+
+def _from_ones(ones, rows: int, cols: int) -> list[int]:
+    """The int rows of a rows x cols matrix, from the flat indices of its ones."""
+    top = 8 * -(-cols // 8) - 1
+    out = [0] * rows
+    for i in ones:
+        k, j = divmod(i, cols)
+        out[k] |= 1 << (top - j)
+    return out
+
+
+def _column_sum(columns: list[int], ones) -> int:
+    """m v as an int row, for columns = m^T's int rows and v given by its ones."""
+    acc = 0
+    for i in ones:
+        acc ^= columns[i]
+    return acc
 
 
 def _mul_rows(a: list[int], b: list[int]) -> list[int]:

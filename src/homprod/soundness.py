@@ -254,10 +254,11 @@ def _checks_of(tilde: ChainComplex, h: np.ndarray) -> np.ndarray:
     """h as tilde.factor holds it, a read-only owner that the memos hold on;
     ValueError unless tilde is the single product of checks equal to h."""
     base = tilde.factor
-    if base is None or base.length != 1 or not np.array_equal(base.boundaries[0], h):
+    b = None if base is None or base.length != 1 else base.boundaries[0]
+    if b is None or b.shape != h.shape or b.tobytes() != h.tobytes():
         n1, n0 = h.shape
         raise ValueError(f"{tilde!r} is not the single product of a {n1}x{n0} matrix equal to h")
-    return base.boundaries[0]
+    return b
 
 
 def _single_map_pieces(h: np.ndarray, tilde: ChainComplex, map_side: str):
@@ -337,24 +338,29 @@ def single_product_preimage(
     s = gf2.as_bin(s).reshape(-1)
     if s.shape[0] != tilde.size(0):
         raise ValueError("syndrome length does not match the product's middle level")
-    return _single_preimage(h, tilde, s, map_side, threshold)
+    ones, guaranteed, steps = _single_preimage(h, tilde, s, map_side, threshold)
+    r = np.zeros(tilde.size(-1 if map_side == "from_redundancy" else 1), dtype=np.uint8)
+    r[ones] = 1
+    return SingleWitness(r, guaranteed, steps)
 
 
-def _single_preimage(h, tilde, s, map_side, threshold) -> SingleWitness:
-    """single_product_preimage of checked inputs."""
+def _single_preimage(h, tilde, s, map_side, threshold) -> tuple[list[int], bool, int]:
+    """single_product_preimage of checked inputs, on int rows after the solve:
+    r is returned as the flat indices of its ones, then the flag and steps."""
     the_map, shape, col_test, row_test = _single_map_pieces(h, tilde, map_side)
     r0 = gf2.get_solver(the_map).solve(s)
     if r0 is None:
         raise PreimageError("syndrome is not in the image of the selected map")
     rows, steps = _reduce_reshaped(gf2._row_ints(r0.reshape(shape)), col_test, row_test)
-    r = gf2._int_matrix(rows, shape[1]).reshape(-1)
-    if not (gf2.mat_vec(the_map, r) == s).all():
+    ones = gf2._ones(rows, shape[1])
+    target = gf2._target_int(s)
+    if gf2._column_sum(_rows(the_map.T), ones) != target:
         raise AssertionError("reduced witness no longer solves the selected map")
-    x = gf2.weight(s)
+    x = target.bit_count()
     guaranteed = threshold is not None and x < threshold
-    if guaranteed and Fraction(gf2.weight(r)) > QUADRATIC_OVER_4(x):
+    if guaranteed and Fraction(len(ones)) > QUADRATIC_OVER_4(x):
         raise AssertionError("area bound violated inside the guaranteed range")
-    return SingleWitness(r, guaranteed, steps)
+    return ones, guaranteed, steps
 
 
 # -- constructive witness: double product ---------------------------------------
@@ -388,18 +394,17 @@ class PartialDecodeState:
         self.passes = passes
 
 
-def _shrink_side(r: list[int], d: list[int], s: list[int], step) -> list[int]:
+def _shrink_side(r: list[int], d: list[int], s: list[int], step, rd: list[int]) -> list[int]:
     """Loops 1-3 of partial_decode: r is R_b, d is d_low, s is S_L.
 
     All three are int rows (gf2's convention), and r changes in place,
     one transform at a time; loops 4-6 pass the rows of R_b^T, d_high^T
-    and S_R^T.  rd = r d is formed once and then kept up to date: every
+    and S_R^T.  rd = r d, passed in, is kept up to date in place: every
     transform is rank one, r ^= outer(w, r[k]) for a 0/1 column w, which
     changes r d by outer(w, rd[k]), and zeroing a row of r whose row of
     rd is zero leaves rd as it is.  step(k) is called after every
     transform of loop k + 1 of the three.  Returns the final rd.
     """
-    rd = gf2._mul_rows(r, d)
     s_cols = _any_row(s)
 
     def add_row(k: int, w: Callable[[int], bool]) -> None:
@@ -485,7 +490,8 @@ def _partial_decode(rows, sl, sr, m, d_high, d_low, check_every_step) -> Partial
     low, high = _rows(d_low), _rows(d_high)
     if m != gf2._mul_rows(sr, low):
         raise ValueError("precondition failed: d_high @ S_L != S_R @ d_low")
-    if m != gf2._mul_rows(high, gf2._mul_rows(rows, low)):
+    rd = gf2._mul_rows(rows, low)  # R_b d_low, handed to the first side
+    if m != gf2._mul_rows(high, rd):
         raise ValueError("precondition failed: d_high @ R_b @ d_low != d_high @ S_L")
     # side 2 is side 1 on transposes
     sides = [(low, sl), (_rows(d_high.T), gf2._transpose_ints(sr, n_0))]
@@ -511,15 +517,16 @@ def _partial_decode(rows, sl, sr, m, d_high, d_low, check_every_step) -> Partial
     while True:
         fired = sum(counters)
         for side, (d, s) in enumerate(sides):
-            # on side 2, the rows of (d_high R_b)^T
-            product_rows = _shrink_side(rows, d, s, functools.partial(step, side))
+            # on side 2, the rows of (d_high R_b)^T; rd is formed afresh for the next side
+            product_rows = _shrink_side(rows, d, s, functools.partial(step, side), rd)
             rows = gf2._transpose_ints(rows, n_0)
+            rd = gf2._mul_rows(rows, sides[1 - side][0])
         passes += 1
         if sum(counters) == fired:
             break
         if passes > guard:
             raise AssertionError("outer pass failed to reach a fixed point")
-    rb_d_low = gf2._mul_rows(rows, low)
+    rb_d_low = rd
     if gf2._mul_rows(high, rb_d_low) != m:
         raise AssertionError("middle-block transform failed to preserve M")
     d_high_rb = gf2._transpose_ints(product_rows, n_1)
@@ -570,9 +577,9 @@ def double_product_preimage(
     Pipeline: solve the reshaped middle-block equation for any R_b, run
     partial_decode to shrink its support, then solve each remainder
     column (rows on the right side) with the single-product witnesses and
-    assemble.  S_L, S_R, M and the remainders are int rows.  The cubic
-    bound |r| <= |s|^3 / 4 is guaranteed for |s| < threshold; outside
-    that range the remainder pieces can fall outside the single product's
+    assemble, on int rows from s to r; each map check XORs column ints.
+    The cubic bound |r| <= |s|^3 / 4 is guaranteed for |s| < threshold;
+    outside it the remainder pieces can fall outside the single product's
     image, where the plain solver supplies a correct (unbounded) witness.
 
     Each check is an explicit raise that python -O keeps: the metachecks
@@ -600,17 +607,18 @@ def double_product_preimage(
     len_l = n_0 * n_m1
     if s.shape[0] != breve.size(1):
         raise ValueError("syndrome length does not match the double product's checks")
-    if gf2.mat_vec(breve.delta(1), s).any():
+    ones = np.flatnonzero(s).tolist()
+    if gf2._column_sum(_rows(breve.delta(1).T), ones):
         raise PreimageError("syndrome fails the metachecks")
     qubit_map = breve.delta(0)
-    sl = gf2._row_ints(s[:len_l].reshape(n_0, n_m1))
-    sr = gf2._row_ints(s[len_l:].reshape(n_1, n_0))
+    sl = gf2._from_ones([i for i in ones if i < len_l], n_0, n_m1)
+    sr = gf2._from_ones([i - len_l for i in ones if i >= len_l], n_1, n_0)
     m = gf2._mul_rows(_rows(d_high), sl)
-    x = gf2.weight(s)
+    x = len(ones)
     guaranteed = threshold is not None and x < threshold
 
     # the middle-block map is built from both of tilde's maps, so it is
-    # memoised on h, which they are a function of
+    # memoised on h, which they are a function of; its input is M flattened
     mid_solver = gf2.memo(
         h, "mid_map_solver", lambda _: gf2.Gf2Solver(np.kron(d_high, d_low.T))
     )
@@ -638,24 +646,20 @@ def double_product_preimage(
     q_r = [a ^ b for a, b in zip(sr, d_high_rb)]
     left = [i for i, v in enumerate(q_l) if v]
     right = [i for i, v in enumerate(q_r) if v]
-    bits = gf2._int_matrix(rows + [q_l[i] for i in left] + [q_r[i] for i in right], n_0)
-    vectors = bits[n_0:].copy()  # holds no row of R_b
+    term_rows = [q_l[i] for i in left] + [q_r[i] for i in right]
+    vectors = gf2._int_matrix(term_rows, n_0) if term_rows else ()
     left_terms = [RemainderTerm(v, i) for v, i in zip(vectors, left)]
     right_terms = [RemainderTerm(v, i) for v, i in zip(vectors[len(left):], right)]
-    r = np.zeros(breve.size(0), dtype=np.uint8)
-    # r's three blocks are views of it, so a kept witness holds each bit once
-    a_end = n_m1 * n_m1
-    b_end = a_end + n_0 * n_0
-    r_a, r_b, r_c = r[:a_end], r[a_end:b_end], r[b_end:]
-    r_b.reshape(n_0, n_0)[:] = bits[:n_0]
-    # a left term fills a column of R_a, a right term a row of R_c
-    for terms, map_side, block in (
-        (left_terms, "from_redundancy", r_a.reshape(n_m1, n_m1).T),
-        (right_terms, "from_checks", r_c.reshape(n_1, n_1)),
+    # r's ones: R_b's, each left term's in a column of R_a, each right term's in a row of R_c
+    a_end, b_end = n_m1 * n_m1, n_m1 * n_m1 + n_0 * n_0
+    r_ones = [a_end + i for i in gf2._ones(rows, n_0)]
+    for terms, map_side, place in (
+        (left_terms, "from_redundancy", lambda i, p: p * n_m1 + i),
+        (right_terms, "from_checks", lambda i, p: b_end + i * n_1 + p),
     ):
         for term in terms:
             try:
-                witness = _single_preimage(h, tilde, term.vector, map_side, threshold)
+                term_ones = _single_preimage(h, tilde, term.vector, map_side, threshold)[0]
             except PreimageError as exc:
                 plain = _qubit_map_preimage(qubit_map, s)
                 if guaranteed:
@@ -667,12 +671,15 @@ def double_product_preimage(
                 return DoubleWitness(
                     plain, None, None, None, False, True, left_terms, right_terms, None
                 )
-            block[term.index] = witness.r
-    if not (gf2.mat_vec(qubit_map, r) == s).all():
+            r_ones += [place(term.index, p) for p in term_ones]
+    if gf2._column_sum(_rows(qubit_map.T), r_ones) != gf2._from_ones(ones, 1, s.shape[0])[0]:
         _qubit_map_preimage(qubit_map, s)
         raise AssertionError("assembled witness does not solve the qubit map")
-    if guaranteed and Fraction(gf2.weight(r)) > CUBIC_OVER_4(x):
+    if guaranteed and Fraction(len(r_ones)) > CUBIC_OVER_4(x):
         raise AssertionError("cubic bound violated inside the guaranteed range")
+    r = np.zeros(breve.size(0), dtype=np.uint8)
+    r[r_ones] = 1
+    # r's three blocks are views of it, so a kept witness holds each bit once
     return DoubleWitness(
-        r, r_a, r_b, r_c, guaranteed, False, left_terms, right_terms, state
+        r, r[:a_end], r[a_end:b_end], r[b_end:], guaranteed, False, left_terms, right_terms, state
     )

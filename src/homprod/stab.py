@@ -330,6 +330,7 @@ def energy_barrier(checks: SymplecticChecks, sector: str = "x") -> EnergyReport:
             class_bits |= vector
             syndrome_bits |= flips
 
+    del rows, basis, columns  # held no longer, so no part of the search's peak
     best = {0: 0}
     # a class's last step is kept once it pops: the entry that pops is the
     # one its best walk maximum pushed, and it pops once

@@ -159,18 +159,34 @@ class TestSolve:
 
 
 @st.composite
+def wide_matrix(draw):
+    """A sparse, dense or low-rank matrix with 0-70 rows and 0-70 columns, so
+    widths land on and off byte boundaries."""
+    rows, cols = draw(st.integers(0, 70)), draw(st.integers(0, 70))
+    kind = draw(st.sampled_from(["sparse", "dense", "low_rank"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "low_rank":
+        k = draw(st.integers(0, 6))
+        a = rng.integers(0, 2, (rows, k))
+        return ((a @ rng.integers(0, 2, (k, cols))) % 2).astype(np.uint8)
+    density = 0.05 if kind == "sparse" else 0.5
+    return (rng.random((rows, cols)) < density).astype(np.uint8)
+
+
+@st.composite
 def bin_system(draw):
-    """(M, b) with M possibly empty, zero or rank deficient, and b a random
-    vector or an image of M (so both verdicts of in_image are drawn)."""
-    rows = draw(st.integers(0, 7))
-    cols = draw(st.integers(0, 7))
-    flat = draw(st.lists(st.integers(0, 1), min_size=rows * cols, max_size=rows * cols))
-    m = np.array(flat, dtype=np.uint8).reshape(rows, cols)
+    """(M, b) with M one of wide_matrix's, possibly empty, zero or rank
+    deficient, so that its rows and b reach past one byte and past 64 bits,
+    and b a random vector or an image of M (so both verdicts of in_image
+    are drawn)."""
+    m = draw(wide_matrix())
+    rows, cols = m.shape
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
-        x = bits(draw(st.lists(st.integers(0, 1), min_size=cols, max_size=cols)))
+        x = rng.integers(0, 2, cols, dtype=np.uint8)
         b = gf2.mat_vec(m, x) if rows else np.zeros(0, dtype=np.uint8)
     else:
-        b = bits(draw(st.lists(st.integers(0, 1), min_size=rows, max_size=rows)))
+        b = rng.integers(0, 2, rows, dtype=np.uint8)
     return m, b.reshape(-1)
 
 
@@ -187,7 +203,10 @@ def reference_solution(m, b):
 
 
 class TestSolverMembership:
+    @settings(deadline=None)
     @given(bin_system())
+    @example((gf2.zeros(0, 5), np.zeros(0, dtype=np.uint8)))
+    @example((gf2.zeros(5, 0), bits([0, 1, 0, 0, 1])))
     def test_in_image_agrees_with_solve(self, system):
         m, b = system
         solver = gf2.Gf2Solver(m)
@@ -199,6 +218,7 @@ class TestSolverMembership:
         else:
             assert x.dtype == np.uint8 and x.tolist() == expected.tolist()
 
+    @settings(deadline=None)
     @given(bin_system(), st.sampled_from([-1, 1]))
     def test_wrong_length_rejected_by_both(self, system, delta):
         m, _ = system
@@ -211,6 +231,20 @@ class TestSolverMembership:
         with pytest.raises(ValueError):
             solver.solve(b)
 
+    def test_no_rows(self):
+        # every x solves the empty system, and the free variables are zero
+        solver = gf2.Gf2Solver(gf2.zeros(0, 70))
+        empty = np.zeros(0, dtype=np.uint8)
+        assert solver.in_image(empty)
+        assert solver.solve(empty).tolist() == [0] * 70
+
+    def test_no_columns(self):
+        # the image is {0}, and its one preimage is the empty vector
+        solver = gf2.Gf2Solver(gf2.zeros(70, 0))
+        zero, one = np.zeros(70, dtype=np.uint8), np.eye(1, 70, 69, dtype=np.uint8)[0]
+        assert solver.in_image(zero) and solver.solve(zero).shape == (0,)
+        assert not solver.in_image(one) and solver.solve(one) is None
+
     def test_in_image_builds_no_solution(self, monkeypatch):
         m = bits([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
         solver = gf2.Gf2Solver(m)
@@ -221,21 +255,6 @@ class TestSolverMembership:
         monkeypatch.setattr(gf2.Gf2Solver, "solve", refuse)
         assert solver.in_image(bits([1, 1, 0]))
         assert not solver.in_image(bits([1, 0, 0]))
-
-
-@st.composite
-def wide_matrix(draw):
-    """A sparse, dense or low-rank matrix with 0-70 rows and 0-70 columns, so
-    widths land on and off byte boundaries."""
-    rows, cols = draw(st.integers(0, 70)), draw(st.integers(0, 70))
-    kind = draw(st.sampled_from(["sparse", "dense", "low_rank"]))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    if kind == "low_rank":
-        k = draw(st.integers(0, 6))
-        a = rng.integers(0, 2, (rows, k))
-        return ((a @ rng.integers(0, 2, (k, cols))) % 2).astype(np.uint8)
-    density = 0.05 if kind == "sparse" else 0.5
-    return (rng.random((rows, cols)) < density).astype(np.uint8)
 
 
 class TestCokernelRows:

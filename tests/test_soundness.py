@@ -749,9 +749,9 @@ class TestDoubleProductPreimage:
         sides = []
 
         def zero_witness(h, tilde, vector, map_side, threshold):
+            # no ones, no bound, no reductions
             sides.append(map_side)
-            n = tilde.size(-1) if map_side == "from_redundancy" else tilde.size(1)
-            return soundness.SingleWitness(np.zeros(n, dtype=np.uint8), False, 0)
+            return [], False, 0
 
         monkeypatch.setattr(soundness, "_single_preimage", zero_witness)
         with pytest.raises(soundness.PreimageError, match="image"):
@@ -821,15 +821,36 @@ class TestDoubleProductPreimage:
             "real = soundness._single_preimage\n"
             "calls = []\n"
             "def corrupt(*args):\n"
-            "    witness = real(*args)\n"
-            "    witness.r[0] ^= 1\n"
+            "    # the witness's ones, with entry 0 flipped\n"
+            "    ones, *rest = real(*args)\n"
             "    calls.append(1)\n"
-            "    return witness\n"
+            "    return (sorted(set(ones) ^ {0}), *rest)\n"
             "soundness._single_preimage = corrupt\n"
             "try:\n"
             "    soundness.double_product_preimage(h, tilde, breve, syndrome(0), threshold=3)\n"
             "except AssertionError as exc:\n"
             "    message = 'assembled witness does not solve the qubit map'\n"
+            "    raise SystemExit(7 if calls and str(exc) == message else 1)\n"
+            "raise SystemExit(1)\n"
+        )
+        proc = fresh_python(code, "-O")
+        assert proc.returncode == 7, proc.stderr
+
+    def test_term_check_survives_optimize_flag(self):
+        # qubit 0's syndrome has one left remainder term; a wrong reduction
+        # of its witness inside double_product_preimage is caught by the
+        # term's own check, an explicit raise, before r is assembled
+        code = self.DOUBLE_REP3 + (
+            "calls = []\n"
+            "def wrong(rows, col_test, row_test):\n"
+            "    # entry (0, 0) of 2- or 3-column int rows: column 0 is bit 7\n"
+            "    calls.append(1)\n"
+            "    return [rows[0] ^ 128] + rows[1:], 0\n"
+            "soundness._reduce_reshaped = wrong\n"
+            "try:\n"
+            "    soundness.double_product_preimage(h, tilde, breve, syndrome(0), threshold=3)\n"
+            "except AssertionError as exc:\n"
+            "    message = 'reduced witness no longer solves the selected map'\n"
             "    raise SystemExit(7 if calls and str(exc) == message else 1)\n"
             "raise SystemExit(1)\n"
         )

@@ -4,6 +4,7 @@ import heapq
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -287,6 +288,25 @@ class TestEnergyBarrier:
             assert cap < need and need % classes == 0
             per_class[sector] = need // classes
         assert stab._CLASS_BYTES < per_class["z"] < per_class["x"]
+
+    @pytest.mark.parametrize("sector", ["x", "z"])
+    def test_traced_peak_stays_within_the_charge(self, monkeypatch, code241, sector):
+        # what a capped search holds, set-up included, is within the bytes it
+        # charged.  Under this cap it holds a few thousand classes; below about
+        # 0.3 MB the set-up's copies of the check matrix would be the peak
+        checks = stab.SymplecticChecks.from_css(code241.z_checks, code241.x_checks)
+        cap = 1 << 20
+        monkeypatch.setattr(gf2, "_TABLE_BYTES_MAX", cap)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            with pytest.raises(gf2.BudgetExhausted) as info:
+                stab.energy_barrier(checks, sector)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        need = int(re.search(r"needs about (\d+) bytes", str(info.value))[1])
+        assert cap < need and peak <= need
 
     @staticmethod
     def _replay(checks, report, sector):
