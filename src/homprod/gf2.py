@@ -173,12 +173,15 @@ def memo(m: np.ndarray, key: str, build: Callable[[np.ndarray], _T]) -> _T:
         owner, view = m, ""
     elif type(owner) is not np.ndarray or owner.base is not None or owner.dtype != m.dtype:
         return build(m)
-    elif (m.shape, m.strides) == (owner.shape, owner.strides):
-        view = ""  # a view of all of the owner, such as m.T.T
-    elif (m.shape, m.strides) == (owner.shape[::-1], owner.strides[::-1]):
-        view = "T"
     else:
-        return build(m)
+        # each layout tuple read once: the transposed hit is the common view
+        shape, strides, owner_strides = m.shape, m.strides, owner.strides
+        if strides == owner_strides and shape == owner.shape:
+            view = ""  # a view of all of the owner, such as m.T.T
+        elif strides[::-1] == owner_strides and shape[::-1] == owner.shape:
+            view = "T"
+        else:
+            return build(m)
     # a read-only owner makes every view of it read-only too
     if owner.flags.writeable:
         return build(m)
@@ -188,9 +191,11 @@ def memo(m: np.ndarray, key: str, build: Callable[[np.ndarray], _T]) -> _T:
         entry = _MEMO[oid] = (weakref.ref(owner, lambda _: _MEMO.pop(oid, None)), {})
     values = entry[1]
     slot = (view, key)
-    if slot not in values:
-        values[slot] = build(m)
-    return values[slot]
+    try:
+        return values[slot]
+    except KeyError:
+        out = values[slot] = build(m)
+        return out
 
 
 def _support(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -377,52 +382,58 @@ class Gf2Solver:
 
     Eliminates M's rows once, row i carrying the unit vector e_i in bits
     below M's, where no pivot is taken.  Those low bits end up holding the
-    row reduction T, with T M in reduced row echelon form: one row per
-    pivot first, then one per row of M that cancelled, which together span
-    the left null space.  in_image(b) then costs one packed matrix-vector
-    product; solve(b) adds one scatter of the pivot entries.  The solver
-    keeps only M's shape, so it can be memoised on M.
+    row reduction T, kept as int rows laid out as _target_int lays out b,
+    with T M in reduced row echelon form: one row per pivot first, then one
+    per row of M that cancelled, which together span the left null space.
+    Every query runs through _solve_int(b), one parity of row & b per row
+    of T.  The solver keeps only M's shape, so it can be memoised on M.
     """
 
     def __init__(self, m) -> None:
         m = as_bin(m)
         self.shape = rows, cols = m.shape
-        # T's rows are packed whole bytes wide, below M's bits
+        # T's rows are whole bytes wide, below M's bits
         low = 8 * -(-rows // 8)
         augmented = [(v << low) | (1 << (low - 1 - i)) for i, v in enumerate(_row_ints(m))]
         basis, cancelled = _eliminate(augmented, low, reduced=True)
         width = 8 * -(-cols // 8) + low
-        self.pivot_index = np.array([width - v.bit_length() for v in basis], dtype=np.intp)
+        self.pivot_index = [width - v.bit_length() for v in basis]
         self.rank = len(basis)
         mask = (1 << low) - 1
-        self.transform = _int_rows([v & mask for v in basis] + cancelled, low // 8)
+        self.transform = [v & mask for v in basis] + cancelled
 
-    def _transformed(self, b) -> np.ndarray:
-        """T b, where T is the row reduction: Mx = b is consistent iff
-        (T b)[rank:] is zero, and then x[pivots] = (T b)[:rank]."""
+    def _solve_int(self, b: int) -> Optional[list[int]]:
+        """Mx = b for b as an int row: None if inconsistent, else the
+        ascending columns of x's ones, with every free variable zero.
+
+        Row k of T b is the parity of T's row k and b: it must be zero past
+        the rank, and up to it it is x at the k-th pivot."""
+        t = self.transform
+        for k in range(self.rank, len(t)):
+            if (t[k] & b).bit_count() & 1:
+                return None
+        return [p for p, v in zip(self.pivot_index, t) if (v & b).bit_count() & 1]
+
+    def _target(self, b) -> int:
         b = as_bin(b).reshape(-1)
         if b.shape[0] != self.shape[0]:
             raise ValueError(
                 f"dimension mismatch: matrix has {self.shape[0]} rows, "
                 f"vector has {b.shape[0]}"
             )
-        if self.shape[0] == 0:
-            return np.zeros(0, dtype=np.uint8)
-        packed_b = np.packbits(b)
-        acc = np.bitwise_and(self.transform, packed_b[np.newaxis, :])
-        return (np.bitwise_count(acc).sum(axis=1) & 1).astype(np.uint8)
+        return _target_int(b)
 
     def in_image(self, b) -> bool:
         """Is Mx = b consistent?  Builds no solution vector."""
-        return not self._transformed(b)[self.rank :].any()
+        return self._solve_int(self._target(b)) is not None
 
     def solve(self, b) -> Optional[np.ndarray]:
         """Solution with all free variables zero, or None if inconsistent."""
-        t = self._transformed(b)
-        if t[self.rank :].any():
+        ones = self._solve_int(self._target(b))
+        if ones is None:
             return None
         x = np.zeros(self.shape[1], dtype=np.uint8)
-        x[self.pivot_index] = t[: self.rank]
+        x[ones] = 1
         return x
 
 
@@ -442,7 +453,7 @@ def cokernel_rows(h, known=None) -> np.ndarray:
     facts memoised on it (see memo) are kept.
     """
     solver = get_solver(h)
-    kernel = [int.from_bytes(row.tobytes(), "big") for row in solver.transform[solver.rank :]]
+    kernel = solver.transform[solver.rank :]
     known_rows = [] if known is None else _row_ints(as_bin(known))
     known_leads = {v.bit_length() for v in _eliminate(known_rows)[0]}
     rows = [v for v in _eliminate(known_rows + kernel)[0] if v.bit_length() not in known_leads]

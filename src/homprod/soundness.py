@@ -338,25 +338,24 @@ def single_product_preimage(
     s = gf2.as_bin(s).reshape(-1)
     if s.shape[0] != tilde.size(0):
         raise ValueError("syndrome length does not match the product's middle level")
-    ones, guaranteed, steps = _single_preimage(h, tilde, s, map_side, threshold)
+    ones, guaranteed, steps = _single_preimage(h, tilde, gf2._target_int(s), map_side, threshold)
     r = np.zeros(tilde.size(-1 if map_side == "from_redundancy" else 1), dtype=np.uint8)
     r[ones] = 1
     return SingleWitness(r, guaranteed, steps)
 
 
-def _single_preimage(h, tilde, s, map_side, threshold) -> tuple[list[int], bool, int]:
-    """single_product_preimage of checked inputs, on int rows after the solve:
+def _single_preimage(h, tilde, s: int, map_side, threshold) -> tuple[list[int], bool, int]:
+    """single_product_preimage of checked inputs on int rows, s one int row:
     r is returned as the flat indices of its ones, then the flag and steps."""
     the_map, shape, col_test, row_test = _single_map_pieces(h, tilde, map_side)
-    r0 = gf2.get_solver(the_map).solve(s)
-    if r0 is None:
+    ones = gf2.get_solver(the_map)._solve_int(s)
+    if ones is None:
         raise PreimageError("syndrome is not in the image of the selected map")
-    rows, steps = _reduce_reshaped(gf2._row_ints(r0.reshape(shape)), col_test, row_test)
+    rows, steps = _reduce_reshaped(gf2._from_ones(ones, *shape), col_test, row_test)
     ones = gf2._ones(rows, shape[1])
-    target = gf2._target_int(s)
-    if gf2._column_sum(_rows(the_map.T), ones) != target:
+    if gf2._column_sum(_rows(the_map.T), ones) != s:
         raise AssertionError("reduced witness no longer solves the selected map")
-    x = target.bit_count()
+    x = s.bit_count()
     guaranteed = threshold is not None and x < threshold
     if guaranteed and Fraction(len(ones)) > QUADRATIC_OVER_4(x):
         raise AssertionError("area bound violated inside the guaranteed range")
@@ -480,16 +479,17 @@ def partial_decode(
         )
     rows, sl, sr = gf2._row_ints(r_b), gf2._row_ints(s_l), gf2._row_ints(s_r)
     m = gf2._mul_rows(_rows(d_high), sl)
+    if m != gf2._mul_rows(sr, _rows(d_low)):
+        raise ValueError("precondition failed: d_high @ S_L != S_R @ d_low")
     return _partial_decode(rows, sl, sr, m, d_high, d_low, check_every_step)
 
 
 def _partial_decode(rows, sl, sr, m, d_high, d_low, check_every_step) -> PartialDecodeState:
-    """partial_decode on int rows of R_b, S_L, S_R and M = d_high S_L."""
+    """partial_decode on int rows of R_b, S_L, S_R and M = d_high S_L, with
+    d_high S_L = S_R d_low already checked (the double product's metachecks)."""
     n_1, n_0 = d_high.shape
     n_m1 = d_low.shape[1]
     low, high = _rows(d_low), _rows(d_high)
-    if m != gf2._mul_rows(sr, low):
-        raise ValueError("precondition failed: d_high @ S_L != S_R @ d_low")
     rd = gf2._mul_rows(rows, low)  # R_b d_low, handed to the first side
     if m != gf2._mul_rows(high, rd):
         raise ValueError("precondition failed: d_high @ R_b @ d_low != d_high @ S_L")
@@ -583,9 +583,11 @@ def double_product_preimage(
     image, where the plain solver supplies a correct (unbounded) witness.
 
     Each check is an explicit raise that python -O keeps: the metachecks
-    (PreimageError); middle-block solvability; partial_decode's
-    preconditions and M; each term's solution and quadratic bound; r
-    solves s; the cubic bound.  The qubit map is solved only for the
+    (PreimageError), which state partial_decode's precondition
+    d_high S_L = S_R d_low, so the core skips it; middle-block
+    solvability; d_high R_b d_low = M before and after partial_decode;
+    each term's solution and quadratic bound; r solves s; the cubic
+    bound.  The qubit map is solved only for the
     fallback witness and when a stage fails, to raise PreimageError
     ("syndrome is not in the image of the qubit map") first when s is
     outside the image; otherwise the stage's error stands, and a term
@@ -622,15 +624,13 @@ def double_product_preimage(
     mid_solver = gf2.memo(
         h, "mid_map_solver", lambda _: gf2.Gf2Solver(np.kron(d_high, d_low.T))
     )
-    r_b0 = mid_solver.solve(gf2._int_matrix(m, n_m1).reshape(-1))
+    r_b0 = mid_solver._solve_int(gf2._from_ones(gf2._ones(m, n_m1), 1, n_1 * n_m1)[0])
     if r_b0 is None:
         # here and at each failure below: PreimageError if s is not an image
         _qubit_map_preimage(qubit_map, s)
         raise AssertionError("middle-block equation must be solvable for image syndromes")
     try:
-        state = _partial_decode(
-            gf2._row_ints(r_b0.reshape(n_0, n_0)), sl, sr, m, d_high, d_low, False
-        )
+        state = _partial_decode(gf2._from_ones(r_b0, n_0, n_0), sl, sr, m, d_high, d_low, False)
     except ValueError:
         # a precondition, which every image syndrome meets
         _qubit_map_preimage(qubit_map, s)
@@ -653,13 +653,13 @@ def double_product_preimage(
     # r's ones: R_b's, each left term's in a column of R_a, each right term's in a row of R_c
     a_end, b_end = n_m1 * n_m1, n_m1 * n_m1 + n_0 * n_0
     r_ones = [a_end + i for i in gf2._ones(rows, n_0)]
-    for terms, map_side, place in (
-        (left_terms, "from_redundancy", lambda i, p: p * n_m1 + i),
-        (right_terms, "from_checks", lambda i, p: b_end + i * n_1 + p),
+    for terms, targets, map_side, place in (
+        (left_terms, term_rows, "from_redundancy", lambda i, p: p * n_m1 + i),
+        (right_terms, term_rows[len(left) :], "from_checks", lambda i, p: b_end + i * n_1 + p),
     ):
-        for term in terms:
+        for term, target in zip(terms, targets):
             try:
-                term_ones = _single_preimage(h, tilde, term.vector, map_side, threshold)[0]
+                term_ones = _single_preimage(h, tilde, target, map_side, threshold)[0]
             except PreimageError as exc:
                 plain = _qubit_map_preimage(qubit_map, s)
                 if guaranteed:

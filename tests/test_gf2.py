@@ -303,7 +303,7 @@ class TestEliminationAgainstReference:
         assert len(got) == len(kernel) == gf2.rank(np.vstack([got, kernel]))
         solver = gf2.Gf2Solver(m)
         assert solver.rank == len(pivots)
-        assert solver.pivot_index.tolist() == pivots
+        assert solver.pivot_index == pivots
         rng = np.random.default_rng(seed)
         x = rng.integers(0, 2, cols, dtype=np.uint8)
         for b in (rng.integers(0, 2, rows, dtype=np.uint8), gf2.mat_vec(m, x)):
@@ -319,6 +319,33 @@ class TestEliminationAgainstReference:
                 assert got is None
             else:
                 assert np.array_equal(got, expected)
+
+
+class TestSolveIntCore:
+    """_solve_int, the core every solver query runs through, on int rows."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(bin_system())
+    @example((gf2.zeros(0, 0), np.zeros(0, dtype=np.uint8)))
+    @example((gf2.zeros(0, 70), np.zeros(0, dtype=np.uint8)))
+    @example((gf2.zeros(70, 0), np.zeros(70, dtype=np.uint8)))
+    @example((gf2.zeros(70, 0), np.eye(1, 70, 69, dtype=np.uint8)[0]))
+    def test_against_dense_reference(self, system):
+        m, b = system
+        rows, cols = m.shape
+        solver = gf2.Gf2Solver(m)
+        got = solver._solve_int(gf2._target_int(b))
+        aug_red, aug_pivots = dense_rref(np.hstack([m, b.reshape(rows, 1)]))
+        if cols in aug_pivots:
+            assert got is None
+        else:
+            # x's ones: the pivots whose reduced row ends in a one, ascending
+            assert got == [p for k, p in enumerate(aug_pivots) if aug_red[k, cols]]
+        # solve's ones are the core's
+        x = solver.solve(b)
+        assert (x is None) == (got is None)
+        if x is not None:
+            assert np.flatnonzero(x).tolist() == got
 
 
 def read_only(m):

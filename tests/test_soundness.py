@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from homprod import bounds, chain, gf2, product, soundness, stab
 from homprod.chain import ChainComplex
@@ -508,6 +510,16 @@ class TestPartialDecode:
                 tilde_rep3.delta(0), tilde_rep3.delta(-1),
             )
 
+    def test_rejects_s_r_that_breaks_the_precondition(self, tilde_rep3):
+        # an error's state with one entry of S_R flipped: d_high R_b d_low is
+        # still d_high S_L, so only the public check of d_high S_L = S_R d_low,
+        # which the witness leaves to its metachecks, can catch it
+        d_low, d_high = tilde_rep3.delta(-1), tilde_rep3.delta(0)
+        r_b, s_l, s_r = make_error_state(tilde_rep3, np.random.default_rng(3), 2)
+        s_r[0, np.flatnonzero(d_low.any(axis=1))[0]] ^= 1
+        with pytest.raises(ValueError, match=r"d_high @ S_L != S_R @ d_low"):
+            soundness.partial_decode(r_b, s_l, s_r, d_high, d_low)
+
     def test_m_preserved_under_every_transform(self, tilde_rep2):
         # check_every_step asserts M after each single mutation
         rng = np.random.default_rng(11)
@@ -593,6 +605,34 @@ class TestPartialDecode:
                 tilde_rep3.delta(0),
                 tilde_rep3.delta(-1),
             )
+
+
+    @given(
+        st.booleans(),
+        st.sampled_from(["image", "image_plus_one", "random"]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_metachecks_are_the_precondition(
+        self, tilde_rep2, breve_rep2, tilde_rep3, breve_rep3, rep3, kind, seed
+    ):
+        # s = (S_L | S_R) fails the double product's metachecks exactly when
+        # d_high S_L != S_R d_low, which is why the witness skips that check
+        tilde, breve = (tilde_rep3, breve_rep3) if rep3 else (tilde_rep2, breve_rep2)
+        d_low, d_high = tilde.delta(-1), tilde.delta(0)
+        n_0, n_m1 = d_low.shape
+        rng = np.random.default_rng(seed)
+        if kind == "random":
+            s = rng.integers(0, 2, breve.size(1), dtype=np.uint8)
+        else:
+            s = gf2.mat_vec(breve.delta(0), rng.integers(0, 2, breve.size(0), dtype=np.uint8))
+            if kind == "image_plus_one":
+                s[rng.integers(breve.size(1))] ^= 1
+        s_l = s[: n_0 * n_m1].reshape(n_0, n_m1)
+        s_r = s[n_0 * n_m1 :].reshape(d_high.shape[0], n_0)
+        precondition = np.array_equal(gf2.mat_mul(d_high, s_l), gf2.mat_mul(s_r, d_low))
+        assert gf2.mat_vec(breve.delta(1), s).any() == (not precondition)
+        if kind == "image":
+            assert precondition
 
 
 def _error_syndromes(breve, rng, count):
