@@ -213,6 +213,33 @@ class TestPauliMinWeight:
         assert p.weight() == 1
         assert css.pauli_min_weight(code13, p, 2) == 1
 
+    @pytest.mark.parametrize("side", ["e", "f"])
+    @pytest.mark.parametrize("length", [12, 14], ids=["short", "long"])
+    def test_wrong_length_raises(self, code13, side, length):
+        v = np.zeros(length, dtype=np.uint8)
+        v[0] = 1
+        ok = np.zeros(13, dtype=np.uint8)
+        p = PauliError(v, ok) if side == "e" else PauliError(ok, v)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            css.pauli_min_weight(code13, p, 2)
+
+    def test_negative_budget_raises(self, code13):
+        e = np.zeros(13, dtype=np.uint8)
+        e[5] = 1
+        with pytest.raises(ValueError, match="max_weight must be >= 0"):
+            css.pauli_min_weight(code13, PauliError(e, np.zeros_like(e)), -1)
+        # the identity returns before any check
+        assert css.pauli_min_weight(code13, PauliError.identity(13), -1) == 0
+
+    def test_other_dtypes_reduced_mod_2(self, code13):
+        # a 2 is an even count of flips, not a one
+        e = np.zeros(13, dtype=np.int64)
+        e[5], e[7] = 1, 2
+        f = np.zeros(13, dtype=np.int64)
+        f[2] = 2
+        assert css.pauli_min_weight(code13, PauliError(e, f), 2) == 1
+        assert css.pauli_min_weight(code13, PauliError(2 * e, f), 2) == 0
+
     def test_brute_force_cross_check(self):
         # exhaustive stabiliser-coset minimum on the tiny 5-qubit patch
         code = css.from_complex(single(REP2))
