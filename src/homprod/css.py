@@ -208,40 +208,50 @@ def from_complex(complex_: ChainComplex) -> CssCode:
     return CssCode(complex_)
 
 
-def _coset_elements(code: CssCode, side: str, v: np.ndarray, budget: int):
-    """All vectors of weight <= budget equal to v up to stabilisers, lex order.
+def _coset_supports(code: CssCode, side: str, v: np.ndarray, budget: int) -> list[int]:
+    """All vectors of weight <= budget equal to v up to stabilisers, as
+    support ints (bit j for qubit j), in (weight, lex) order.
 
     side "x" means X-error vectors modulo X-type stabiliser supports
-    (rows of x_checks); side "z" the mirror.
+    (rows of x_checks); side "z" the mirror.  The target is the XOR of the
+    annihilator's column ints at v's ones.
     """
-    ann = code.coset_annihilator(side)
-    return gf2.all_solutions_up_to_weight(ann, gf2.mat_vec(ann, v), budget)
-
-
-# bytes of packed pair unions pauli_min_weight forms at once
-_JOIN_BLOCK_BYTES = 1 << 24
+    v = gf2.as_bin(v).reshape(-1)
+    if len(v) != code.n:
+        raise ValueError(f"dimension mismatch: {code.n} qubits, vector has {len(v)}")
+    if budget < 0:
+        raise ValueError("max_weight must be >= 0")
+    search = gf2._searcher(code.coset_annihilator(side))
+    target = 0
+    for j in v.nonzero()[0].tolist():
+        target ^= search.cols[j]
+    return [
+        sum(1 << j for j in support)
+        for w in range(budget + 1)
+        for support in search.supports(w, target)
+    ]
 
 
 def pauli_min_weight(code: CssCode, p: PauliError, max_weight: int) -> Optional[int]:
     """Least weight of p times any stabiliser, or None when it exceeds budget.
 
-    The X and Z coset sides are searched independently and then joined on
-    combined support, which is exact within the budget: every pair (e, f)
-    weighs popcount(e | f) on bit-packed rows, a block of e rows at a time.
+    The X and Z coset sides are listed independently to the budget and
+    then joined on combined support, which is exact within the budget.
+    The join walks both lists in weight order and stops a side once its
+    elements weigh at least the best union so far: |a | b| >= max(|a|, |b|).
     """
     if p.is_identity():
         return 0
-    xs = _coset_elements(code, "x", p.e, max_weight)
-    zs = _coset_elements(code, "z", p.f, max_weight)
-    if not xs or not zs:
-        return None
-    e = np.packbits(xs, axis=1)
-    f = np.packbits(zs, axis=1)
-    rows = max(1, _JOIN_BLOCK_BYTES // max(1, f.size))
-    best = min(
-        int(np.bitwise_count(e[i : i + rows, np.newaxis] | f).sum(axis=2).min())
-        for i in range(0, len(e), rows)
-    )
+    xs = _coset_supports(code, "x", p.e, max_weight)
+    zs = _coset_supports(code, "z", p.f, max_weight)
+    best = max_weight + 1
+    for a in xs:
+        if a.bit_count() >= best:
+            break
+        for b in zs:
+            if b.bit_count() >= best:
+                break
+            best = min(best, (a | b).bit_count())
     return best if best <= max_weight else None
 
 

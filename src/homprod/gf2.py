@@ -22,11 +22,12 @@ lexicographic (smallest support indices first), so every routine is
 deterministic.
 
 The weight-ordered searches (min_weight_solution,
-all_solutions_up_to_weight, kernel_vectors_by_weight) meet in the
-middle (see _WeightSearch) over sorted numpy half tables keyed by a
-64-bit linear sketch of the column sum, a fixed-size block of right
-halves at a time; every candidate is verified against the exact sum, so
-a sketch collision costs work, never a wrong answer.  The shallow
+kernel_vectors_by_weight, and css.pauli_min_weight's coset listings,
+which read _searcher(m).supports directly) meet in the middle (see
+_WeightSearch) over sorted numpy half tables keyed by a 64-bit linear
+sketch of the column sum, a fixed-size block of right halves at a time;
+every candidate is verified against the exact sum, so a sketch
+collision costs work, never a wrong answer.  The shallow
 decoding queries, whose cost is per-call overhead, use a dict from each
 column to its indices instead: weight-1 lookups, pivot-row draws of
 nonzero weight-2 and weight-3 targets, and pairs of equal columns.
@@ -62,7 +63,6 @@ __all__ = [
     "memo",
     "BudgetExhausted",
     "min_weight_solution",
-    "all_solutions_up_to_weight",
     "kernel_vectors_by_weight",
     "flatten_matrix",
     "weight",
@@ -902,18 +902,6 @@ def min_weight_solution(
         if found:
             return _support_to_vector(found[0], m.shape[1]), w
     return None
-
-
-def all_solutions_up_to_weight(m, b, max_weight: int) -> list[np.ndarray]:
-    """Every x with Mx = b and |x| <= max_weight, in (weight, lex) order."""
-    m, b = _search_inputs(m, b, max_weight)
-    search = _searcher(m)
-    target = _target_int(b)
-    out = []
-    for w in range(max_weight + 1):
-        for support in search.supports(w, target):
-            out.append(_support_to_vector(support, m.shape[1]))
-    return out
 
 
 def kernel_vectors_by_weight(m, max_weight: int) -> Iterator[np.ndarray]:

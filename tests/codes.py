@@ -1,7 +1,7 @@
 """Classical codes, their products, the decoder budgets, the
-metasyndrome, the middle-block helpers and the fresh-interpreter runner
-that several test modules share; conftest.py holds the fixtures built
-from them."""
+metasyndrome, the middle-block helpers, a solution listing and the
+fresh-interpreter runner that several test modules share; conftest.py
+holds the fixtures built from them."""
 
 import math
 import os
@@ -98,6 +98,21 @@ def rows_of(m):
 def cols_of(m):
     """Indices of the columns of m that hold a one."""
     return set(np.flatnonzero(m.any(axis=0)).tolist())
+
+
+def solutions_up_to_weight(m, b, max_weight):
+    """Every x with m x = b and |x| <= max_weight as uint8 vectors, in
+    (weight, lex) order, read off the library's memoised search."""
+    m = gf2.as_bin(m)
+    search = gf2._searcher(m)
+    target = gf2._target_int(gf2.as_bin(b))
+    out = []
+    for w in range(max_weight + 1):
+        for support in search.supports(w, target):
+            v = np.zeros(m.shape[1], dtype=np.uint8)
+            v[list(support)] = 1
+            out.append(v)
+    return out
 
 
 def check_partial_properties(state, tilde):

@@ -1,6 +1,7 @@
 """Dense references shared by the tests: elimination one column at a time on
-a uint8 copy, independent of the library's int-row elimination, and the
-counts and profiles built on it or on plain enumeration."""
+a uint8 copy, independent of the library's int-row elimination, the
+counts and profiles built on it or on plain enumeration, and the
+all-pairs packed join of two coset listings."""
 
 import numpy as np
 
@@ -56,3 +57,15 @@ def error_first_profile(delta):
         x = sum(key)
         worst[x] = max(worst.get(x, 0), w)
     return worst
+
+
+def all_pairs_min_weight(xs, zs, max_weight):
+    """Least |e | f| over every pair of X-side and Z-side coset elements
+    (uint8 rows), on bit-packed rows, or None when a side is empty or the
+    least exceeds max_weight."""
+    if not len(xs) or not len(zs):
+        return None
+    e = np.packbits(xs, axis=1)
+    f = np.packbits(zs, axis=1)
+    best = int(np.bitwise_count(e[:, np.newaxis] | f).sum(axis=2).min())
+    return best if best <= max_weight else None

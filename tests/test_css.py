@@ -8,8 +8,8 @@ from homprod import chain, css, gf2
 from homprod.chain import ChainComplex
 from homprod.css import PauliError, Syndrome
 
-from codes import double, metasyndrome, single
-from dense_reference import dense_kernel
+from codes import double, metasyndrome, single, solutions_up_to_weight
+from dense_reference import all_pairs_min_weight, dense_kernel
 
 REP2 = [[1, 1]]
 REP3 = [[1, 1, 0], [0, 1, 1]]
@@ -259,10 +259,13 @@ class TestPauliMinWeight:
                 for gx in x_span
                 for gz in z_span
             )
-            assert css.pauli_min_weight(code, p, 5) == brute
+            # every budget, below the minimum (None) and at or above it
+            for budget in range(6):
+                expected = brute if brute <= budget else None
+                assert css.pauli_min_weight(code, p, budget) == expected
 
-    def test_join_in_row_blocks(self, code33, monkeypatch):
-        # one X-side coset element per block gives the one-block minimum
+    def test_pruned_join_matches_all_pairs(self, code33):
+        # the same coset listings joined pair by pair, at every budget
         rng = np.random.default_rng(13)
         paulis = [
             PauliError(
@@ -270,10 +273,18 @@ class TestPauliMinWeight:
             )
             for _ in range(20)
         ]
-        whole = [css.pauli_min_weight(code33, p, 5) for p in paulis]
-        monkeypatch.setattr(css, "_JOIN_BLOCK_BYTES", 1)
-        assert [css.pauli_min_weight(code33, p, 5) for p in paulis] == whole
-        assert sum(w is not None and w > 0 for w in whole) >= 5  # not vacuous
+        minima = {}
+        for k, p in enumerate(paulis):
+            sides = [(code33.coset_annihilator(s), v) for s, v in (("x", p.e), ("z", p.f))]
+            for budget in range(6):
+                xs, zs = (
+                    solutions_up_to_weight(ann, gf2.mat_vec(ann, v), budget) for ann, v in sides
+                )
+                minima[k, budget] = css.pauli_min_weight(code33, p, budget)
+                assert minima[k, budget] == all_pairs_min_weight(xs, zs, budget)
+        # not vacuous
+        assert sum(w is not None and w > 0 for w in minima.values()) >= 5
+        assert None in minima.values()
 
 
 class TestCodeReport:

@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from homprod import gf2
 
-from codes import cols_of, rows_of
+from codes import cols_of, rows_of, solutions_up_to_weight
 from dense_reference import dense_kernel, dense_rref
 
 
@@ -496,19 +496,17 @@ class TestMinWeightSolution:
 
     def test_all_solutions_listing(self):
         m = bits([[1, 1, 0], [0, 1, 1]])
-        sols = gf2.all_solutions_up_to_weight(m, bits([0, 0]), 3)
+        sols = solutions_up_to_weight(m, bits([0, 0]), 3)
         assert [s.tolist() for s in sols] == [[0, 0, 0], [1, 1, 1]]
 
 
 class TestSearchInputs:
-    """The three weight searches share one length and one budget check."""
+    """The weight searches share one length and one budget check."""
 
     M = bits([[1, 1, 0], [0, 1, 1]])
 
     @pytest.mark.parametrize("b", [[1], [1, 0, 0]], ids=["short", "long"])
-    @pytest.mark.parametrize(
-        "search", [gf2.min_weight_solution, gf2.all_solutions_up_to_weight]
-    )
+    @pytest.mark.parametrize("search", [gf2.min_weight_solution])
     def test_wrong_length_target(self, search, b):
         with pytest.raises(ValueError, match="dimension mismatch"):
             search(self.M, bits(b), 3)
@@ -516,7 +514,6 @@ class TestSearchInputs:
     def test_negative_budget(self):
         for call in (
             lambda: gf2.min_weight_solution(self.M, bits([1, 0]), -1),
-            lambda: gf2.all_solutions_up_to_weight(self.M, bits([1, 0]), -1),
             lambda: list(gf2.kernel_vectors_by_weight(self.M, -1)),
         ):
             with pytest.raises(ValueError, match="max_weight"):
@@ -606,7 +603,7 @@ class TestWeightSearch:
             expected = [_brute_supports(m, b, w) for w in range(7)]
             for w in range(7):
                 assert search.supports(w, target) == expected[w]
-            listed = gf2.all_solutions_up_to_weight(m, b, 6)
+            listed = solutions_up_to_weight(m, b, 6)
             assert [tuple(np.flatnonzero(v)) for v in listed] == [
                 s for per_weight in expected for s in per_weight
             ]
@@ -987,7 +984,7 @@ class TestMemo:
         def answers():
             return (
                 gf2.min_weight_solution(m, b, 3)[0].tolist(),
-                [v.tolist() for v in gf2.all_solutions_up_to_weight(m, b, 1)],
+                [v.tolist() for v in solutions_up_to_weight(m, b, 1)],
                 gf2.get_solver(m).solve(b).tolist(),
             )
 
@@ -1010,7 +1007,7 @@ class TestMemo:
             for mat, b in ((m, bits([1, 0])), (m.T, bits([1, 0, 1]))):
                 gf2.get_solver(mat).solve(b)
                 gf2.min_weight_solution(mat, b, 3)
-                gf2.all_solutions_up_to_weight(mat, b, 3)
+                solutions_up_to_weight(mat, b, 3)
                 list(gf2.kernel_vectors_by_weight(mat, 3))
         assert builds == {"solver": 2, "search": 2}
         # any other view is rebuilt on every call
