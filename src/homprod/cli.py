@@ -379,14 +379,22 @@ def _code_with_metachecks(complex_: ChainComplex, command: str) -> css.CssCode:
     return code
 
 
-def _load_syndrome(path: str, code: css.CssCode) -> css.Syndrome:
+def _load_syndrome_bits(path: str, bits: int, what: str) -> np.ndarray:
+    """The syndrome file at path as a vector: it must hold a 1 x bits
+    matrix, bits being what `what` counts, and any other shape is an
+    input error that names it."""
     m = _load_classical(path)
-    v = gf2.flatten_matrix(m)
-    want = code.num_z_checks + code.num_x_checks
-    if v.shape[0] != want:
+    if m.shape != (1, bits):
         raise InputError(
-            f"syndrome has {v.shape[0]} bits, code has {want} checks"
+            f"syndrome has {m.size} bits in a {m.shape[0]} x {m.shape[1]} matrix, "
+            f"but {what}: a syndrome is a 1 x {bits} matrix"
         )
+    return gf2.flatten_matrix(m)
+
+
+def _load_syndrome(path: str, code: css.CssCode) -> css.Syndrome:
+    want = code.num_z_checks + code.num_x_checks
+    v = _load_syndrome_bits(path, want, f"the code has {want} checks")
     return css.Syndrome(v[: code.num_z_checks], v[code.num_z_checks :])
 
 
@@ -537,14 +545,10 @@ def cmd_witness(args: argparse.Namespace) -> int:
     if params.base is None:
         raise InputError("witness generation needs classical.pcm beside the complex")
     h = params.base.delta(0)
-    s = gf2.flatten_matrix(_load_classical(args.syndrome))
     # a single product's syndromes sit at its middle level, a double's at level 1
     level = 0 if complex_.length == 2 else 1
-    if s.shape[0] != complex_.size(level):
-        raise InputError(
-            f"syndrome has {s.shape[0]} bits, but level {level} of the complex "
-            f"has {complex_.size(level)}"
-        )
+    size = complex_.size(level)
+    s = _load_syndrome_bits(args.syndrome, size, f"level {level} of the complex has {size}")
     # the witness bounds are proven only below min(d(H), d(H^T)); above it a
     # remainder term inside the claimed range can have no preimage
     d_h, d_ht = params.classical

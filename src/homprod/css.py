@@ -222,9 +222,7 @@ def _coset_supports(code: CssCode, side: str, v: np.ndarray, budget: int) -> lis
     if budget < 0:
         raise ValueError("max_weight must be >= 0")
     search = gf2._searcher(code.coset_annihilator(side))
-    target = 0
-    for j in v.nonzero()[0].tolist():
-        target ^= search.cols[j]
+    target = gf2._column_sum(search.cols, v.nonzero()[0].tolist())
     return [
         sum(1 << j for j in support)
         for w in range(budget + 1)

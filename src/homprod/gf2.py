@@ -1,21 +1,28 @@
 """GF(2) linear algebra on numpy uint8 arrays.
 
 Matrices are row-major uint8 arrays with entries in {0, 1}; they are
-the interchange format at every API boundary.  Elimination (rank,
-Gf2Solver and cokernel_rows, which reads every image, coset and
-obstruction off a solver) runs on rows held as Python ints, column 0 in
-the highest bit, inserted one by one into an XOR basis keyed by leading
-bit (see _eliminate): the maps eliminated here are sparse
-boundary maps and products of them, whose rows meet few pivots, so a
-row costs a few int XORs where a column step of a packed array costs
-several numpy calls.  Those maps hold a few ones per row, so the
-zero-product test (product_is_zero), mat_vec and the int rows read a
-matrix's support, the row and column indices of its ones (_support),
-memoised on read-only matrices and handed over with each product map
-and its transpose (_from_support): no dense map is scanned or packed.
-mat_mul forms products through float64 BLAS, faster for small dense ones.
-The constructive witnesses (soundness) keep their small matrices in the
-same int rows: _mul_rows, _transpose_ints and _column_sum act on them.
+the interchange format at every API boundary.  Inside, a row of a
+c-column matrix is one c-bit Python int, column j in bit c - 1 - j (so
+column 0 is the highest bit), with no padding.  Four functions alone
+pack or unpack bytes or words: _row_ints packs a matrix's rows and
+_target_int a vector, _int_matrix unpacks int rows, and
+_WeightSearch._padded pads them to 64-bit words for the sketches.
+_rows memoises a read-only matrix's int rows, the one cache of them.
+
+Elimination (rank, Gf2Solver and cokernel_rows, which reads every
+image, coset and obstruction off a solver) inserts int rows one by one
+into an XOR basis keyed by leading bit (see _eliminate): the maps
+eliminated here are sparse boundary maps and products of them, whose
+rows meet few pivots, so a row costs a few int XORs where a column step
+of a packed array costs several numpy calls.  Those maps hold a few
+ones per row, so the zero-product test (product_is_zero), mat_vec and
+the int rows read a matrix's support, the row and column indices of its
+ones (_support), memoised on read-only matrices and handed over with
+each product map and its transpose (_from_support): no dense map is
+scanned or packed.  mat_mul forms products through float64 BLAS, faster
+for small dense ones.  The constructive witnesses (soundness) keep
+their small matrices in the same int rows: _mul_rows, _transpose_ints
+and _column_sum act on them.
 
 Pivoting is always left-to-right over columns and tie-breaks are
 lexicographic (smallest support indices first), so every routine is
@@ -222,25 +229,20 @@ def _from_support(shape: tuple[int, int], rows: np.ndarray, cols: np.ndarray) ->
 
 
 def _row_ints(m: np.ndarray) -> list[int]:
-    """Each row of m as one int: column 0 in the highest bit of an int whose
-    width is a whole number of bytes (the packed row, read big-endian).
+    """Each row of m as one int of m.shape[1] bits, column j in bit
+    m.shape[1] - 1 - j, packed from m's support (memoised while m is
+    read-only, see memo)."""
+    rows, cols = _support(m)
+    packed = np.zeros((m.shape[0], -(-m.shape[1] // 8)), dtype=np.uint8)
+    np.bitwise_or.at(packed, (rows, cols >> 3), (128 >> (cols & 7)).astype(np.uint8))
+    pad = -m.shape[1] % 8
+    return [int.from_bytes(row.tobytes(), "big") >> pad for row in packed]
 
-    A read-only m is packed from its memoised support; a writable one has
-    none to keep, so its dense rows are packed directly, one scan either way.
-    Rows of at most 64 columns are then read at once, as big-endian words.
-    """
-    if m.flags.writeable:
-        packed = np.packbits(m, axis=1)
-    else:
-        rows, cols = _support(m)
-        packed = np.zeros((m.shape[0], -(-m.shape[1] // 8)), dtype=np.uint8)
-        np.bitwise_or.at(packed, (rows, cols >> 3), (128 >> (cols & 7)).astype(np.uint8))
-    nbytes = packed.shape[1]
-    if nbytes <= 8:
-        words = np.zeros((m.shape[0], 8), dtype=np.uint8)
-        words[:, 8 - nbytes :] = packed
-        return words.view(">u8").ravel().tolist()
-    return [int.from_bytes(row.tobytes(), "big") for row in packed]
+
+def _rows(m: np.ndarray) -> list[int]:
+    """m's int rows (see _row_ints), memoised while m is read-only; the
+    list is shared, so it must not be changed."""
+    return memo(m, "row_ints", _row_ints)
 
 
 def _int_rows(ints: list[int], nbytes: int) -> np.ndarray:
@@ -250,32 +252,27 @@ def _int_rows(ints: list[int], nbytes: int) -> np.ndarray:
 
 
 def _int_matrix(ints: list[int], cols: int) -> np.ndarray:
-    """Int rows that hold `cols` columns back to a uint8 matrix that owns
-    its memory; rows of at most 64 columns are written at once, as
-    big-endian words."""
+    """Int rows of `cols` columns (see _row_ints) back to a uint8 matrix
+    that owns its memory."""
     nbytes = -(-cols // 8)
-    if nbytes <= 8:
-        packed = np.array(ints, dtype=">u8").view(np.uint8).reshape(-1, 8)[:, 8 - nbytes :]
-    else:
-        packed = _int_rows(ints, nbytes)
-    return np.unpackbits(packed, axis=1, count=cols)
+    pad = -cols % 8
+    return np.unpackbits(_int_rows([v << pad for v in ints], nbytes), axis=1, count=cols)
 
 
 def _ones(rows: list[int], cols: int) -> list[int]:
     """The flat (row-major) indices of the ones of int rows of `cols` columns."""
-    width = 8 * -(-cols // 8)
     out = []
     for k, v in enumerate(rows):
         while v:
             low = v & -v
-            out.append(k * cols + width - low.bit_length())
+            out.append((k + 1) * cols - low.bit_length())
             v ^= low
     return out
 
 
 def _from_ones(ones, rows: int, cols: int) -> list[int]:
     """The int rows of a rows x cols matrix, from the flat indices of its ones."""
-    top = 8 * -(-cols // 8) - 1
+    top = cols - 1
     out = [0] * rows
     for i in ones:
         k, j = divmod(i, cols)
@@ -294,7 +291,7 @@ def _column_sum(columns: list[int], ones) -> int:
 def _mul_rows(a: list[int], b: list[int]) -> list[int]:
     """a @ b mod 2 on int rows: a's rows hold one column per row of b, and
     row i of the product is the XOR of b's rows at the ones of a's row i."""
-    width = 8 * -(-len(b) // 8)
+    width = len(b)
     out = []
     for v in a:
         acc = 0
@@ -308,14 +305,13 @@ def _mul_rows(a: list[int], b: list[int]) -> list[int]:
 
 def _transpose_ints(rows: list[int], cols: int) -> list[int]:
     """The transpose of int rows that hold `cols` columns, as int rows."""
-    width = 8 * -(-cols // 8)
-    top = 8 * -(-len(rows) // 8) - 1
+    top = len(rows) - 1
     out = [0] * cols
     for i, v in enumerate(rows):
         bit = 1 << (top - i)
         while v:
             low = v & -v
-            out[width - low.bit_length()] |= bit
+            out[cols - low.bit_length()] |= bit
             v ^= low
     return out
 
@@ -371,9 +367,8 @@ def rank(m) -> int:
 
 def _rref(m: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """The nonzero rows of m's reduced row echelon form, plus their pivot columns."""
-    width = 8 * -(-m.shape[1] // 8)
     basis, _ = _eliminate(_row_ints(m), reduced=True)
-    pivots = [width - v.bit_length() for v in basis]
+    pivots = [m.shape[1] - v.bit_length() for v in basis]
     return _int_matrix(basis, m.shape[1]), pivots
 
 
@@ -392,14 +387,12 @@ class Gf2Solver:
     def __init__(self, m) -> None:
         m = as_bin(m)
         self.shape = rows, cols = m.shape
-        # T's rows are whole bytes wide, below M's bits
-        low = 8 * -(-rows // 8)
-        augmented = [(v << low) | (1 << (low - 1 - i)) for i, v in enumerate(_row_ints(m))]
-        basis, cancelled = _eliminate(augmented, low, reduced=True)
-        width = 8 * -(-cols // 8) + low
-        self.pivot_index = [width - v.bit_length() for v in basis]
+        # T's rows are the `rows` bits below M's
+        augmented = [(v << rows) | (1 << (rows - 1 - i)) for i, v in enumerate(_row_ints(m))]
+        basis, cancelled = _eliminate(augmented, rows, reduced=True)
+        self.pivot_index = [cols + rows - v.bit_length() for v in basis]
         self.rank = len(basis)
-        mask = (1 << low) - 1
+        mask = (1 << rows) - 1
         self.transform = [v & mask for v in basis] + cancelled
 
     def _solve_int(self, b: int) -> Optional[list[int]]:
@@ -556,7 +549,7 @@ class _WeightSearch:
     """Supports S with |S| = w whose columns sum to a target, by meet in the middle.
 
     The shallow queries, whose cost is per-call overhead, use the index: a
-    dict from a column's packed int (a Python int) to its indices.
+    dict from a column's int to the indices of the columns equal to it.
 
     * Weight 1 is one lookup.
     * On up to _DRAW_MAX_COLUMNS columns, a nonzero target of weight 2 or
@@ -596,9 +589,9 @@ class _WeightSearch:
 
     def __init__(self, m: np.ndarray) -> None:
         self.n = m.shape[1]
-        # column j of m as the big-endian int of its packed bytes
-        self.cols = _row_ints(m.T)
-        self._nbytes = -(-m.shape[0] // 8)
+        # column j of m as an int row (see _row_ints), shared with _rows(m.T)
+        self.cols = _rows(m.T)
+        self._bits = m.shape[0]
         self._sorted: dict[int, np.ndarray] = {}
         # bit of the column ints -> the columns that have it, ascending
         self._by_bit: dict[int, list[int]] = {}
@@ -616,9 +609,9 @@ class _WeightSearch:
         self._words: Optional[np.ndarray] = None
 
     def _padded(self, ints: list[int]) -> np.ndarray:
-        """Packed column sums as rows of whole uint64 words, zero-padded."""
-        width = -(-self._nbytes // 8) * 8
-        pad = 8 * (width - self._nbytes)
+        """Column sums as rows of whole uint64 words, zero-padded at the end."""
+        width = -(-self._bits // 64) * 8
+        pad = 8 * width - self._bits
         return _int_rows([v << pad for v in ints], width).view(np.uint64)
 
     def _column_index(self) -> dict[int, list[int]]:
@@ -857,7 +850,8 @@ def _searcher(m: np.ndarray) -> _WeightSearch:
 
 
 def _target_int(v: np.ndarray) -> int:
-    return int.from_bytes(np.packbits(v).tobytes(), "big")
+    """A 0/1 vector as one int row of len(v) bits (see _row_ints)."""
+    return int.from_bytes(np.packbits(v).tobytes(), "big") >> (-len(v) % 8)
 
 
 def _support_to_vector(support: tuple[int, ...], n: int) -> np.ndarray:

@@ -226,13 +226,9 @@ def certify_checks(
 
 # -- constructive witness: single product ---------------------------------------
 
-# The witness loops run on int rows in gf2's convention: row i of a matrix
-# is one int, column 0 in its highest bit, a whole number of bytes wide.
-
-
-def _rows(m: np.ndarray) -> list[int]:
-    """m's int rows (gf2's convention), memoised while m is read-only."""
-    return gf2.memo(m, "row_ints", gf2._row_ints)
+# The witness loops run on gf2's int rows: row i of a c-column matrix is
+# one c-bit int, column j in bit c - 1 - j (see gf2._row_ints), read
+# through gf2._rows, memoised while the matrix is read-only.
 
 
 def _any_row(rows: list[int]) -> int:
@@ -291,8 +287,8 @@ def _reduce_reshaped(
     ct = col_test R and rt = R row_test^T are formed once: the update
     adds outer(ct[:, j], b) and outer(a, rt[i]), zero for a chosen pair.
     """
-    kernel_cols = ~_any_row(gf2._mul_rows(_rows(col_test), rows))
-    kernel_rows = [i for i, v in enumerate(gf2._mul_rows(rows, _rows(row_test.T))) if not v]
+    kernel_cols = ~_any_row(gf2._mul_rows(gf2._rows(col_test), rows))
+    kernel_rows = [i for i, v in enumerate(gf2._mul_rows(rows, gf2._rows(row_test.T))) if not v]
     steps = 0
     while True:
         for i in kernel_rows:
@@ -353,7 +349,7 @@ def _single_preimage(h, tilde, s: int, map_side, threshold) -> tuple[list[int], 
         raise PreimageError("syndrome is not in the image of the selected map")
     rows, steps = _reduce_reshaped(gf2._from_ones(ones, *shape), col_test, row_test)
     ones = gf2._ones(rows, shape[1])
-    if gf2._column_sum(_rows(the_map.T), ones) != s:
+    if gf2._column_sum(gf2._rows(the_map.T), ones) != s:
         raise AssertionError("reduced witness no longer solves the selected map")
     x = s.bit_count()
     guaranteed = threshold is not None and x < threshold
@@ -478,8 +474,8 @@ def partial_decode(
             f"d_high {d_high.shape}, d_low {d_low.shape}"
         )
     rows, sl, sr = gf2._row_ints(r_b), gf2._row_ints(s_l), gf2._row_ints(s_r)
-    m = gf2._mul_rows(_rows(d_high), sl)
-    if m != gf2._mul_rows(sr, _rows(d_low)):
+    m = gf2._mul_rows(gf2._rows(d_high), sl)
+    if m != gf2._mul_rows(sr, gf2._rows(d_low)):
         raise ValueError("precondition failed: d_high @ S_L != S_R @ d_low")
     return _partial_decode(rows, sl, sr, m, d_high, d_low, check_every_step)
 
@@ -489,15 +485,15 @@ def _partial_decode(rows, sl, sr, m, d_high, d_low, check_every_step) -> Partial
     d_high S_L = S_R d_low already checked (the double product's metachecks)."""
     n_1, n_0 = d_high.shape
     n_m1 = d_low.shape[1]
-    low, high = _rows(d_low), _rows(d_high)
+    low, high = gf2._rows(d_low), gf2._rows(d_high)
     rd = gf2._mul_rows(rows, low)  # R_b d_low, handed to the first side
     if m != gf2._mul_rows(high, rd):
         raise ValueError("precondition failed: d_high @ R_b @ d_low != d_high @ S_L")
     # side 2 is side 1 on transposes
-    sides = [(low, sl), (_rows(d_high.T), gf2._transpose_ints(sr, n_0))]
+    sides = [(low, sl), (gf2._rows(d_high.T), gf2._transpose_ints(sr, n_0))]
     if check_every_step:
         # e, the other side's map, makes e @ r @ d M on side 1 and M^T on side 2
-        checks = [(high, m), (_rows(d_low.T), gf2._transpose_ints(m, n_m1))]
+        checks = [(high, m), (gf2._rows(d_low.T), gf2._transpose_ints(m, n_m1))]
     counters = [0] * 6
     guard = 4 * (2 * n_0 + 2) ** 2
     passes = 0
@@ -610,12 +606,12 @@ def double_product_preimage(
     if s.shape[0] != breve.size(1):
         raise ValueError("syndrome length does not match the double product's checks")
     ones = np.flatnonzero(s).tolist()
-    if gf2._column_sum(_rows(breve.delta(1).T), ones):
+    if gf2._column_sum(gf2._rows(breve.delta(1).T), ones):
         raise PreimageError("syndrome fails the metachecks")
     qubit_map = breve.delta(0)
     sl = gf2._from_ones([i for i in ones if i < len_l], n_0, n_m1)
     sr = gf2._from_ones([i - len_l for i in ones if i >= len_l], n_1, n_0)
-    m = gf2._mul_rows(_rows(d_high), sl)
+    m = gf2._mul_rows(gf2._rows(d_high), sl)
     x = len(ones)
     guaranteed = threshold is not None and x < threshold
 
@@ -672,7 +668,7 @@ def double_product_preimage(
                     plain, None, None, None, False, True, left_terms, right_terms, None
                 )
             r_ones += [place(term.index, p) for p in term_ones]
-    if gf2._column_sum(_rows(qubit_map.T), r_ones) != gf2._from_ones(ones, 1, s.shape[0])[0]:
+    if gf2._column_sum(gf2._rows(qubit_map.T), r_ones) != gf2._from_ones(ones, 1, s.shape[0])[0]:
         _qubit_map_preimage(qubit_map, s)
         raise AssertionError("assembled witness does not solve the qubit map")
     if guaranteed and Fraction(len(r_ones)) > CUBIC_OVER_4(x):

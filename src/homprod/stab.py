@@ -310,8 +310,8 @@ def energy_barrier(checks: SymplecticChecks, sector: str = "x") -> EnergyReport:
     basis, _ = gf2._eliminate(gf2._row_ints(rows), reduced=True)
     # column c of a 2n-bit row is bit top - c; X on qubit q flips the checks
     # with Z on q (column n + q of the matrix), Z flips those with X on q
-    top = 8 * -(-2 * n // 8) - 1
-    columns = gf2._row_ints(checks.matrix.T.copy())
+    top = 2 * n - 1
+    columns = gf2._row_ints(checks.matrix.T)
     steps = []
     class_bits = syndrome_bits = 0  # the OR of every step's vector, and of its flips
     for q in range(n):
@@ -361,8 +361,7 @@ def energy_barrier(checks: SymplecticChecks, sector: str = "x") -> EnergyReport:
     while node:
         node, step = prev[node]
         walk.append(step)
-    x, z = v >> (top + 1 - n), v >> (top + 1 - 2 * n)
-    return EnergyReport(d, walk[::-1], sector, ((x | z) & ((1 << n) - 1)).bit_count())
+    return EnergyReport(d, walk[::-1], sector, ((v >> n | v) & ((1 << n) - 1)).bit_count())
 
 
 @dataclass(frozen=True)

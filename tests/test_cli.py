@@ -460,6 +460,26 @@ def test_single_product_is_an_input_error(tmp_path, capsys, rep2_single, command
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("shape", ["two_rows", "one_column"])
+@pytest.mark.parametrize("command, bits", [("decode", 40), ("witness", 20)])
+def test_syndrome_of_another_shape_is_an_input_error(
+    tmp_path, capsys, rep2_build, command, bits, shape
+):
+    # as many zero bits as the code has checks (decode) or level 1 of the
+    # double product has (witness), in a matrix that is not one row
+    rows, cols = (2, bits // 2) if shape == "two_rows" else (bits, 1)
+    syn = tmp_path / "syn.pcm"
+    gf2.write_pcm(syn, gf2.zeros(rows, cols))
+    argv = [command, "--complex", rep2_build, "--syndrome", str(syn), "--quiet"]
+    capsys.readouterr()
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: syndrome has {bits} bits in a {rows} x {cols} matrix")
+    assert f"a syndrome is a 1 x {bits} matrix" in err and "Traceback" not in err
+    gf2.write_pcm(syn, gf2.zeros(1, bits))
+    assert run(*argv) == 0
+
+
 @pytest.mark.parametrize(
     "complex_fixture, argv, message",
     [

@@ -359,8 +359,10 @@ def listed(support):
 
 
 def packed_row_ints(m):
-    """Reference int rows: the packed rows of the dense matrix, big-endian."""
-    return [int.from_bytes(row.tobytes(), "big") for row in np.packbits(m, axis=1)]
+    """Reference int rows: the packed rows of the dense matrix, big-endian,
+    less the padding bits of their last byte."""
+    pad = -m.shape[1] % 8
+    return [int.from_bytes(row.tobytes(), "big") >> pad for row in np.packbits(m, axis=1)]
 
 
 @st.composite
@@ -384,8 +386,8 @@ class TestIntRows:
     @example(np.ones((2, 65), dtype=np.uint8), True)
     @given(word_edge_matrix(), st.booleans())
     def test_round_trip_against_dense_reference(self, m, writable):
-        width = 8 * -(-m.shape[1] // 8)
-        # column j at bit width - 1 - j, every padding bit zero
+        width = m.shape[1]
+        # column j at bit width - 1 - j, no padding bit
         want = [sum(int(b) << (width - 1 - j) for j, b in enumerate(row)) for row in m]
         ints = gf2._row_ints(m if writable else read_only(m))
         assert ints == want and all(type(v) is int for v in ints)
@@ -393,6 +395,33 @@ class TestIntRows:
         assert back.dtype == np.uint8 and back.shape == m.shape
         assert back.base is None and back.flags.c_contiguous and back.flags.writeable
         assert back.tolist() == m.tolist()
+
+    @settings(max_examples=200, deadline=None)
+    @example(np.ones((1, 9), dtype=np.uint8))
+    @given(word_edge_matrix())
+    def test_vector_packer_matches_row_packer(self, m):
+        # a vector of c entries is one c-bit int, laid out as a row of a matrix
+        for v in m:
+            packed = gf2._target_int(v)
+            assert packed == gf2._row_ints(v[np.newaxis])[0]
+            assert packed.bit_length() <= len(v)
+
+    @settings(max_examples=100, deadline=None)
+    @example(np.ones((9, 3), dtype=np.uint8))
+    @given(wide_matrix())
+    def test_transform_fits_in_the_row_count(self, m):
+        # T's rows hold one bit per row of M and nothing above
+        assert all(v.bit_length() <= m.shape[0] for v in gf2.Gf2Solver(m).transform)
+
+    def test_searcher_shares_the_column_cache(self):
+        m = read_only(bits([[1, 0, 1], [0, 1, 1]]))
+        assert gf2._searcher(m).cols is gf2._rows(m.T) == [0b10, 0b01, 0b11]
+        # a writable matrix is packed afresh on every call, as it stands
+        w = bits([[1, 0, 1], [0, 1, 1]])
+        first = gf2._rows(w)
+        assert gf2._rows(w) is not first and first == [0b101, 0b011]
+        w[0, 0] = 0
+        assert gf2._rows(w) == [0b001, 0b011]
 
 
 class TestSupportLayer:
@@ -672,7 +701,7 @@ class TestWeightSearch:
         assert sorted(search._sorted) == [1, 2] and search._index is None
         search.supports(1, 1)  # always an index lookup
         assert sorted(search._sorted) == [1, 2] and search._index == {
-            1 << (7 - j): [j] for j in range(6)
+            1 << (5 - j): [j] for j in range(6)
         }
 
 
@@ -802,7 +831,7 @@ class TestMemoryCap:
         monkeypatch.setattr(gf2, "_TABLE_BYTES_MAX", 1 << 20)
         search = gf2._WeightSearch(np.repeat(gf2.identity(3), 40, axis=1))
         with pytest.raises(gf2.BudgetExhausted, match="weight-3 pivot draw"):
-            search.supports(3, 0b111 << 5)
+            search.supports(3, 0b111)
 
     @pytest.mark.parametrize("row", [0, 1], ids=["zeros", "ones"])
     def test_equal_column_pairs_are_capped(self, monkeypatch, row):
@@ -819,7 +848,7 @@ class TestMemoryCap:
         monkeypatch.setattr(gf2, "_TABLE_BYTES_MAX", 1 << 20)
         search = gf2._WeightSearch(bits([[1] * 70 + [0] * 70]))
         with pytest.raises(gf2.BudgetExhausted, match="weight-2 pivot draw"):
-            search.supports(2, 1 << 7)
+            search.supports(2, 1)
 
     def test_array_peaks_stay_within_the_entry_estimate(self):
         # the cap's estimate is an upper bound: building a table of 161700

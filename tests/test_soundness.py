@@ -318,7 +318,7 @@ class TestSingleProductPreimage:
             "r_b, s_l, s_r = np.load(sys.argv[1]).values()\n"
             "real = soundness._shrink_side\n"
             "# entry (0, 0) of the side's int rows: column 0 is the highest bit\n"
-            "top = 1 << (8 * -(-r_b.shape[1] // 8) - 1)\n"
+            "top = 1 << (r_b.shape[1] - 1)\n"
             "def wrong(r, *args):\n"
             "    r[0] ^= top\n"
             "    return real(r, *args)\n"
@@ -353,7 +353,7 @@ class TestSingleProductPreimage:
             "r_b, s_l, s_r = np.load(sys.argv[1]).values()\n"
             "real = soundness._shrink_side\n"
             "# entry (0, 0) of the side's int rows: column 0 is the highest bit\n"
-            "top = 1 << (8 * -(-r_b.shape[1] // 8) - 1)\n"
+            "top = 1 << (r_b.shape[1] - 1)\n"
             "calls = []\n"
             "def wrong(r, *args):\n"
             "    if not calls:\n"
