@@ -888,6 +888,23 @@ class TestSoundnessCommands:
         )
         assert code == 4
 
+    @pytest.mark.parametrize(
+        "argv, code, digest",
+        [
+            (["profile", "--map", "z", "--xmax", "3", "--max-weight", "4"], 0,
+             "709f12ad6669a01d25a1fb3e46d8fc308936ec19fc51535aa0876a615837215b"),
+            # the stage-1 complex's counterexample at syndrome weight 1
+            (["certify", "--map", "z", "--f", "x2", "--t", "5"], 4,
+             "e89b5bfe932f69c52dd724c66aebe4bd37fa14d8cf1733011557bd57e75cd141"),
+        ],
+        ids=["profile", "certify-stage1"],
+    )
+    def test_json_is_pinned(self, tmp_path, rep2_build, argv, code, digest):
+        complex_dir = rep2_build if argv[0] == "profile" else os.path.join(rep2_build, "stage1")
+        out = tmp_path / "out.json"
+        assert run(*argv, "--complex", complex_dir, "--json", str(out), "--quiet") == code
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     def test_witness_double(self, tmp_path, rep2_build):
         complex_ = chain.load_complex(rep2_build)
         r = np.zeros(33, dtype=np.uint8)
