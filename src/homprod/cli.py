@@ -40,6 +40,20 @@ class ContractViolation(RuntimeError):
     """A closed-form result disagrees with an enumeration or a witness."""
 
 
+def _read(path: str, what: str, read):
+    """read(path), where an unreadable or malformed file is an input error
+    that names what the file is."""
+    try:
+        return read(path)
+    except (OSError, ValueError) as exc:
+        raise InputError(f"cannot read {what} {path!r}: {exc}") from exc
+
+
+def _read_json(path: str):
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 def _write_json(path: str, payload: dict, seed: int) -> None:
     """payload plus its seed as indented, key-sorted JSON and a final newline."""
     with open(path, "w", encoding="utf-8") as fh:
@@ -175,20 +189,13 @@ def cmd_table1(args: argparse.Namespace) -> int:
 # -- complex/build/report --------------------------------------------------------
 
 
-def _load_classical(path: str) -> np.ndarray:
-    try:
-        return gf2.read_pcm(path)
-    except (OSError, ValueError) as exc:
-        raise InputError(f"cannot read check matrix {path!r}: {exc}") from exc
-
-
 def _load_base(path: str, allow_redundant: bool) -> ChainComplex:
     """The length-1 complex of a classical check matrix to build products from.
 
     The checks must have rank at least 1, and full row rank unless
     allow_redundant is set.
     """
-    h = _load_classical(path)
+    h = _read(path, "check matrix", gf2.read_pcm)
     if gf2.rank(h) == 0:
         raise InputError(
             f"check matrix {path!r} ({h.shape[0]}x{h.shape[1]}) has no "
@@ -226,13 +233,6 @@ def cmd_build(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _load_complex(path: str) -> ChainComplex:
-    try:
-        return chain.load_complex(path)
-    except (OSError, ValueError) as exc:
-        raise InputError(f"cannot load complex from {path!r}: {exc}") from exc
-
-
 # -- provenance and parameters ------------------------------------------------------
 
 
@@ -240,11 +240,11 @@ def load_stored(path: str) -> ChainComplex:
     """The complex stored at path.  With classical.pcm beside it, the
     product rebuilt from those checks, whose factor is set: an input error
     unless it equals every stored map bit for bit."""
-    complex_ = _load_complex(path)
+    complex_ = _read(path, "complex", chain.load_complex)
     pcm = os.path.join(path, "classical.pcm")
     if not os.path.exists(pcm):
         return complex_
-    base = ChainComplex([_load_classical(pcm)], j_min=0)
+    base = ChainComplex([_read(pcm, "check matrix", gf2.read_pcm)], j_min=0)
     built = build_stages(base, complex_.length // 2)
     if (built.j_min, built.length) != (complex_.j_min, complex_.length) or not all(
         np.array_equal(a, b) for a, b in zip(built.boundaries, complex_.boundaries)
@@ -383,7 +383,7 @@ def _load_syndrome_bits(path: str, bits: int, what: str) -> np.ndarray:
     """The syndrome file at path as a vector: it must hold a 1 x bits
     matrix, bits being what `what` counts, and any other shape is an
     input error that names it."""
-    m = _load_classical(path)
+    m = _read(path, "syndrome", gf2.read_pcm)
     if m.shape != (1, bits):
         raise InputError(
             f"syndrome has {m.size} bits in a {m.shape[0]} x {m.shape[1]} matrix, "
@@ -399,7 +399,7 @@ def _load_syndrome(path: str, code: css.CssCode) -> css.Syndrome:
 
 
 def cmd_decode(args: argparse.Namespace) -> int:
-    code = _code_with_metachecks(_load_complex(args.complex), "decode")
+    code = _code_with_metachecks(load_stored(args.complex), "decode")
     s = _load_syndrome(args.syndrome, code)
     result = decoder.single_shot_decode(code, s, args.max_weight)
     payload = {
@@ -459,11 +459,7 @@ def _support_vector(entry: dict, key: str, length: int, k: int) -> np.ndarray:
 def cmd_rounds(args: argparse.Namespace) -> int:
     complex_ = load_stored(args.complex)
     code = _code_with_metachecks(complex_, "rounds")
-    try:
-        with open(args.schedule, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise InputError(f"cannot read schedule {args.schedule!r}: {exc}") from exc
+    raw = _read(args.schedule, "schedule", _read_json)
     if not isinstance(raw, list):
         raise InputError("schedule must be a JSON array of rounds")
     schedule = []
@@ -517,10 +513,8 @@ def _select_map(complex_: ChainComplex, name: str) -> np.ndarray:
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
-    complex_ = _load_complex(args.complex)
-    delta = _select_map(complex_, args.map)
-    budget = args.budget if args.budget is not None else args.max_weight
-    profile = soundness.profile_map(delta, args.xmax, budget)
+    delta = _select_map(load_stored(args.complex), args.map)
+    profile = soundness.profile_map(delta, args.xmax, args.max_weight)
     payload = profile.to_json()
     text = "syndrome weight -> worst min preimage\n" + "\n".join(
         f"  {x}: {w}" for x, w in sorted(profile.worst.items())
@@ -533,7 +527,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
     complex_ = load_stored(args.complex)
     delta = _select_map(complex_, args.map)
     t = Parameters(complex_, args.max_weight, t=args.t).t
-    profile = soundness.certify_map(delta, t.value, args.f, x_max=args.xmax)
+    profile = soundness.certify_map(delta, t.value, args.f)
     payload = profile.to_json()
     emit(args, payload, f"verdict: {profile.verdict.kind} ({profile.verdict.detail})")
     return EXIT_OK if profile.verdict.certified else EXIT_COUNTEREXAMPLE
@@ -592,8 +586,9 @@ def cmd_witness(args: argparse.Namespace) -> int:
 
 
 def _load_checks(path: str) -> stab.SymplecticChecks:
+    h = _read(path, "check matrix", gf2.read_pcm)
     try:
-        return stab.SymplecticChecks(_load_classical(path))
+        return stab.SymplecticChecks(h)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
 
@@ -721,7 +716,8 @@ def make_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     common.add_argument("--seed", type=_at_least(0), help="RNG seed, recorded in outputs")
     common.add_argument(
-        "--max-weight", type=_at_least(1), help="enumeration budget for distances and decoding"
+        "--max-weight", type=_at_least(1),
+        help="enumeration budget for distances, decoding and profile's preimages",
     )
     common.add_argument("--json", dest="json_path", help="write JSON output here")
     common.add_argument("--quiet", action="store_true", help="suppress text output")
@@ -775,7 +771,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--complex", required=True)
     p.add_argument("--map", required=True, help="z, x, zt, or xt")
     p.add_argument("--xmax", type=_at_least(0), default=6)
-    p.add_argument("--budget", type=_at_least(0), default=None, help="preimage search budget")
 
     p = add("witness", "constructive bounded preimage for a syndrome", cmd_witness)
     p.add_argument("--complex", required=True)
@@ -788,7 +783,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--map", required=True)
     p.add_argument("--t", type=_at_least(1), default=None)
     p.add_argument("--f", type=_bound, default="x2")
-    p.add_argument("--xmax", type=_at_least(0), default=None)
 
     p = add("diag", "diagonalize a symplectic check set", cmd_diag)
     p.add_argument("--checks", required=True)

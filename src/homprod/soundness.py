@@ -130,37 +130,30 @@ def profile_map(
     return SoundnessProfile(worst, preimage_budget, x_max, worst_syndrome)
 
 
-def certify_map(
-    delta,
-    threshold: float,
-    bound: PolyBound,
-    x_max: Optional[int] = None,
-) -> SoundnessProfile:
+def certify_map(delta, threshold: float, bound: PolyBound) -> SoundnessProfile:
     """Certify or refute a (threshold, bound) soundness claim for a map.
 
-    The syndrome range x < threshold is enumerated exhaustively; a
-    counterexample is a concrete minimum-weight preimage heavier than
-    bound(x).  When a syndrome has no preimage within the search budget,
-    the counterexample is the preimage gf2.get_solver(delta) gives (free
-    variables zero) instead: every preimage of it, the minimum included,
-    is then heavier than the bound.
-    Out-of-range weights up to x_max are profiled for information only.
+    The syndrome range x < threshold is enumerated exhaustively, and the
+    profile covers that range and no more: for a map with m rows, the
+    weights up to min(ceil(threshold) - 1, m), or up to m for an infinite
+    threshold (profile_map profiles past a threshold).  A counterexample
+    is a concrete minimum-weight preimage heavier than bound(x).  When a
+    syndrome has no preimage within the search budget, the counterexample
+    is the preimage gf2.get_solver(delta) gives (free variables zero)
+    instead: every preimage of it, the minimum included, is then heavier
+    than the bound.
     """
     delta = gf2.as_bin(delta)
     if math.isinf(threshold):
         range_max = delta.shape[0]
     else:
         range_max = math.ceil(threshold) - 1
-    x_max = range_max if x_max is None else max(x_max, range_max)
-    x_max = min(x_max, delta.shape[0])
     preimage_budget = int(bound(max(range_max, 0))) + 1
-    profile = profile_map(delta, x_max, preimage_budget)
+    profile = profile_map(delta, min(range_max, delta.shape[0]), preimage_budget)
     profile.threshold = threshold
     profile.bound = bound
     verdict = Verdict("certified", f"all syndrome weights below {threshold} within {bound.name}")
     for x in sorted(profile.worst):
-        if not x < threshold:
-            continue
         w = profile.worst[x]
         if Fraction(w) > bound(x):
             s = profile.worst_syndrome[x]

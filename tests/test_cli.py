@@ -296,8 +296,10 @@ def test_all_zero_complex_is_an_input_error(tmp_path, capsys, argv):
         ["sweep", "--samples", "2"],
         ["certify", "--map", "z"],
         ["witness", "--syndrome", "s.pcm"],
+        ["decode", "--syndrome", "s.pcm"],
+        ["profile", "--map", "z"],
     ],
-    ids=["report", "sweep", "certify", "witness"],
+    ids=["report", "sweep", "certify", "witness", "decode", "profile"],
 )
 def test_classical_pcm_that_does_not_build_the_complex(tmp_path, rep2_build, capsys, argv):
     # rep-3's check matrix beside the rep-2 double product
@@ -487,8 +489,11 @@ def test_syndrome_of_another_shape_is_an_input_error(
         ("rep2_build", ["rounds", "--schedule", "missing.json"], "cannot read schedule"),
         ("rep2_unbased", ["witness", "--syndrome", "s.pcm"], "needs classical.pcm"),
         ("rep2_single", ["witness", "--map", "z", "--syndrome", "s.pcm"], "need --map zt or xt"),
+        ("rep2_build", ["decode", "--syndrome", "missing.pcm"], "cannot read syndrome"),
+        ("rep2_build", ["witness", "--syndrome", "missing.pcm"], "cannot read syndrome"),
     ],
-    ids=["profile_map", "rounds_unreadable", "witness_unbased", "witness_map"],
+    ids=["profile_map", "rounds_unreadable", "witness_unbased", "witness_map",
+         "decode_unreadable", "witness_unreadable"],
 )
 def test_guarded_input_is_an_input_error(
     tmp_path, capsys, request, complex_fixture, argv, message
@@ -565,8 +570,6 @@ BELOW_FLOOR = [
     ("rounds", "-n", "0", 1),
     ("rounds", "-n", "-1", 1),
     ("profile", "--xmax", "-1", 0),
-    ("profile", "--budget", "-1", 0),
-    ("certify", "--xmax", "-1", 0),
     ("sweep", "--t", "0", 1),
     ("sweep", "--dq", "-3", 1),
     ("rounds", "--t", "0", 1),
@@ -597,6 +600,23 @@ def test_max_weight_below_one_is_a_usage_error(capsys, rep2_build, command, flag
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["profile", "--budget", "2"], ["certify", "--xmax", "2"]],
+    ids=["profile--budget", "certify--xmax"],
+)
+def test_second_flag_for_a_budget_or_range_is_a_usage_error(capsys, rep2_build, argv):
+    # profile's preimage budget is --max-weight, and profile is the one way
+    # to profile past certify's threshold
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run(*argv, "--complex", rep2_build, "--map", "z", "--quiet")
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {argv[1]} 2" in err
+    assert "Traceback" not in err
+
+
 # each count flag: (command, flag, floor, arguments that keep a run at any
 # accepted value to milliseconds on the rep-2 double product)
 COUNT_FLAGS = [
@@ -605,9 +625,7 @@ COUNT_FLAGS = [
     ("sweep", "--emax", 0, ["--samples", "1"]),
     ("sweep", "--samples", 1, []),
     ("rounds", "-n", 1, []),
-    ("profile", "--xmax", 0, ["--map", "z", "--budget", "2"]),
-    ("profile", "--budget", 0, ["--map", "z", "--xmax", "2"]),
-    ("certify", "--xmax", 0, ["--map", "z"]),
+    ("profile", "--xmax", 0, ["--map", "z", "--max-weight", "2"]),
     ("sweep", "--seed", 0, ["--samples", "1"]),
 ]
 
@@ -868,7 +886,7 @@ class TestSoundnessCommands:
         out = tmp_path / "profile.json"
         assert run(
             "profile", "--complex", rep2_build, "--map", "z", "--xmax", "3",
-            "--budget", "4", "--json", str(out), "--quiet",
+            "--max-weight", "4", "--json", str(out), "--quiet",
         ) == 0
         payload = json.loads(out.read_text())
         assert payload["worst_min_preimage_by_syndrome_weight"]["0"] == 0
