@@ -32,7 +32,8 @@ The weight-ordered searches (min_weight_solution,
 kernel_vectors_by_weight, and css.pauli_min_weight's coset listings,
 which read _searcher(m).supports directly) meet in the middle (see
 _WeightSearch) over sorted numpy half tables keyed by a 64-bit linear
-sketch of the column sum, a fixed-size block of right halves at a time;
+sketch of the column sum, a fixed-size block of keys at a time (an even
+weight joins one table with itself, meeting each pair of halves once);
 every candidate is verified against the exact sum, so a sketch
 collision costs work, never a wrong answer.  The shallow
 decoding queries, whose cost is per-call overhead, use a dict from each
@@ -479,16 +480,22 @@ _TABLE_BYTES_MAX = 1 << 30
 # of a C(241, 3) one), and its candidates.
 _DICT_ENTRY_BYTES = 256
 _ARRAY_ENTRY_BYTES = 10
-# Peak bytes per candidate of a block of an array query (a left half whose
-# sketch matches a right half's), the same way: 33 bytes of codes before the
-# index-order filter, or 17 plus 7.5-7.9 per column word while the ones that
-# pass it (at most half) are verified.
-_CANDIDATE_BYTES = 33
-_CANDIDATE_WORD_BYTES = 8
-# Right halves an array query keys at once: about 40 bytes of temporaries
-# each, and the keys their needles reach stay in cache.  On the weight-6
-# queries of the 241-qubit code, blocks of 1 << 13 and 1 << 16 ran slower.
-_QUERY_BLOCK_HALVES = 1 << 14
+# Peak bytes per candidate of a block of an array query (a pair of halves
+# whose sketches match), the same way: 33-34 bytes of codes before the
+# index-order filter, and up to 26 plus 16 per column word while the pairs
+# that pass it are verified (58 in all while pairs of single columns are
+# decoded).  A pair of halves from one table is one candidate, found once,
+# so every candidate can pass; of a left and a right table, at most half.
+_CANDIDATE_BYTES = 48
+_CANDIDATE_WORD_BYTES = 16
+# Halves (keys of a table) an array query walks at once: about 40 bytes of
+# temporaries each, and the keys their needles reach stay in cache.  The
+# temporaries of 8 bytes a key (120,000 bytes) stay under glibc's default
+# mmap threshold of 128 KiB, so a block reuses heap pages instead of
+# mapping fresh ones, whatever ran before it.  On the weight-6 queries of
+# the 241-qubit code, blocks of 8,192 and 12,000 keys ran slower, and of
+# 16,384 (temporaries at the threshold) as fast in one process.
+_QUERY_BLOCK_HALVES = 15_000
 
 _SKETCH_SEED = 20180524
 # rows of packed vectors sketched per block, so the byte lookups of a wide
@@ -568,13 +575,26 @@ class _WeightSearch:
     linear _sketch of a combination's column sum, with its low bits
     replaced by the combination's code (its indices, _index_bits each,
     first index highest, so codes order like lex order).  A sum's sketch
-    is the XOR of its columns' sketches, so the right halves are keyed a
-    block at a time (slices of the right table), and the left halves whose
-    sketch matches one right half are one searchsorted range.  Each
-    candidate is then checked for index order and verified against the
-    exact packed column sum, so a sketch collision costs work, never a
-    wrong answer.  Only the tables and one block's temporaries are held
-    at once.
+    is the XOR of its columns' sketches, so two halves can sum to the
+    target only if their sketches XOR to the target's.  A query walks a
+    table a block of keys (a slice) at a time, by one of three joins:
+
+    * Odd w, halves of two sizes (_needle_join): each right half of the
+      block gives a needle, the sketch its left half must have, and the
+      left halves that have it are one searchsorted range.
+    * Even w, target sketch zero (_run_join): both halves come from one
+      table with equal sketches, so they are a key and a later key of one
+      run of equal sketches; the lower key is the left half.
+    * Even w, nonzero target sketch (_split_join): the halves' sketches
+      differ on the target sketch's highest set bit, so only the halves
+      of the block with that bit clear give needles into the one table,
+      and a match is kept in whichever order is index-ordered.
+
+    So an even-weight query meets each pair of halves once, and no half
+    meets itself.  Each candidate is checked for index order and verified
+    against the exact packed column sum, so a sketch collision costs
+    work, never a wrong answer.  Only the tables and one block's
+    temporaries are held at once.
 
     Every path returns a list of ascending support tuples in no set order,
     which supports, the one query entry, sorts into lex order.
@@ -749,89 +769,197 @@ class _WeightSearch:
         return self._array_matches(w - w // 2, w // 2, target)
 
     def _array_matches(self, left: int, right: int, target: int) -> list[tuple[int, ...]]:
+        """Supports of a left half of `left` columns and a right half of
+        `right` summing to target, joined a block at a time under the cap."""
         if left + right > self.n:
             return []  # no support has more than n columns
-        keys = self._sorted_table(left)
-        words = self._column_words()
         target_words = self._padded([target])
         target_sketch = _sketch(target_words.view(np.uint8))[0]
-        left_mask, right_mask = self._code_mask(left), self._code_mask(right)
-        sketch_bits = ~left_mask
-        right_keys = self._sorted_table(right)
-        found, held = [], 0  # the supports found so far, and their count
-        for start in range(0, right_keys.size, _QUERY_BLOCK_HALVES):
-            block = right_keys[start : start + _QUERY_BLOCK_HALVES]
-            # each needle: the sketch a matching left half must have, above
-            # the right half's own code; sorted, they walk the keys in one
-            # direction, which searchsorted answers far faster than scattered ones
-            needles = block ^ target_sketch
-            needles &= sketch_bits
-            needles |= block & right_mask
-            needles.sort()
-            # the keys the block's needles can reach are one run of the table,
-            # about as long as the block, so the searches stay in cache
-            window = keys[
-                np.searchsorted(keys, needles[0] & sketch_bits) : np.searchsorted(
-                    keys, needles[-1] | left_mask, side="right"
-                )
-            ]
-            if not window.size:
-                continue
-            lo = np.searchsorted(window, needles & sketch_bits)
-            # a needle hits when the first key at or after it shares its sketch
-            at = window.take(lo, mode="clip")
-            at ^= needles
-            at &= sketch_bits
-            hit = np.flatnonzero((at == 0) & (lo < window.size))
-            del at
-            lo, needles = lo[hit], needles[hit]
-            del hit
-            # a sketch mostly occurs once; search for the end of the others' runs
-            counts = np.ones(lo.size, dtype=np.intp)
-            at = window.take(lo + 1, mode="clip")
-            at ^= needles
-            at &= sketch_bits
-            longer = np.flatnonzero((at == 0) & (lo + 1 < window.size))
-            del at
-            counts[longer] = np.searchsorted(window, needles[longer] | left_mask, side="right")
-            counts[longer] -= lo[longer]
-            candidates = int(counts.sum())
+        found: list[np.ndarray] = []  # each block's supports, one row each
+
+        def charge(candidates: int) -> None:
+            held = sum(map(len, found))
             need = held * (left + right) * np.dtype(np.intp).itemsize + candidates * (
-                _CANDIDATE_BYTES + _CANDIDATE_WORD_BYTES * words.shape[1]
+                _CANDIDATE_BYTES + _CANDIDATE_WORD_BYTES * target_words.shape[1]
             )
             _require_under_cap(
                 need,
                 f"weight-search query of {candidates} candidates in one block, "
                 f"after {held} supports found",
             )
-            right_codes = np.repeat(needles & right_mask, counts)
-            rows = np.repeat(lo - np.cumsum(counts) + counts, counts)
-            # the block's per-needle arrays go before the candidates peak
-            del lo, needles, counts
-            rows += np.arange(rows.size)
-            left_codes = window[rows]
-            del rows
-            left_codes &= left_mask
-            # every left index below every right one: last below first
-            last = left_codes & self._code_mask(1)
-            ordered = last < right_codes >> np.uint64((right - 1) * self._index_bits)
-            del last
-            halves = ((left_codes[ordered], left), (right_codes[ordered], right))
-            del left_codes, right_codes
-            # the exact column sum, one column at a time; only the supports
-            # that reach the target are decoded whole
-            sums = np.repeat(target_words, ordered.sum(), axis=0)
-            for codes, size in halves:
-                for column in self._columns(codes, size):
-                    sums ^= words[column]
-            exact = ~sums.any(axis=1)
-            del sums
-            supports = np.column_stack(
-                [column for codes, size in halves for column in self._columns(codes[exact], size)]
-            )
-            found.append(supports)
-            held += len(supports)
+
+        if left > right:
+            blocks = self._needle_join(left, right, target_sketch, charge)
+        elif target_sketch & ~self._code_mask(right):
+            blocks = self._split_join(right, target_sketch, charge)
+        else:
+            blocks = self._run_join(right, charge)
+        for left_codes, right_codes in blocks:
+            halves = ((left_codes, left), (right_codes, right))
+            found.append(self._verified(halves, target_words))
         return [tuple(s) for block in found for s in block.tolist()]
+
+    def _needle_join(
+        self, left: int, right: int, target_sketch: np.uint64, charge: Callable[[int], None]
+    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Index-ordered (left, right) codes whose sketches sum to the
+        target's, a block of right halves at a time, each looked up in the
+        left table."""
+        keys = self._sorted_table(left)
+        left_mask, right_mask = self._code_mask(left), self._code_mask(right)
+        right_keys = self._sorted_table(right)
+        for start in range(0, right_keys.size, _QUERY_BLOCK_HALVES):
+            block = right_keys[start : start + _QUERY_BLOCK_HALVES]
+            # each needle: the sketch a matching left half must have, above
+            # the right half's own code
+            needles = block ^ target_sketch
+            needles &= ~left_mask
+            needles |= block & right_mask
+            left_codes, needles = self._probe(keys, needles, left_mask, charge)
+            right_codes = needles & right_mask
+            del needles
+            ordered = self._last(left_codes) < self._first(right_codes, right)
+            left_codes, right_codes = left_codes[ordered], right_codes[ordered]
+            yield left_codes, right_codes
+
+    def _split_join(
+        self, size: int, target_sketch: np.uint64, charge: Callable[[int], None]
+    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Index-ordered pairs of halves of the size-`size` table whose
+        sketches sum to the target's nonzero one, each pair found once.
+
+        The two sketches of a pair differ on the target sketch's highest
+        set bit, so only the halves that have it clear are looked up, and
+        each match is kept in whichever order puts its indices in order."""
+        keys = self._sorted_table(size)
+        mask = self._code_mask(size)
+        target_sketch &= ~mask
+        top = np.uint64(1 << (int(target_sketch).bit_length() - 1))
+        for start in range(0, keys.size, _QUERY_BLOCK_HALVES):
+            block = keys[start : start + _QUERY_BLOCK_HALVES]
+            needles = block[(block & top) == 0]
+            needles ^= target_sketch
+            matches, needles = self._probe(keys, needles, mask, charge)
+            needles &= mask
+            # a pair is index-ordered one way at most: a needle half on the
+            # left keeps its place, one on the right swaps with its match
+            swap = self._last(matches) < self._first(needles, size)
+            ordered = swap | (self._last(needles) < self._first(matches, size))
+            swap = swap[ordered]
+            matches, needles = matches[ordered], needles[ordered]
+            matches[swap], needles[swap] = needles[swap], matches[swap]
+            yield needles, matches
+
+    def _run_join(
+        self, size: int, charge: Callable[[int], None]
+    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Index-ordered pairs of halves of the size-`size` table with
+        equal sketches, each pair found once.
+
+        Such pairs lie in runs of equal sketch in the sorted table, a key
+        and a later key of its run; in a run the keys are ordered by their
+        codes, so the lower one is the left half.  A block walks the keys
+        that open a pair, those whose next key shares their sketch."""
+        keys = self._sorted_table(size)
+        mask = self._code_mask(size)
+        for start in range(0, keys.size - 1, _QUERY_BLOCK_HALVES):
+            block = keys[start : start + _QUERY_BLOCK_HALVES + 1]
+            heads = np.flatnonzero(block[1:] <= block[:-1] | mask)
+            if not heads.size:
+                continue
+            heads += start
+            # a head pairs with each later key of its run, up to the last
+            # key that has its sketch
+            counts = np.searchsorted(keys, keys[heads] | mask, side="right")
+            counts -= heads + 1
+            charge(int(counts.sum()))
+            left_codes = np.repeat(keys[heads], counts)
+            left_codes &= mask
+            right_codes = keys[self._spread(heads + 1, counts)]
+            del heads, counts
+            right_codes &= mask
+            ordered = self._last(left_codes) < self._first(right_codes, size)
+            left_codes, right_codes = left_codes[ordered], right_codes[ordered]
+            yield left_codes, right_codes
+
+    def _probe(
+        self, keys: np.ndarray, needles: np.ndarray, mask: np.uint64, charge: Callable[[int], None]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Every key whose sketch (the bits above `mask`) is some needle's,
+        each next to that needle: (the keys' codes, the needles).  The
+        needles are sorted in place."""
+        if not needles.size:
+            return needles, needles
+        sketch_bits = ~mask
+        # sorted, the needles walk the keys in one direction, which
+        # searchsorted answers far faster than scattered ones
+        needles.sort()
+        # the keys the needles can reach are one run of the table, about as
+        # long as the block, so the searches stay in cache
+        window = keys[
+            np.searchsorted(keys, needles[0] & sketch_bits) : np.searchsorted(
+                keys, needles[-1] | mask, side="right"
+            )
+        ]
+        if not window.size:
+            return needles[:0], needles[:0]
+        lo = np.searchsorted(window, needles & sketch_bits)
+        # a needle hits when the first key at or after it shares its sketch
+        at = window.take(lo, mode="clip")
+        at ^= needles
+        at &= sketch_bits
+        hit = np.flatnonzero((at == 0) & (lo < window.size))
+        del at
+        lo, needles = lo[hit], needles[hit]
+        del hit
+        # a sketch mostly occurs once; search for the end of the others' runs
+        counts = np.ones(lo.size, dtype=np.intp)
+        at = window.take(lo + 1, mode="clip")
+        at ^= needles
+        at &= sketch_bits
+        longer = np.flatnonzero((at == 0) & (lo + 1 < window.size))
+        del at
+        counts[longer] = np.searchsorted(window, needles[longer] | mask, side="right")
+        counts[longer] -= lo[longer]
+        charge(int(counts.sum()))
+        needles = np.repeat(needles, counts)
+        codes = window[self._spread(lo, counts)]
+        codes &= mask
+        return codes, needles
+
+    @staticmethod
+    def _spread(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        """For each i in turn, the counts[i] consecutive positions from starts[i]."""
+        rows = np.repeat(starts - np.cumsum(counts) + counts, counts)
+        rows += np.arange(rows.size)
+        return rows
+
+    def _first(self, codes: np.ndarray, size: int) -> np.ndarray:
+        """The first (lowest) index of each code of `size` indices."""
+        return codes >> np.uint64((size - 1) * self._index_bits)
+
+    def _last(self, codes: np.ndarray) -> np.ndarray:
+        """The last (highest) index of each code."""
+        return codes & self._code_mask(1)
+
+    def _verified(
+        self, halves: tuple[tuple[np.ndarray, int], ...], target_words: np.ndarray
+    ) -> np.ndarray:
+        """The supports, one row each, of the index-ordered (codes, size)
+        halves whose exact column sum is the target.
+
+        The sum is taken one column at a time; only the supports that
+        reach the target are decoded whole."""
+        words = self._column_words()
+        sums = np.repeat(target_words, halves[0][0].size, axis=0)
+        for codes, size in halves:
+            for column in self._columns(codes, size):
+                sums ^= words[column]
+        exact = ~sums.any(axis=1)
+        del sums
+        return np.column_stack(
+            [column for codes, size in halves for column in self._columns(codes[exact], size)]
+        )
 
     def supports(self, w: int, target: int) -> list[tuple[int, ...]]:
         """All supports of size w whose column sum equals target, lex sorted.

@@ -580,6 +580,18 @@ def _zero_sketch(packed):
     return np.zeros(len(packed), dtype=np.uint64)
 
 
+def _first_bit_sketch(packed):
+    """A linear sketch of one bit: the vector's first bit, in the top bit.
+
+    Every pair of halves that differ on that bit then matches a target that
+    has it, so the nonzero-target join meets colliding pairs in both
+    orders, and a target without it runs the zero-target join."""
+    out = np.zeros(len(packed), dtype=np.uint64)
+    if packed.shape[1]:
+        out[packed[:, 0] >= 0x80] = 1 << 63
+    return out
+
+
 @st.composite
 def sparse_search_case(draw):
     """A matrix of up to 8 x 12 with at most 4 ones a column, and a nonzero
@@ -616,12 +628,27 @@ class TestWeightSearch:
             {"_DRAW_MAX_COLUMNS": -1},
             {"_DRAW_MAX_COLUMNS": 1 << 62},
             {"_DRAW_MAX_COLUMNS": -1, "_sketch": _zero_sketch},
+            {"_DRAW_MAX_COLUMNS": -1, "_sketch": _first_bit_sketch},
             {"_DRAW_MAX_COLUMNS": -1, "_QUERY_BLOCK_HALVES": 1},
         ],
-        ids=["arrays", "draws", "arrays-colliding-sketch", "arrays-one-half-blocks"],
+        ids=[
+            "arrays",
+            "draws",
+            "arrays-colliding-sketch",
+            "arrays-first-bit-sketch",
+            "arrays-one-half-blocks",
+        ],
     )
     @given(search_case())
     @settings(max_examples=60)
+    # three equal columns: the zero target's weight-2 supports are a run of
+    # three equal keys, and its weight-4 ones pair the run's pairs
+    @example(case=(bits([[1, 1, 1, 0], [0, 0, 0, 1]]), bits([0, 0])))
+    # four equal columns and one that is the target with any of them
+    @example(case=(bits([[1, 1, 1, 1, 0], [0, 0, 0, 0, 1]]), bits([1, 1])))
+    # seven zero columns: every sum is zero, one run per table, each pair
+    # of halves from one key to a later one, across blocks of one key
+    @example(case=(gf2.zeros(2, 7), bits([0, 0])))
     def test_equals_brute_force(self, patches, case):
         m, b = case
         with pytest.MonkeyPatch.context() as mp:
@@ -808,12 +835,13 @@ class TestMemoryCap:
         assert search._sorted_table(2).size == 15
 
     def test_query_over_cap_raises(self, monkeypatch):
-        # the weight-2 tables take 780 entries, but the weight-4 query of an
-        # all-zero row pairs 780 right halves with 780 left halves each
+        # the weight-2 table takes 780 entries, but on an all-zero row they
+        # are one run of equal sketches, and the weight-4 query pairs each
+        # with every later one: C(780, 2) candidates
         monkeypatch.setattr(gf2, "_TABLE_BYTES_MAX", 1 << 20)
         search = gf2._WeightSearch(gf2.zeros(1, 40))
         search._sorted_table(2)
-        with pytest.raises(gf2.BudgetExhausted, match="608400 candidates"):
+        with pytest.raises(gf2.BudgetExhausted, match="303810 candidates"):
             search.supports(4, 0)
 
     def test_zero_target_weight_3_output_is_capped(self, monkeypatch):
@@ -852,8 +880,9 @@ class TestMemoryCap:
 
     def test_array_peaks_stay_within_the_entry_estimate(self):
         # the cap's estimate is an upper bound: building a table of 161700
-        # entries, and its heaviest query (target zero, where every right
-        # half meets itself), each peak below the estimated bytes per entry
+        # entries, and its heaviest query (target zero, which pairs the
+        # halves inside each run of equal sketches), each peak below the
+        # estimated bytes per entry
         m = np.random.default_rng(1).integers(0, 2, (20, 100), dtype=np.uint8)
         search = gf2._WeightSearch(m)
         entries = math.comb(100, 3)
