@@ -488,6 +488,15 @@ _ARRAY_ENTRY_BYTES = 10
 # so every candidate can pass; of a left and a right table, at most half.
 _CANDIDATE_BYTES = 48
 _CANDIDATE_WORD_BYTES = 16
+# Peak bytes per support an array query returns, the same way: a tuple of
+# Python ints in the returned list, and while that list is built, the
+# support's row of indices and its column lists.  Supports of 2, 3 and 4
+# columns at or above 256 (not the interpreter's cached small ints) peaked
+# at 177, 233 and 267 bytes each; the returned list, sorted by supports
+# into a second (kept, for target zero, beside the copy it returns), is
+# under that peak.
+_SUPPORT_BYTES = 64
+_SUPPORT_INDEX_BYTES = 64
 # Halves (keys of a table) an array query walks at once: about 40 bytes of
 # temporaries each, and the keys their needles reach stay in cache.  The
 # temporaries of 8 bytes a key (120,000 bytes) stay under glibc's default
@@ -600,8 +609,9 @@ class _WeightSearch:
     which supports, the one query entry, sorts into lex order.
 
     Before a table is built its size is estimated, and before a block's
-    candidates are expanded their size is, with the supports found so far;
-    so is the number of pairs of equal columns before they are listed.  A
+    candidates are expanded their size is, with the supports found so far,
+    each charged as the tuple it becomes; so are all of them before they
+    are returned, and the pairs of equal columns before they are listed.  A
     weight-3 draw charges its supports after each first column, and a
     weight-2 draw once drawn.  Above _TABLE_BYTES_MAX the search raises
     BudgetExhausted instead of running out of memory.
@@ -776,10 +786,12 @@ class _WeightSearch:
         target_words = self._padded([target])
         target_sketch = _sketch(target_words.view(np.uint8))[0]
         found: list[np.ndarray] = []  # each block's supports, one row each
+        # a support is charged as what it becomes, a tuple in a list
+        support_bytes = _SUPPORT_BYTES + _SUPPORT_INDEX_BYTES * (left + right)
 
         def charge(candidates: int) -> None:
             held = sum(map(len, found))
-            need = held * (left + right) * np.dtype(np.intp).itemsize + candidates * (
+            need = held * support_bytes + candidates * (
                 _CANDIDATE_BYTES + _CANDIDATE_WORD_BYTES * target_words.shape[1]
             )
             _require_under_cap(
@@ -797,7 +809,8 @@ class _WeightSearch:
         for left_codes, right_codes in blocks:
             halves = ((left_codes, left), (right_codes, right))
             found.append(self._verified(halves, target_words))
-        return [tuple(s) for block in found for s in block.tolist()]
+        charge(0)  # every support found, before it becomes a tuple
+        return [s for block in found for s in zip(*block.T.tolist())]
 
     def _needle_join(
         self, left: int, right: int, target_sketch: np.uint64, charge: Callable[[int], None]

@@ -220,8 +220,8 @@ def certify_checks(
 # -- constructive witness: single product ---------------------------------------
 
 # The witness loops run on gf2's int rows: row i of a c-column matrix is
-# one c-bit int, column j in bit c - 1 - j (see gf2._row_ints), read
-# through gf2._rows, memoised while the matrix is read-only.
+# one c-bit int, column j in bit c - 1 - j (see gf2._row_ints).  What a
+# witness needs of a product is built once, into a plan memoised on h.
 
 
 def _any_row(rows: list[int]) -> int:
@@ -250,19 +250,27 @@ def _checks_of(tilde: ChainComplex, h: np.ndarray) -> np.ndarray:
     return b
 
 
-def _single_map_pieces(h: np.ndarray, tilde: ChainComplex, map_side: str):
-    """The selected middle-level map of tilde, reshape dims, and kernel tests.
+def _single_plan(h: np.ndarray, tilde: ChainComplex, map_side: str):
+    """The selected middle-level map's solver and column ints, the reshape
+    dims, and the two kernel tests, memoised on h by the side's name.
 
     "from_checks": d_0^T, domain C_1 (x) C_0 (reshaped checks x bits);
     transforms add outer products of ker(h^T) columns with ker(h) rows.
-    "from_redundancy": d_{-1}, domain C_0 (x) C_1; the mirror.
+    "from_redundancy": d_{-1}, domain C_0 (x) C_1; the mirror.  The tests
+    are a read-only copy of h^T (or h) and its transpose: their int rows
+    are one memo entry on the copy, and the plan holds no view of h.
     """
-    n1, n0 = h.shape
-    if map_side == "from_checks":
-        return tilde.delta(0).T, (n1, n0), h.T, h
-    if map_side == "from_redundancy":
-        return tilde.delta(-1), (n0, n1), h, h.T
-    raise ValueError("map_side must be 'from_checks' or 'from_redundancy'")
+    if map_side not in ("from_checks", "from_redundancy"):
+        raise ValueError("map_side must be 'from_checks' or 'from_redundancy'")
+
+    def build(_):
+        checks = map_side == "from_checks"
+        the_map = tilde.delta(0).T if checks else tilde.delta(-1)
+        test = (h.T if checks else h).copy()
+        test.setflags(write=False)
+        return gf2.get_solver(the_map), gf2._rows(the_map.T), test.shape[::-1], test, test.T
+
+    return gf2.memo(h, map_side, build)
 
 
 def _reduce_reshaped(
@@ -336,13 +344,13 @@ def single_product_preimage(
 def _single_preimage(h, tilde, s: int, map_side, threshold) -> tuple[list[int], bool, int]:
     """single_product_preimage of checked inputs on int rows, s one int row:
     r is returned as the flat indices of its ones, then the flag and steps."""
-    the_map, shape, col_test, row_test = _single_map_pieces(h, tilde, map_side)
-    ones = gf2.get_solver(the_map)._solve_int(s)
+    solver, columns, shape, col_test, row_test = _single_plan(h, tilde, map_side)
+    ones = solver._solve_int(s)
     if ones is None:
         raise PreimageError("syndrome is not in the image of the selected map")
     rows, steps = _reduce_reshaped(gf2._from_ones(ones, *shape), col_test, row_test)
     ones = gf2._ones(rows, shape[1])
-    if gf2._column_sum(gf2._rows(the_map.T), ones) != s:
+    if gf2._column_sum(columns, ones) != s:
         raise AssertionError("reduced witness no longer solves the selected map")
     x = s.bit_count()
     guaranteed = threshold is not None and x < threshold
@@ -466,27 +474,33 @@ def partial_decode(
             f"dimension mismatch: R_b {r_b.shape}, S_L {s_l.shape}, S_R {s_r.shape}, "
             f"d_high {d_high.shape}, d_low {d_low.shape}"
         )
+    maps = _int_maps(d_high, d_low)
     rows, sl, sr = gf2._row_ints(r_b), gf2._row_ints(s_l), gf2._row_ints(s_r)
-    m = gf2._mul_rows(gf2._rows(d_high), sl)
-    if m != gf2._mul_rows(sr, gf2._rows(d_low)):
+    m = gf2._mul_rows(maps[0], sl)
+    if m != gf2._mul_rows(sr, maps[1]):
         raise ValueError("precondition failed: d_high @ S_L != S_R @ d_low")
-    return _partial_decode(rows, sl, sr, m, d_high, d_low, check_every_step)
+    return _partial_decode(maps, rows, sl, sr, m, check_every_step)
 
 
-def _partial_decode(rows, sl, sr, m, d_high, d_low, check_every_step) -> PartialDecodeState:
-    """partial_decode on int rows of R_b, S_L, S_R and M = d_high S_L, with
-    d_high S_L = S_R d_low already checked (the double product's metachecks)."""
-    n_1, n_0 = d_high.shape
-    n_m1 = d_low.shape[1]
-    low, high = gf2._rows(d_low), gf2._rows(d_high)
+def _int_maps(d_high: np.ndarray, d_low: np.ndarray) -> tuple[list[int], ...]:
+    """The int rows of d_high, d_low, d_high^T and d_low^T."""
+    return tuple(gf2._rows(d) for d in (d_high, d_low, d_high.T, d_low.T))
+
+
+def _partial_decode(maps, rows, sl, sr, m, check_every_step) -> PartialDecodeState:
+    """partial_decode on int rows: maps as _int_maps gives them, R_b, S_L,
+    S_R and M = d_high S_L, with d_high S_L = S_R d_low already checked
+    (the double product's metachecks)."""
+    high, low, high_t, low_t = maps
+    n_1, n_0, n_m1 = len(high), len(low), len(low_t)
     rd = gf2._mul_rows(rows, low)  # R_b d_low, handed to the first side
     if m != gf2._mul_rows(high, rd):
         raise ValueError("precondition failed: d_high @ R_b @ d_low != d_high @ S_L")
     # side 2 is side 1 on transposes
-    sides = [(low, sl), (gf2._rows(d_high.T), gf2._transpose_ints(sr, n_0))]
+    sides = [(low, sl), (high_t, gf2._transpose_ints(sr, n_0))]
     if check_every_step:
         # e, the other side's map, makes e @ r @ d M on side 1 and M^T on side 2
-        checks = [(high, m), (gf2._rows(d_low.T), gf2._transpose_ints(m, n_m1))]
+        checks = [(high, m), (low_t, gf2._transpose_ints(m, n_m1))]
     counters = [0] * 6
     guard = 4 * (2 * n_0 + 2) ** 2
     passes = 0
@@ -546,9 +560,26 @@ class DoubleWitness:
     state: Optional[PartialDecodeState]
 
 
-def _qubit_map_preimage(qubit_map: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """The plain solver's preimage of s; PreimageError when there is none."""
-    r = gf2.get_solver(qubit_map).solve(s)
+def _double_plan(h: np.ndarray, tilde: ChainComplex, breve: ChainComplex):
+    """What every cubic witness of one double product needs, memoised on h:
+    _int_maps of tilde's d_0 and d_{-1}, the column ints of breve's
+    metachecks and qubit map, and the middle-block solver, whose input is
+    M flattened.  tilde is the single product of h's complex and breve the
+    double product of tilde, so all of them are functions of h."""
+
+    def build(_):
+        d_low, d_high = tilde.delta(-1), tilde.delta(0)
+        mid_solver = gf2.Gf2Solver(np.kron(d_high, d_low.T))
+        columns = [gf2._rows(breve.delta(j).T) for j in (1, 0)]
+        return _int_maps(d_high, d_low), *columns, mid_solver
+
+    return gf2.memo(h, "double_plan", build)
+
+
+def _qubit_map_preimage(breve: ChainComplex, s: np.ndarray) -> np.ndarray:
+    """The plain solver's preimage of s under breve's qubit map;
+    PreimageError when there is none."""
+    r = gf2.get_solver(breve.delta(0)).solve(s)
     if r is None:
         raise PreimageError("syndrome is not in the image of the qubit map")
     return r
@@ -584,45 +615,45 @@ def double_product_preimage(
     A witness is returned only once it solves s.
 
     tilde is the single product of h and breve that of tilde, as their
-    factors record (ValueError otherwise); h is read from tilde.factor,
-    once per call.  Every solver is memoised on h or a map of tilde or
-    breve.  The witness and its state share no memory with s.
+    factors record (ValueError otherwise).  What depends only on them is
+    built on the first call into plans memoised on h as tilde.factor
+    holds it (_double_plan, _single_plan), so each call does only the
+    work that depends on s.  The witness and its state share no memory
+    with s.
     """
     h = _checks_of(tilde, gf2.as_bin(h))
     if breve.factor is not tilde:
         raise ValueError(f"{breve!r} is not the double product of {tilde!r}")
     s = gf2.as_bin(s).reshape(-1)
-    d_low, d_high = tilde.delta(-1), tilde.delta(0)
-    n_0, n_m1 = d_low.shape
-    n_1 = d_high.shape[0]
+    maps, metachecks, qubit_columns, mid_solver = _double_plan(h, tilde, breve)
+    high, low, _, low_t = maps
+    n_1, n_0, n_m1 = len(high), len(low), len(low_t)
     len_l = n_0 * n_m1
-    if s.shape[0] != breve.size(1):
+    if s.shape[0] != len(metachecks):
         raise ValueError("syndrome length does not match the double product's checks")
     ones = np.flatnonzero(s).tolist()
-    if gf2._column_sum(gf2._rows(breve.delta(1).T), ones):
+    if gf2._column_sum(metachecks, ones):
         raise PreimageError("syndrome fails the metachecks")
-    qubit_map = breve.delta(0)
     sl = gf2._from_ones([i for i in ones if i < len_l], n_0, n_m1)
     sr = gf2._from_ones([i - len_l for i in ones if i >= len_l], n_1, n_0)
-    m = gf2._mul_rows(gf2._rows(d_high), sl)
+    m = gf2._mul_rows(high, sl)
     x = len(ones)
     guaranteed = threshold is not None and x < threshold
 
-    # the middle-block map is built from both of tilde's maps, so it is
-    # memoised on h, which they are a function of; its input is M flattened
-    mid_solver = gf2.memo(
-        h, "mid_map_solver", lambda _: gf2.Gf2Solver(np.kron(d_high, d_low.T))
-    )
-    r_b0 = mid_solver._solve_int(gf2._from_ones(gf2._ones(m, n_m1), 1, n_1 * n_m1)[0])
+    # M flattened: its rows side by side, row 0 highest
+    flat = 0
+    for v in m:
+        flat = flat << n_m1 | v
+    r_b0 = mid_solver._solve_int(flat)
     if r_b0 is None:
         # here and at each failure below: PreimageError if s is not an image
-        _qubit_map_preimage(qubit_map, s)
+        _qubit_map_preimage(breve, s)
         raise AssertionError("middle-block equation must be solvable for image syndromes")
     try:
-        state = _partial_decode(gf2._from_ones(r_b0, n_0, n_0), sl, sr, m, d_high, d_low, False)
+        state = _partial_decode(maps, gf2._from_ones(r_b0, n_0, n_0), sl, sr, m, False)
     except ValueError:
         # a precondition, which every image syndrome meets
-        _qubit_map_preimage(qubit_map, s)
+        _qubit_map_preimage(breve, s)
         raise
 
     # inside the guaranteed range each column of Q_L = S_L + R_b d_low lies
@@ -650,7 +681,7 @@ def double_product_preimage(
             try:
                 term_ones = _single_preimage(h, tilde, target, map_side, threshold)[0]
             except PreimageError as exc:
-                plain = _qubit_map_preimage(qubit_map, s)
+                plain = _qubit_map_preimage(breve, s)
                 if guaranteed:
                     raise AssertionError(
                         f"the {map_side} remainder term at index {term.index} has no "
@@ -661,12 +692,12 @@ def double_product_preimage(
                     plain, None, None, None, False, True, left_terms, right_terms, None
                 )
             r_ones += [place(term.index, p) for p in term_ones]
-    if gf2._column_sum(gf2._rows(qubit_map.T), r_ones) != gf2._from_ones(ones, 1, s.shape[0])[0]:
-        _qubit_map_preimage(qubit_map, s)
+    if gf2._column_sum(qubit_columns, r_ones) != gf2._from_ones(ones, 1, s.shape[0])[0]:
+        _qubit_map_preimage(breve, s)
         raise AssertionError("assembled witness does not solve the qubit map")
     if guaranteed and Fraction(len(r_ones)) > CUBIC_OVER_4(x):
         raise AssertionError("cubic bound violated inside the guaranteed range")
-    r = np.zeros(breve.size(0), dtype=np.uint8)
+    r = np.zeros(len(qubit_columns), dtype=np.uint8)
     r[r_ones] = 1
     # r's three blocks are views of it, so a kept witness holds each bit once
     return DoubleWitness(

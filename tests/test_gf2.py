@@ -896,6 +896,29 @@ class TestMemoryCap:
                 tracemalloc.stop()
         assert max(peaks) <= entries * gf2._ARRAY_ENTRY_BYTES, peaks
 
+    def test_array_output_peaks_within_its_charge(self, monkeypatch):
+        # every pair of a zero row of 400 columns (past the pivot draws)
+        # sums to zero: its C(400, 2) supports, tuples of Python ints, are
+        # most of the query's memory, and the charge must cover them
+        search = gf2._WeightSearch(gf2.zeros(1, 400))
+        search._sorted_table(1)
+        needs = []
+        real = gf2._require_under_cap
+
+        def recording(need, what):
+            needs.append(need)
+            real(need, what)
+
+        monkeypatch.setattr(gf2, "_require_under_cap", recording)
+        tracemalloc.start()
+        try:
+            out = search.supports(2, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(out) == math.comb(400, 2)
+        assert peak <= max(needs), (peak, max(needs))
+
     def test_default_cap_admits_the_241_qubit_tables(self):
         # C(241, 3) entries as arrays: the deep coset search of the 241-qubit code
         gf2._reserve(241, 3, gf2._ARRAY_ENTRY_BYTES)

@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import itertools
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -909,6 +911,45 @@ class TestDoubleProductPreimage:
         ] + [term.vector for term in out.left_terms + out.right_terms]
         assert not any(np.shares_memory(a, s) for a in kept)
         assert np.shares_memory(out.r_a, out.r) and np.shares_memory(out.r_c, out.r)
+
+    def test_plan_dies_with_its_product(self):
+        # the plan is memoised on h, so it must hold no reference to h:
+        # once tilde and breve are gone, so are h and its memo entry
+        tilde = single(REP3)
+        breve = product.double_product(tilde)
+        s = next(_error_syndromes(breve, np.random.default_rng(3), 1))
+        soundness.double_product_preimage(REP3, tilde, breve, s, threshold=3)
+        h = tilde.factor.boundaries[0]
+        assert h.base is None and ("", "double_plan") in gf2._MEMO[id(h)][1]
+        owner, oid = weakref.ref(h), id(h)
+        del tilde, breve, h
+        gc.collect()
+        assert owner() is None
+        assert oid not in gf2._MEMO
+
+    def test_products_of_equal_checks_give_identical_witnesses(self):
+        # two double products of one tilde share its plan; a tilde built
+        # from an equal H builds its own; each gives the same bytes
+        tilde = single(REP3)
+        other = single(REP3.copy())
+        pairs = [
+            (tilde, product.double_product(tilde)),
+            (tilde, product.double_product(tilde)),
+            (other, product.double_product(other)),
+        ]
+        for s in _error_syndromes(pairs[0][1], np.random.default_rng(44), 100):
+            witnesses = set()
+            for t, b in pairs:
+                out = soundness.double_product_preimage(REP3, t, b, s, threshold=3)
+                digest = hashlib.sha256()
+                _feed(digest, out.r, [out.bound_guaranteed, out.used_fallback])
+                _feed(digest, *[getattr(out.state, name) for name in STATE_MATRICES])
+                for term in out.left_terms + out.right_terms:
+                    _feed(digest, [term.index], term.vector)
+                witnesses.add(digest.hexdigest())
+            assert len(witnesses) == 1
+        plans = [soundness._double_plan(t.factor.boundaries[0], t, b) for t, b in pairs]
+        assert plans[0] is plans[1] and plans[2] is not plans[0]
 
 
 def _feed(digest, *values):
