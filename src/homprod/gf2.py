@@ -489,12 +489,11 @@ _ARRAY_ENTRY_BYTES = 10
 _CANDIDATE_BYTES = 48
 _CANDIDATE_WORD_BYTES = 16
 # Peak bytes per support an array query returns, the same way: a tuple of
-# Python ints in the returned list, and while that list is built, the
+# Python ints in the returned list, plus, while that list is built, the
 # support's row of indices and its column lists.  Supports of 2, 3 and 4
-# columns at or above 256 (not the interpreter's cached small ints) peaked
-# at 177, 233 and 267 bytes each; the returned list, sorted by supports
-# into a second (kept, for target zero, beside the copy it returns), is
-# under that peak.
+# columns, indices at or above 256 (past the interpreter's cached small
+# ints), peaked at 177, 233 and 267 bytes each; the lists that supports
+# then sorts and copies them into hold less.
 _SUPPORT_BYTES = 64
 _SUPPORT_INDEX_BYTES = 64
 # Halves (keys of a table) an array query walks at once: about 40 bytes of
@@ -809,7 +808,8 @@ class _WeightSearch:
         for left_codes, right_codes in blocks:
             halves = ((left_codes, left), (right_codes, right))
             found.append(self._verified(halves, target_words))
-        charge(0)  # every support found, before it becomes a tuple
+        held = sum(map(len, found))
+        _require_under_cap(held * support_bytes, f"weight-search query of {held} supports")
         return [s for block in found for s in zip(*block.T.tolist())]
 
     def _needle_join(

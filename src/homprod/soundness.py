@@ -570,7 +570,7 @@ def _double_plan(h: np.ndarray, tilde: ChainComplex, breve: ChainComplex):
     def build(_):
         d_low, d_high = tilde.delta(-1), tilde.delta(0)
         mid_solver = gf2.Gf2Solver(np.kron(d_high, d_low.T))
-        columns = [gf2._rows(breve.delta(j).T) for j in (1, 0)]
+        columns = gf2._rows(breve.delta(1).T), gf2._rows(breve.delta(0).T)
         return _int_maps(d_high, d_low), *columns, mid_solver
 
     return gf2.memo(h, "double_plan", build)

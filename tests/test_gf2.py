@@ -919,6 +919,15 @@ class TestMemoryCap:
         assert len(out) == math.comb(400, 2)
         assert peak <= max(needs), (peak, max(needs))
 
+    def test_array_output_is_capped(self, monkeypatch):
+        # the same C(400, 2) pairs are one block of candidates under the
+        # cap, but the tuples they become are not
+        search = gf2._WeightSearch(gf2.zeros(1, 400))
+        search._sorted_table(1)
+        monkeypatch.setattr(gf2, "_TABLE_BYTES_MAX", 10 << 20)
+        with pytest.raises(gf2.BudgetExhausted, match="query of 79800 supports"):
+            search.supports(2, 0)
+
     def test_default_cap_admits_the_241_qubit_tables(self):
         # C(241, 3) entries as arrays: the deep coset search of the 241-qubit code
         gf2._reserve(241, 3, gf2._ARRAY_ENTRY_BYTES)
