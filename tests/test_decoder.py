@@ -79,6 +79,87 @@ class TestRepairSyndrome:
             decoder.repair_syndrome(code, code.syndrome(PauliError.identity(13)), 2)
 
 
+class TestRefusals:
+    """What repair_syndrome and single_shot_decode refuse, and in which
+    order: the Z side before the X side, a wrong length before a negative
+    budget, repair before recovery, and the X part before the Z part."""
+
+    @staticmethod
+    def syndrome(code, z_bits=(), x_bits=(), x_len=None, z_len=None):
+        z = np.zeros(z_len or code.num_z_checks, dtype=np.uint8)
+        x = np.zeros(x_len or code.num_x_checks, dtype=np.uint8)
+        z[list(z_bits)], x[list(x_bits)] = 1, 1
+        return css.Syndrome(z, x)
+
+    @pytest.mark.parametrize("run", ["repair", "decode"])
+    def test_code_without_metachecks(self, run):
+        code = css.from_complex(product.single_product(ChainComplex([gf2.as_bin(REP3)], j_min=0)))
+        s = code.syndrome(PauliError.identity(13))
+        call = decoder.repair_syndrome if run == "repair" else decoder.single_shot_decode
+        with pytest.raises(ValueError, match="^repair needs a code with metachecks$"):
+            call(code, s, 2)
+
+    @pytest.mark.parametrize("run", ["repair", "decode"])
+    def test_wrong_lengths(self, code241, run):
+        call = decoder.repair_syndrome if run == "repair" else decoder.single_shot_decode
+        mz, mx = code241.z_metachecks.shape, code241.x_metachecks.shape
+        cases = [
+            (self.syndrome(code241, z_len=155), -1, rf"^dimension mismatch: \({mz[0]}, {mz[1]}\) @ \(155,\)$"),
+            (self.syndrome(code241, x_len=157), 2, rf"^dimension mismatch: \({mx[0]}, {mx[1]}\) @ \(157,\)$"),
+            # the Z side is read first, and its length before the budget
+            (self.syndrome(code241, z_len=1, x_len=1), -1, r"@ \(1,\)$"),
+            # the budget before the X side's length
+            (self.syndrome(code241, x_len=1), -1, "^max_weight must be >= 0$"),
+        ]
+        for s, budget, message in cases:
+            with pytest.raises(ValueError, match=message):
+                call(code241, s, budget)
+
+    @pytest.mark.parametrize("run", ["repair", "decode"])
+    def test_negative_budget(self, code241, run):
+        call = decoder.repair_syndrome if run == "repair" else decoder.single_shot_decode
+        for s in (self.syndrome(code241), self.syndrome(code241, z_bits=[3], x_bits=[5])):
+            with pytest.raises(ValueError, match="^max_weight must be >= 0$"):
+                call(code241, s, -1)
+
+    def test_budget_exhausted_in_order(self, code241):
+        # one flipped check bit needs a weight-1 repair; one X or Z error a
+        # weight-1 recovery; at budget 0 each fails on the first side that
+        # needs weight
+        x_err, z_err = single_x(241, 17), PauliError(np.zeros(241, np.uint8), np.eye(241, dtype=np.uint8)[30])
+        both = x_err.compose(z_err)
+        cases = [
+            (self.syndrome(code241, z_bits=[3]), "no Z-side syndrome repair within weight 0"),
+            (self.syndrome(code241, x_bits=[5]), "no X-side syndrome repair within weight 0"),
+            (self.syndrome(code241, z_bits=[3], x_bits=[5]), "no Z-side syndrome repair within weight 0"),
+            # the Z side's budget comes before the X side's length
+            (self.syndrome(code241, z_bits=[3], x_len=1), "no Z-side syndrome repair within weight 0"),
+            (code241.syndrome(x_err), "no X-part recovery within weight 0"),
+            (code241.syndrome(z_err), "no Z-part recovery within weight 0"),
+            (code241.syndrome(both), "no X-part recovery within weight 0"),
+            # repair comes before recovery
+            (code241.syndrome(both).compose(self.syndrome(code241, x_bits=[5])),
+             "no X-side syndrome repair within weight 0"),
+        ]
+        for s, message in cases:
+            with pytest.raises(gf2.BudgetExhausted, match=f"^{message}$"):
+                decoder.single_shot_decode(code241, s, 0)
+        # repair alone runs no recovery
+        assert decoder.repair_syndrome(code241, code241.syndrome(both), 0).s_rec.weight() == 0
+        with pytest.raises(gf2.BudgetExhausted, match="^no X-side syndrome repair within weight 0$"):
+            decoder.repair_syndrome(code241, self.syndrome(code241, x_bits=[5]), 0)
+
+    def test_metacheck_failure_comes_before_recovery(self, code486):
+        # the failure returns with no recovery searched, even at budget 0
+        witness = chain.homological_distance(double(CYC3), 1, 3).witness
+        err = single_x(486, 9)
+        s = code486.syndrome(err).compose(
+            decoder.split_measurement_error(code486, np.concatenate([witness, np.zeros(324, dtype=np.uint8)]))
+        )
+        result = decoder.single_shot_decode(code486, s, 0)
+        assert result.metacheck_failure and result.e_rec.is_identity()
+
+
 class TestQubitDecode:
     """The qubit stage of single_shot_decode: a syndrome with no measurement
     error needs no repair, so the decode is the minimum-weight Pauli."""
