@@ -1,9 +1,14 @@
 """Dense references shared by the tests: elimination one column at a time on
 a uint8 copy, independent of the library's int-row elimination, the
-counts and profiles built on it or on plain enumeration, and the
-all-pairs packed join of two coset listings."""
+counts and profiles built on it or on plain enumeration, the
+all-pairs packed join of two coset listings, and the decoder's array
+pipeline (mat_vec and min_weight_solution on uint8 vectors)."""
 
 import numpy as np
+
+from homprod import gf2
+from homprod.css import PauliError, Syndrome, pauli_min_weight
+from homprod.decoder import DecodeResult
 
 
 def dense_rref(m):
@@ -69,3 +74,48 @@ def all_pairs_min_weight(xs, zs, max_weight):
     f = np.packbits(zs, axis=1)
     best = int(np.bitwise_count(e[:, np.newaxis] | f).sum(axis=2).min())
     return best if best <= max_weight else None
+
+
+def _reference_solve(m, target, max_weight, what):
+    found = gf2.min_weight_solution(m, target, max_weight)
+    if found is None:
+        raise gf2.BudgetExhausted(f"no {what} within weight {max_weight}")
+    return found[0]
+
+
+def reference_repair(code, s, max_weight):
+    """repair_syndrome as the array pipeline computes it: metacheck targets
+    by mat_vec, each repair by min_weight_solution, and the obstruction
+    test by mat_vec of the obstruction rows.  Returns (s_rec, failure)."""
+    if not code.has_metachecks:
+        raise ValueError("repair needs a code with metachecks")
+    mz, mx = code.z_metachecks, code.x_metachecks
+    s_rec = Syndrome(
+        _reference_solve(mz, gf2.mat_vec(mz, s.z_part), max_weight, "Z-side syndrome repair"),
+        _reference_solve(mx, gf2.mat_vec(mx, s.x_part), max_weight, "X-side syndrome repair"),
+    )
+    repaired = s.compose(s_rec)
+    z_rows, x_rows = code.syndrome_obstructions
+    failure = bool(
+        (len(z_rows) and gf2.mat_vec(z_rows, repaired.z_part).any())
+        or (len(x_rows) and gf2.mat_vec(x_rows, repaired.x_part).any())
+    )
+    return s_rec, failure
+
+
+def reference_decode(code, s, max_weight, true_error=None, residual_budget=None):
+    """single_shot_decode on the array pipeline: reference_repair, then
+    each recovery by min_weight_solution on the repaired syndrome."""
+    s_rec, failure = reference_repair(code, s, max_weight)
+    if failure:
+        return DecodeResult(s_rec, PauliError.identity(code.n), True, None, False)
+    repaired = s.compose(s_rec)
+    e_rec = PauliError(
+        _reference_solve(code.z_checks, repaired.z_part, max_weight, "X-part recovery"),
+        _reference_solve(code.x_checks, repaired.x_part, max_weight, "Z-part recovery"),
+    )
+    residual = None
+    if true_error is not None:
+        budget = residual_budget if residual_budget is not None else max_weight
+        residual = pauli_min_weight(code, true_error.compose(e_rec), budget)
+    return DecodeResult(s_rec, e_rec, False, residual, True)

@@ -11,7 +11,7 @@ from homprod.chain import ChainComplex, Distance
 from homprod.css import PauliError
 
 from codes import budget241, budget33, double, fresh_python, metasyndrome
-from dense_reference import dense_kernel
+from dense_reference import dense_kernel, reference_decode, reference_repair
 
 REP2 = [[1, 1]]
 REP3 = [[1, 1, 0], [0, 1, 1]]
@@ -344,6 +344,66 @@ class TestDecodeDigest:
         # the 486-qubit code whose C(486, 3) tables fit the memory cap
         assert (failures, exhausted) == (3, 0)
         assert digest.hexdigest() == PINNED_DECODE_DIGEST
+
+
+class TestArrayPipeline:
+    """repair_syndrome and single_shot_decode equal the array pipeline
+    (dense_reference.reference_decode) field by field, refusals included,
+    on seeded syndromes of the 33-, 241- and 486-qubit codes: an error's
+    syndrome with u flipped in, decoded at a budget from 0 to 6, so that
+    some decodes run out of budget, and on the 486-qubit code some repaired
+    syndromes fail their metachecks."""
+
+    @staticmethod
+    def outcome(call, *args, **kwargs):
+        try:
+            return call(*args, **kwargs)
+        except (gf2.BudgetExhausted, ValueError) as exc:
+            return f"{type(exc).__name__}: {exc}"
+
+    @staticmethod
+    def fields(result):
+        if isinstance(result, str):
+            return result
+        parts = (result.s_rec.z_part, result.s_rec.x_part, result.e_rec.e, result.e_rec.f)
+        assert all(v.dtype == np.uint8 and v.ndim == 1 for v in parts)
+        rest = (result.metacheck_failure, result.residual_min_weight, result.minimality_certified)
+        return tuple(v.tolist() for v in parts) + rest
+
+    def test_seeded_corpus(self, code33, code241, code486):
+        counts = dict.fromkeys(["decoded", "failure", "exhausted"], 0)
+        # a weight-3 Z-side syndrome that passes the metachecks and has no explanation
+        cycle = np.zeros(648, dtype=np.uint8)
+        cycle[:324] = chain.homological_distance(double(CYC3), 1, 3).witness
+        for code, seed, u_weights in ((code33, 33, (0, 1, 2)), (code241, 241, (0, 1, 2)), (code486, 486, (1, 2, 3))):
+            rng = np.random.default_rng(seed)
+            m = code.num_z_checks + code.num_x_checks
+            for _ in range(150):
+                u = np.zeros(m, dtype=np.uint8)
+                u[rng.choice(m, size=int(rng.choice(u_weights)), replace=False)] = 1
+                if code is code486 and rng.integers(0, 3) == 0:
+                    u ^= cycle
+                error = random_pauli(rng, code.n, int(rng.integers(0, 4)))
+                s = code.syndrome(error).compose(decoder.split_measurement_error(code, u))
+                if rng.integers(0, 4) == 0:  # parts that are not uint8
+                    s = css.Syndrome(s.z_part.astype(np.int64), s.x_part.astype(bool))
+                max_weight = int(rng.choice([0, 1, 2, 3, 6, 6]))
+                kw = dict(true_error=error, residual_budget=min(max_weight, 2))
+                got = self.outcome(decoder.single_shot_decode, code, s, max_weight, **kw)
+                assert self.fields(got) == self.fields(self.outcome(reference_decode, code, s, max_weight, **kw))
+                repaired = self.outcome(decoder.repair_syndrome, code, s, max_weight)
+                expected = self.outcome(reference_repair, code, s, max_weight)
+                if isinstance(expected, str):
+                    assert repaired == expected
+                else:
+                    assert (repaired.s_rec.z_part.tolist(), repaired.s_rec.x_part.tolist()) == (
+                        expected[0].z_part.tolist(),
+                        expected[0].x_part.tolist(),
+                    )
+                    assert repaired.metacheck_failure == expected[1]
+                kind = "exhausted" if isinstance(got, str) else "failure" if got.metacheck_failure else "decoded"
+                counts[kind] += 1
+        assert counts == {"decoded": 281, "failure": 39, "exhausted": 130}
 
 
 class TestSyndromeObstructions:
