@@ -172,11 +172,13 @@ class CssCode:
     def obstructed(self, s: Syndrome) -> bool:
         """Does some obstruction row have odd overlap with s?  For a
         metacheck-consistent s, exactly when no Pauli has syndrome s."""
-        z_rows, x_rows = self.syndrome_obstructions
-        return bool(
-            (len(z_rows) and gf2.mat_vec(z_rows, s.z_part).any())
-            or (len(x_rows) and gf2.mat_vec(x_rows, s.x_part).any())
-        )
+        z = gf2._checked_target(s.z_part, self.num_z_checks)
+        return self._obstructs(z, gf2._checked_target(s.x_part, self.num_x_checks))
+
+    def _obstructs(self, z: int, x: int) -> bool:
+        """obstructed on the parts' int rows (see gf2._row_ints): one parity per row."""
+        sides = [(rows, v) for rows, v in zip(self.syndrome_obstructions, (z, x)) if len(rows)]
+        return any((r & v).bit_count() & 1 for rows, v in sides for r in gf2._rows(rows))
 
     def coset_annihilator(self, side: str) -> np.ndarray:
         """Read-only matrix B whose kernel is the stabiliser span on one side.

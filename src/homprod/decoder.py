@@ -4,7 +4,10 @@ Decoding is two staged minimisations: repair the observed syndrome to the
 nearest metacheck-consistent one, then find a minimum-weight Pauli with
 that syndrome.  The X and Z sides decode independently (the CSS block
 structure keeps them uncoupled), each by exhaustive increasing-weight
-search, so results are deterministic and minimality is certified per side.
+search (gf2._lightest, the one loop min_weight_solution also runs), so
+results are deterministic and minimality is certified per side.  Both
+stages work on gf2's int rows, from each syndrome part's ones read once;
+uint8 arrays are built only for the returned s_rec and e_rec.
 
 A repaired syndrome fails (no Pauli has it) exactly when it has odd
 overlap with one of the code's syndrome-level obstruction rows
@@ -129,13 +132,25 @@ def split_measurement_error(code: CssCode, u: np.ndarray) -> Syndrome:
     return Syndrome(u[:mz], u[mz:])
 
 
-def _solve(m: np.ndarray, target: np.ndarray, max_weight: int, what: str) -> np.ndarray:
-    """Minimum-weight x with m x = target; BudgetExhausted names `what`
-    when none has weight <= max_weight."""
-    found = gf2.min_weight_solution(m, target, max_weight)
-    if found is None:
-        raise BudgetExhausted(f"no {what} within weight {max_weight}")
-    return found[0]
+def _repair(code: CssCode, s: Syndrome, max_weight: int) -> tuple[RepairOutcome, list[int]]:
+    """repair_syndrome, and the repaired Z and X parts as int rows (see
+    gf2._row_ints); a repair target is the metachecks' column ints at s's ones."""
+    if not code.has_metachecks:
+        raise ValueError("repair needs a code with metachecks")
+    rec, repaired = [], []
+    for m, part, side in ((code.z_metachecks, s.z_part, "Z"), (code.x_metachecks, s.x_part, "X")):
+        part = gf2.as_bin(part).reshape(-1)
+        if m.shape[1] != len(part):
+            raise ValueError(f"dimension mismatch: {m.shape} @ ({len(part)},)")
+        if max_weight < 0:
+            raise ValueError("max_weight must be >= 0")
+        ones = part.nonzero()[0].tolist()
+        target = gf2._column_sum(gf2._searcher(m).cols, ones)
+        support = gf2._lightest(m, target, max_weight, f"{side}-side syndrome repair")
+        rec.append(gf2._support_to_vector(support, len(part)))
+        repaired.append(gf2._from_ones(ones + list(support), 1, len(part))[0])
+    # the repaired syndrome passes every metacheck by construction
+    return RepairOutcome(Syndrome(*rec), code._obstructs(*repaired)), repaired
 
 
 def repair_syndrome(code: CssCode, s: Syndrome, max_weight: int) -> RepairOutcome:
@@ -148,15 +163,7 @@ def repair_syndrome(code: CssCode, s: Syndrome, max_weight: int) -> RepairOutcom
     (see CssCode.syndrome_obstructions).  Raises BudgetExhausted when no
     repair at all exists within the weight budget.
     """
-    if not code.has_metachecks:
-        raise ValueError("repair needs a code with metachecks")
-    mz, mx = code.z_metachecks, code.x_metachecks
-    s_rec = Syndrome(
-        _solve(mz, gf2.mat_vec(mz, s.z_part), max_weight, "Z-side syndrome repair"),
-        _solve(mx, gf2.mat_vec(mx, s.x_part), max_weight, "X-side syndrome repair"),
-    )
-    # the repaired syndrome passes every metacheck by construction
-    return RepairOutcome(s_rec, code.obstructed(s.compose(s_rec)))
+    return _repair(code, s, max_weight)[0]
 
 
 def single_shot_decode(
@@ -168,17 +175,15 @@ def single_shot_decode(
 ) -> DecodeResult:
     """Repair-then-decode; residual min-weight is filled in when the true
     error is known (sweeps know it, field deployments do not)."""
-    outcome = repair_syndrome(code, s, max_weight)
+    outcome, repaired = _repair(code, s, max_weight)
     if outcome.metacheck_failure:
         return DecodeResult(outcome.s_rec, PauliError.identity(code.n), True, None, False)
-    # repair_syndrome has already checked that the repaired syndrome lies in
-    # the image, so one increasing-weight search per side remains, and
-    # minimality is certain whenever both succeed
-    repaired = s.compose(outcome.s_rec)
-    e_rec = PauliError(
-        _solve(code.z_checks, repaired.z_part, max_weight, "X-part recovery"),
-        _solve(code.x_checks, repaired.x_part, max_weight, "Z-part recovery"),
-    )
+    # the repair has already checked that the repaired syndrome lies in the
+    # image, so one increasing-weight search per side remains, on its int
+    # row, and minimality is certain whenever both succeed
+    e = gf2._lightest(code.z_checks, repaired[0], max_weight, "X-part recovery")
+    f = gf2._lightest(code.x_checks, repaired[1], max_weight, "Z-part recovery")
+    e_rec = PauliError(gf2._support_to_vector(e, code.n), gf2._support_to_vector(f, code.n))
     residual_wt: Optional[int] = None
     if true_error is not None:
         budget = residual_budget if residual_budget is not None else max_weight

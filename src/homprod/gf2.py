@@ -28,9 +28,9 @@ Pivoting is always left-to-right over columns and tie-breaks are
 lexicographic (smallest support indices first), so every routine is
 deterministic.
 
-The weight-ordered searches (min_weight_solution,
-kernel_vectors_by_weight, and css.pauli_min_weight's coset listings,
-which read _searcher(m).supports directly) meet in the middle (see
+The weight-ordered searches (min_weight_solution and the decoder, through
+one loop, _lightest; kernel_vectors_by_weight; css.pauli_min_weight's
+coset listings, which read _searcher(m).supports) meet in the middle (see
 _WeightSearch) over sorted numpy half tables keyed by a 64-bit linear
 sketch of the column sum, a fixed-size block of keys at a time (an even
 weight joins one table with itself, meeting each pair of halves once);
@@ -272,12 +272,13 @@ def _ones(rows: list[int], cols: int) -> list[int]:
 
 
 def _from_ones(ones, rows: int, cols: int) -> list[int]:
-    """The int rows of a rows x cols matrix, from the flat indices of its ones."""
+    """The int rows of a rows x cols matrix, from the flat indices of its
+    ones; an index given twice cancels, as in a sum mod 2."""
     top = cols - 1
     out = [0] * rows
     for i in ones:
         k, j = divmod(i, cols)
-        out[k] |= 1 << (top - j)
+        out[k] ^= 1 << (top - j)
     return out
 
 
@@ -408,27 +409,14 @@ class Gf2Solver:
                 return None
         return [p for p, v in zip(self.pivot_index, t) if (v & b).bit_count() & 1]
 
-    def _target(self, b) -> int:
-        b = as_bin(b).reshape(-1)
-        if b.shape[0] != self.shape[0]:
-            raise ValueError(
-                f"dimension mismatch: matrix has {self.shape[0]} rows, "
-                f"vector has {b.shape[0]}"
-            )
-        return _target_int(b)
-
     def in_image(self, b) -> bool:
         """Is Mx = b consistent?  Builds no solution vector."""
-        return self._solve_int(self._target(b)) is not None
+        return self._solve_int(_checked_target(b, self.shape[0])) is not None
 
     def solve(self, b) -> Optional[np.ndarray]:
         """Solution with all free variables zero, or None if inconsistent."""
-        ones = self._solve_int(self._target(b))
-        if ones is None:
-            return None
-        x = np.zeros(self.shape[1], dtype=np.uint8)
-        x[ones] = 1
-        return x
+        ones = self._solve_int(_checked_target(b, self.shape[0]))
+        return None if ones is None else _support_to_vector(ones, self.shape[1])
 
 
 def get_solver(m) -> Gf2Solver:
@@ -1002,46 +990,51 @@ def _support_to_vector(support: tuple[int, ...], n: int) -> np.ndarray:
     return v
 
 
-def _search_inputs(m, b, max_weight: int) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """m and b (unless None) as uint8, after the checks every search shares."""
-    m = as_bin(m)
-    if max_weight < 0:
-        raise ValueError("max_weight must be >= 0")
-    if b is not None:
-        b = as_bin(b).reshape(-1)
-        if b.shape[0] != m.shape[0]:
-            raise ValueError(
-                f"dimension mismatch: matrix has {m.shape[0]} rows, "
-                f"vector has {b.shape[0]}"
-            )
-    return m, b
+def _checked_target(b, rows: int) -> int:
+    """b as an int row (see _target_int), refused unless it has `rows` entries."""
+    b = as_bin(b).reshape(-1)
+    if b.shape[0] != rows:
+        raise ValueError(f"dimension mismatch: matrix has {rows} rows, vector has {b.shape[0]}")
+    return _target_int(b)
 
 
-def min_weight_solution(
-    m, b, max_weight: int
-) -> Optional[tuple[np.ndarray, int]]:
+def min_weight_solution(m, b, max_weight: int) -> Optional[tuple[np.ndarray, int]]:
     """Minimum-weight x with Mx = b, provided that minimum is <= max_weight.
 
     Search proceeds by increasing weight; among equal-weight solutions the
     lexicographically smallest support wins.  Returns None when every
     solution (if any) is heavier than the budget.
     """
-    m, b = _search_inputs(m, b, max_weight)
-    target = _target_int(b)
+    if max_weight < 0:
+        raise ValueError("max_weight must be >= 0")
+    m = as_bin(m)
+    support = _lightest(m, _checked_target(b, m.shape[0]), max_weight)
+    return None if support is None else (_support_to_vector(support, m.shape[1]), len(support))
+
+
+def _lightest(m: np.ndarray, target: int, max_weight: int, what: str = "") -> Optional[tuple]:
+    """The (weight, lex) first support of weight <= max_weight whose columns
+    of m sum to the int row target: the one search loop, which
+    min_weight_solution and the decoder share.  If there is none: None,
+    or, given what, BudgetExhausted naming it."""
     if target == 0:
         # weight 0 needs no table: skip the searcher's memo lookup
-        return np.zeros(m.shape[1], dtype=np.uint8), 0
+        return ()
     search = _searcher(m)
     for w in range(1, max_weight + 1):
         found = search.supports(w, target)
         if found:
-            return _support_to_vector(found[0], m.shape[1]), w
+            return found[0]
+    if what:
+        raise BudgetExhausted(f"no {what} within weight {max_weight}")
     return None
 
 
 def kernel_vectors_by_weight(m, max_weight: int) -> Iterator[np.ndarray]:
     """Nonzero kernel vectors of M in increasing (weight, lex) order."""
-    m, _ = _search_inputs(m, None, max_weight)
+    if max_weight < 0:
+        raise ValueError("max_weight must be >= 0")
+    m = as_bin(m)
     search = _searcher(m)
     for w in range(1, max_weight + 1):
         for support in search.supports(w, 0):
