@@ -134,7 +134,7 @@ def split_measurement_error(code: CssCode, u: np.ndarray) -> Syndrome:
 
 def _repair(code: CssCode, s: Syndrome, max_weight: int) -> tuple[RepairOutcome, list[int]]:
     """repair_syndrome, and the repaired Z and X parts as int rows (see
-    gf2._row_ints); a repair target is the metachecks' column ints at s's ones."""
+    gf2._row_ints); a repair target XORs the metachecks' columns at s's ones."""
     if not code.has_metachecks:
         raise ValueError("repair needs a code with metachecks")
     rec, repaired = [], []

@@ -455,6 +455,15 @@ class TestSyndromeObstructions:
             flags.append(expected)
         assert 50 < sum(flags) < 250
 
+    def test_wrong_length_is_refused(self, code241, code486):
+        # on every code, with obstruction rows (486) or none (241)
+        for code in (code241, code486):
+            mz, mx = code.num_z_checks, code.num_x_checks
+            for z, x in ((mz - 1, mx), (mz, mx + 1)):
+                s = css.Syndrome(np.zeros(z, dtype=np.uint8), np.zeros(x, dtype=np.uint8))
+                with pytest.raises(ValueError, match="dimension mismatch"):
+                    code.obstructed(s)
+
     @pytest.mark.parametrize("h", [REP3, CYC3], ids=["rep3", "cyc3"])
     def test_membership_matches_solvers_on_any_syndrome(self, h):
         # arbitrary syndromes, metacheck-consistent or not, on the double

@@ -413,6 +413,19 @@ class TestIntRows:
         # T's rows hold one bit per row of M and nothing above
         assert all(v.bit_length() <= m.shape[0] for v in gf2.Gf2Solver(m).transform)
 
+    @settings(max_examples=100, deadline=None)
+    @given(word_edge_matrix(), st.data())
+    def test_from_ones_sums_repeated_ones(self, m, data):
+        # every flat index of m's ones, with some given twice or more: an
+        # index given an even number of times cancels, as in a sum mod 2
+        ones = np.flatnonzero(m).tolist()
+        extra = data.draw(st.lists(st.integers(0, m.size - 1), max_size=8)) if m.size else []
+        flipped = m.reshape(-1).copy()
+        for i in extra:
+            flipped[i] ^= 1
+        want = gf2._row_ints(flipped.reshape(m.shape))
+        assert gf2._from_ones(ones + extra + extra + extra, *m.shape) == want
+
     def test_searcher_shares_the_column_cache(self):
         m = read_only(bits([[1, 0, 1], [0, 1, 1]]))
         assert gf2._searcher(m).cols is gf2._rows(m.T) == [0b10, 0b01, 0b11]
@@ -530,7 +543,8 @@ class TestMinWeightSolution:
 
 
 class TestSearchInputs:
-    """The weight searches share one length and one budget check."""
+    """The weight searches refuse a target of the wrong length and a
+    negative budget."""
 
     M = bits([[1, 1, 0], [0, 1, 1]])
 
